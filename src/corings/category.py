@@ -555,8 +555,18 @@ def _verify_monoidal(corings, morphisms, seed, max_squares, max_triples, kind):
     """Shared four-phase monoidal verifier; `kind` picks the category."""
     is_ext = kind == "ext"
     passed = []
+    vacuous = []
+
+    def failed(law, witness):
+        return Verdict.failed(law, witness, passed, vacuous)
+
+    def held(law, instances):
+        passed.append(law)
+        if not instances:
+            vacuous.append(law)
+
     if not corings:
-        return Verdict.failed("identity-preservation", "empty coring family", passed)
+        return failed("identity-preservation", "empty coring family")
     field = corings[0].field
     cache = _TensorCache(corings)
 
@@ -582,13 +592,12 @@ def _verify_monoidal(corings, morphisms, seed, max_squares, max_triples, kind):
                 else lhs == rhs
             )
             if not same:
-                return Verdict.failed(
+                return failed(
                     "identity-preservation",
                     f"tensor of the identities of corings {i} and {j} is not the "
                     f"identity of their tensor",
-                    passed,
                 )
-    passed.append("identity-preservation")
+    held("identity-preservation", corings)
 
     pairs = _composable_pairs(morphisms)
     squares = _sampled(
@@ -600,39 +609,35 @@ def _verify_monoidal(corings, morphisms, seed, max_squares, max_triples, kind):
         comp1 = compose(g, f)
         v = check(comp1)
         if not v.ok:
-            return Verdict.failed(
+            return failed(
                 "interchange",
                 f"composite of morphisms {gi} after {fi} is not a valid morphism "
                 f"({v.law}: {v.witness})",
-                passed,
             )
         comp2 = compose(g2, f2)
         v = check(comp2)
         if not v.ok:
-            return Verdict.failed(
+            return failed(
                 "interchange",
                 f"composite of morphisms {gj} after {fj} is not a valid morphism "
                 f"({v.law}: {v.witness})",
-                passed,
             )
         lhs = tensor_of(comp1, comp2)
         rhs = compose(tensor_of(g, g2), tensor_of(f, f2))
         if not morphs_equal(lhs, rhs):
-            return Verdict.failed(
+            return failed(
                 "interchange",
                 f"interchange fails on morphism pairs ({gi},{fi}) and ({gj},{fj})",
-                passed,
             )
-    passed.append("interchange")
+    held("interchange", squares)
 
     unit = unit_coring(field)
     for i, c in enumerate(corings):
         for t in (tensor_coring(unit, c), tensor_coring(c, unit)):
             if t != c:
-                return Verdict.failed(
+                return failed(
                     "unit-isomorphisms",
                     f"tensoring coring {i} with the unit does not collapse to it",
-                    passed,
                 )
             if is_ext:
                 u = ExtMorphism(t, c, _initial_action(c), c.comul_lift)
@@ -644,20 +649,18 @@ def _verify_monoidal(corings, morphisms, seed, max_squares, max_triples, kind):
             for half in (u, uinv):
                 v = check(half)
                 if not v.ok:
-                    return Verdict.failed(
+                    return failed(
                         "unit-isomorphisms",
                         f"unitor of coring {i} is not a morphism ({v.law}: {v.witness})",
-                        passed,
                     )
             if not morphs_equal(compose(u, uinv), identity_of(c)) or not morphs_equal(
                 compose(uinv, u), identity_of(t)
             ):
-                return Verdict.failed(
+                return failed(
                     "unit-isomorphisms",
                     f"unitors of coring {i} are not mutually inverse in the category",
-                    passed,
                 )
-    passed.append("unit-isomorphisms")
+    held("unit-isomorphisms", corings)
 
     triples = [
         (i, j, l)
@@ -666,12 +669,13 @@ def _verify_monoidal(corings, morphisms, seed, max_squares, max_triples, kind):
         for l in range(len(corings))
         if corings[i].dim * corings[j].dim * corings[l].dim <= 64
     ]
-    for i, j, l in _sampled(triples, max_triples, seed + 1):
+    triples = _sampled(triples, max_triples, seed + 1)
+    for i, j, l in triples:
         left = tensor_coring(cache.get(i, j), corings[l])
         right = tensor_coring(corings[i], cache.get(j, l))
         if left.dim != right.dim:
-            return Verdict.failed(
-                "associator", f"re-association of ({i},{j},{l}) changes dimensions", passed
+            return failed(
+                "associator", f"re-association of ({i},{j},{l}) changes dimensions"
             )
         ident = Mat.identity(field, left.dim)
         fwd = CoringsMorphism(
@@ -685,14 +689,13 @@ def _verify_monoidal(corings, morphisms, seed, max_squares, max_triples, kind):
         for half in (fwd, bwd):
             v = check_corings_morphism(half)
             if not v.ok:
-                return Verdict.failed(
+                return failed(
                     "associator",
                     f"re-association map of ({i},{j},{l}) is not a coring isomorphism "
                     f"({v.law}: {v.witness})",
-                    passed,
                 )
-    passed.append("associator")
-    return Verdict.passed(passed)
+    held("associator", triples)
+    return Verdict.passed(passed, vacuous)
 
 
 def verify_ext_monoidal(corings, morphisms, seed=0, max_squares=12, max_triples=4):

@@ -2,8 +2,12 @@
 
 Conventions used throughout the library:
 
-* Scalars are `fractions.Fraction` over the rationals (always in lowest terms,
-  positive denominator) and canonical ints in [0, p) over a prime field.
+* Q scalars are `int` when integral, else `Fraction` in lowest terms (positive
+  denominator, never 1); F_p scalars are canonical ints in [0, p).  Integral
+  rationals stay ints because almost every value the constructions produce is
+  integral, and int arithmetic costs a fraction of `Fraction` arithmetic.
+  Every Q result of the arithmetic below passes through `_norm`, so a value
+  has one representation whichever path computed it.
 * A linear map f: k^m -> k^n is a Mat with m rows and n columns acting on row
   vectors, f(v) = v * M.  "Apply f, then g" is therefore the product F @ G.
 * `kernel(m)` solves m x = 0, i.e. it returns {v : v * m^T = 0}; the kernel of
@@ -38,8 +42,19 @@ def _is_prime(p):
     return True
 
 
+def _norm(x):
+    """Canonical form of a Q scalar: the int when integral, else the Fraction."""
+    if x.__class__ is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
+
+
 class Field:
-    """Exact scalar domain: the rationals (p is None) or a prime field F_p."""
+    """Exact scalar domain: the rationals (p is None) or a prime field F_p.
+
+    Q scalars are `int` when integral, else `Fraction` in lowest terms; F_p
+    scalars are ints in [0, p).  `zero` and `one` are the ints 0 and 1 on both.
+    """
 
     __slots__ = ("p", "zero", "one")
 
@@ -51,12 +66,8 @@ class Field:
             if not _is_prime(p):
                 raise ValueError(f"modulus {p} is not prime")
         self.p = p
-        if p is None:
-            self.zero = Fraction(0)
-            self.one = Fraction(1)
-        else:
-            self.zero = 0
-            self.one = 1
+        self.zero = 0
+        self.one = 1
 
     @classmethod
     def rationals(cls):
@@ -71,32 +82,39 @@ class Field:
         return self.p is not None
 
     def add(self, a, b):
-        return a + b if self.p is None else (a + b) % self.p
+        return _norm(a + b) if self.p is None else (a + b) % self.p
 
     def sub(self, a, b):
-        return a - b if self.p is None else (a - b) % self.p
+        return _norm(a - b) if self.p is None else (a - b) % self.p
 
     def mul(self, a, b):
-        return a * b if self.p is None else (a * b) % self.p
+        return _norm(a * b) if self.p is None else (a * b) % self.p
 
     def neg(self, a):
         return -a if self.p is None else (-a) % self.p
 
     def inv(self, a):
         if self.p is None:
-            return 1 / a
+            return _norm(Fraction(1, a))
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
 
     def from_int(self, n):
-        return Fraction(n) if self.p is None else n % self.p
+        return n if self.p is None else n % self.p
 
     def coerce(self, x):
-        """Turn an int, string ("3/4" over Q) or scalar into a canonical element."""
+        """Canonical element for an int, a Fraction or a string such as "3/4".
+
+        Floats (inexact) and bools (a JSON `true` is not a number) raise TypeError.
+        """
+        if x.__class__ is bool or not isinstance(x, (int, Fraction, str)):
+            raise TypeError(
+                f'not an exact scalar: {x!r} (give an integer or a string such as "3/4")'
+            )
         if self.p is None:
-            return Fraction(x) if not isinstance(x, Fraction) else x
+            return x if x.__class__ is int else _norm(Fraction(x))
         if isinstance(x, str):
             if "/" in x:
                 num, den = x.split("/", 1)
@@ -130,7 +148,7 @@ def _vadd(field, dst, src, coeff):
         for j, v in src.items():
             w = dst.get(j, 0) + coeff * v
             if w:
-                dst[j] = w
+                dst[j] = _norm(w)
             else:
                 dst.pop(j, None)
     else:
@@ -145,7 +163,7 @@ def _vadd(field, dst, src, coeff):
 def _vscale(field, row, coeff):
     p = field.p
     if p is None:
-        return {j: coeff * v for j, v in row.items()}
+        return {j: _norm(coeff * v) for j, v in row.items()}
     out = {}
     for j, v in row.items():
         w = (coeff * v) % p
@@ -315,7 +333,7 @@ class Mat:
                     base = j1 * nc
                     if p is None:
                         for j2, v2 in b.items():
-                            out[base + j2] = v1 * v2
+                            out[base + j2] = _norm(v1 * v2)
                     else:
                         for j2, v2 in b.items():
                             w = (v1 * v2) % p

@@ -1,7 +1,9 @@
 """Structured pass/fail results for axiom checkers.
 
 Checkers run a fixed sequence of named laws and stop at the first
-counterexample, so a failing verdict carries exactly one witness.
+counterexample, so a failing verdict carries exactly one witness.  A law that
+held on zero instances is listed in `laws_vacuous` as well as `laws_passed`,
+so a report can tell "checked and held" from "nothing to check".
 """
 
 from __future__ import annotations
@@ -15,17 +17,18 @@ class Verdict:
     law: str | None = None
     witness: str | None = None
     laws_passed: tuple[str, ...] = ()
+    laws_vacuous: tuple[str, ...] = ()
 
     def __bool__(self):
         return self.ok
 
     @classmethod
-    def passed(cls, laws=()):
-        return cls(True, None, None, tuple(laws))
+    def passed(cls, laws=(), vacuous=()):
+        return cls(True, None, None, tuple(laws), tuple(vacuous))
 
     @classmethod
-    def failed(cls, law, witness, laws_passed=()):
-        return cls(False, law, witness, tuple(laws_passed))
+    def failed(cls, law, witness, laws_passed=(), laws_vacuous=()):
+        return cls(False, law, witness, tuple(laws_passed), tuple(laws_vacuous))
 
     def describe(self):
         if self.ok:

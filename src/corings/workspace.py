@@ -2,7 +2,8 @@
 
 A workspace file has top-level keys `field`, `algebras`, `modules`, `corings`,
 `extensions`, `morphisms`.  Matrices are arrays of arrays of scalar strings
-("3/4" over the rationals, "2" over a prime field; plain ints are accepted).
+("3/4" over the rationals, "2" over a prime field; plain ints are accepted,
+floats and booleans are rejected as inexact or not numbers).
 Comultiplications and coactions are given as lifts into the ambient (x)_k
 space with row-major pair indexing, so files never depend on internal pivot
 choices.  Loading validates every object; the first violation aborts with the
@@ -26,6 +27,7 @@ from .bimodules import BIMODULE_LAWS, Bimodule
 from .category import (
     CORINGS_MORPHISM_LAWS,
     EXT_MORPHISM_LAWS,
+    MONOIDAL_LAWS,
     CoringsMorphism,
     ExtMorphism,
     check_corings_morphism,
@@ -67,6 +69,7 @@ LAWS_BY_KIND = {
     "extension": EXTENSION_LAWS,
     "ext-morphism": EXT_MORPHISM_LAWS,
     "corings-morphism": CORINGS_MORPHISM_LAWS,
+    "monoidal": MONOIDAL_LAWS,
 }
 
 
@@ -114,6 +117,12 @@ def _mat(field, data, nrows=None, ncols=None, what="matrix"):
     return m
 
 
+def _object(value, what):
+    if not isinstance(value, dict):
+        raise WorkspaceSyntaxError(f"{what}: expected an object")
+    return value
+
+
 def _require(spec, key, what):
     if key not in spec:
         raise WorkspaceSyntaxError(f"{what}: missing key {key!r}")
@@ -137,7 +146,7 @@ def _parse_field(spec):
 def _parse_algebra(ws, name, spec):
     what = f"algebra {name}"
     if "fixture" in spec:
-        fx = spec["fixture"]
+        fx = _object(spec["fixture"], f"{what}: fixture")
         kind = _require(fx, "kind", what)
         if kind == "ground":
             return ground_algebra(ws.field)
@@ -207,7 +216,7 @@ def _parse_coring(ws, name, spec):
 
     what = f"coring {name}"
     if "fixture" in spec:
-        fx = spec["fixture"]
+        fx = _object(spec["fixture"], f"{what}: fixture")
         kind = _require(fx, "kind", what)
         try:
             if kind == "trivial":
@@ -215,7 +224,10 @@ def _parse_coring(ws, name, spec):
             if kind == "unit":
                 return unit_coring(ws.field)
             if kind == "matrix_coalgebra":
-                return matrix_coalgebra(_require(fx, "n", what), ws.field)
+                n = _require(fx, "n", what)
+                if n.__class__ is not int or n < 1:
+                    raise WorkspaceSyntaxError(f"{what}: n must be a positive integer")
+                return matrix_coalgebra(n, ws.field)
             if kind == "grouplike":
                 return grouplike_coalgebra(_require(fx, "table", what), ws.field)
             if kind == "sweedler":
@@ -239,7 +251,9 @@ def _parse_coring(ws, name, spec):
             raise UnknownReference(f'no object named "{carrier_spec}"')
         carrier = ws.modules[carrier_spec]
     else:
-        carrier = _parse_module(ws, f"{name}.carrier", carrier_spec)
+        carrier = _parse_module(
+            ws, f"{name}.carrier", _object(carrier_spec, f"{what}: carrier")
+        )
     try:
         return Coring(
             base,
@@ -257,7 +271,7 @@ def _parse_coring(ws, name, spec):
 def _parse_extension(ws, name, spec):
     what = f"extension {name}"
     if "fixture" in spec:
-        fx = spec["fixture"]
+        fx = _object(spec["fixture"], f"{what}: fixture")
         kind = _require(fx, "kind", what)
         c = _get_coring(ws, _require(fx, "coring", what), what)
         builders = {
@@ -265,7 +279,7 @@ def _parse_extension(ws, name, spec):
             "unit": unit_extension,
             "trivial": trivial_extension,
         }
-        if kind not in builders:
+        if not isinstance(kind, str) or kind not in builders:
             raise WorkspaceSyntaxError(f"{what}: unknown fixture kind {kind!r}")
         try:
             return builders[kind](c)
@@ -294,7 +308,7 @@ def _parse_morphism(ws, name, spec):
     if kind not in ("ext", "corings"):
         raise WorkspaceSyntaxError(f"{what}: kind must be 'ext' or 'corings'")
     if "fixture" in spec:
-        fx = spec["fixture"]
+        fx = _object(spec["fixture"], f"{what}: fixture")
         fkind = _require(fx, "kind", what)
         if kind == "ext":
             builders = {
@@ -302,7 +316,7 @@ def _parse_morphism(ws, name, spec):
                 "to-unit": ext_to_unit,
                 "to-trivial": ext_to_trivial,
             }
-            if fkind not in builders:
+            if not isinstance(fkind, str) or fkind not in builders:
                 raise WorkspaceSyntaxError(f"{what}: unknown fixture kind {fkind!r}")
             return kind, builders[fkind](_get_coring(ws, _require(fx, "coring", what), what))
         if fkind == "identity":
@@ -321,9 +335,16 @@ def _parse_morphism(ws, name, spec):
         if fkind == "grouplike":
             src = _get_coring(ws, _require(fx, "source", what), what)
             tgt = _get_coring(ws, _require(fx, "target", what), what)
-            return kind, grouplike_corings_morphism(
-                src, tgt, _require(fx, "mapping", what)
-            )
+            mapping = _require(fx, "mapping", what)
+            if (
+                not isinstance(mapping, list)
+                or len(mapping) != src.dim
+                or any(i.__class__ is not int or not 0 <= i < tgt.dim for i in mapping)
+            ):
+                raise WorkspaceSyntaxError(
+                    f"{what}: mapping must list {src.dim} indices in [0, {tgt.dim})"
+                )
+            return kind, grouplike_corings_morphism(src, tgt, mapping)
         raise WorkspaceSyntaxError(f"{what}: unknown fixture kind {fkind!r}")
     src = _get_coring(ws, _require(spec, "source", what), what)
     tgt = _get_coring(ws, _require(spec, "target", what), what)
@@ -372,21 +393,28 @@ def parse_workspace(text, source="<workspace>"):
         raise WorkspaceSyntaxError(f"{source}: missing top-level key 'field'")
     ws = Workspace(_parse_field(doc["field"]))
 
-    for name, spec in doc.get("algebras", {}).items():
+    def entries(section):
+        specs = _object(doc.get(section, {}), f"{source}: {section}")
+        return [
+            (name, _object(spec, f"{section[:-1]} {name}"))
+            for name, spec in specs.items()
+        ]
+
+    for name, spec in entries("algebras"):
         a = _parse_algebra(ws, name, spec)
         _validate(name, "algebra", check_algebra(a))
         ws.algebras[name] = a
-    for name, spec in doc.get("modules", {}).items():
+    for name, spec in entries("modules"):
         m = _parse_module(ws, name, spec)
         _validate(name, "module", m.check())
         ws.modules[name] = m
-    for name, spec in doc.get("corings", {}).items():
+    for name, spec in entries("corings"):
         c = _parse_coring(ws, name, spec)
         _validate(name, "coring", check_coring(c))
         ws.corings[name] = c
-    for name, spec in doc.get("extensions", {}).items():
+    for name, spec in entries("extensions"):
         ws.extensions[name] = _parse_extension(ws, name, spec)
-    for name, spec in doc.get("morphisms", {}).items():
+    for name, spec in entries("morphisms"):
         kind, m = _parse_morphism(ws, name, spec)
         if kind == "ext":
             _validate(name, kind, check_ext_morphism(m))

@@ -235,6 +235,13 @@ class TestMonoidalVerifiers:
     def test_ext_single_unit_family(self):
         v = verify_ext_monoidal([unit_coring(F5)], [ext_identity(unit_coring(F5))])
         assert v.ok
+        assert v.laws_vacuous == ()
+
+    def test_ext_no_morphisms_interchange_vacuous(self, f5_family):
+        v = verify_ext_monoidal([c for _, c in f5_family], [])
+        assert v.ok
+        assert v.laws_vacuous == ("interchange",)
+        assert "interchange" in v.laws_passed
 
     def test_ext_detects_corruption_in_interchange(self, f5_family, f5_ext_morphisms):
         corings = dict(f5_family)

@@ -1,0 +1,194 @@
+"""The Q scalar representation: `int` when integral, else a reduced `Fraction`.
+
+The differential tests run the sparse eliminator against a dense Gauss-Jordan
+reference written here in plain `Fraction` arithmetic.  The invariant test
+walks every matrix a Q workspace load builds, so a code path that stops
+normalizing fails here instead of silently slowing the program down.
+"""
+
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from corings.bimodules import Bimodule, BimoduleMorphism, PresentedTensor
+from corings.coring import check_coring
+from corings.errors import IsoFailure
+from corings.linalg import Field, Mat, Subspace, kernel
+from corings.workspace import load_workspace
+
+Q = Field.rationals()
+CLI_Q = Path(__file__).resolve().parents[1] / "perfbench" / "workspaces" / "cli-q.json"
+
+
+def is_canonical(x):
+    """An int (never a bool), or a Fraction whose denominator is not 1."""
+    return x.__class__ is int or (x.__class__ is Fraction and x.denominator != 1)
+
+
+def dense_rref(rows, ncols):
+    """Gauss-Jordan in plain Fraction arithmetic: (nonzero RREF rows, pivots)."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pick = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pick is None:
+            continue
+        m[r], m[pick] = m[pick], m[r]
+        lead = m[r][c]
+        m[r] = [x / lead for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[: len(pivots)], pivots
+
+
+def dense_kernel(rows, ncols):
+    """RREF basis of {v : rows v = 0}."""
+    red, pivots = dense_rref(rows, ncols)
+    gens = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[j] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -red[r][j]
+        gens.append(v)
+    return dense_rref(gens, ncols)[0] if gens else []
+
+
+def assert_canonical(m):
+    bad = [v for r in m.rows for v in r.values() if not is_canonical(v)]
+    assert not bad, f"non-canonical Q scalars: {bad[:5]}"
+
+
+SMALL_FRACTIONS = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+@st.composite
+def q_matrices(draw, square=False):
+    nrows = draw(st.integers(1, 5))
+    ncols = nrows if square else draw(st.integers(1, 5))
+    row = st.lists(SMALL_FRACTIONS, min_size=ncols, max_size=ncols)
+    return draw(st.lists(row, min_size=nrows, max_size=nrows)), ncols
+
+
+class TestRepresentation:
+    def test_pins(self):
+        two = Q.coerce("4/2")
+        assert two == 2 and two.__class__ is int
+        assert Q.inv(2) == Fraction(1, 2)
+        one = Q.mul(Fraction(1, 2), 2)
+        assert one == 1 and one.__class__ is int
+        assert Q.zero.__class__ is int and Q.one.__class__ is int
+
+    def test_field_ops_normalize(self):
+        half = Fraction(1, 2)
+        assert Q.add(half, half).__class__ is int
+        assert Q.sub(Fraction(3, 2), half).__class__ is int
+        assert Q.inv(1).__class__ is int
+        assert Q.inv(half).__class__ is int
+        assert Q.coerce(Fraction(6, 3)).__class__ is int
+        assert Q.coerce("3/4") == Fraction(3, 4)
+
+    def test_matrix_ops_normalize(self):
+        halves = Mat.from_rows(Q, [["1/2", "3/2"], ["1/2", "-1/2"]])
+        evens = Mat.from_rows(Q, [[2, 4]])
+        for m in (halves + halves, halves.scale(2), halves.kron(evens),
+                  halves @ halves.scale(4), halves.inverse()):
+            assert_canonical(m)
+
+
+class TestAgainstDenseReference:
+    @given(q_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_rref(self, data):
+        rows, ncols = data
+        red, pivots = Mat.from_rows(Q, rows).rref()
+        ref, ref_pivots = dense_rref(rows, ncols)
+        assert red.to_lists() == ref and pivots == ref_pivots
+        assert_canonical(red)
+
+    @given(q_matrices(square=True))
+    @settings(max_examples=60, deadline=None)
+    def test_inverse(self, data):
+        rows, n = data
+        m = Mat.from_rows(Q, rows)
+        aug = [r + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
+        ref, pivots = dense_rref(aug, 2 * n)
+        if pivots[n - 1 : n] != [n - 1]:
+            with pytest.raises(IsoFailure):
+                m.inverse()
+            return
+        inv = m.inverse()
+        assert inv.to_lists() == [r[n:] for r in ref]
+        assert_canonical(inv)
+
+    @given(q_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_kernel(self, data):
+        rows, ncols = data
+        k = kernel(Mat.from_rows(Q, rows))
+        assert k.basis.to_lists() == dense_kernel(rows, ncols)
+        assert_canonical(k.basis)
+
+
+def reachable_mats(obj, seen):
+    """Every Mat reachable from presentations, bimodules, morphisms and tuples.
+
+    `seen` maps id to object and keeps each visited object alive, so that no
+    id is reused by a later temporary.
+    """
+    if id(obj) in seen:
+        return
+    seen[id(obj)] = obj
+    if isinstance(obj, Mat):
+        yield obj
+    elif isinstance(obj, PresentedTensor):
+        q = obj.quot
+        for part in (q.project, q.lift, q.relations.basis, obj.result):
+            yield from reachable_mats(part, seen)
+    elif isinstance(obj, Bimodule):
+        for part in (*obj.left_act, *obj.right_act):
+            yield from reachable_mats(part, seen)
+    elif isinstance(obj, BimoduleMorphism):
+        yield from reachable_mats(obj.map, seen)
+    elif isinstance(obj, Subspace):
+        yield from reachable_mats(obj.basis, seen)
+    elif isinstance(obj, (tuple, list)):
+        for part in obj:
+            yield from reachable_mats(part, seen)
+
+
+def test_loaded_q_workspace_holds_only_canonical_scalars():
+    ws = load_workspace(CLI_Q)
+    sw = ws.corings["sw"]
+    assert check_coring(sw).ok
+    for a in ws.algebras.values():
+        entries = [x for row in a.table for vec in row for x in vec] + list(a.unit)
+        assert all(is_canonical(x) for x in entries)
+    seen = {}
+    mats = []
+    for c in ws.corings.values():
+        mats += reachable_mats(
+            [c.carrier, c.comul_lift, c.comul, c.counit, c.tens,
+             c.triple_left, c.triple_right, c.triple_assoc],
+            seen,
+        )
+    for e in ws.extensions.values():
+        mats += reachable_mats([e.bimodule, e.coact_lift], seen)
+    # The Sweedler coring alone presents tensors over a 4-dim base, so the walk
+    # covers eliminated relations, not only identity presentations.
+    assert len(mats) > 100
+    assert any(m.field == Q and m.rows and m is sw.triple_assoc[0] for m in mats)
+    for m in mats:
+        assert_canonical(m)
