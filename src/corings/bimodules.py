@@ -10,6 +10,13 @@ M (x)_B N is realized as an explicit quotient of M (x)_k N by the span of
 makes these span all relations.  Maps into such a tensor are supplied as lifts
 into the ambient (x)_k space, which keeps user input independent of pivot
 choices.
+
+tensor_over_alg memoizes its presentations for the life of the process, keyed
+on the structure of the two factors (what Bimodule.__eq__ compares; labels are
+not part of the key).  Equal factors therefore share one PresentedTensor,
+whose factors carry the labels of the call that built it.  A PresentedTensor
+and every matrix and bimodule it holds are immutable: no caller may change
+them.
 """
 
 from __future__ import annotations
@@ -58,18 +65,6 @@ class Bimodule:
         if self.labels is not None:
             return self.labels[i]
         return f"e_{i}"
-
-    def act_left(self, coeffs, mat_or_vec):
-        """Action matrix of the algebra element with coordinates `coeffs`."""
-        out = Mat.zero(self.field, self.dim, self.dim)
-        for i, c in enumerate(coeffs):
-            if c:
-                out = out + self.left_act[i].scale(c)
-        return out
-
-    def with_right_action(self, alg, mats, labels=None):
-        return Bimodule(self.left_alg, alg, self.dim, self.left_act, mats,
-                        labels if labels is not None else self.labels)
 
     def forget_left(self):
         k = ground_algebra(self.field)
@@ -193,9 +188,6 @@ class BimoduleMorphism:
         passed.append("right-linear")
         return Verdict.passed(passed)
 
-    def then(self, other):
-        return BimoduleMorphism(self.source, other.target, self.map @ other.map)
-
     def __eq__(self, other):
         return (
             isinstance(other, BimoduleMorphism)
@@ -271,8 +263,40 @@ class PresentedTensor:
         )
 
 
+def _alg_key(a):
+    return (a.field, a.dim, tuple(tuple(map(tuple, row)) for row in a.table), tuple(a.unit))
+
+
+def _bimodule_key(b):
+    """What Bimodule.__eq__ compares, as a hashable value (labels left out)."""
+    return (
+        _alg_key(b.left_alg),
+        _alg_key(b.right_alg),
+        b.dim,
+        tuple(frozenset(r.items()) for mat in b.left_act for r in mat.rows),
+        tuple(frozenset(r.items()) for mat in b.right_act for r in mat.rows),
+    )
+
+
+_TENSORS = {}
+
+
 def tensor_over_alg(m, n):
     """M (x)_B N for an (A,B)-bimodule M and a (B,C)-bimodule N.
+
+    Memoized for the life of the process on the structure of (m, n): a call
+    whose factors equal an earlier call's returns the same PresentedTensor.  A
+    call that raises stores nothing.
+    """
+    key = (_bimodule_key(m), _bimodule_key(n))
+    t = _TENSORS.get(key)
+    if t is None:
+        t = _TENSORS[key] = _present_tensor(m, n)
+    return t
+
+
+def _present_tensor(m, n):
+    """Build the presentation of M (x)_B N, uncached.
 
     The induced outer actions are verified to preserve the relation subspace;
     IllDefinedAction cannot fire for inputs satisfying the bimodule laws and is

@@ -540,17 +540,6 @@ def _sampled(items, cap, seed):
     return [items[i] for i in picked]
 
 
-class _TensorCache:
-    def __init__(self, corings):
-        self.corings = corings
-        self.cache = {}
-
-    def get(self, i, j):
-        if (i, j) not in self.cache:
-            self.cache[(i, j)] = tensor_coring(self.corings[i], self.corings[j])
-        return self.cache[(i, j)]
-
-
 def _verify_monoidal(corings, morphisms, seed, max_squares, max_triples, kind):
     """Shared four-phase monoidal verifier; `kind` picks the category."""
     is_ext = kind == "ext"
@@ -568,7 +557,6 @@ def _verify_monoidal(corings, morphisms, seed, max_squares, max_triples, kind):
     if not corings:
         return failed("identity-preservation", "empty coring family")
     field = corings[0].field
-    cache = _TensorCache(corings)
 
     identity_of = ext_identity if is_ext else corings_identity
     tensor_of = ext_tensor_morphisms if is_ext else corings_tensor_morphisms
@@ -582,7 +570,7 @@ def _verify_monoidal(corings, morphisms, seed, max_squares, max_triples, kind):
 
     for i in range(len(corings)):
         for j in range(len(corings)):
-            t = cache.get(i, j)
+            t = tensor_coring(corings[i], corings[j])
             lhs = tensor_of(identity_of(corings[i]), identity_of(corings[j]),
                             source=t, target=t)
             rhs = identity_of(t)
@@ -671,8 +659,8 @@ def _verify_monoidal(corings, morphisms, seed, max_squares, max_triples, kind):
     ]
     triples = _sampled(triples, max_triples, seed + 1)
     for i, j, l in triples:
-        left = tensor_coring(cache.get(i, j), corings[l])
-        right = tensor_coring(corings[i], cache.get(j, l))
+        left = tensor_coring(tensor_coring(corings[i], corings[j]), corings[l])
+        right = tensor_coring(corings[i], tensor_coring(corings[j], corings[l]))
         if left.dim != right.dim:
             return failed(
                 "associator", f"re-association of ({i},{j},{l}) changes dimensions"

@@ -34,7 +34,6 @@ from .errors import (
     ValidationFailure,
     WorkspaceError,
 )
-from .verdict import Verdict
 from .workspace import LAWS_BY_KIND, Dumper, load_workspace
 
 from .algebras import check_algebra
@@ -62,7 +61,6 @@ def _validator(kind):
         "algebra": check_algebra,
         "module": lambda m: m.check(),
         "coring": check_coring,
-        "extension": lambda e: Verdict.passed(LAWS_BY_KIND["extension"]),
         "ext-morphism": check_ext_morphism,
         "corings-morphism": check_corings_morphism,
     }[kind]

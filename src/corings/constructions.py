@@ -14,7 +14,6 @@ Fixture generators for the standard small examples live here too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .algebras import ground_algebra, tensor_algebra
 from .bimodules import (
@@ -71,20 +70,16 @@ class RightExtension:
     the right D-coaction into the ambient C (x)_k D.
     """
 
-    def __init__(self, c, d, bimodule, coact_lift, t_cd):
+    def __init__(self, c, d, bimodule, coact_lift):
         self.c = c
         self.d = d
         self.bimodule = bimodule
         self.coact_lift = coact_lift
-        self.t_cd = t_cd
 
     @property
-    def right_b_action(self):
-        return self.bimodule.right_act
-
-    @cached_property
-    def coaction(self):
-        return self.coact_lift @ self.t_cd.project
+    def t_cd(self):
+        """The presented coaction target C (x)_B D."""
+        return tensor_over_alg(self.bimodule, self.d.carrier)
 
 
 def _delta_right_linearity(c, bimodule):
@@ -156,17 +151,17 @@ def right_extension_verdict(c, d, right_action_mats, coact_lift):
     passed.append("delta-right-linear")
 
     try:
-        t_cd = tensor_over_alg(bimodule, d.carrier)
+        tensor_over_alg(bimodule, d.carrier)
     except IllDefinedAction as e:
         return Verdict.failed("coaction", str(e), passed)
     if coact_lift.nrows != c.dim or coact_lift.ncols != c.dim * d.dim:
         return Verdict.failed("coaction", "coaction lift has the wrong ambient shape", passed)
-    v = right_coaction_verdict(bimodule, d, coact_lift, t_cd)
+    v = right_coaction_verdict(bimodule, d, coact_lift)
     if not v.ok:
         return Verdict.failed("coaction", f"{v.law}: {v.witness}", passed)
     passed.append("coaction")
 
-    v = coaction_compatibility(c, d, bimodule, c.comul_lift, coact_lift, t_md=t_cd)
+    v = coaction_compatibility(c, d, bimodule, c.comul_lift, coact_lift)
     if not v.ok:
         return Verdict.failed("colinearity", v.witness, passed)
     passed.append("colinearity")
@@ -189,8 +184,7 @@ def make_right_extension(c, d, right_action_mats, coact_lift):
     bimodule = Bimodule(
         c.base, d.base, c.dim, c.carrier.left_act, right_action_mats, c.carrier.labels
     )
-    t_cd = tensor_over_alg(bimodule, d.carrier)
-    return RightExtension(c, d, bimodule, coact_lift, t_cd)
+    return RightExtension(c, d, bimodule, coact_lift)
 
 
 def tensor_extension(e, e2):

@@ -56,7 +56,6 @@ class Coring:
         self.carrier = carrier
         self.comul_lift = comul_lift
         self.counit = BimoduleMorphism(carrier, regular_bimodule(base), counit_mat)
-        self.tens = tensor_over_alg(carrier, carrier)
 
     @property
     def field(self):
@@ -72,6 +71,11 @@ class Coring:
 
     def label(self, i):
         return self.carrier.label(i)
+
+    @cached_property
+    def tens(self):
+        """The presented tensor square C (x)_A C, built on first use."""
+        return tensor_over_alg(self.carrier, self.carrier)
 
     @cached_property
     def comul(self):
@@ -187,12 +191,11 @@ def check_coring(c):
     return Verdict.passed(passed)
 
 
-def right_coaction_verdict(carrier, d, coact_lift, t_md=None, laws=COMODULE_LAWS):
+def right_coaction_verdict(carrier, d, coact_lift, laws=COMODULE_LAWS):
     """Right-coaction laws for rho: M -> M (x)_B D on an (*, B)-bimodule M."""
     passed = []
     field = carrier.field
-    if t_md is None:
-        t_md = tensor_over_alg(carrier, d.carrier)
+    t_md = tensor_over_alg(carrier, d.carrier)
     rho = coact_lift @ t_md.project
 
     for j in range(carrier.right_alg.dim):
@@ -249,12 +252,11 @@ def right_coaction_verdict(carrier, d, coact_lift, t_md=None, laws=COMODULE_LAWS
     return Verdict.passed(passed)
 
 
-def left_coaction_verdict(carrier, c, coact_lift, t_cm=None, laws=COMODULE_LAWS):
+def left_coaction_verdict(carrier, c, coact_lift, laws=COMODULE_LAWS):
     """Left-coaction laws for lambda: M -> C (x)_A M on an (A, *)-bimodule M."""
     passed = []
     field = carrier.field
-    if t_cm is None:
-        t_cm = tensor_over_alg(c.carrier, carrier)
+    t_cm = tensor_over_alg(c.carrier, carrier)
     lam = coact_lift @ t_cm.project
 
     for i in range(carrier.left_alg.dim):
@@ -309,7 +311,7 @@ def left_coaction_verdict(carrier, c, coact_lift, t_cm=None, laws=COMODULE_LAWS)
     return Verdict.passed(passed)
 
 
-def coaction_compatibility(c, d, carrier, left_lift, right_lift, t_cm=None, t_md=None):
+def coaction_compatibility(c, d, carrier, left_lift, right_lift):
     """Commutation of a left C-coaction with a right D-coaction on one carrier.
 
     Checks (lambda (x) D) o rho = (C (x) rho) o lambda through the presented
@@ -317,10 +319,8 @@ def coaction_compatibility(c, d, carrier, left_lift, right_lift, t_cm=None, t_md
     exactly left colinearity of rho.
     """
     field = carrier.field
-    if t_cm is None:
-        t_cm = tensor_over_alg(c.carrier, carrier)
-    if t_md is None:
-        t_md = tensor_over_alg(carrier, d.carrier)
+    t_cm = tensor_over_alg(c.carrier, carrier)
+    t_md = tensor_over_alg(carrier, d.carrier)
     lam = left_lift @ t_cm.project
     rho = right_lift @ t_md.project
     try:
@@ -397,8 +397,8 @@ class Comodule:
 
 def check_comodule(m):
     if m.side == RIGHT:
-        return right_coaction_verdict(m.carrier, m.coring, m.coact_lift, m.tens)
-    return left_coaction_verdict(m.carrier, m.coring, m.coact_lift, m.tens)
+        return right_coaction_verdict(m.carrier, m.coring, m.coact_lift)
+    return left_coaction_verdict(m.carrier, m.coring, m.coact_lift)
 
 
 class Bicomodule:
@@ -413,35 +413,26 @@ class Bicomodule:
         self.left_lift = left_lift
         self.right_lift = right_lift
 
-    @cached_property
-    def t_cm(self):
-        return tensor_over_alg(self.left_coring.carrier, self.carrier)
-
-    @cached_property
-    def t_md(self):
-        return tensor_over_alg(self.carrier, self.right_coring.carrier)
-
 
 def check_bicomodule(b):
     """Both one-sided coaction law sets plus commutation of the coactions."""
     passed = []
     v = left_coaction_verdict(
-        b.carrier, b.left_coring, b.left_lift, b.t_cm,
+        b.carrier, b.left_coring, b.left_lift,
         laws=tuple("left-" + l for l in COMODULE_LAWS),
     )
     if not v.ok:
         return Verdict.failed(v.law, v.witness, list(v.laws_passed))
     passed.extend(v.laws_passed)
     v = right_coaction_verdict(
-        b.carrier, b.right_coring, b.right_lift, b.t_md,
+        b.carrier, b.right_coring, b.right_lift,
         laws=tuple("right-" + l for l in COMODULE_LAWS),
     )
     if not v.ok:
         return Verdict.failed(v.law, v.witness, passed + list(v.laws_passed))
     passed.extend(v.laws_passed)
     v = coaction_compatibility(
-        b.left_coring, b.right_coring, b.carrier, b.left_lift, b.right_lift,
-        b.t_cm, b.t_md,
+        b.left_coring, b.right_coring, b.carrier, b.left_lift, b.right_lift
     )
     if not v.ok:
         return Verdict.failed(v.law, v.witness, passed)

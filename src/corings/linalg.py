@@ -213,9 +213,6 @@ class Mat:
         one = field.one
         return cls(field, n, n, [{i: one} for i in range(n)])
 
-    def entry(self, i, j):
-        return self.rows[i].get(j, self.field.zero)
-
     def row_list(self, i):
         zero = self.field.zero
         row = self.rows[i]
@@ -226,9 +223,6 @@ class Mat:
 
     def copy(self):
         return Mat(self.field, self.nrows, self.ncols, [dict(r) for r in self.rows])
-
-    def is_zero(self):
-        return all(not r for r in self.rows)
 
     def is_identity(self):
         if self.nrows != self.ncols:
@@ -278,9 +272,6 @@ class Mat:
             _vadd(self.field, r, b, minus_one)
             rows.append(r)
         return Mat(self.field, self.nrows, self.ncols, rows)
-
-    def __neg__(self):
-        return self.scale(self.field.neg(self.field.one))
 
     def scale(self, c):
         return Mat(
@@ -488,9 +479,6 @@ class Subspace:
             return None
         return coords
 
-    def is_subspace_of(self, other):
-        return all(other.contains(r) for r in self.basis.rows)
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
@@ -559,9 +547,6 @@ class QuotientSpace:
 
     def project_vec(self, vec):
         return self.project.apply(vec)
-
-    def lift_vec(self, vec):
-        return self.lift.apply(vec)
 
     def __repr__(self):
         return f"QuotientSpace(k^{self.ambient_dim} / dim-{self.relations.dim})"

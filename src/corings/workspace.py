@@ -129,6 +129,13 @@ def _require(spec, key, what):
     return spec[key]
 
 
+def _positive_int(spec, key, what):
+    value = _require(spec, key, what)
+    if value.__class__ is not int or value < 1:
+        raise WorkspaceSyntaxError(f"{what}: {key} must be a positive integer")
+    return value
+
+
 def _parse_field(spec):
     if not isinstance(spec, dict) or "kind" not in spec:
         raise WorkspaceSyntaxError('field: expected {"kind": "rationals" | "prime"}')
@@ -158,7 +165,7 @@ def _parse_algebra(ws, name, spec):
             except ValueError as e:
                 raise WorkspaceSyntaxError(f"{what}: {e}")
         raise WorkspaceSyntaxError(f"{what}: unknown fixture kind {kind!r}")
-    dim = _require(spec, "dim", what)
+    dim = _positive_int(spec, "dim", what)
     table = _require(spec, "table", what)
     try:
         coerced = [
@@ -187,7 +194,7 @@ def _parse_module(ws, name, spec):
     what = f"module {name}"
     left = _get_algebra(ws, _require(spec, "left", what), what)
     right = _get_algebra(ws, _require(spec, "right", what), what)
-    dim = _require(spec, "dim", what)
+    dim = _positive_int(spec, "dim", what)
     left_action = _require(spec, "left_action", what)
     right_action = _require(spec, "right_action", what)
     try:
@@ -224,10 +231,7 @@ def _parse_coring(ws, name, spec):
             if kind == "unit":
                 return unit_coring(ws.field)
             if kind == "matrix_coalgebra":
-                n = _require(fx, "n", what)
-                if n.__class__ is not int or n < 1:
-                    raise WorkspaceSyntaxError(f"{what}: n must be a positive integer")
-                return matrix_coalgebra(n, ws.field)
+                return matrix_coalgebra(_positive_int(fx, "n", what), ws.field)
             if kind == "grouplike":
                 return grouplike_coalgebra(_require(fx, "table", what), ws.field)
             if kind == "sweedler":
@@ -255,13 +259,15 @@ def _parse_coring(ws, name, spec):
             ws, f"{name}.carrier", _object(carrier_spec, f"{what}: carrier")
         )
     try:
-        return Coring(
+        c = Coring(
             base,
             carrier,
             _mat(ws.field, _require(spec, "comul_lift", what),
                  carrier.dim, carrier.dim**2, what),
             _mat(ws.field, _require(spec, "counit", what), carrier.dim, base.dim, what),
         )
+        c.tens  # an action that does not descend to C (x)_A C is an input error
+        return c
     except CoringsError as e:
         if isinstance(e, (WorkspaceSyntaxError, UnknownReference)):
             raise

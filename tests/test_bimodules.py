@@ -9,6 +9,7 @@ from corings.algebras import (
     group_algebra,
     tensor_algebra,
 )
+from corings import bimodules
 from corings.bimodules import (
     Bimodule,
     InterchangeFixtures,
@@ -27,7 +28,7 @@ from corings.bimodules import (
     tensor_over_alg,
     tensor_over_k,
 )
-from corings.errors import AlgebraMismatch, DescentFailure
+from corings.errors import AlgebraMismatch, DescentFailure, IllDefinedAction
 from corings.linalg import Field, Mat
 
 Q = Field.rationals()
@@ -117,6 +118,95 @@ class TestTensorOverAlg:
         amb = t.ambient
         assert amb.dim == 4
         assert amb.check().ok
+
+
+def twisted_dual_regular():
+    """Dual numbers over themselves, the right action of x twisted to 2x.
+
+    x -> 2x is an algebra automorphism, so this is a bimodule; it differs from
+    the regular bimodule in one entry of one action matrix.
+    """
+    reg = regular_bimodule(dual_numbers(Q))
+    x_twice = Mat.from_rows(Q, [[0, 2], [0, 0]])
+    assert reg.right_act[1] == Mat.from_rows(Q, [[0, 1], [0, 0]])
+    return Bimodule(reg.left_alg, reg.right_alg, 2, reg.left_act,
+                    [reg.right_act[0], x_twice])
+
+
+def cache_cases():
+    """(m, n) pairs over Q and F_5, each built from fresh objects."""
+    k4 = group_algebra(F5, [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+    dual = regular_bimodule(dual_numbers(Q))
+    return [
+        (dual, dual),
+        (twisted_dual_regular(), dual),
+        (regular_bimodule(k4), regular_bimodule(k4).forget_right()),
+        (scalar_bimodule(F5, 2), scalar_bimodule(F5, 3)),
+        (tensor_over_k(dual, dual), regular_bimodule(tensor_algebra(
+            dual_numbers(Q), dual_numbers(Q)))),
+    ]
+
+
+class TestTensorCache:
+    """tensor_over_alg against the uncached builder it memoizes.
+
+    Each test starts from an empty cache, so the counts below are its own.
+    """
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(bimodules, "_TENSORS", {})
+
+    def test_equal_inputs_share_one_presentation(self):
+        for (m, n), (m2, n2) in zip(cache_cases(), cache_cases()):
+            assert m is not m2 and m == m2 and n == n2
+            assert tensor_over_alg(m, n) is tensor_over_alg(m2, n2)
+        assert len(bimodules._TENSORS) == len(cache_cases())
+
+    def test_labels_are_not_part_of_the_key(self, dual_regular):
+        relabelled = Bimodule(dual_regular.left_alg, dual_regular.right_alg, 2,
+                              dual_regular.left_act, dual_regular.right_act, ["p", "q"])
+        assert tensor_over_alg(relabelled, dual_regular) is tensor_over_alg(
+            dual_regular, dual_regular)
+
+    def test_shared_presentation_matches_a_fresh_build(self):
+        for m, n in cache_cases():
+            cached, fresh = tensor_over_alg(m, n), bimodules._present_tensor(m, n)
+            assert cached is not fresh
+            assert cached.relations.basis == fresh.relations.basis
+            assert cached.project == fresh.project
+            assert cached.lift == fresh.lift
+            assert cached.result.left_act == fresh.result.left_act
+            assert cached.result.right_act == fresh.result.right_act
+
+    def test_one_changed_action_entry_misses(self, dual_regular):
+        plain = tensor_over_alg(dual_regular, dual_regular)
+        twisted = tensor_over_alg(twisted_dual_regular(), dual_regular)
+        assert len(bimodules._TENSORS) == 2
+        assert twisted is not plain
+        assert twisted.relations.basis != plain.relations.basis
+        fresh = bimodules._present_tensor(twisted_dual_regular(), dual_regular)
+        assert twisted.relations.basis == fresh.relations.basis
+        assert tensor_over_alg(twisted_dual_regular(), dual_regular) is twisted
+
+    @pytest.mark.parametrize("error", [AlgebraMismatch, IllDefinedAction],
+                             ids=lambda e: e.__name__)
+    def test_failing_call_raises_every_time_and_stores_nothing(self, error, dual_regular):
+        if error is AlgebraMismatch:
+            m, n = dual_regular, scalar_bimodule(Q, 2)
+        else:
+            # Left and right actions of x that do not commute: not a bimodule.
+            a = dual_numbers(Q)
+            m = n = Bimodule(a, a, 2,
+                             [Mat.identity(Q, 2), Mat.from_rows(Q, [[0, 1], [0, 0]])],
+                             [Mat.identity(Q, 2), Mat.from_rows(Q, [[0, 0], [1, 0]])])
+            assert not m.check().ok
+        tensor_over_alg(dual_regular, dual_regular)
+        before = dict(bimodules._TENSORS)
+        for _ in range(3):
+            with pytest.raises(error):
+                tensor_over_alg(m, n)
+            assert bimodules._TENSORS == before
 
 
 class TestInducedMap:

@@ -2,7 +2,10 @@
 
 The golden reports under `golden/cli-q/` were recorded from the code that held
 every rational scalar as a `Fraction`; they pin the report bytes, the JSON
-report and the `--dump` file of the benchmark's Q command list.
+report and the `--dump` file of the benchmark's Q command list.  Those under
+`golden/cli-f5/` (the same commands over F_5) and `golden/monoidal-f5/`
+(`verify-monoidal` with seed 1) were recorded from the code that rebuilt every
+tensor presentation on each call, before presentations were memoized.
 """
 
 import json
@@ -13,8 +16,10 @@ import pytest
 from corings import cli
 
 ROOT = Path(__file__).resolve().parents[1]
-CLI_Q = ROOT / "perfbench" / "workspaces" / "cli-q.json"
-GOLDEN = Path(__file__).resolve().parent / "golden" / "cli-q"
+WORKSPACES = ROOT / "perfbench" / "workspaces"
+CLI_Q = WORKSPACES / "cli-q.json"
+GOLDEN_ROOT = Path(__file__).resolve().parent / "golden"
+GOLDEN = GOLDEN_ROOT / "cli-q"
 DUMP = "tensor_m2_c2.dump.json"
 
 GOLDEN_CASES = {
@@ -28,6 +33,11 @@ GOLDEN_CASES = {
     "base_extend_counit_sw": ["base-extend", "counit_sw"],
 }
 
+MONOIDAL_CASES = {
+    f"verify_monoidal_{kind}": ["--seed", "1", "verify-monoidal", kind]
+    for kind in ("ext", "corings")
+}
+
 
 def run_cli(capsys, workspace, *argv):
     code = cli.main(["--workspace", str(workspace), *argv])
@@ -35,15 +45,31 @@ def run_cli(capsys, workspace, *argv):
     return code, out, err
 
 
+def check_golden(capsys, tmp_path, monkeypatch, family, case, argv):
+    """Run `argv` on the workspace `<family>.json` against golden/<family>/."""
+    monkeypatch.chdir(tmp_path)
+    golden = GOLDEN_ROOT / family
+    code, out, err = run_cli(capsys, WORKSPACES / f"{family}.json", *argv)
+    assert (code, err) == (0, "")
+    assert out == (golden / f"{case}.txt").read_text(encoding="utf-8")
+    if "--dump" in argv:
+        dumped = (tmp_path / DUMP).read_text(encoding="utf-8")
+        assert dumped == (golden / DUMP).read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
 def test_golden_text_report(case, capsys, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    code, out, err = run_cli(capsys, CLI_Q, *GOLDEN_CASES[case])
-    assert (code, err) == (0, "")
-    assert out == (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
-    if "--dump" in GOLDEN_CASES[case]:
-        dumped = (tmp_path / DUMP).read_text(encoding="utf-8")
-        assert dumped == (GOLDEN / DUMP).read_text(encoding="utf-8")
+    check_golden(capsys, tmp_path, monkeypatch, "cli-q", case, GOLDEN_CASES[case])
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_golden_f5_text_report(case, capsys, tmp_path, monkeypatch):
+    check_golden(capsys, tmp_path, monkeypatch, "cli-f5", case, GOLDEN_CASES[case])
+
+
+@pytest.mark.parametrize("case", sorted(MONOIDAL_CASES))
+def test_golden_monoidal_report(case, capsys, tmp_path, monkeypatch):
+    check_golden(capsys, tmp_path, monkeypatch, "monoidal-f5", case, MONOIDAL_CASES[case])
 
 
 def test_golden_json_report(capsys):

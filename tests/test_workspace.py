@@ -74,6 +74,44 @@ MALFORMED = {
 }
 
 
+BAD_DIMS = {"string": "1", "bool": True, "zero": 0, "negative": -1, "float": 1.0}
+
+
+def dim_doc(section, dim):
+    if section == "algebras":
+        spec = {"dim": dim, "table": [[[1]]], "unit": [1]}
+        return {"field": Q, "algebras": {"x": spec}}
+    spec = {"left": "k", "right": "k", "dim": dim,
+            "left_action": [[[1]]], "right_action": [[[1]]]}
+    return {"field": Q, "algebras": {"k": {"fixture": {"kind": "ground"}}},
+            "modules": {"x": spec}}
+
+
+MALFORMED.update({
+    f"{section}-dim-{name}": (dim_doc(section, dim), f"{what}: dim must be a positive integer")
+    for section, what in (("algebras", "algebra x"), ("modules", "module x"))
+    for name, dim in BAD_DIMS.items()
+})
+
+# The carrier's left and right actions of x do not commute, so the left action
+# does not descend to the tensor square C (x)_A C.
+MALFORMED["coring-carrier-not-descending"] = (
+    {
+        "field": Q,
+        "algebras": {"d": {"fixture": {"kind": "dual_numbers"}}},
+        "corings": {"c": {
+            "base": "d",
+            "carrier": {"left": "d", "right": "d", "dim": 2,
+                        "left_action": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]],
+                        "right_action": [[[1, 0], [0, 1]], [[0, 0], [1, 0]]]},
+            "comul_lift": [[1, 0, 0, 0], [0, 0, 0, 1]],
+            "counit": [[1, 0], [0, 1]],
+        }},
+    },
+    "coring c: left action of x does not preserve the relations",
+)
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_workspace_is_a_syntax_error(case, capsys, tmp_path):
     doc, detail = MALFORMED[case]
