@@ -1,10 +1,17 @@
 import pytest
 
-from corings.algebras import CYCLIC_2, dual_numbers, ground_algebra, group_algebra
-from corings.bimodules import scalar_bimodule, tensor_over_alg
+from corings.algebras import (
+    CYCLIC_2,
+    AlgebraMorphism,
+    dual_numbers,
+    ground_algebra,
+    group_algebra,
+)
+from corings.bimodules import induced_map_on_tensor, scalar_bimodule, tensor_over_alg
 from corings.constructions import (
     grouplike_coalgebra,
     matrix_coalgebra,
+    sweedler_coring,
     trivial_coring,
     unit_coring,
 )
@@ -181,3 +188,87 @@ class TestCotensor:
         assert ct.include.nrows == ct.dim
         for r in ct.include.rows:
             assert ct.subspace.contains(r)
+
+
+def sweedler_dual(field):
+    """The Sweedler coring A (x)_k A of k -> A = k[x]/(x^2).
+
+    The carrier basis is 1(x)1, 1(x)x, x(x)1, x(x)x, labelled e_0 .. e_3, and
+    C (x)_A C is a quotient of a 16-dim ambient by 8 relations.
+    """
+    inclusion = AlgebraMorphism(
+        ground_algebra(field), dual_numbers(field), Mat.from_rows(field, [[1, 0]])
+    )
+    return sweedler_coring(inclusion)
+
+
+def transported_coaction(c, i, j):
+    """Lift of (phi^-1 (x) C) o comul o phi for phi = I + E_ij on the carrier."""
+    field = c.field
+    ident = Mat.identity(field, c.dim)
+    n = Mat.zero(field, c.dim, c.dim)
+    n.rows[i][j] = field.one
+    return (ident + n) @ c.comul_lift @ (ident - n).kron(ident)
+
+
+class TestTwoRouteCorruptions:
+    """Every law comparing two routes into a triple tensor, tripped over a base
+    whose tensor presentations have relations, with the witness pinned."""
+
+    def test_coring_coassociativity(self, field):
+        sw = sweedler_dual(field)
+        one_plus_x = sw.carrier.left_act[0] + sw.carrier.left_act[1]
+        lift = sw.comul_lift @ one_plus_x.kron(Mat.identity(field, 4))
+        v = check_coring(Coring(sw.base, sw.carrier, lift, sw.counit_mat))
+        assert (v.law, v.witness) == ("coassociativity", "e_0: the two triple coproducts differ")
+        assert v.laws_passed == ("bilinearity",)
+
+    def test_right_comodule_coassociativity(self, field):
+        # rho = (pi (x) 1 (x) C) o comul with pi(x) = 2x: pi o pi != pi on x (x) a'.
+        sw = sweedler_dual(field)
+        pi = Mat.from_rows(field, [[1, 0], [0, 2]])
+        psi = pi.kron(Mat.identity(field, 2))
+        m = Comodule(sw, RIGHT, sw.carrier.forget_left(),
+                     sw.comul_lift @ psi.kron(Mat.identity(field, 4)))
+        v = check_comodule(m)
+        assert (v.law, v.witness) == (
+            "coaction-coassociativity", "e_2: the coaction is not coassociative")
+        assert v.laws_passed == ("coaction-linearity",)
+
+    def test_left_comodule_coassociativity(self, field):
+        # lambda = (C (x) 1 (x) pi) o comul: the mirror image, first bad row 1 (x) x.
+        sw = sweedler_dual(field)
+        pi = Mat.from_rows(field, [[1, 0], [0, 2]])
+        psi = Mat.identity(field, 2).kron(pi)
+        m = Comodule(sw, LEFT, sw.carrier.forget_right(),
+                     sw.comul_lift @ Mat.identity(field, 4).kron(psi))
+        v = check_comodule(m)
+        assert (v.law, v.witness) == (
+            "coaction-coassociativity", "e_1: the coaction is not coassociative")
+        assert v.laws_passed == ("coaction-linearity",)
+
+    def test_bicomodule_colinearity(self, field):
+        # phi = I + E_03 is multiplication by 1(x)1 + x(x)x: A-bilinear, so the
+        # transported right coaction is a right comodule, but not left colinear.
+        sw = sweedler_dual(field)
+        b = Bicomodule(sw, sw, sw.carrier, sw.comul_lift, transported_coaction(sw, 0, 3))
+        v = check_bicomodule(b)
+        assert (v.law, v.witness) == ("colinearity", "e_0: the two coactions do not commute")
+        assert len(v.laws_passed) == 6
+
+    def test_descent_failure_on_the_right_hand_route(self, field):
+        # phi = I + E_21 is right A-linear only: the transported right coaction
+        # passes its own laws, but C (x) rho is not defined on C (x)_A M.
+        sw = sweedler_dual(field)
+        rho_lift = transported_coaction(sw, 2, 1)
+        b = Bicomodule(sw, sw, sw.carrier, sw.comul_lift, rho_lift)
+        v = check_bicomodule(b)
+        assert (v.law, v.witness) == (
+            "colinearity", "ambient map does not send source relations into target relations")
+        assert len(v.laws_passed) == 6
+        # The left-hand route, (lambda (x) D) on M (x)_A D, does descend.  Here
+        # M = C = D, so C (x)_A M and M (x)_A D are one presentation.
+        t_md = tensor_over_alg(sw.carrier, sw.carrier)
+        t_left = tensor_over_alg(t_md.result, sw.carrier)
+        lam = sw.comul_lift @ t_md.project
+        induced_map_on_tensor(lam, Mat.identity(field, 4), t_md, t_left)
