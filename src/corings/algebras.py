@@ -8,7 +8,7 @@ fixed globally for every tensor construction in the library.
 from __future__ import annotations
 
 from .errors import DimensionMismatch, FieldMismatch
-from .linalg import Field, Mat
+from .linalg import Mat
 from .verdict import Verdict, format_combo
 
 ALGEBRA_LAWS = ("unit", "associativity")

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .algebras import FinDimAlgebra, ground_algebra, tensor_algebra
+from .algebras import ground_algebra, tensor_algebra
 from .errors import (
     AlgebraMismatch,
     DescentFailure,
@@ -143,6 +143,34 @@ def regular_bimodule(a):
     left = [a.left_regular_mat(i) for i in range(a.dim)]
     right = [a.right_regular_mat(j) for j in range(a.dim)]
     return Bimodule(a, a, a.dim, left, right, a.labels)
+
+
+def restrict_scalars(m, left=None, right=None):
+    """M with an action pulled back along an algebra map f: A' -> A.
+
+    `left` and `right` are algebra maps into the acting algebra of that side,
+    or None to keep the side as it is.  The new action of a basis element a'
+    is sum_t f(a')_t times the old action of basis element t.
+    """
+
+    def pulled_back(f, acts):
+        mats = []
+        for img in f.map.rows:
+            mat = Mat.zero(m.field, m.dim, m.dim)
+            for t, v in img.items():
+                mat = mat + acts[t].scale(v)
+            mats.append(mat)
+        return mats
+
+    left_alg, left_act = (
+        (m.left_alg, m.left_act) if left is None
+        else (left.source, pulled_back(left, m.left_act))
+    )
+    right_alg, right_act = (
+        (m.right_alg, m.right_act) if right is None
+        else (right.source, pulled_back(right, m.right_act))
+    )
+    return Bimodule(left_alg, right_alg, m.dim, left_act, right_act, m.labels)
 
 
 def scalar_bimodule(field, dim, labels=None):
@@ -640,58 +668,43 @@ def right_unit_embed(t):
     return Mat(field, t.left_factor.dim, t.dim, rows)
 
 
-def associator(t_mn, t_left, t_np, t_right):
-    """Canonical isomorphisms between (M (x) N) (x) P and M (x) (N (x) P).
+def regrouped_id_tensor(t_src, g_lift, t_pair, t_left):
+    """id (x) g: X (x) Y -> X (x) (Y1 (x) Y2), read in (X (x) Y1) (x) Y2.
 
-    Returns (alpha, alpha_inv) with alpha: right-associated -> left-associated.
-    Both directions are verified against the flat triple-tensor projections
-    pi_L and pi_R (alpha maps the class of v to the class of v), which raises
-    IsoFailure if the two presentations do not present the same quotient.
+    t_src presents X (x) Y, g_lift lifts g: Y -> Y1 (x) Y2 into the ambient
+    Y1 (x)_k Y2, t_pair presents X (x) Y1 and t_left presents
+    t_pair.result (x) Y2.  Row s is the class in t_left of
+    (project_pair (x) id)(id (x) g_lift)(lift_src[s]).  Both groupings of the
+    triple tensor present X (x)_k Y1 (x)_k Y2 modulo R_{X,Y1} (x) Y2 +
+    X (x) R_{Y1,Y2}, so this is id (x) g followed by the re-association,
+    without presenting X (x) (Y1 (x) Y2).  A source relation whose image is
+    not zero raises DescentFailure.
     """
-    field = t_mn.field
-    d_m = t_mn.left_factor.dim
-    d_n = t_mn.right_factor.dim
-    d_p = t_np.right_factor.dim
-    if t_np.left_factor.dim != d_n:
-        raise DimensionMismatch("middle factors of the two groupings differ")
-    ident_p = Mat.identity(field, d_p)
-    ident_m = Mat.identity(field, d_m)
-    pi_left = t_mn.quot.project.kron(ident_p) @ t_left.quot.project
-    pi_right = ident_m.kron(t_np.quot.project) @ t_right.quot.project
+    field = t_src.field
+    d_y = t_src.right_factor.dim
+    d_y1 = t_pair.right_factor.dim
+    d_y2 = t_left.right_factor.dim
+    d_flat = d_y1 * d_y2
+    pair_project = t_pair.project.rows
 
-    q_np = t_np.dim
-    rows = []
-    for s in range(t_right.dim):
+    def image(vec):
         flat = {}
-        for idx, val in t_right.quot.lift.rows[s].items():
-            i, u = divmod(idx, q_np)
-            _vadd(
-                field,
-                flat,
-                {i * (d_n * d_p) + jl: v for jl, v in t_np.quot.lift.rows[u].items()},
-                val,
-            )
-        rows.append(pi_left.apply(flat))
-    alpha = Mat(field, t_right.dim, t_left.dim, rows)
+        for idx, val in vec.items():
+            x, y = divmod(idx, d_y)
+            _vadd(field, flat, {x * d_flat + k: v for k, v in g_lift.rows[y].items()}, val)
+        out = {}
+        for idx, val in flat.items():
+            xy1, y2 = divmod(idx, d_y2)
+            _vadd(field, out, {u * d_y2 + y2: v for u, v in pair_project[xy1].items()}, val)
+        return out
 
-    q_mn = t_mn.dim
-    rows = []
-    for s in range(t_left.dim):
-        flat = {}
-        for idx, val in t_left.quot.lift.rows[s].items():
-            u, l = divmod(idx, d_p)
-            _vadd(
-                field,
-                flat,
-                {ij * d_p + l: v for ij, v in t_mn.quot.lift.rows[u].items()},
-                val,
+    for r in t_src.relations.basis.rows:
+        if not t_left.relations.contains(image(r)):
+            raise DescentFailure(
+                "ambient map does not send source relations into target relations"
             )
-        rows.append(pi_right.apply(flat))
-    alpha_inv = Mat(field, t_left.dim, t_right.dim, rows)
-
-    if pi_right @ alpha != pi_left or pi_left @ alpha_inv != pi_right:
-        raise IsoFailure("the two associativity presentations do not agree")
-    return alpha, alpha_inv
+    rows = [t_left.quot.project_vec(image(t_src.quot.lift.rows[s])) for s in range(t_src.dim)]
+    return Mat(field, t_src.dim, t_left.dim, rows)
 
 
 def module_hom_space(m, n, side="right"):

@@ -24,7 +24,13 @@ from .algebras import (
     ground_algebra,
     identity_morphism,
 )
-from .bimodules import Bimodule, induced_map_on_tensor, middle_swap, tensor_over_alg
+from .bimodules import (
+    Bimodule,
+    induced_map_on_tensor,
+    middle_swap,
+    restrict_scalars,
+    tensor_over_alg,
+)
 from .constructions import (
     base_ring_extension,
     right_extension_verdict,
@@ -41,7 +47,7 @@ from .errors import (
     ObjectMismatch,
 )
 from .linalg import Mat, _vadd
-from .verdict import Verdict
+from .verdict import Verdict, first_difference
 
 EXT_MORPHISM_LAWS = ("bimodule", "delta-right-linear", "coaction", "colinearity")
 CORINGS_MORPHISM_LAWS = (
@@ -211,13 +217,7 @@ def ext_compose(g, f):
                     continue
                 moved = {}
                 act_by(e0, eps.rows[c0], moved, coeff)
-                for w, wv in moved.items():
-                    k = w * d_dim + d
-                    s = field.add(out.get(k, field.zero), wv)
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
+                _vadd(field, out, {w * d_dim + d: wv for w, wv in moved.items()}, field.one)
         coact_rows.append(out)
     coact = Mat(field, e_dim, e_dim * d_dim, coact_rows)
     return ExtMorphism(f.source, g.target, rho, coact)
@@ -267,11 +267,9 @@ def ext_compose_via_cotensor(g, f):
         Mat.identity(field, e_dim), g_rho, t_ec, t_r
     ).map
 
-    bim_ed = explicit.bimodule
     t_ed = explicit.coaction_tensor
     eps = c_coring.counit_mat
     act_f = f.action_mats
-    c_dim = c_coring.dim
     collapse_rows = []
     for s in range(t_r.dim):
         amb = {}
@@ -285,13 +283,7 @@ def ext_compose_via_cotensor(g, f):
                 moved = {}
                 for t, at in eps.rows[c].items():
                     _vadd(field, moved, act_f[t].rows[i], field.mul(coeff, at))
-                for w, wv in moved.items():
-                    k = w * d_dim + d
-                    x = field.add(amb.get(k, field.zero), wv)
-                    if x:
-                        amb[k] = x
-                    else:
-                        amb.pop(k, None)
+                _vadd(field, amb, {w * d_dim + d: wv for w, wv in moved.items()}, field.one)
         collapse_rows.append(t_ed.quot.project_vec(amb))
     collapse = Mat(field, t_r.dim, t_ed.dim, collapse_rows)
 
@@ -363,24 +355,6 @@ class CoringsMorphism:
         return f"CoringsMorphism({self.source!r} -> {self.target!r})"
 
 
-def _restricted_target_bimodule(m):
-    """The target carrier as a bimodule over the source base, along varphi."""
-    field = m.source.field
-    dim_d = m.target.dim
-    left = []
-    right = []
-    for i in range(m.source.base.dim):
-        l = Mat.zero(field, dim_d, dim_d)
-        r = Mat.zero(field, dim_d, dim_d)
-        for t, v in m.varphi.map.rows[i].items():
-            l = l + m.target.carrier.left_act[t].scale(v)
-            r = r + m.target.carrier.right_act[t].scale(v)
-        left.append(l)
-        right.append(r)
-    return Bimodule(m.source.base, m.source.base, dim_d, left, right,
-                    m.target.carrier.labels)
-
-
 def middle_base_change(t_da, target_tens):
     """The canonical surjection D (x)_A D -> D (x)_B D induced by the algebra map.
 
@@ -398,15 +372,14 @@ def middle_base_change(t_da, target_tens):
 
 def check_corings_morphism(m):
     """Algebra map, bilinearity, counit square, and the comultiplication square."""
-    from .bimodules import induced_map_on_tensor
-
     passed = []
     v = check_algebra_morphism(m.varphi)
     if not v.ok:
         return Verdict.failed("algebra-morphism", f"{v.law}: {v.witness}", passed)
     passed.append("algebra-morphism")
 
-    restricted = _restricted_target_bimodule(m)
+    # The target carrier as a bimodule over the source base, along varphi.
+    restricted = restrict_scalars(m.target.carrier, left=m.varphi, right=m.varphi)
     for i in range(m.source.base.dim):
         if m.source.carrier.left_act[i] @ m.phi != m.phi @ restricted.left_act[i]:
             return Verdict.failed(
@@ -439,8 +412,8 @@ def check_corings_morphism(m):
         return Verdict.failed("comultiplication-square", str(e), passed)
     lhs = m.phi @ m.target.comul
     rhs = m.source.comul @ phi_phi @ omega
-    if lhs != rhs:
-        i = next(i for i in range(m.source.dim) if lhs.rows[i] != rhs.rows[i])
+    i = first_difference(lhs, rhs)
+    if i is not None:
         return Verdict.failed(
             "comultiplication-square",
             f"{m.source.label(i)}: the comultiplication square does not commute",

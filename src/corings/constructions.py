@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from .algebras import ground_algebra, tensor_algebra
 from .bimodules import (
     Bimodule,
-    interchange_iso,
     middle_swap,
     regular_bimodule,
+    restrict_scalars,
     scalar_bimodule,
     tensor_over_alg,
     tensor_over_k,
@@ -40,7 +40,7 @@ from .errors import (
     NotColinear,
     NotInjective,
 )
-from .linalg import Mat, map_kernel
+from .linalg import Mat, _vadd, map_kernel
 from .verdict import Verdict
 
 EXTENSION_LAWS = ("bimodule", "delta-right-linear", "coaction", "colinearity")
@@ -83,7 +83,7 @@ class RightExtension:
 
 
 def _delta_right_linearity(c, bimodule):
-    """Right-action matrices induced on C (x)_A C, plus the linearity check."""
+    """Right linearity of the comultiplication for the new right action."""
     field = c.field
     b_alg = bimodule.right_alg
     nd = c.dim
@@ -95,20 +95,12 @@ def _delta_right_linearity(c, bimodule):
             out = {}
             for idx, val in vec.items():
                 i, t = divmod(idx, nd)
-                for w, v in rows_b[t].items():
-                    coeff = field.mul(val, v)
-                    if coeff:
-                        k = i * nd + w
-                        s = field.add(out.get(k, field.zero), coeff)
-                        if s:
-                            out[k] = s
-                        else:
-                            out.pop(k, None)
+                _vadd(field, out, {i * nd + w: v for w, v in rows_b[t].items()}, val)
             return out
 
         for r in c.tens.relations.basis.rows:
             if not c.tens.relations.contains(img(r)):
-                return None, Verdict.failed(
+                return Verdict.failed(
                     "delta-right-linear",
                     f"the right action of {b_alg.label(j)} on the second tensor leg "
                     f"is not defined on C (x)_A C",
@@ -120,12 +112,12 @@ def _delta_right_linearity(c, bimodule):
         induced.append(Mat(field, c.tens.dim, c.tens.dim, mat_rows))
     for j in range(b_alg.dim):
         if bimodule.right_act[j] @ c.comul != c.comul @ induced[j]:
-            return None, Verdict.failed(
+            return Verdict.failed(
                 "delta-right-linear",
                 f"comultiplication does not commute with the right action of "
                 f"{b_alg.label(j)}",
             )
-    return induced, Verdict.passed(("delta-right-linear",))
+    return Verdict.passed(("delta-right-linear",))
 
 
 def right_extension_verdict(c, d, right_action_mats, coact_lift):
@@ -145,7 +137,7 @@ def right_extension_verdict(c, d, right_action_mats, coact_lift):
         return Verdict.failed("bimodule", v.witness, passed)
     passed.append("bimodule")
 
-    induced_b, v = _delta_right_linearity(c, bimodule)
+    v = _delta_right_linearity(c, bimodule)
     if not v.ok:
         return Verdict.failed(v.law, v.witness, passed)
     passed.append("delta-right-linear")
@@ -258,33 +250,13 @@ def base_ring_extension(m):
     if not v.ok:
         raise InvalidMorphism(f"{v.law}: {v.witness}")
     c, d = m.source, m.target
-    a_alg, b_alg = c.base, d.base
+    b_alg = d.base
     field = c.field
     phi, varphi = m.phi, m.varphi.map
 
     # B as a (B, A)-bimodule and as an (A, B)-bimodule, the A-side through varphi.
-    a_on_b_left = []
-    a_on_b_right = []
-    for i in range(a_alg.dim):
-        img = varphi.rows[i]
-        left = Mat.zero(field, b_alg.dim, b_alg.dim)
-        right = Mat.zero(field, b_alg.dim, b_alg.dim)
-        for t, v in img.items():
-            left = left + b_alg.left_regular_mat(t).scale(v)
-            right = right + b_alg.right_regular_mat(t).scale(v)
-        a_on_b_left.append(left)
-        a_on_b_right.append(right)
-    b_left = Bimodule(
-        b_alg, a_alg, b_alg.dim,
-        [b_alg.left_regular_mat(i) for i in range(b_alg.dim)],
-        a_on_b_right, b_alg.labels,
-    )
-    b_right = Bimodule(
-        a_alg, b_alg, b_alg.dim,
-        a_on_b_left,
-        [b_alg.right_regular_mat(j) for j in range(b_alg.dim)],
-        b_alg.labels,
-    )
+    b_left = restrict_scalars(regular_bimodule(b_alg), right=m.varphi)
+    b_right = restrict_scalars(regular_bimodule(b_alg), left=m.varphi)
 
     t_bc = tensor_over_alg(b_left, c.carrier)
     t_bcb = tensor_over_alg(t_bc.result, b_right)
@@ -302,12 +274,7 @@ def base_ring_extension(m):
         """Class in the carrier of (element of t_bc) (x) (sum b_vec)."""
         amb = {}
         for u, uv in bc_vec.items():
-            for l, lv in b_vec.items():
-                w = field.mul(uv, lv)
-                if w:
-                    amb[u * dim_b + l] = field.add(
-                        amb.get(u * dim_b + l, field.zero), w
-                    )
+            _vadd(field, amb, {u * dim_b + l: lv for l, lv in b_vec.items()}, uv)
         return t_bcb.quot.project_vec(amb)
 
     unit_b = {i: v for i, v in enumerate(b_alg.unit) if v}
@@ -330,27 +297,10 @@ def base_ring_extension(m):
                 if not coeff:
                     continue
                 # counit: b * varphi(counit(c)) * b'
-                mid = eps_phi.rows[c_j]
-                acc = {}
-                for t, v in mid.items():
-                    prod = b_alg.mul_vec(
-                        b_alg.table[b_i][t], b_alg.basis_vec(l)
-                    )
-                    for w, pv in enumerate(prod):
-                        if pv:
-                            k = field.add(
-                                acc.get(w, field.zero), field.mul(v, pv)
-                            )
-                            if k:
-                                acc[w] = k
-                            else:
-                                acc.pop(w, None)
-                for w, v in acc.items():
-                    k = field.add(counit_row.get(w, field.zero), field.mul(coeff, v))
-                    if k:
-                        counit_row[w] = k
-                    else:
-                        counit_row.pop(w, None)
+                for t, v in eps_phi.rows[c_j].items():
+                    prod = b_alg.mul_vec(b_alg.table[b_i][t], b_alg.basis_vec(l))
+                    _vadd(field, counit_row, {w: pv for w, pv in enumerate(prod) if pv},
+                          field.mul(coeff, v))
                 # comultiplication and coaction share the expansion of comul(c).
                 for pair, dv in c.comul_lift.rows[c_j].items():
                     c1, c2 = divmod(pair, dim_c)
@@ -360,39 +310,16 @@ def base_ring_extension(m):
                     z1 = cls_x(cls_bc({b_i: field.one}, c1), unit_b)
                     z2 = cls_x(cls_bc(unit_b, c2), {l: field.one})
                     for p1, v1 in z1.items():
-                        for p2, v2 in z2.items():
-                            k = p1 * x_dim + p2
-                            s2 = field.add(
-                                comul_row.get(k, field.zero),
-                                field.mul(w, field.mul(v1, v2)),
-                            )
-                            if s2:
-                                comul_row[k] = s2
-                            else:
-                                comul_row.pop(k, None)
+                        _vadd(field, comul_row, {p1 * x_dim + p2: v2 for p2, v2 in z2.items()},
+                              field.mul(w, v1))
                     # coaction: (b (x) c1 (x) 1) (x)_k phi(c2) . b', the product
                     # taken in the right B-module structure of D
                     d_vec = {}
                     for t, pv in phi.rows[c2].items():
-                        for q, qv in d.carrier.right_act[l].rows[t].items():
-                            k = field.add(
-                                d_vec.get(q, field.zero), field.mul(pv, qv)
-                            )
-                            if k:
-                                d_vec[q] = k
-                            else:
-                                d_vec.pop(q, None)
+                        _vadd(field, d_vec, d.carrier.right_act[l].rows[t], pv)
                     for p1, v1 in z1.items():
-                        for q, qv in d_vec.items():
-                            k = p1 * d.dim + q
-                            s2 = field.add(
-                                coact_row.get(k, field.zero),
-                                field.mul(w, field.mul(v1, qv)),
-                            )
-                            if s2:
-                                coact_row[k] = s2
-                            else:
-                                coact_row.pop(k, None)
+                        _vadd(field, coact_row, {p1 * d.dim + q: qv for q, qv in d_vec.items()},
+                              field.mul(w, v1))
         comul_rows.append(comul_row)
         counit_rows.append(counit_row)
         coact_rows.append(coact_row)
@@ -420,15 +347,8 @@ def base_ring_extension(m):
                 # b_i . phi(c_j) . b_l through the bimodule structure of D
                 for t, v in phi.rows[c_j].items():
                     for u2, uv in d.carrier.left_act[b_i].rows[t].items():
-                        for w, wv in d.carrier.right_act[l].rows[u2].items():
-                            k = field.add(
-                                row.get(w, field.zero),
-                                field.mul(coeff, field.mul(v, field.mul(uv, wv))),
-                            )
-                            if k:
-                                row[w] = k
-                            else:
-                                row.pop(w, None)
+                        _vadd(field, row, d.carrier.right_act[l].rows[u2],
+                              field.mul(coeff, field.mul(v, uv)))
         collapse_rows.append(row)
     collapse = Mat(field, x_dim, d.dim, collapse_rows)
 
@@ -491,24 +411,13 @@ def sweedler_coring(inclusion):
     """The canonical coring A (x)_B A attached to an algebra inclusion B -> A."""
     if map_kernel(inclusion.map).dim != 0:
         raise NotInjective("the algebra map has a nonzero kernel")
-    b_alg, a_alg = inclusion.source, inclusion.target
+    a_alg = inclusion.target
     field = a_alg.field
     # A as an (A,B)-bimodule and as a (B,A)-bimodule, B acting through the inclusion.
-    b_right = []
-    b_left = []
-    for j in range(b_alg.dim):
-        img = inclusion.map.rows[j]
-        right = Mat.zero(field, a_alg.dim, a_alg.dim)
-        left = Mat.zero(field, a_alg.dim, a_alg.dim)
-        for t, v in img.items():
-            right = right + a_alg.right_regular_mat(t).scale(v)
-            left = left + a_alg.left_regular_mat(t).scale(v)
-        b_right.append(right)
-        b_left.append(left)
     regular = regular_bimodule(a_alg)
-    left_factor = Bimodule(a_alg, b_alg, a_alg.dim, regular.left_act, b_right, a_alg.labels)
-    right_factor = Bimodule(b_alg, a_alg, a_alg.dim, b_left, regular.right_act, a_alg.labels)
-    t = tensor_over_alg(left_factor, right_factor)
+    t = tensor_over_alg(
+        restrict_scalars(regular, right=inclusion), restrict_scalars(regular, left=inclusion)
+    )
     carrier = t.result
     dim_a = a_alg.dim
     unit_a = {i: v for i, v in enumerate(a_alg.unit) if v}
@@ -525,23 +434,10 @@ def sweedler_coring(inclusion):
             z1 = cls({i * dim_a + u: v for u, v in unit_a.items()})
             z2 = cls({u * dim_a + j: v for u, v in unit_a.items()})
             for p1, v1 in z1.items():
-                for p2, v2 in z2.items():
-                    k = p1 * carrier.dim + p2
-                    s2 = field.add(
-                        comul_row.get(k, field.zero),
-                        field.mul(val, field.mul(v1, v2)),
-                    )
-                    if s2:
-                        comul_row[k] = s2
-                    else:
-                        comul_row.pop(k, None)
-            for w, pv in enumerate(a_alg.table[i][j]):
-                if pv:
-                    k = field.add(counit_row.get(w, field.zero), field.mul(val, pv))
-                    if k:
-                        counit_row[w] = k
-                    else:
-                        counit_row.pop(w, None)
+                _vadd(field, comul_row, {p1 * carrier.dim + p2: v2 for p2, v2 in z2.items()},
+                      field.mul(val, v1))
+            _vadd(field, counit_row, {w: pv for w, pv in enumerate(a_alg.table[i][j]) if pv},
+                  val)
         comul_rows.append(comul_row)
         counit_rows.append(counit_row)
     return Coring(

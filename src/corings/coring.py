@@ -6,9 +6,9 @@ and the two counit laws.  Comultiplications and coactions are supplied as
 lifts into the ambient (x)_k space and projected through the presented
 quotients, so input data never depends on internal pivot choices.
 
-Triple tensors are presented left-associated; the right-associated reading is
-reached through the verified canonical re-association isomorphism.  Every
-axiom check is an exact matrix equality.
+Triple tensors are presented left-associated only: a route that applies a
+map on the right leg is regrouped into that presentation as it is computed
+(`regrouped_id_tensor`).  Every axiom check is an exact matrix equality.
 """
 
 from __future__ import annotations
@@ -18,16 +18,16 @@ from functools import cached_property
 
 from .bimodules import (
     BimoduleMorphism,
-    associator,
     induced_map_on_tensor,
     left_unit_collapse,
+    regrouped_id_tensor,
     regular_bimodule,
     right_unit_collapse,
     tensor_over_alg,
 )
 from .errors import DescentFailure, DimensionMismatch, FieldMismatch
 from .linalg import Mat, map_kernel
-from .verdict import Verdict, format_combo
+from .verdict import Verdict, first_difference, format_combo
 
 LEFT = "left"
 RIGHT = "right"
@@ -83,19 +83,6 @@ class Coring:
         return self.comul_lift @ self.tens.project
 
     @cached_property
-    def triple_left(self):
-        return tensor_over_alg(self.tens.result, self.carrier)
-
-    @cached_property
-    def triple_right(self):
-        return tensor_over_alg(self.carrier, self.tens.result)
-
-    @cached_property
-    def triple_assoc(self):
-        """(alpha, alpha_inv) between the two triple-tensor presentations."""
-        return associator(self.tens, self.triple_left, self.tens, self.triple_right)
-
-    @cached_property
     def unit_tensor_left(self):
         return tensor_over_alg(regular_bimodule(self.base), self.carrier)
 
@@ -118,10 +105,30 @@ class Coring:
         return f"Coring(dim {self.dim} over base dim {self.base.dim}, {self.field!r})"
 
 
+def _counit_leg(law, what, coact, f, g, t_src, t_unit, collapse, label, passed):
+    """One counit law: collapse o (f (x) g) o coact must be the identity.
+
+    Returns the failed verdict, or None when the law holds.  `what` names the
+    composite in the witness and `label` the carrier basis.
+    """
+    try:
+        leg = induced_map_on_tensor(f, g, t_src, t_unit).map @ collapse(t_unit)
+    except DescentFailure as e:
+        return Verdict.failed(law, str(e), passed)
+    got = coact @ leg
+    i = first_difference(got, Mat.identity(got.field, got.nrows))
+    if i is None:
+        return None
+    return Verdict.failed(
+        law,
+        f"{label(i)}: {what} = {format_combo(got.rows[i], label, got.field.fmt)} != {label(i)}",
+        passed,
+    )
+
+
 def check_coring(c):
     """Bilinearity, coassociativity, and both counit laws, with a witness."""
     passed = []
-    fmt = c.field.fmt
 
     v = BimoduleMorphism(c.carrier, c.tens.result, c.comul).check()
     if not v.ok:
@@ -131,22 +138,15 @@ def check_coring(c):
         return Verdict.failed("bilinearity", f"counit: {v.witness}", passed)
     passed.append("bilinearity")
 
+    ident = Mat.identity(c.field, c.dim)
     try:
-        alpha, _ = c.triple_assoc
-        lhs = c.comul @ induced_map_on_tensor(
-            c.comul, Mat.identity(c.field, c.dim), c.tens, c.triple_left
-        ).map
-        rhs = (
-            c.comul
-            @ induced_map_on_tensor(
-                Mat.identity(c.field, c.dim), c.comul, c.tens, c.triple_right
-            ).map
-            @ alpha
-        )
+        t_left = tensor_over_alg(c.tens.result, c.carrier)
+        lhs = c.comul @ induced_map_on_tensor(c.comul, ident, c.tens, t_left).map
+        rhs = c.comul @ regrouped_id_tensor(c.tens, c.comul_lift, c.tens, t_left)
     except DescentFailure as e:
         return Verdict.failed("coassociativity", str(e), passed)
-    if lhs != rhs:
-        i = next(i for i in range(c.dim) if lhs.rows[i] != rhs.rows[i])
+    i = first_difference(lhs, rhs)
+    if i is not None:
         return Verdict.failed(
             "coassociativity",
             f"{c.label(i)}: the two triple coproducts differ",
@@ -154,39 +154,18 @@ def check_coring(c):
         )
     passed.append("coassociativity")
 
-    ident = Mat.identity(c.field, c.dim)
-    try:
-        leg = induced_map_on_tensor(
-            ident, c.counit_mat, c.tens, c.unit_tensor_right
-        ).map @ right_unit_collapse(c.unit_tensor_right)
-    except DescentFailure as e:
-        return Verdict.failed("right-counit", str(e), passed)
-    got = c.comul @ leg
-    if got != ident:
-        i = next(i for i in range(c.dim) if got.rows[i] != ident.rows[i])
-        return Verdict.failed(
-            "right-counit",
-            f"{c.label(i)}: (C (x) counit) o comul = "
-            f"{format_combo(got.rows[i], c.label, fmt)} != {c.label(i)}",
-            passed,
-        )
+    v = _counit_leg("right-counit", "(C (x) counit) o comul", c.comul, ident,
+                    c.counit_mat, c.tens, c.unit_tensor_right, right_unit_collapse,
+                    c.label, passed)
+    if v is not None:
+        return v
     passed.append("right-counit")
 
-    try:
-        leg = induced_map_on_tensor(
-            c.counit_mat, ident, c.tens, c.unit_tensor_left
-        ).map @ left_unit_collapse(c.unit_tensor_left)
-    except DescentFailure as e:
-        return Verdict.failed("left-counit", str(e), passed)
-    got = c.comul @ leg
-    if got != ident:
-        i = next(i for i in range(c.dim) if got.rows[i] != ident.rows[i])
-        return Verdict.failed(
-            "left-counit",
-            f"{c.label(i)}: (counit (x) C) o comul = "
-            f"{format_combo(got.rows[i], c.label, fmt)} != {c.label(i)}",
-            passed,
-        )
+    v = _counit_leg("left-counit", "(counit (x) C) o comul", c.comul, c.counit_mat,
+                    ident, c.tens, c.unit_tensor_left, left_unit_collapse,
+                    c.label, passed)
+    if v is not None:
+        return v
     passed.append("left-counit")
     return Verdict.passed(passed)
 
@@ -210,44 +189,25 @@ def right_coaction_verdict(carrier, d, coact_lift, laws=COMODULE_LAWS):
 
     try:
         t_l = tensor_over_alg(t_md.result, d.carrier)
-        t_r = tensor_over_alg(carrier, d.tens.result)
-        alpha, _ = associator(t_md, t_l, d.tens, t_r)
         lhs = rho @ induced_map_on_tensor(
             rho, Mat.identity(field, d.dim), t_md, t_l
         ).map
-        rhs = (
-            rho
-            @ induced_map_on_tensor(
-                Mat.identity(field, carrier.dim), d.comul, t_md, t_r
-            ).map
-            @ alpha
-        )
+        rhs = rho @ regrouped_id_tensor(t_md, d.comul_lift, t_md, t_l)
     except DescentFailure as e:
         return Verdict.failed(laws[1], str(e), passed)
-    if lhs != rhs:
-        i = next(i for i in range(carrier.dim) if lhs.rows[i] != rhs.rows[i])
+    i = first_difference(lhs, rhs)
+    if i is not None:
         return Verdict.failed(
             laws[1], f"{carrier.label(i)}: the coaction is not coassociative", passed
         )
     passed.append(laws[1])
 
-    try:
-        t_mb = tensor_over_alg(carrier, regular_bimodule(d.base))
-        leg = induced_map_on_tensor(
-            Mat.identity(field, carrier.dim), d.counit_mat, t_md, t_mb
-        ).map @ right_unit_collapse(t_mb)
-    except DescentFailure as e:
-        return Verdict.failed(laws[2], str(e), passed)
-    got = rho @ leg
-    ident = Mat.identity(field, carrier.dim)
-    if got != ident:
-        i = next(i for i in range(carrier.dim) if got.rows[i] != ident.rows[i])
-        return Verdict.failed(
-            laws[2],
-            f"{carrier.label(i)}: (M (x) counit) o coaction = "
-            f"{format_combo(got.rows[i], carrier.label, field.fmt)} != {carrier.label(i)}",
-            passed,
-        )
+    v = _counit_leg(laws[2], "(M (x) counit) o coaction", rho,
+                    Mat.identity(field, carrier.dim), d.counit_mat, t_md,
+                    tensor_over_alg(carrier, regular_bimodule(d.base)),
+                    right_unit_collapse, carrier.label, passed)
+    if v is not None:
+        return v
     passed.append(laws[2])
     return Verdict.passed(passed)
 
@@ -271,42 +231,25 @@ def left_coaction_verdict(carrier, c, coact_lift, laws=COMODULE_LAWS):
 
     try:
         t_l = tensor_over_alg(c.tens.result, carrier)
-        t_r = tensor_over_alg(c.carrier, t_cm.result)
-        alpha, _ = associator(c.tens, t_l, t_cm, t_r)
         lhs = lam @ induced_map_on_tensor(
             c.comul, Mat.identity(field, carrier.dim), t_cm, t_l
         ).map
-        rhs = (
-            lam
-            @ induced_map_on_tensor(Mat.identity(field, c.dim), lam, t_cm, t_r).map
-            @ alpha
-        )
+        rhs = lam @ regrouped_id_tensor(t_cm, coact_lift, c.tens, t_l)
     except DescentFailure as e:
         return Verdict.failed(laws[1], str(e), passed)
-    if lhs != rhs:
-        i = next(i for i in range(carrier.dim) if lhs.rows[i] != rhs.rows[i])
+    i = first_difference(lhs, rhs)
+    if i is not None:
         return Verdict.failed(
             laws[1], f"{carrier.label(i)}: the coaction is not coassociative", passed
         )
     passed.append(laws[1])
 
-    try:
-        t_bm = tensor_over_alg(regular_bimodule(c.base), carrier)
-        leg = induced_map_on_tensor(
-            c.counit_mat, Mat.identity(field, carrier.dim), t_cm, t_bm
-        ).map @ left_unit_collapse(t_bm)
-    except DescentFailure as e:
-        return Verdict.failed(laws[2], str(e), passed)
-    got = lam @ leg
-    ident = Mat.identity(field, carrier.dim)
-    if got != ident:
-        i = next(i for i in range(carrier.dim) if got.rows[i] != ident.rows[i])
-        return Verdict.failed(
-            laws[2],
-            f"{carrier.label(i)}: (counit (x) M) o coaction = "
-            f"{format_combo(got.rows[i], carrier.label, field.fmt)} != {carrier.label(i)}",
-            passed,
-        )
+    v = _counit_leg(laws[2], "(counit (x) M) o coaction", lam, c.counit_mat,
+                    Mat.identity(field, carrier.dim), t_cm,
+                    tensor_over_alg(regular_bimodule(c.base), carrier),
+                    left_unit_collapse, carrier.label, passed)
+    if v is not None:
+        return v
     passed.append(laws[2])
     return Verdict.passed(passed)
 
@@ -314,9 +257,9 @@ def left_coaction_verdict(carrier, c, coact_lift, laws=COMODULE_LAWS):
 def coaction_compatibility(c, d, carrier, left_lift, right_lift):
     """Commutation of a left C-coaction with a right D-coaction on one carrier.
 
-    Checks (lambda (x) D) o rho = (C (x) rho) o lambda through the presented
-    associativity isomorphism; for lambda the regular comultiplication this is
-    exactly left colinearity of rho.
+    Checks (lambda (x) D) o rho = (C (x) rho) o lambda in the left-associated
+    presentation of C (x) M (x) D; for lambda the regular comultiplication this
+    is exactly left colinearity of rho.
     """
     field = carrier.field
     t_cm = tensor_over_alg(c.carrier, carrier)
@@ -325,20 +268,14 @@ def coaction_compatibility(c, d, carrier, left_lift, right_lift):
     rho = right_lift @ t_md.project
     try:
         t_l = tensor_over_alg(t_cm.result, d.carrier)
-        t_r = tensor_over_alg(c.carrier, t_md.result)
-        alpha, _ = associator(t_cm, t_l, t_md, t_r)
         lhs = rho @ induced_map_on_tensor(
             lam, Mat.identity(field, d.dim), t_md, t_l
         ).map
-        rhs = (
-            lam
-            @ induced_map_on_tensor(Mat.identity(field, c.dim), rho, t_cm, t_r).map
-            @ alpha
-        )
+        rhs = lam @ regrouped_id_tensor(t_cm, right_lift, t_cm, t_l)
     except DescentFailure as e:
         return Verdict.failed("colinearity", str(e))
-    if lhs != rhs:
-        i = next(i for i in range(carrier.dim) if lhs.rows[i] != rhs.rows[i])
+    i = first_difference(lhs, rhs)
+    if i is not None:
         return Verdict.failed(
             "colinearity",
             f"{carrier.label(i)}: the two coactions do not commute",
@@ -465,8 +402,8 @@ def check_left_colinear(f, m, n):
         return Verdict.failed("colinearity", str(e), passed)
     lhs = fm @ n.coaction
     rhs = m.coaction @ pushed
-    if lhs != rhs:
-        i = next(i for i in range(m.dim) if lhs.rows[i] != rhs.rows[i])
+    i = first_difference(lhs, rhs)
+    if i is not None:
         return Verdict.failed(
             "colinearity", f"{m.carrier.label(i)}: coaction square does not commute", passed
         )
@@ -496,15 +433,10 @@ def cotensor(m, n):
     field = m.coring.field
     t_mn = tensor_over_alg(m.carrier, n.carrier)
     t_l = tensor_over_alg(m.tens.result, n.carrier)
-    t_r = tensor_over_alg(m.carrier, n.tens.result)
-    alpha, _ = associator(m.tens, t_l, n.tens, t_r)
     rho_side = induced_map_on_tensor(
         m.coaction, Mat.identity(field, n.dim), t_mn, t_l
     ).map
-    lam_side = (
-        induced_map_on_tensor(Mat.identity(field, m.dim), n.coaction, t_mn, t_r).map
-        @ alpha
-    )
+    lam_side = regrouped_id_tensor(t_mn, n.coact_lift, m.tens, t_l)
     defect = rho_side - lam_side
     subspace = map_kernel(defect)
     include = Mat(field, subspace.dim, t_mn.dim, [dict(r) for r in subspace.basis.rows])

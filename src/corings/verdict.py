@@ -53,3 +53,8 @@ def format_combo(vec, label, fmt):
         s = fmt(v)
         terms.append(label(i) if s == "1" else f"{s}*{label(i)}")
     return " + ".join(terms)
+
+
+def first_difference(lhs, rhs):
+    """Index of the first row where two same-shape matrices differ, or None."""
+    return next((i for i, (a, b) in enumerate(zip(lhs.rows, rhs.rows)) if a != b), None)

@@ -4,6 +4,7 @@ import pytest
 
 from corings.algebras import (
     CYCLIC_2,
+    AlgebraMorphism,
     dual_numbers,
     ground_algebra,
     group_algebra,
@@ -21,6 +22,7 @@ from corings.bimodules import (
     middle_swap,
     module_hom_space,
     random_module_hom,
+    regrouped_id_tensor,
     regular_bimodule,
     right_unit_collapse,
     right_unit_embed,
@@ -28,8 +30,9 @@ from corings.bimodules import (
     tensor_over_alg,
     tensor_over_k,
 )
+from corings.constructions import sweedler_coring, trivial_coring
 from corings.errors import AlgebraMismatch, DescentFailure, IllDefinedAction
-from corings.linalg import Field, Mat
+from corings.linalg import Field, Mat, Subspace
 
 Q = Field.rationals()
 F5 = Field.prime(5)
@@ -315,3 +318,88 @@ class TestNaturality:
             square.iso2.target_tensor,
         ).map
         assert square.iso.inverse_map @ f_tens.kron(g_tens) == fg @ square.iso2.inverse_map
+
+
+def two_route_corings():
+    """Corings whose tensor presentations have relations."""
+    sweedler = sweedler_coring(AlgebraMorphism(
+        ground_algebra(F5), dual_numbers(F5), Mat.from_rows(F5, [[1, 0]])))
+    return {
+        "dual-Q": trivial_coring(dual_numbers(Q)),
+        "dual-F5": trivial_coring(dual_numbers(F5)),
+        "sweedler-F5": sweedler,
+    }
+
+
+def two_route_shapes(c):
+    """(t_src, g_lift, t_pair, t_y) as the checkers use the helper.
+
+    Coassociativity: X = Y = Y1 = Y2 = C and g the comultiplication.  Left
+    coaction: X = Y1 = C, Y = Y2 = M the regular left comodule and g its
+    coaction.  t_y presents Y1 (x) Y2, the tensor g lands in.
+    """
+    m = c.carrier.forget_right()
+    t_cm = tensor_over_alg(c.carrier, m)
+    return {
+        "coassociativity": (c.tens, c.comul_lift, c.tens, c.tens),
+        "left-coaction": (t_cm, c.comul_lift, c.tens, t_cm),
+    }
+
+
+def flat_triple_relations(t_pair, t_y):
+    """R_{X,Y1} (x) Y2 + X (x) R_{Y1,Y2} inside X (x)_k Y1 (x)_k Y2."""
+    d_x = t_pair.left_factor.dim
+    d_y1, d_y2 = t_y.left_factor.dim, t_y.right_factor.dim
+    gens = []
+    for r in t_pair.relations.basis.rows:
+        for y2 in range(d_y2):
+            gens.append({xy1 * d_y2 + y2: v for xy1, v in r.items()})
+    for r in t_y.relations.basis.rows:
+        for x in range(d_x):
+            gens.append({x * d_y1 * d_y2 + k: v for k, v in r.items()})
+    return Subspace.from_generators(t_pair.field, d_x * d_y1 * d_y2, gens)
+
+
+def doubled_second_half(field, dim):
+    """diag(1, .., 1, 2, .., 2).
+
+    On k[x]/(x^2) and on its Sweedler coring the basis vectors with a left
+    factor x come second, so this map is not left linear.
+    """
+    return Mat(field, dim, dim, [{i: field.from_int(1 + 2 * i // dim)} for i in range(dim)])
+
+
+CORING_IDS = list(two_route_corings())
+SHAPE_IDS = ["coassociativity", "left-coaction"]
+
+
+class TestRegroupedIdTensor:
+    """regrouped_id_tensor against the flat definition of the triple tensor."""
+
+    @pytest.mark.parametrize("shape", SHAPE_IDS)
+    @pytest.mark.parametrize("coring", CORING_IDS)
+    def test_rows_are_flat_classes(self, coring, shape):
+        t_src, g_lift, t_pair, t_y = two_route_shapes(two_route_corings()[coring])[shape]
+        field = t_src.field
+        t_left = tensor_over_alg(t_pair.result, t_y.right_factor)
+        flat = flat_triple_relations(t_pair, t_y)
+        assert flat.dim > 0
+        assert flat.ambient_dim - flat.dim == t_left.dim
+
+        got = regrouped_id_tensor(t_src, g_lift, t_pair, t_left)
+        ident_y2 = Mat.identity(field, t_y.right_factor.dim)
+        back = got @ t_left.lift @ t_pair.lift.kron(ident_y2)
+        ident_x = Mat.identity(field, t_src.left_factor.dim)
+        direct = t_src.lift @ ident_x.kron(g_lift)
+        assert got.nrows == t_src.dim and any(got.rows)
+        for row in (back - direct).rows:
+            assert flat.contains(row)
+
+    @pytest.mark.parametrize("shape", SHAPE_IDS)
+    @pytest.mark.parametrize("coring", CORING_IDS)
+    def test_non_left_linear_map_raises(self, coring, shape):
+        t_src, g_lift, t_pair, t_y = two_route_shapes(two_route_corings()[coring])[shape]
+        t_left = tensor_over_alg(t_pair.result, t_y.right_factor)
+        bent = doubled_second_half(t_src.field, g_lift.nrows) @ g_lift
+        with pytest.raises(DescentFailure, match="^ambient map does not send source"):
+            regrouped_id_tensor(t_src, bent, t_pair, t_left)

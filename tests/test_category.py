@@ -38,7 +38,6 @@ from corings.constructions import (
     grouplike_coalgebra,
     matrix_coalgebra,
     tensor_coring,
-    trivial_coring,
     unit_coring,
 )
 from corings.errors import InvalidMorphism, ObjectMismatch

@@ -13,7 +13,6 @@ from corings.constructions import (
     matrix_coalgebra,
     sweedler_coring,
     trivial_coring,
-    unit_coring,
 )
 from corings.coring import (
     LEFT,
