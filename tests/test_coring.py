@@ -7,7 +7,12 @@ from corings.algebras import (
     ground_algebra,
     group_algebra,
 )
-from corings.bimodules import induced_map_on_tensor, scalar_bimodule, tensor_over_alg
+from corings.bimodules import (
+    induced_map_on_tensor,
+    left_unit_collapse,
+    scalar_bimodule,
+    tensor_over_alg,
+)
 from corings.constructions import (
     grouplike_coalgebra,
     matrix_coalgebra,
@@ -136,8 +141,6 @@ class TestLeftColinear:
         assert v.ok
 
     def test_counit_leg_collapse_is_identity_and_colinear(self):
-        from corings.bimodules import induced_map_on_tensor, left_unit_collapse
-
         mc = matrix_coalgebra(2, F5)
         leg = induced_map_on_tensor(
             mc.counit_mat, Mat.identity(F5, 4), mc.tens, mc.unit_tensor_left
