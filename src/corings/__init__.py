@@ -18,17 +18,12 @@ from .algebras import (
     group_algebra,
     identity_morphism,
     tensor_algebra,
-    tensor_algebra_morphism,
 )
 from .bimodules import (
     Bimodule,
     BimoduleMorphism,
-    InterchangeFixtures,
     PresentedTensor,
-    check_interchange_naturality,
     induced_map_on_tensor,
-    interchange_iso,
-    module_hom_space,
     regular_bimodule,
     scalar_bimodule,
     tensor_over_alg,

@@ -216,15 +216,6 @@ def check_algebra_morphism(f):
     return Verdict.passed(passed)
 
 
-def tensor_algebra_morphism(f, g):
-    """(f (x) g) between the tensor algebras, matching the pair indexing."""
-    return AlgebraMorphism(
-        tensor_algebra(f.source, g.source),
-        tensor_algebra(f.target, g.target),
-        f.map.kron(g.map),
-    )
-
-
 def identity_morphism(a):
     return AlgebraMorphism(a, a, Mat.identity(a.field, a.dim))
 

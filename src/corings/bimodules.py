@@ -6,10 +6,14 @@ left_act[i], so the left module law reads L[a_i a_j] = L_j @ L_i (apply j,
 then i) while the right law reads R[b_i b_j] = R_i @ R_j.
 
 M (x)_B N is realized as an explicit quotient of M (x)_k N by the span of
-(m_i . b_t) (x) n_j  -  m_i (x) (b_t . n_j) over all basis triples; bilinearity
-makes these span all relations.  Maps into such a tensor are supplied as lifts
-into the ambient (x)_k space, which keeps user input independent of pivot
-choices.
+(m_i . b_t) (x) n_j  -  m_i (x) (b_t . n_j) over all basis pairs (i, j) and
+every b_t in a set of algebra generators of B (`_algebra_generators`).  For
+bimodules these span all relations: the relation of a product follows from
+those of its factors, and the unit's relations vanish.  The factors must
+therefore satisfy the bimodule laws; inputs are validated where they enter
+the program (workspace load, the extension and morphism checkers), not on
+every build.  Maps into such a tensor are supplied as lifts into the ambient
+(x)_k space, which keeps user input independent of pivot choices.
 
 tensor_over_alg memoizes its presentations for the life of the process, keyed
 on the structure of the two factors (what Bimodule.__eq__ compares; labels are
@@ -29,10 +33,9 @@ from .errors import (
     DescentFailure,
     DimensionMismatch,
     FieldMismatch,
-    IllDefinedAction,
     IsoFailure,
 )
-from .linalg import Mat, Subspace, _vadd, kernel, quotient
+from .linalg import Mat, Subspace, _Eliminator, _vadd, quotient
 from .verdict import Verdict
 
 BIMODULE_LAWS = ("left-module", "right-module", "commuting-actions")
@@ -307,14 +310,54 @@ def _bimodule_key(b):
 
 
 _TENSORS = {}
+_GENERATORS = {}
+
+
+def _words(a, gens):
+    """Eliminator spanning every product of the basis elements `gens` (1 included)."""
+    span = _Eliminator(a.field, a.dim)
+    queue = [a.unit]
+    while queue:
+        v = queue.pop()
+        rank = len(span.pivrows)
+        span.insert({i: x for i, x in enumerate(v) if x})
+        if len(span.pivrows) > rank:
+            queue.extend(a.mul_vec(v, a.basis_vec(g)) for g in gens)
+    return span
+
+
+def _algebra_generators(a):
+    """Basis indices generating the algebra `a` as a unital algebra.
+
+    Greedy: index t joins when a_t lies outside the subalgebra generated by
+    the earlier choices.  Cached on the structure of `a` for the life of the
+    process.
+    """
+    key = _alg_key(a)
+    gens = _GENERATORS.get(key)
+    if gens is None:
+        gens = []
+        span = _words(a, gens)
+        for t in range(a.dim):
+            rank = len(span.pivrows)
+            if rank == a.dim:
+                break
+            span.insert({t: a.field.one})
+            if len(span.pivrows) > rank:
+                gens.append(t)
+                span = _words(a, gens)
+        _GENERATORS[key] = gens
+    return gens
 
 
 def tensor_over_alg(m, n):
     """M (x)_B N for an (A,B)-bimodule M and a (B,C)-bimodule N.
 
-    Memoized for the life of the process on the structure of (m, n): a call
-    whose factors equal an earlier call's returns the same PresentedTensor.  A
-    call that raises stores nothing.
+    Both factors must satisfy the bimodule laws (`Bimodule.check`); inputs
+    are validated where they enter the program, not here.  Memoized for the
+    life of the process on the structure of (m, n): a call whose factors
+    equal an earlier call's returns the same PresentedTensor.  A call that
+    raises stores nothing.
     """
     key = (_bimodule_key(m), _bimodule_key(n))
     t = _TENSORS.get(key)
@@ -326,9 +369,9 @@ def tensor_over_alg(m, n):
 def _present_tensor(m, n):
     """Build the presentation of M (x)_B N, uncached.
 
-    The induced outer actions are verified to preserve the relation subspace;
-    IllDefinedAction cannot fire for inputs satisfying the bimodule laws and is
-    kept as an internal consistency guard.
+    The factors must be bimodules.  The module laws make the relations of
+    the algebra generators of B span all relations, and commuting actions
+    make the outer actions preserve them, so neither is re-checked here.
     """
     if m.field != n.field:
         raise FieldMismatch("tensor factors over different fields")
@@ -340,7 +383,7 @@ def _present_tensor(m, n):
     ambient_dim = m.dim * nd
 
     gens = []
-    for t in range(over.dim):
+    for t in _algebra_generators(over):
         right_rows = m.right_act[t].rows
         left_rows = n.left_act[t].rows
         for i in range(m.dim):
@@ -362,11 +405,6 @@ def _present_tensor(m, n):
             img = amb_row_image(quot.lift.rows[s])
             rows.append(quot.project_vec(img))
         return Mat(field, quot.dim, quot.dim, rows)
-
-    def check_preserved(amb_row_image, what):
-        for r in relations.basis.rows:
-            if not relations.contains(amb_row_image(r)):
-                raise IllDefinedAction(f"{what} does not preserve the relations")
 
     def left_image(p):
         lp = m.left_act[p].rows
@@ -392,16 +430,8 @@ def _present_tensor(m, n):
 
         return img
 
-    left_mats = []
-    for p in range(m.left_alg.dim):
-        img = left_image(p)
-        check_preserved(img, f"left action of {m.left_alg.label(p)}")
-        left_mats.append(induce(img))
-    right_mats = []
-    for q in range(n.right_alg.dim):
-        img = right_image(q)
-        check_preserved(img, f"right action of {n.right_alg.label(q)}")
-        right_mats.append(induce(img))
+    left_mats = [induce(left_image(p)) for p in range(m.left_alg.dim)]
+    right_mats = [induce(right_image(q)) for q in range(n.right_alg.dim)]
 
     result = Bimodule(m.left_alg, n.right_alg, quot.dim, left_mats, right_mats)
     return PresentedTensor(m, n, over, quot, result)
@@ -476,136 +506,6 @@ def middle_swap(field, a, b, c, d):
     return Mat(field, total, total, rows)
 
 
-def interchange_target(t1, t2):
-    """Presentation of (M (x) N) (x)_{A(x)A'} (C (x) C') for the regrouping map."""
-    mn = tensor_over_k(t1.left_factor, t2.left_factor)
-    cc = tensor_over_k(t1.right_factor, t2.right_factor)
-    return tensor_over_alg(mn, cc)
-
-
-def interchange_iso(t1, t2, target=None):
-    """Canonical regrouping isomorphism
-
-        (M (x)_A C) (x)_k (N (x)_A' C')  ->  (M (x)_k N) (x)_{A(x)A'} (C (x)_k C')
-
-    defined on pure tensors by shuffling coordinates.  Well-definedness on both
-    quotient presentations is verified, as is invertibility.  The returned
-    morphism carries the target presentation as `.target_tensor` and the
-    inverse matrix as `.inverse_map`.
-    """
-    if t1.field != t2.field:
-        raise FieldMismatch("factors over different fields")
-    for t in (t1, t2):
-        if t.right_factor.left_alg != t.over or t.right_factor.right_alg != t.over:
-            raise AlgebraMismatch(
-                "right factor must be a bimodule over the middle algebra on both sides"
-            )
-    field = t1.field
-    d_m, d_c = t1.left_factor.dim, t1.right_factor.dim
-    d_n, d_c2 = t2.left_factor.dim, t2.right_factor.dim
-    if target is None:
-        target = interchange_target(t1, t2)
-    if target.quot.ambient_dim != d_m * d_c * d_n * d_c2:
-        raise DimensionMismatch("target presentation has the wrong ambient dimension")
-
-    def shuffle(idx1, idx2):
-        i, c = divmod(idx1, d_c)
-        j, c2 = divmod(idx2, d_c2)
-        return (i * d_n + j) * (d_c * d_c2) + c * d_c2 + c2
-
-    # Well-definedness: relations of either factor, tensored with any ambient
-    # basis vector of the other, must die in the target quotient.
-    one = field.one
-    for r in t1.relations.basis.rows:
-        for idx2 in range(d_n * d_c2):
-            vec = {shuffle(idx1, idx2): v for idx1, v in r.items()}
-            if not target.relations.contains(vec):
-                raise DescentFailure("regrouping map is not well defined (left factor)")
-    for r in t2.relations.basis.rows:
-        for idx1 in range(d_m * d_c):
-            vec = {shuffle(idx1, idx2): v for idx2, v in r.items()}
-            if not target.relations.contains(vec):
-                raise DescentFailure("regrouping map is not well defined (right factor)")
-
-    source = tensor_over_k(t1.result, t2.result)
-    rows = []
-    p = field.p
-    for s in range(t1.dim):
-        w1 = t1.quot.lift.rows[s]
-        for t in range(t2.dim):
-            w2 = t2.quot.lift.rows[t]
-            amb = {}
-            for idx1, v1 in w1.items():
-                for idx2, v2 in w2.items():
-                    coeff = v1 * v2 if p is None else (v1 * v2) % p
-                    if coeff:
-                        amb[shuffle(idx1, idx2)] = coeff
-            rows.append(target.quot.project_vec(amb))
-    mat = Mat(field, t1.dim * t2.dim, target.dim, rows)
-    if mat.nrows != mat.ncols:
-        raise IsoFailure(
-            f"regrouping map is {mat.nrows}x{mat.ncols}, hence not invertible"
-        )
-    inverse = mat.inverse()
-    morphism = BimoduleMorphism(source, target.result, mat)
-    morphism.target_tensor = target
-    morphism.inverse_map = inverse
-    return morphism
-
-
-class InterchangeFixtures:
-    """Prebuilt presentations for naturality checks of the regrouping map.
-
-    Holds modules m -> m2 over A, n -> n2 over A', the two carriers cc, cc2,
-    the four presented tensors, and the regrouping isos at both corners.
-    """
-
-    def __init__(self, m, m2, n, n2, cc, cc2):
-        self.m, self.m2, self.n, self.n2 = m, m2, n, n2
-        self.cc, self.cc2 = cc, cc2
-        self.t_mc = tensor_over_alg(m, cc)
-        self.t_m2c = tensor_over_alg(m2, cc)
-        self.t_nc = tensor_over_alg(n, cc2)
-        self.t_n2c = tensor_over_alg(n2, cc2)
-        self.iso = interchange_iso(self.t_mc, self.t_nc)
-        self.iso2 = interchange_iso(self.t_m2c, self.t_n2c)
-
-
-def check_interchange_naturality(f, g, fixtures):
-    """Naturality square of the regrouping iso for right-linear maps f, g.
-
-    f: M -> M2 must be right-A-linear and g: N -> N2 right-A'-linear; violating
-    maps are rejected with ValueError before any square is formed.
-    """
-    fx = fixtures
-    fm, gm = _as_mat(f), _as_mat(g)
-    for j in range(fx.m.right_alg.dim):
-        if fx.m.right_act[j] @ fm != fm @ fx.m2.right_act[j]:
-            raise ValueError("f is not right-linear over the first base algebra")
-    for j in range(fx.n.right_alg.dim):
-        if fx.n.right_act[j] @ gm != gm @ fx.n2.right_act[j]:
-            raise ValueError("g is not right-linear over the second base algebra")
-
-    ident_c = Mat.identity(fx.cc.field, fx.cc.dim)
-    ident_c2 = Mat.identity(fx.cc2.field, fx.cc2.dim)
-    f_tens = induced_map_on_tensor(fm, ident_c, fx.t_mc, fx.t_m2c)
-    g_tens = induced_map_on_tensor(gm, ident_c2, fx.t_nc, fx.t_n2c)
-    lhs = f_tens.map.kron(g_tens.map) @ fx.iso2.map
-
-    fg = fm.kron(gm)
-    ident_cc = Mat.identity(fx.cc.field, fx.cc.dim * fx.cc2.dim)
-    fg_tens = induced_map_on_tensor(
-        fg, ident_cc, fx.iso.target_tensor, fx.iso2.target_tensor
-    )
-    rhs = fx.iso.map @ fg_tens.map
-    if lhs != rhs:
-        return Verdict.failed(
-            "naturality",
-            "the two composites through the regrouping square differ",
-        )
-    return Verdict.passed(("naturality",))
-
-
 def left_unit_collapse(t):
     """Inverse of a (x) m -> class(a (x) m) for t = A (x)_A M: sends it to a.m."""
     field = t.field
@@ -642,30 +542,6 @@ def right_unit_collapse(t):
         raise IsoFailure("right unit collapse is not square")
     mat.inverse()
     return mat
-
-
-def left_unit_embed(t):
-    """m -> class(1 (x) m) for t = A (x)_A M."""
-    field = t.field
-    a = t.left_factor.left_alg
-    nd = t.right_factor.dim
-    rows = []
-    for j in range(nd):
-        vec = {i * nd + j: c for i, c in enumerate(a.unit) if c}
-        rows.append(t.quot.project_vec(vec))
-    return Mat(field, nd, t.dim, rows)
-
-
-def right_unit_embed(t):
-    """m -> class(m (x) 1) for t = M (x)_A A."""
-    field = t.field
-    a = t.right_factor.right_alg
-    nd = t.right_factor.dim
-    rows = []
-    for i in range(t.left_factor.dim):
-        vec = {i * nd + j: c for j, c in enumerate(a.unit) if c}
-        rows.append(t.quot.project_vec(vec))
-    return Mat(field, t.left_factor.dim, t.dim, rows)
 
 
 def regrouped_id_tensor(t_src, g_lift, t_pair, t_left):
@@ -705,58 +581,3 @@ def regrouped_id_tensor(t_src, g_lift, t_pair, t_left):
             )
     rows = [t_left.quot.project_vec(image(t_src.quot.lift.rows[s])) for s in range(t_src.dim)]
     return Mat(field, t_src.dim, t_left.dim, rows)
-
-
-def module_hom_space(m, n, side="right"):
-    """Basis of the space of one-sided module maps m -> n (as matrices).
-
-    `side` picks which action must be respected; the other side is ignored,
-    matching how morphisms of right modules are quantified.
-    """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    acts_m = m.right_act if side == "right" else m.left_act
-    acts_n = n.right_act if side == "right" else n.left_act
-    alg = m.right_alg if side == "right" else m.left_alg
-    alg_n = n.right_alg if side == "right" else n.left_alg
-    if alg != alg_n:
-        raise AlgebraMismatch("modules are not over the same algebra")
-    field = m.field
-    unknowns = m.dim * n.dim
-    rows = []
-    for t in range(alg.dim):
-        R, S = acts_m[t], acts_n[t]
-        for i in range(m.dim):
-            for tp in range(n.dim):
-                row = {}
-                for u, v in R.rows[i].items():
-                    row[u * n.dim + tp] = v
-                _vadd(
-                    field,
-                    row,
-                    {i * n.dim + w: S.rows[w].get(tp, field.zero) for w in range(n.dim)
-                     if S.rows[w].get(tp)},
-                    field.neg(field.one),
-                )
-                if row:
-                    rows.append(row)
-    constraint = Mat(field, len(rows), unknowns, rows)
-    sol = kernel(constraint)
-    mats = []
-    for r in sol.basis.rows:
-        mat_rows = [{} for _ in range(m.dim)]
-        for idx, v in r.items():
-            i, j = divmod(idx, n.dim)
-            mat_rows[i][j] = v
-        mats.append(Mat(field, m.dim, n.dim, mat_rows))
-    return mats
-
-
-def random_module_hom(rng, basis, field, shape):
-    """Deterministic random combination of a module-hom basis."""
-    out = Mat.zero(field, shape[0], shape[1])
-    for b in basis:
-        c = field.from_int(rng.randint(-3, 3))
-        if c:
-            out = out + b.scale(c)
-    return out

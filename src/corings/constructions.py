@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebras import ground_algebra, tensor_algebra
+from .algebras import check_algebra_morphism, ground_algebra, tensor_algebra
 from .bimodules import (
     Bimodule,
     middle_swap,
@@ -33,7 +33,6 @@ from .coring import (
 from .errors import (
     DeltaNotRightLinear,
     FieldMismatch,
-    IllDefinedAction,
     InvalidMorphism,
     NotABimodule,
     NotACoaction,
@@ -142,10 +141,6 @@ def right_extension_verdict(c, d, right_action_mats, coact_lift):
         return Verdict.failed(v.law, v.witness, passed)
     passed.append("delta-right-linear")
 
-    try:
-        tensor_over_alg(bimodule, d.carrier)
-    except IllDefinedAction as e:
-        return Verdict.failed("coaction", str(e), passed)
     if coact_lift.nrows != c.dim or coact_lift.ncols != c.dim * d.dim:
         return Verdict.failed("coaction", "coaction lift has the wrong ambient shape", passed)
     v = right_coaction_verdict(bimodule, d, coact_lift)
@@ -408,9 +403,16 @@ def grouplike_coalgebra(table, field, labels=None):
 
 
 def sweedler_coring(inclusion):
-    """The canonical coring A (x)_B A attached to an algebra inclusion B -> A."""
+    """The canonical coring A (x)_B A attached to an algebra inclusion B -> A.
+
+    The map is checked to be an injective algebra morphism: restricting A
+    along anything else yields no bimodule to present the tensor over.
+    """
     if map_kernel(inclusion.map).dim != 0:
         raise NotInjective("the algebra map has a nonzero kernel")
+    v = check_algebra_morphism(inclusion)
+    if not v.ok:
+        raise InvalidMorphism(f"the algebra map fails {v.law}: {v.witness}")
     a_alg = inclusion.target
     field = a_alg.field
     # A as an (A,B)-bimodule and as a (B,A)-bimodule, B acting through the inclusion.

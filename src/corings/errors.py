@@ -17,10 +17,6 @@ class AlgebraMismatch(CoringsError):
     """A tensor-over-an-algebra was requested across different middle algebras."""
 
 
-class IllDefinedAction(CoringsError):
-    """An induced action matrix does not preserve the relation subspace."""
-
-
 class DescentFailure(CoringsError):
     """An ambient map does not send source relations into target relations.
 

@@ -23,6 +23,7 @@ space, which is what makes reports byte-stable across runs.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import isqrt
 
 from .errors import DimensionMismatch, FieldMismatch
@@ -366,41 +367,68 @@ class Mat:
 
 
 class _Eliminator:
-    """Incremental canonical RREF accumulator over sparse rows."""
+    """Incremental canonical RREF accumulator over sparse rows.
 
-    __slots__ = ("field", "ncols", "pivrows")
+    `insert` keeps echelon form only: each pivot row is normalized and has no
+    entry left of its pivot, but may hold entries in later pivot columns.  The
+    first read of `pivots()` or `to_mat()` back-substitutes once, which yields
+    the canonical RREF of the row space whatever the insertion order.
+    """
+
+    __slots__ = ("field", "ncols", "pivrows", "reduced")
 
     def __init__(self, field, ncols):
         self.field = field
         self.ncols = ncols
         self.pivrows = {}
-
-    def reduce(self, row):
-        """Fully reduce a sparse row in place against the current pivots."""
-        # Pivot rows hold no other pivot columns, so one pass suffices.
-        for c in [c for c in row if c in self.pivrows]:
-            coeff = row.get(c)
-            if coeff:
-                _vadd(self.field, row, self.pivrows[c], self.field.neg(coeff))
-        return row
+        self.reduced = True
 
     def insert(self, row):
-        """Reduce and, if independent, normalize and adopt the row; returns its pivot."""
-        self.reduce(row)
+        """Reduce against the echelon basis and adopt the row if independent."""
+        pivrows = self.pivrows
+        heap = [c for c in row if c in pivrows]
+        if heap:
+            # Pivot rows hold only later columns, so eliminating pivot columns
+            # in ascending order never revisits one; a pivot row can bring in
+            # entries at later pivot columns, which join the heap.
+            heapify(heap)
+            p = self.field.p
+            while heap:
+                c = heappop(heap)
+                coeff = row.get(c)
+                if not coeff:
+                    continue
+                for j, v in pivrows[c].items():
+                    w = row.get(j, 0) - coeff * v
+                    w = _norm(w) if p is None else w % p
+                    if w:
+                        row[j] = w
+                        if j in pivrows:
+                            heappush(heap, j)
+                    else:
+                        row.pop(j, None)
         if not row:
-            return None
+            return
         lead = min(row)
         inv = self.field.inv(row[lead])
         if inv != self.field.one:
             row = _vscale(self.field, row, inv)
-        for pr in self.pivrows.values():
-            coeff = pr.get(lead)
-            if coeff:
-                _vadd(self.field, pr, row, self.field.neg(coeff))
-        self.pivrows[lead] = row
-        return lead
+        pivrows[lead] = row
+        self.reduced = False
+
+    def _back_substitute(self):
+        # In descending pivot order every later pivot row is already reduced,
+        # so subtracting it brings in no pivot column: one pass per row.
+        field, pivrows = self.field, self.pivrows
+        for c in sorted(pivrows, reverse=True):
+            row = pivrows[c]
+            for j in [j for j in row if j != c and j in pivrows]:
+                _vadd(field, row, pivrows[j], field.neg(row[j]))
+        self.reduced = True
 
     def pivots(self):
+        if not self.reduced:
+            self._back_substitute()
         return sorted(self.pivrows)
 
     def to_mat(self):

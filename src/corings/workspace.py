@@ -8,6 +8,14 @@ Comultiplications and coactions are given as lifts into the ambient (x)_k
 space with row-major pair indexing, so files never depend on internal pivot
 choices.  Loading validates every object; the first violation aborts with the
 object name and a witness.
+
+Every bimodule built from file data is validated before a tensor over an
+algebra is presented from it, since presentations assume the bimodule laws:
+named modules by `Bimodule.check` (exit 1), inline coring carriers by the same
+check at parse time and the algebra map of a Sweedler fixture by
+`check_algebra_morphism` inside `sweedler_coring` (both exit 2, as input
+errors), and the actions of extensions and ext-morphisms and the algebra map
+of a corings morphism by their checkers, whose first law is exactly that.
 """
 
 from __future__ import annotations
@@ -258,16 +266,17 @@ def _parse_coring(ws, name, spec):
         carrier = _parse_module(
             ws, f"{name}.carrier", _object(carrier_spec, f"{what}: carrier")
         )
+        v = carrier.check()
+        if not v.ok:
+            raise WorkspaceSyntaxError(f"{what}: carrier: {v.law}: {v.witness}")
     try:
-        c = Coring(
+        return Coring(
             base,
             carrier,
             _mat(ws.field, _require(spec, "comul_lift", what),
                  carrier.dim, carrier.dim**2, what),
             _mat(ws.field, _require(spec, "counit", what), carrier.dim, base.dim, what),
         )
-        c.tens  # an action that does not descend to C (x)_A C is an input error
-        return c
     except CoringsError as e:
         if isinstance(e, (WorkspaceSyntaxError, UnknownReference)):
             raise

@@ -13,10 +13,10 @@ from corings.algebras import (
     group_algebra,
     identity_morphism,
     tensor_algebra,
-    tensor_algebra_morphism,
 )
 from corings.errors import FieldMismatch
 from corings.linalg import Field, Mat
+from oracles import tensor_algebra_morphism
 
 Q = Field.rationals()
 F2 = Field.prime(2)

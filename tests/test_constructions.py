@@ -36,6 +36,7 @@ from corings.errors import (
     NotInjective,
 )
 from corings.linalg import Field, Mat
+from oracles import interchange_iso
 
 Q = Field.rationals()
 F5 = Field.prime(5)
@@ -79,8 +80,6 @@ class TestTensorCoring:
         assert tensor_coring(a, b).counit_mat == a.counit_mat.kron(b.counit_mat)
 
     def test_comultiplication_agrees_with_interchange_route(self):
-        from corings.bimodules import interchange_iso
-
         a = grouplike_coalgebra(CYCLIC_2, Q)
         b = trivial_coring(dual_numbers(Q))
         t = tensor_coring(a, b)

@@ -1,0 +1,125 @@
+"""Tensor presentations from algebra generators against the all-basis builder.
+
+`_present_tensor` takes the relations of a generating set of the middle
+algebra only and trusts the bimodule laws of its (validated) factors.
+`reference_present_tensor` (tests/reference.py) takes the relations of every
+basis element, eliminates them with the reference eliminator and re-checks
+that the outer actions preserve the relations.  On every (M, N) the CLI
+presents for the benchmark corpus, both must agree exactly.
+"""
+
+from pathlib import Path
+from unittest import mock
+
+import pytest
+
+from corings import bimodules, cli
+from corings.algebras import (
+    KLEIN_4,
+    dual_numbers,
+    ground_algebra,
+    group_algebra,
+    tensor_algebra,
+)
+from corings.bimodules import _algebra_generators
+from corings.linalg import Field, Subspace
+from corings.workspace import load_workspace
+from reference import reference_present_tensor
+
+WORKSPACES = Path(__file__).resolve().parents[1] / "perfbench" / "workspaces"
+FIELDS = {"Q": Field.rationals(), "F5": Field.prime(5)}
+
+
+def presented_pairs(run):
+    """Every distinct (M, N) that `run()` presents, from an empty cache."""
+    pairs = []
+    build = bimodules._present_tensor
+
+    def recording(m, n):
+        pairs.append((m, n))
+        return build(m, n)
+
+    with mock.patch.object(bimodules, "_TENSORS", {}), \
+            mock.patch.object(bimodules, "_present_tensor", recording):
+        run()
+    return pairs
+
+
+def load(name):
+    return lambda: load_workspace(WORKSPACES / name)
+
+
+def verify_monoidal(category):
+    def run():
+        code = cli.main(["--workspace", str(WORKSPACES / "monoidal-f5.json"),
+                         "--seed", "1", "verify-monoidal", category])
+        assert code == 0
+
+    return run
+
+
+RUNS = {
+    "load-cli-q": load("cli-q.json"),
+    "load-cli-f5": load("cli-f5.json"),
+    "verify-monoidal-ext": verify_monoidal("ext"),
+    "verify-monoidal-corings": verify_monoidal("corings"),
+}
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_every_presentation_matches_the_reference(run, capsys):
+    pairs = presented_pairs(RUNS[run])
+    capsys.readouterr()
+    assert pairs
+    for m, n in pairs:
+        got = bimodules._present_tensor(m, n)
+        want = reference_present_tensor(m, n)  # raises GuardFired if the guard fires
+        assert got.relations.basis == want.relations.basis
+        assert got.relations.pivots == want.relations.pivots
+        assert got.project == want.project
+        assert got.lift == want.lift
+        assert got.result.left_act == want.result.left_act
+        assert got.result.right_act == want.result.right_act
+
+
+def closure(a, gens):
+    """Span of all products of the generators, built from words of growing length."""
+    field = a.field
+    words = [a.unit]
+    for _ in range(a.dim):
+        words += [a.mul_vec(w, a.basis_vec(g)) for w in words for g in gens]
+        words = Subspace.from_generators(field, a.dim, words).basis.to_lists()
+        words.append(a.unit)
+    return Subspace.from_generators(field, a.dim, words)
+
+
+def algebras(field):
+    dual = dual_numbers(field)
+    k4 = group_algebra(field, KLEIN_4)
+    return {
+        "k": (ground_algebra(field), 0),
+        "dual": (dual, 1),
+        "k4": (k4, 2),
+        "dual(x)dual": (tensor_algebra(dual, dual), 2),
+        "k4(x)dual": (tensor_algebra(k4, dual), 3),
+    }
+
+
+@pytest.mark.parametrize("field", FIELDS.values(), ids=FIELDS)
+@pytest.mark.parametrize("name", sorted(algebras(Field.rationals())))
+def test_algebra_generators(field, name):
+    a, count = algebras(field)[name]
+    gens = _algebra_generators(a)
+    assert len(gens) == count
+    assert closure(a, gens).dim == a.dim
+    if name == "dual":
+        assert gens == [1]
+    assert _algebra_generators(algebras(field)[name][0]) is gens
+
+
+def test_generators_are_needed():
+    """Dropping any chosen generator of k[K4] leaves a proper subalgebra."""
+    a = group_algebra(Field.prime(5), KLEIN_4)
+    gens = _algebra_generators(a)
+    for g in gens:
+        assert closure(a, [h for h in gens if h != g]).dim < a.dim

@@ -93,8 +93,8 @@ MALFORMED.update({
     for name, dim in BAD_DIMS.items()
 })
 
-# The carrier's left and right actions of x do not commute, so the left action
-# does not descend to the tensor square C (x)_A C.
+# The carrier's left and right actions of x do not commute: not a bimodule, so
+# the tensor square C (x)_A C cannot be presented from it.
 MALFORMED["coring-carrier-not-descending"] = (
     {
         "field": Q,
@@ -108,7 +108,29 @@ MALFORMED["coring-carrier-not-descending"] = (
             "counit": [[1, 0], [0, 1]],
         }},
     },
-    "coring c: left action of x does not preserve the relations",
+    "coring c: carrier: commuting-actions: left action of x does not commute with "
+    "right action of x",
+)
+
+
+
+def sweedler_doc(source, map_rows):
+    """A Sweedler fixture over F_5 from `source` into the dual numbers."""
+    algebras = {"k": {"fixture": {"kind": "ground"}},
+                "d": {"fixture": {"kind": "dual_numbers"}}}
+    fixture = {"kind": "sweedler", "source": source, "target": "d", "map": map_rows}
+    return {"field": F5, "algebras": algebras, "corings": {"s": {"fixture": fixture}}}
+
+
+# Injective maps that are not algebra morphisms: 1 -> 1 + x is not unital, and
+# x -> 1 + x on the dual numbers is unital but (1 + x)^2 != 0.
+MALFORMED["sweedler-map-not-unital"] = (
+    sweedler_doc("k", [["1", "1"]]),
+    "coring s: the algebra map fails unit: unit maps to 1 + x != 1",
+)
+MALFORMED["sweedler-map-not-multiplicative"] = (
+    sweedler_doc("d", [["1", "0"], ["1", "1"]]),
+    "coring s: the algebra map fails multiplicativity: (x,x)",
 )
 
 
