@@ -53,19 +53,13 @@ from .category import (
 )
 from .constructions import (
     BaseRingExtension,
-    RightExtension,
     base_ring_extension,
     grouplike_coalgebra,
-    make_right_extension,
     matrix_coalgebra,
-    regular_extension,
     sweedler_coring,
     tensor_coring,
-    tensor_extension,
     trivial_coring,
-    trivial_extension,
     unit_coring,
-    unit_extension,
 )
 from .coring import (
     Bicomodule,

@@ -235,9 +235,9 @@ def dual_numbers(field):
 def check_group_table(table):
     """Validate a Cayley table (index 0 the identity); raises ValueError."""
     n = len(table)
+    if any(len(row) != n for row in table):
+        raise ValueError("group table must be square")
     for i, row in enumerate(table):
-        if len(row) != n:
-            raise ValueError("group table must be square")
         if sorted(row) != list(range(n)) or sorted(t[i] for t in table) != list(range(n)):
             raise ValueError(f"group table row/column {i} is not a permutation")
     for i in range(n):

@@ -2,9 +2,12 @@
 
 In the extension category a morphism (C:A) -> (D:B) is a pair: a new right
 B-action on C that is left C-colinear, and a left C-colinear right D-coaction
-C -> C (x)_B D; that is, D is a right extension of C.  Composition is by the
-bullet formulas, computed from the explicit lifts, with an independent oracle
-that routes through the cotensor product.
+C -> C (x)_B D; that is, D is a right extension of C (Brzezinski), and
+`ExtMorphism` is the one class for both readings: the `extensions` of a
+workspace load as these morphisms.  The action is held as one C -> C matrix
+per basis element of B, the form `Bimodule` and `tensor_over_alg` read.
+Composition is by the bullet formulas, computed from the explicit lifts, with
+an independent oracle that routes through the cotensor product.
 
 In the plain corings category a morphism is an algebra map together with a
 compatible bilinear map of carriers.  Both categories carry the tensor-coring
@@ -35,6 +38,7 @@ from .constructions import (
     base_ring_extension,
     right_extension_verdict,
     tensor_coring,
+    trivial_coring,
     unit_coring,
 )
 from .coring import LEFT, RIGHT, Comodule, cotensor
@@ -42,7 +46,6 @@ from .errors import (
     DescentFailure,
     DimensionMismatch,
     FieldMismatch,
-    InvalidMorphism,
     IsoFailure,
     ObjectMismatch,
 )
@@ -65,36 +68,33 @@ MONOIDAL_LAWS = (
 
 
 class ExtMorphism:
-    """A morphism (C:A) -> (D:B) in the extension category.
+    """A morphism (C:A) -> (D:B) in the extension category: a right extension of C by D.
 
-    `rho_action` is the matrix of the new right action C (x)_k B -> C with
-    row-major pair indexing; `coact_lift` lifts the coaction into the ambient
-    C (x)_k D.  The tensor over B inside the coaction target always uses the
-    action supplied here.
+    `action_mats[j]` is the C -> C matrix of the new right action of the j-th
+    basis element of B; `coact_lift` lifts the coaction into the ambient
+    C (x)_k D with row-major pair indexing.  The tensor over B inside the
+    coaction target always uses the action supplied here.  Construction checks
+    shapes and fields only; `check_ext_morphism` runs the four laws.
+
+    A workspace's `extensions` load as these morphisms, their action given per
+    basis element as here.  An `ext` entry of its `morphisms` spells the action
+    as one interleaved matrix C (x)_k B -> C; only `workspace` knows that form.
     """
 
-    def __init__(self, source, target, rho_action, coact_lift):
-        dim_c, dim_b, dim_d = source.dim, target.base.dim, target.dim
-        if rho_action.nrows != dim_c * dim_b or rho_action.ncols != dim_c:
-            raise DimensionMismatch("action matrix must map C (x) B to C")
+    def __init__(self, source, target, action_mats, coact_lift):
+        dim_c, dim_d = source.dim, target.dim
+        if len(action_mats) != target.base.dim or any(
+            m.nrows != dim_c or m.ncols != dim_c for m in action_mats
+        ):
+            raise DimensionMismatch("need one C -> C action matrix per basis element of B")
         if coact_lift.nrows != dim_c or coact_lift.ncols != dim_c * dim_d:
             raise DimensionMismatch("coaction lift must map C into ambient C (x) D")
-        if rho_action.field != source.field or coact_lift.field != source.field:
+        if any(m.field != source.field for m in (*action_mats, coact_lift)):
             raise FieldMismatch("morphism data over mixed fields")
         self.source = source
         self.target = target
-        self.rho_action = rho_action
+        self.action_mats = list(action_mats)
         self.coact_lift = coact_lift
-
-    @cached_property
-    def action_mats(self):
-        """Per-basis matrices of the right action of the target base algebra."""
-        dim_b = self.target.base.dim
-        mats = []
-        for j in range(dim_b):
-            rows = [dict(self.rho_action.rows[i * dim_b + j]) for i in range(self.source.dim)]
-            mats.append(Mat(self.source.field, self.source.dim, self.source.dim, rows))
-        return mats
 
     @cached_property
     def bimodule(self):
@@ -124,48 +124,26 @@ def check_ext_morphism(m):
     return right_extension_verdict(m.source, m.target, m.action_mats, m.coact_lift)
 
 
-def ext_from_extension(ext):
-    """Wrap a validated right extension as a morphism (C:A) -> (D:B)."""
-    dim_b = ext.d.base.dim
-    rows = []
-    for i in range(ext.c.dim):
-        for j in range(dim_b):
-            rows.append(dict(ext.bimodule.right_act[j].rows[i]))
-    rho = Mat(ext.c.field, ext.c.dim * dim_b, ext.c.dim, rows)
-    return ExtMorphism(ext.c, ext.d, rho, ext.coact_lift)
-
-
-def _initial_action(c):
-    dim_a = c.base.dim
-    rows = []
-    for i in range(c.dim):
-        for j in range(dim_a):
-            rows.append(dict(c.carrier.right_act[j].rows[i]))
-    return Mat(c.field, c.dim * dim_a, c.dim, rows)
-
-
 def ext_identity(c):
     """Identity morphism: the initial right action and the comultiplication."""
-    return ExtMorphism(c, c, _initial_action(c), c.comul_lift)
+    return ExtMorphism(c, c, c.carrier.right_act, c.comul_lift)
 
 
 def ext_to_unit(c):
     """The morphism (C:A) -> unit coring: scalar action, identity coaction."""
     field = c.field
     ident = Mat.identity(field, c.dim)
-    return ExtMorphism(c, unit_coring(field), ident.copy(), ident)
+    return ExtMorphism(c, unit_coring(field), [ident.copy()], ident)
 
 
 def ext_to_trivial(c):
     """The morphism (C:A) -> (A:A): initial action, coaction c -> c (x) 1."""
-    from .constructions import trivial_coring
-
     field = c.field
     rows = []
     for i in range(c.dim):
         rows.append({i * c.base.dim + j: v for j, v in enumerate(c.base.unit) if v})
     coact = Mat(field, c.dim, c.dim * c.base.dim, rows)
-    return ExtMorphism(c, trivial_coring(c.base), _initial_action(c), coact)
+    return ExtMorphism(c, trivial_coring(c.base), c.carrier.right_act, coact)
 
 
 def ext_compose(g, f):
@@ -191,19 +169,19 @@ def ext_compose(g, f):
         for t, at in a_vec.items():
             _vadd(field, out, act_f[t].rows[e0], field.mul(coeff, at))
 
-    rho_rows = []
-    for e in range(e_dim):
-        lift_e = f.coact_lift.rows[e]
-        for j in range(b_dim):
+    action = []
+    for j in range(b_dim):
+        rows = []
+        for e in range(e_dim):
             out = {}
-            for idx, val in lift_e.items():
+            for idx, val in f.coact_lift.rows[e].items():
                 e0, c = divmod(idx, c_dim)
                 a_vec = {}
                 for u, v in act_g[j].rows[c].items():
                     _vadd(field, a_vec, eps.rows[u], v)
                 act_by(e0, a_vec, out, val)
-            rho_rows.append(out)
-    rho = Mat(field, e_dim * b_dim, e_dim, rho_rows)
+            rows.append(out)
+        action.append(Mat(field, e_dim, e_dim, rows))
 
     coact_rows = []
     for e in range(e_dim):
@@ -220,7 +198,7 @@ def ext_compose(g, f):
                 _vadd(field, out, {w * d_dim + d: wv for w, wv in moved.items()}, field.one)
         coact_rows.append(out)
     coact = Mat(field, e_dim, e_dim * d_dim, coact_rows)
-    return ExtMorphism(f.source, g.target, rho, coact)
+    return ExtMorphism(f.source, g.target, action, coact)
 
 
 def ext_compose_via_cotensor(g, f):
@@ -289,37 +267,34 @@ def ext_compose_via_cotensor(g, f):
 
     oracle = rho_mat @ push @ collapse
     lift = oracle @ t_ed.quot.lift
-    return ExtMorphism(f.source, g.target, explicit.rho_action, lift)
+    return ExtMorphism(f.source, g.target, explicit.action_mats, lift)
 
 
 def ext_tensor_morphisms(m, m2, source=None, target=None):
-    """Tensor of two morphisms: paired action and middle-swapped coaction lift."""
+    """Tensor of two morphisms: paired action and middle-swapped coaction lift.
+
+    The coaction lift is the middle swap of the two lifts, whose projection is
+    the regrouping iso applied after coaction (x) coaction'.
+    """
     if m.source.field != m2.source.field:
         raise FieldMismatch("tensor of morphisms over different fields")
     if source is None:
         source = tensor_coring(m.source, m2.source)
     if target is None:
         target = tensor_coring(m.target, m2.target)
-    field = m.source.field
-    dim_b = m.target.base.dim
-    dim_b2 = m2.target.base.dim
-    kron_acts = [r.kron(r2) for r in m.action_mats for r2 in m2.action_mats]
-    cc_dim = m.source.dim * m2.source.dim
-    rows = []
-    for i in range(cc_dim):
-        for j in range(dim_b * dim_b2):
-            rows.append(dict(kron_acts[j].rows[i]))
-    rho = Mat(field, cc_dim * dim_b * dim_b2, cc_dim, rows)
-    swap = middle_swap(field, m.source.dim, m.target.dim, m2.source.dim, m2.target.dim)
+    action = [r.kron(r2) for r in m.action_mats for r2 in m2.action_mats]
+    swap = middle_swap(
+        m.source.field, m.source.dim, m.target.dim, m2.source.dim, m2.target.dim
+    )
     coact = m.coact_lift.kron(m2.coact_lift) @ swap
-    return ExtMorphism(source, target, rho, coact)
+    return ExtMorphism(source, target, action, coact)
 
 
 def ext_morphisms_equal(a, b):
     """Equality of morphisms: exact actions, coactions compared in C (x)_B D."""
     if a.source != b.source or a.target != b.target:
         return False
-    if a.rho_action != b.rho_action:
+    if a.action_mats != b.action_mats:
         return False
     t = a.coaction_tensor
     return a.coaction == b.coact_lift @ t.project
@@ -431,8 +406,6 @@ def corings_identity(c):
 
 def counit_corings_morphism(c):
     """(counit, id): (C:A) -> (A:A), the trivial coring over the base."""
-    from .constructions import trivial_coring
-
     return CoringsMorphism(
         c, trivial_coring(c.base), c.counit_mat, identity_morphism(c.base)
     )
@@ -440,8 +413,6 @@ def counit_corings_morphism(c):
 
 def trivial_corings_morphism(f):
     """An algebra map A -> B as a morphism of trivial corings (A:A) -> (B:B)."""
-    from .constructions import trivial_coring
-
     return CoringsMorphism(
         trivial_coring(f.source), trivial_coring(f.target), f.map, f
     )
@@ -485,13 +456,11 @@ def corings_to_ext(m):
     """Base ring extension of a corings morphism, as an extension-category morphism.
 
     Returns (B (x)_A C (x)_A B : B) -> (D:B) with right multiplication as the
-    action; the base-extension data is attached as `.base_extension`.
+    action, unvalidated; the base-extension data is attached as
+    `.base_extension`.  Raises InvalidMorphism if `m` fails its checker.
     """
-    v = check_corings_morphism(m)
-    if not v.ok:
-        raise InvalidMorphism(f"{v.law}: {v.witness}")
     bre = base_ring_extension(m)
-    out = ext_from_extension(bre.extension)
+    out = bre.extension
     out.base_extension = bre
     return out
 
@@ -548,7 +517,7 @@ def _verify_monoidal(corings, morphisms, seed, max_squares, max_triples, kind):
                             source=t, target=t)
             rhs = identity_of(t)
             same = (
-                lhs.rho_action == rhs.rho_action and lhs.coact_lift == rhs.coact_lift
+                lhs.action_mats == rhs.action_mats and lhs.coact_lift == rhs.coact_lift
                 if is_ext
                 else lhs == rhs
             )
@@ -601,8 +570,8 @@ def _verify_monoidal(corings, morphisms, seed, max_squares, max_triples, kind):
                     f"tensoring coring {i} with the unit does not collapse to it",
                 )
             if is_ext:
-                u = ExtMorphism(t, c, _initial_action(c), c.comul_lift)
-                uinv = ExtMorphism(c, t, _initial_action(c), c.comul_lift)
+                u = ExtMorphism(t, c, c.carrier.right_act, c.comul_lift)
+                uinv = ExtMorphism(c, t, c.carrier.right_act, c.comul_lift)
             else:
                 ident = Mat.identity(field, c.dim)
                 u = CoringsMorphism(t, c, ident, identity_morphism(c.base))

@@ -40,32 +40,6 @@ class InvalidMorphism(CoringsError):
     """A morphism failed its validity check where a valid one was required."""
 
 
-class ExtensionError(CoringsError):
-    """A right-extension datum failed validation; `law` names the condition."""
-
-    law = "extension"
-
-    def __init__(self, witness):
-        super().__init__(f"{self.law}: {witness}")
-        self.witness = witness
-
-
-class NotABimodule(ExtensionError):
-    law = "bimodule"
-
-
-class DeltaNotRightLinear(ExtensionError):
-    law = "delta-right-linear"
-
-
-class NotACoaction(ExtensionError):
-    law = "coaction"
-
-
-class NotColinear(ExtensionError):
-    law = "colinearity"
-
-
 class WorkspaceError(CoringsError):
     """Base class for workspace-file problems; `exit_code` drives the CLI."""
 

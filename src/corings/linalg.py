@@ -26,7 +26,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import isqrt
 
-from .errors import DimensionMismatch, FieldMismatch
+from .errors import DimensionMismatch, FieldMismatch, IsoFailure
 
 
 def _is_prime(p):
@@ -346,8 +346,6 @@ class Mat:
 
     def inverse(self):
         """Inverse matrix; raises IsoFailure when not square or singular."""
-        from .errors import IsoFailure
-
         n = self.nrows
         if n != self.ncols:
             raise IsoFailure(f"not square: {self.nrows}x{self.ncols}")

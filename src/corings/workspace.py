@@ -6,16 +6,23 @@ A workspace file has top-level keys `field`, `algebras`, `modules`, `corings`,
 floats and booleans are rejected as inexact or not numbers).
 Comultiplications and coactions are given as lifts into the ambient (x)_k
 space with row-major pair indexing, so files never depend on internal pivot
-choices.  Loading validates every object; the first violation aborts with the
-object name and a witness.
+choices.  An extension lists its new right action as one matrix per basis
+element of the new base; an `ext` morphism spells the same data as one
+interleaved matrix C (x)_k B -> C, split on load and joined on dump here, so
+that both load as `category.ExtMorphism`.  Loading validates every object; the
+first violation aborts with the object name and a witness.
 
-Every bimodule built from file data is validated before a tensor over an
-algebra is presented from it, since presentations assume the bimodule laws:
-named modules by `Bimodule.check` (exit 1), inline coring carriers by the same
-check at parse time and the algebra map of a Sweedler fixture by
-`check_algebra_morphism` inside `sweedler_coring` (both exit 2, as input
-errors), and the actions of extensions and ext-morphisms and the algebra map
-of a corings morphism by their checkers, whose first law is exactly that.
+The shape of every value is checked before it reaches a constructor (exit 2):
+action lists must be arrays of matrices, group tables non-empty arrays of
+arrays of integers, and `labels`, when present, exactly `dim` strings.  Every
+bimodule built from file data is validated before a tensor over an algebra is
+presented from it, since presentations assume the bimodule laws: named modules
+by `Bimodule.check` (exit 1), inline coring carriers by the same check at parse
+time and the algebra map of a Sweedler fixture by `check_algebra_morphism`
+inside `sweedler_coring` (both exit 2, as input errors), and the actions of
+extensions and ext morphisms (by `check_ext_morphism`, in the same load loop)
+and the algebra map of a corings morphism by their checkers, whose first law
+is exactly that.
 """
 
 from __future__ import annotations
@@ -49,21 +56,15 @@ from .category import (
     trivial_corings_morphism,
 )
 from .constructions import (
-    EXTENSION_LAWS,
     grouplike_coalgebra,
-    make_right_extension,
     matrix_coalgebra,
-    regular_extension,
     sweedler_coring,
     trivial_coring,
-    trivial_extension,
     unit_coring,
-    unit_extension,
 )
-from .coring import CORING_LAWS, check_coring
+from .coring import CORING_LAWS, Coring, check_coring
 from .errors import (
     CoringsError,
-    ExtensionError,
     UnknownReference,
     ValidationFailure,
     WorkspaceSyntaxError,
@@ -74,7 +75,7 @@ LAWS_BY_KIND = {
     "algebra": ALGEBRA_LAWS,
     "module": BIMODULE_LAWS,
     "coring": CORING_LAWS,
-    "extension": EXTENSION_LAWS,
+    "extension": EXT_MORPHISM_LAWS,
     "ext-morphism": EXT_MORPHISM_LAWS,
     "corings-morphism": CORINGS_MORPHISM_LAWS,
     "monoidal": MONOIDAL_LAWS,
@@ -144,6 +145,35 @@ def _positive_int(spec, key, what):
     return value
 
 
+def _labels(spec, dim, what):
+    labels = spec.get("labels")
+    if labels is not None and not (
+        isinstance(labels, list) and len(labels) == dim
+        and all(isinstance(x, str) for x in labels)
+    ):
+        raise WorkspaceSyntaxError(f"{what}: labels must be {dim} strings")
+    return labels
+
+
+def _group_table(fx, what):
+    table = _require(fx, "table", what)
+    if not isinstance(table, list) or not table or not all(
+        isinstance(row, list) and all(x.__class__ is int for x in row) for row in table
+    ):
+        raise WorkspaceSyntaxError(
+            f"{what}: table must be a non-empty array of arrays of integers"
+        )
+    return table
+
+
+def _actions(ws, spec, key, dim, what):
+    """The dim x dim matrices of the array `spec[key]`."""
+    mats = _require(spec, key, what)
+    if not isinstance(mats, list):
+        raise WorkspaceSyntaxError(f"{what}: {key} must be an array of matrices")
+    return [_mat(ws.field, m, dim, dim, what) for m in mats]
+
+
 def _parse_field(spec):
     if not isinstance(spec, dict) or "kind" not in spec:
         raise WorkspaceSyntaxError('field: expected {"kind": "rationals" | "prime"}')
@@ -152,8 +182,8 @@ def _parse_field(spec):
         return Field.rationals()
     if kind == "prime":
         try:
-            return Field.prime(_require(spec, "p", "field"))
-        except (ValueError, TypeError) as e:
+            return Field.prime(_positive_int(spec, "p", "field"))
+        except ValueError as e:
             raise WorkspaceSyntaxError(f"field: {e}")
     raise WorkspaceSyntaxError(f"field: unknown kind {kind!r}")
 
@@ -169,20 +199,20 @@ def _parse_algebra(ws, name, spec):
             return dual_numbers(ws.field)
         if kind == "group_algebra":
             try:
-                return group_algebra(ws.field, _require(fx, "table", what))
+                return group_algebra(ws.field, _group_table(fx, what))
             except ValueError as e:
                 raise WorkspaceSyntaxError(f"{what}: {e}")
         raise WorkspaceSyntaxError(f"{what}: unknown fixture kind {kind!r}")
     dim = _positive_int(spec, "dim", what)
     table = _require(spec, "table", what)
+    unit = _require(spec, "unit", what)
+    labels = _labels(spec, dim, what)
     try:
         coerced = [
             [[ws.field.coerce(x) for x in vec] for vec in row] for row in table
         ]
         return FinDimAlgebra(
-            ws.field, dim, coerced,
-            [ws.field.coerce(x) for x in _require(spec, "unit", what)],
-            spec.get("labels"),
+            ws.field, dim, coerced, [ws.field.coerce(x) for x in unit], labels
         )
     except CoringsError as e:
         raise WorkspaceSyntaxError(f"{what}: {e}")
@@ -203,15 +233,10 @@ def _parse_module(ws, name, spec):
     left = _get_algebra(ws, _require(spec, "left", what), what)
     right = _get_algebra(ws, _require(spec, "right", what), what)
     dim = _positive_int(spec, "dim", what)
-    left_action = _require(spec, "left_action", what)
-    right_action = _require(spec, "right_action", what)
+    left_action = _actions(ws, spec, "left_action", dim, what)
+    right_action = _actions(ws, spec, "right_action", dim, what)
     try:
-        return Bimodule(
-            left, right, dim,
-            [_mat(ws.field, m, dim, dim, what) for m in left_action],
-            [_mat(ws.field, m, dim, dim, what) for m in right_action],
-            spec.get("labels"),
-        )
+        return Bimodule(left, right, dim, left_action, right_action, _labels(spec, dim, what))
     except CoringsError as e:
         if isinstance(e, WorkspaceSyntaxError):
             raise
@@ -227,8 +252,6 @@ def _get_coring(ws, ref, what):
 
 
 def _parse_coring(ws, name, spec):
-    from .coring import Coring
-
     what = f"coring {name}"
     if "fixture" in spec:
         fx = _object(spec["fixture"], f"{what}: fixture")
@@ -241,7 +264,7 @@ def _parse_coring(ws, name, spec):
             if kind == "matrix_coalgebra":
                 return matrix_coalgebra(_positive_int(fx, "n", what), ws.field)
             if kind == "grouplike":
-                return grouplike_coalgebra(_require(fx, "table", what), ws.field)
+                return grouplike_coalgebra(_group_table(fx, what), ws.field)
             if kind == "sweedler":
                 src = _get_algebra(ws, _require(fx, "source", what), what)
                 tgt = _get_algebra(ws, _require(fx, "target", what), what)
@@ -289,32 +312,27 @@ def _parse_extension(ws, name, spec):
         fx = _object(spec["fixture"], f"{what}: fixture")
         kind = _require(fx, "kind", what)
         c = _get_coring(ws, _require(fx, "coring", what), what)
-        builders = {
-            "regular": regular_extension,
-            "unit": unit_extension,
-            "trivial": trivial_extension,
-        }
+        builders = {"regular": ext_identity, "unit": ext_to_unit, "trivial": ext_to_trivial}
         if not isinstance(kind, str) or kind not in builders:
             raise WorkspaceSyntaxError(f"{what}: unknown fixture kind {kind!r}")
-        try:
-            return builders[kind](c)
-        except ExtensionError as e:
-            raise ValidationFailure(name, e.law, e.witness)
+        return builders[kind](c)
     c = _get_coring(ws, _require(spec, "coring", what), what)
     d = _get_coring(ws, _require(spec, "by", what), what)
-    mats = [
-        _mat(ws.field, m, c.dim, c.dim, what)
-        for m in _require(spec, "right_action", what)
-    ]
+    mats = _actions(ws, spec, "right_action", c.dim, what)
     if len(mats) != d.base.dim:
         raise WorkspaceSyntaxError(
             f"{what}: need one right-action matrix per basis element of the new base"
         )
     lift = _mat(ws.field, _require(spec, "coaction_lift", what), c.dim, c.dim * d.dim, what)
-    try:
-        return make_right_extension(c, d, mats, lift)
-    except ExtensionError as e:
-        raise ValidationFailure(name, e.law, e.witness)
+    return ExtMorphism(c, d, mats, lift)
+
+
+def _split_action(m, dim_c, dim_b):
+    """The interleaved action C (x)_k B -> C of a file entry, one matrix per basis element."""
+    return [
+        Mat(m.field, dim_c, dim_c, [m.rows[i * dim_b + j] for i in range(dim_c)])
+        for j in range(dim_b)
+    ]
 
 
 def _parse_morphism(ws, name, spec):
@@ -365,10 +383,11 @@ def _parse_morphism(ws, name, spec):
     tgt = _get_coring(ws, _require(spec, "target", what), what)
     try:
         if kind == "ext":
+            action = _mat(ws.field, _require(spec, "action", what),
+                          src.dim * tgt.base.dim, src.dim, what)
             return kind, ExtMorphism(
                 src, tgt,
-                _mat(ws.field, _require(spec, "action", what),
-                     src.dim * tgt.base.dim, src.dim, what),
+                _split_action(action, src.dim, tgt.base.dim),
                 _mat(ws.field, _require(spec, "coaction_lift", what),
                      src.dim, src.dim * tgt.dim, what),
             )
@@ -388,7 +407,7 @@ def _parse_morphism(ws, name, spec):
         raise WorkspaceSyntaxError(f"{what}: {e}")
 
 
-def _validate(name, kind, verdict):
+def _validate(name, verdict):
     if not verdict.ok:
         raise ValidationFailure(name, verdict.law, verdict.witness)
 
@@ -417,24 +436,23 @@ def parse_workspace(text, source="<workspace>"):
 
     for name, spec in entries("algebras"):
         a = _parse_algebra(ws, name, spec)
-        _validate(name, "algebra", check_algebra(a))
+        _validate(name, check_algebra(a))
         ws.algebras[name] = a
     for name, spec in entries("modules"):
         m = _parse_module(ws, name, spec)
-        _validate(name, "module", m.check())
+        _validate(name, m.check())
         ws.modules[name] = m
     for name, spec in entries("corings"):
         c = _parse_coring(ws, name, spec)
-        _validate(name, "coring", check_coring(c))
+        _validate(name, check_coring(c))
         ws.corings[name] = c
     for name, spec in entries("extensions"):
-        ws.extensions[name] = _parse_extension(ws, name, spec)
+        e = _parse_extension(ws, name, spec)
+        _validate(name, check_ext_morphism(e))
+        ws.extensions[name] = e
     for name, spec in entries("morphisms"):
         kind, m = _parse_morphism(ws, name, spec)
-        if kind == "ext":
-            _validate(name, kind, check_ext_morphism(m))
-        else:
-            _validate(name, kind, check_corings_morphism(m))
+        _validate(name, (check_ext_morphism if kind == "ext" else check_corings_morphism)(m))
         ws.morphisms[name] = (kind, m)
     return ws
 
@@ -535,9 +553,9 @@ class Dumper:
 
     def extension(self, e, name=None):
         entry = {
-            "coring": self.coring(e.c),
-            "by": self.coring(e.d),
-            "right_action": [mat_to_json(x) for x in e.bimodule.right_act],
+            "coring": self.coring(e.source),
+            "by": self.coring(e.target),
+            "right_action": [mat_to_json(x) for x in e.action_mats],
             "coaction_lift": mat_to_json(e.coact_lift),
         }
         if name is None:
@@ -547,11 +565,13 @@ class Dumper:
 
     def morphism(self, kind, m, name=None):
         if kind == "ext":
+            # Join the per-basis matrices into the file's interleaved C (x)_k B -> C.
+            mats = [mat_to_json(x) for x in m.action_mats]
             entry = {
                 "kind": "ext",
                 "source": self.coring(m.source),
                 "target": self.coring(m.target),
-                "action": mat_to_json(m.rho_action),
+                "action": [rows[i] for i in range(m.source.dim) for rows in mats],
                 "coaction_lift": mat_to_json(m.coact_lift),
             }
         else:

@@ -12,12 +12,9 @@ from corings import (
     grouplike_coalgebra,
     grouplike_corings_morphism,
     matrix_coalgebra,
-    regular_extension,
     trivial_coring,
     trivial_corings_morphism,
-    trivial_extension,
     unit_coring,
-    unit_extension,
 )
 from corings.algebras import CYCLIC_2, KLEIN_4, AlgebraMorphism
 from corings.linalg import Mat
@@ -67,15 +64,6 @@ def corings_morphism_family(field, family):
         ("c2_into_k4", grouplike_corings_morphism(corings["grouplike_c2"], gl4, [0, 1]))
     )
     return morphisms
-
-
-def extension_family(family):
-    corings = dict(family)
-    exts = [(f"regular_{name}", regular_extension(c)) for name, c in family]
-    exts.append(("unit_matrix2", unit_extension(corings["matrix2"])))
-    exts.append(("unit_grouplike", unit_extension(corings["grouplike_c2"])))
-    exts.append(("trivial_dual", trivial_extension(corings["dual_regular"])))
-    return exts
 
 
 @pytest.fixture(scope="session")

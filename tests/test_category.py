@@ -38,6 +38,7 @@ from corings.constructions import (
     grouplike_coalgebra,
     matrix_coalgebra,
     tensor_coring,
+    trivial_coring,
     unit_coring,
 )
 from corings.errors import InvalidMorphism, ObjectMismatch
@@ -69,15 +70,23 @@ class TestExtMorphisms:
 
     def test_zero_coaction_fails(self):
         mc = matrix_coalgebra(2, F5)
-        z = ExtMorphism(mc, mc, ext_identity(mc).rho_action,
+        z = ExtMorphism(mc, mc, ext_identity(mc).action_mats,
                         Mat(F5, 4, 16, [{} for _ in range(4)]))
         v = check_ext_morphism(z)
         assert not v.ok and v.law == "coaction"
 
+    def test_non_unital_action_trips_bimodule(self):
+        # The unit coring's base is k, so the one action matrix is that of 1.
+        mc = matrix_coalgebra(2, F5)
+        m = ExtMorphism(mc, unit_coring(F5), [Mat.identity(F5, 4).scale(2)],
+                        ext_to_unit(mc).coact_lift)
+        v = check_ext_morphism(m)
+        assert (v.law, v.witness) == ("bimodule", "unit acts as a non-identity matrix")
+
     def test_identity_action_is_the_initial_action(self):
         mc = matrix_coalgebra(2, F5)
         ei = ext_identity(mc)
-        assert ei.rho_action.is_identity()  # base is the ground field
+        assert [m.is_identity() for m in ei.action_mats] == [True]  # base is k
         assert ei.coact_lift == mc.comul_lift
 
 
@@ -120,14 +129,14 @@ class TestCotensorOracle:
             for g, f in chains:
                 a = ext_compose(g, f)
                 b = ext_compose_via_cotensor(g, f)
-                assert a.rho_action == b.rho_action
+                assert a.action_mats == b.action_mats
                 assert ext_morphisms_equal(a, b)
 
     def test_oracle_rejects_invalid_embedding(self):
         mc = matrix_coalgebra(2, F5)
         from corings.errors import IsoFailure
 
-        broken = ExtMorphism(mc, mc, ext_identity(mc).rho_action,
+        broken = ExtMorphism(mc, mc, ext_identity(mc).action_mats,
                              Mat(F5, 4, 16, [{} for _ in range(4)]))
         with pytest.raises(IsoFailure):
             ext_compose_via_cotensor(ext_identity(mc), broken)
@@ -141,7 +150,7 @@ class TestExtTensor:
             ext_identity(corings["matrix2"]), ext_identity(corings["grouplike_c2"]),
             source=t, target=t,
         )
-        assert lhs.rho_action == ext_identity(t).rho_action
+        assert lhs.action_mats == ext_identity(t).action_mats
         assert lhs.coact_lift == t.comul_lift
 
     def test_tensor_of_to_unit_morphisms(self, f5_family):
@@ -190,6 +199,22 @@ class TestCoringsMorphisms:
         m = CoringsMorphism(gl, gl, phi, corings_identity(gl).varphi)
         v = check_corings_morphism(m)
         assert not v.ok and v.law == "comultiplication-square"
+
+    def test_non_linear_carrier_map_trips_bilinearity(self):
+        du = trivial_coring(dual_numbers(F5))
+        phi = Mat.from_rows(F5, [[1, 0], [0, 0]])
+        v = check_corings_morphism(CoringsMorphism(du, du, phi, corings_identity(du).varphi))
+        assert (v.law, v.witness) == ("bilinearity", "carrier map is not left-linear over x")
+
+    def test_scaled_carrier_map_trips_counit_square(self):
+        gl = grouplike_coalgebra(CYCLIC_2, F5)
+        phi = Mat.identity(F5, 2).scale(2)
+        v = check_corings_morphism(CoringsMorphism(gl, gl, phi, corings_identity(gl).varphi))
+        assert (v.law, v.witness) == (
+            "counit-square",
+            "counit of the target after the carrier map differs from the algebra map "
+            "after the source counit",
+        )
 
     def test_non_multiplicative_algebra_map(self):
         bad = AlgebraMorphism(
@@ -246,7 +271,7 @@ class TestMonoidalVerifiers:
         corings = dict(f5_family)
         morphs = [m for _, m in f5_ext_morphisms]
         mc = corings["matrix2"]
-        bad = ExtMorphism(mc, unit_coring(F5), ext_to_unit(mc).rho_action,
+        bad = ExtMorphism(mc, unit_coring(F5), ext_to_unit(mc).action_mats,
                           Mat(F5, 4, 4, [{} for _ in range(4)]))
         idx = [name for name, _ in f5_ext_morphisms].index("to_unit_matrix2")
         morphs[idx] = bad

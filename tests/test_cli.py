@@ -5,7 +5,9 @@ every rational scalar as a `Fraction`; they pin the report bytes, the JSON
 report and the `--dump` file of the benchmark's Q command list.  Those under
 `golden/cli-f5/` (the same commands over F_5) and `golden/monoidal-f5/`
 (`verify-monoidal` with seed 1) were recorded from the code that rebuilt every
-tensor presentation on each call, before presentations were memoized.
+tensor presentation on each call, before presentations were memoized.  The
+`--dump` files of `extend-tensor` and `compose` on both workspaces were recorded
+while an ext morphism still stored its right action as one interleaved matrix.
 """
 
 import json
@@ -32,6 +34,11 @@ GOLDEN_CASES = {
     "compose_counit_m2_cid_m2": ["compose", "counit_m2", "cid_m2"],
     "base_extend_counit_sw": ["base-extend", "counit_sw"],
 }
+
+# Cases whose `--dump` file is pinned too; the report is the case's golden
+# plus the `dumped:` line.
+DUMP_CASES = ("extend_tensor_regular_dual_unit_m2", "compose_to_trivial_dual_id_dual")
+FAMILIES = ("cli-q", "cli-f5")
 
 MONOIDAL_CASES = {
     f"verify_monoidal_{kind}": ["--seed", "1", "verify-monoidal", kind]
@@ -70,6 +77,35 @@ def test_golden_f5_text_report(case, capsys, tmp_path, monkeypatch):
 @pytest.mark.parametrize("case", sorted(MONOIDAL_CASES))
 def test_golden_monoidal_report(case, capsys, tmp_path, monkeypatch):
     check_golden(capsys, tmp_path, monkeypatch, "monoidal-f5", case, MONOIDAL_CASES[case])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("case", DUMP_CASES)
+def test_golden_dump(case, family, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    golden = GOLDEN_ROOT / family
+    dump = f"{case}.dump.json"
+    code, out, err = run_cli(
+        capsys, WORKSPACES / f"{family}.json", *GOLDEN_CASES[case], "--dump", dump
+    )
+    assert (code, err) == (0, "")
+    assert out == (golden / f"{case}.txt").read_text(encoding="utf-8") + f"dumped: {dump}\n"
+    assert (tmp_path / dump).read_text(encoding="utf-8") == (golden / dump).read_text(
+        encoding="utf-8"
+    )
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("case", [*DUMP_CASES, "base_extend_counit_sw"])
+def test_dump_reloads_and_checks(case, family, capsys, tmp_path):
+    dump = tmp_path / "out.json"
+    code, _, err = run_cli(
+        capsys, WORKSPACES / f"{family}.json", *GOLDEN_CASES[case], "--dump", str(dump)
+    )
+    assert (code, err) == (0, "")
+    code, out, err = run_cli(capsys, dump, "check", "result")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "result: pass"
 
 
 def test_golden_json_report(capsys):

@@ -9,32 +9,26 @@ from corings.algebras import (
 )
 from corings.category import (
     CoringsMorphism,
+    ExtMorphism,
+    check_ext_morphism,
     corings_identity,
     counit_corings_morphism,
     ext_identity,
+    ext_tensor_morphisms,
+    ext_to_trivial,
+    ext_to_unit,
 )
 from corings.constructions import (
     base_ring_extension,
     grouplike_coalgebra,
-    make_right_extension,
     matrix_coalgebra,
-    regular_extension,
     sweedler_coring,
     tensor_coring,
-    tensor_extension,
     trivial_coring,
-    trivial_extension,
     unit_coring,
-    unit_extension,
 )
 from corings.coring import check_coring
-from corings.errors import (
-    DeltaNotRightLinear,
-    FieldMismatch,
-    NotACoaction,
-    NotColinear,
-    NotInjective,
-)
+from corings.errors import FieldMismatch, NotInjective
 from corings.linalg import Field, Mat
 from oracles import interchange_iso
 
@@ -134,26 +128,29 @@ class TestRightExtension:
     def test_regular_extension_of_each_fixture(self, field):
         for c in [unit_coring(field), trivial_coring(dual_numbers(field)),
                   matrix_coalgebra(2, field), grouplike_coalgebra(CYCLIC_2, field)]:
-            ext = regular_extension(c)
+            ext = ext_identity(c)
+            assert check_ext_morphism(ext).ok
             assert ext.coact_lift == c.comul_lift
 
     def test_trivial_extension(self):
         c = matrix_coalgebra(2, F5)
-        ext = trivial_extension(c)
-        assert ext.d.dim == c.base.dim
+        ext = ext_to_trivial(c)
+        assert check_ext_morphism(ext).ok
+        assert ext.target.dim == c.base.dim
 
     def test_unit_extension_of_every_coring(self):
         for c in [matrix_coalgebra(2, F5), trivial_coring(dual_numbers(Q)),
                   sweedler_coring(dual_inclusion(Q))]:
-            ext = unit_extension(c)
-            assert ext.d.dim == 1
+            ext = ext_to_unit(c)
+            assert check_ext_morphism(ext).ok
+            assert ext.target.dim == 1
 
     def test_delta_must_be_right_linear(self):
         gl = grouplike_coalgebra(CYCLIC_2, F5)
         ga = group_algebra(F5, CYCLIC_2)
         mats = [ga.right_regular_mat(j) for j in range(2)]
-        with pytest.raises(DeltaNotRightLinear):
-            make_right_extension(gl, trivial_coring(ga), mats, Mat(F5, 2, 4, [{}, {}]))
+        m = ExtMorphism(gl, trivial_coring(ga), mats, Mat(F5, 2, 4, [{}, {}]))
+        assert check_ext_morphism(m).law == "delta-right-linear"
 
     def test_flip_coaction_is_a_coaction_but_not_colinear(self):
         mc = matrix_coalgebra(2, F5)
@@ -162,41 +159,43 @@ class TestRightExtension:
             for j in range(2):
                 rows.append({(t * 2 + j) * 4 + (t * 2 + i): F5.one for t in range(2)})
         flip = Mat(F5, 4, 16, rows)
-        with pytest.raises(NotColinear):
-            make_right_extension(mc, mc, mc.carrier.right_act, flip)
+        m = ExtMorphism(mc, mc, mc.carrier.right_act, flip)
+        assert check_ext_morphism(m).law == "colinearity"
 
     def test_zero_coaction_rejected(self):
         mc = matrix_coalgebra(2, F5)
-        with pytest.raises(NotACoaction):
-            make_right_extension(
-                mc, mc, mc.carrier.right_act, Mat(F5, 4, 16, [{} for _ in range(4)])
-            )
+        m = ExtMorphism(mc, mc, mc.carrier.right_act, Mat(F5, 4, 16, [{} for _ in range(4)]))
+        assert check_ext_morphism(m).law == "coaction"
 
 
 class TestTensorExtension:
     def test_regular_pair_gives_regular_of_tensor(self):
         gl = grouplike_coalgebra(CYCLIC_2, F5)
         mc = matrix_coalgebra(2, F5)
-        te = tensor_extension(regular_extension(gl), regular_extension(mc))
+        te = ext_tensor_morphisms(ext_identity(gl), ext_identity(mc))
+        assert check_ext_morphism(te).ok
         assert te.coact_lift == tensor_coring(gl, mc).comul_lift
 
     def test_unit_pair(self):
         gl = grouplike_coalgebra(CYCLIC_2, F5)
         mc = matrix_coalgebra(2, F5)
-        te = tensor_extension(unit_extension(gl), unit_extension(mc))
-        assert te.d.dim == 1
+        te = ext_tensor_morphisms(ext_to_unit(gl), ext_to_unit(mc))
+        assert check_ext_morphism(te).ok
+        assert te.target.dim == 1
 
     def test_mixed_pair_over_f5(self):
-        te = tensor_extension(
-            regular_extension(grouplike_coalgebra(CYCLIC_2, F5)),
-            unit_extension(matrix_coalgebra(2, F5)),
+        te = ext_tensor_morphisms(
+            ext_identity(grouplike_coalgebra(CYCLIC_2, F5)),
+            ext_to_unit(matrix_coalgebra(2, F5)),
         )
-        assert te.c.dim == 8
+        assert check_ext_morphism(te).ok
+        assert te.source.dim == 8
 
     def test_nontrivial_bases(self):
         dr = trivial_coring(dual_numbers(Q))
-        te = tensor_extension(regular_extension(dr), trivial_extension(dr))
-        assert te.c.base.dim == 4
+        te = ext_tensor_morphisms(ext_identity(dr), ext_to_trivial(dr))
+        assert check_ext_morphism(te).ok
+        assert te.source.base.dim == 4
 
 
 class TestBaseRingExtension:
@@ -205,6 +204,7 @@ class TestBaseRingExtension:
         bre = base_ring_extension(corings_identity(mc))
         assert bre.coring.dim == mc.dim
         assert check_coring(bre.coring).ok
+        assert check_ext_morphism(bre.extension).ok
         assert (bre.embed @ bre.collapse).is_identity()
         assert (bre.collapse @ bre.embed).is_identity()
         mu, mu_inv = bre.collapse, bre.collapse.inverse()
@@ -225,9 +225,11 @@ class TestBaseRingExtension:
         bre = base_ring_extension(m)
         assert bre.coring.dim == 1
         assert check_coring(bre.coring).ok
+        assert check_ext_morphism(bre.extension).ok
 
     def test_counit_morphism(self):
         sw = sweedler_coring(dual_inclusion(Q))
         bre = base_ring_extension(counit_corings_morphism(sw))
         assert bre.coring.dim == sw.dim
         assert check_coring(bre.coring).ok
+        assert check_ext_morphism(bre.extension).ok

@@ -1,12 +1,19 @@
 """Workspace input through `cli.main`: bad documents exit 2 with a syntax error.
 
 Exit code 1 is reserved for a failed mathematical check, so a malformed file
-or an inexact scalar must never surface as a traceback or as exit 1.
+or an inexact scalar must never surface as a traceback or as exit 1.  A
+Hypothesis fuzzer edits one or two values or keys of a small workspace and
+holds every command to that contract.
 """
 
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corings import cli
 
@@ -134,6 +141,73 @@ MALFORMED["sweedler-map-not-multiplicative"] = (
 )
 
 
+def f5_doc(section, name, spec):
+    """A one-object F_5 workspace, with the ground algebra `k` and unit coring `u`."""
+    doc = {"field": F5, "algebras": {"k": {"fixture": {"kind": "ground"}}},
+           "corings": {"u": {"fixture": {"kind": "unit"}}}}
+    doc.setdefault(section, {})[name] = spec
+    return doc
+
+
+def grouplike_doc(table):
+    return f5_doc("corings", "c", {"fixture": {"kind": "grouplike", "table": table}})
+
+
+def group_algebra_doc(table):
+    return f5_doc("algebras", "g", {"fixture": {"kind": "group_algebra", "table": table}})
+
+
+def module_doc(**changes):
+    spec = {"left": "k", "right": "k", "dim": 2,
+            "left_action": [[[1, 0], [0, 1]]], "right_action": [[[1, 0], [0, 1]]]}
+    return f5_doc("modules", "m", {**spec, **changes})
+
+
+GROUP_TABLE = "table must be a non-empty array of arrays of integers"
+# Malformed shapes that escaped as Python exceptions, or loaded, before the
+# workspace checked them at the boundary.
+MALFORMED.update({
+    "grouplike-table-strings": (grouplike_doc([[0, "1"], ["1", 0]]), f"coring c: {GROUP_TABLE}"),
+    "grouplike-table-row-not-array": (grouplike_doc([[0, 1], 1]), f"coring c: {GROUP_TABLE}"),
+    "grouplike-table-bools": (grouplike_doc([[0, True], [True, 0]]), f"coring c: {GROUP_TABLE}"),
+    "grouplike-table-empty": (grouplike_doc([]), f"coring c: {GROUP_TABLE}"),
+    "group-algebra-table-ragged": (
+        group_algebra_doc([[0, 1], []]), "algebra g: group table must be square"
+    ),
+    "group-algebra-table-string": (
+        group_algebra_doc([[0, 1], [1, "0"]]), f"algebra g: {GROUP_TABLE}"
+    ),
+    "group-algebra-table-bools": (
+        group_algebra_doc([[0, True], [True, 0]]), f"algebra g: {GROUP_TABLE}"
+    ),
+    "module-action-not-array": (
+        module_doc(left_action=5), "module m: left_action must be an array of matrices"
+    ),
+    "module-labels-not-array": (module_doc(labels=5), "module m: labels must be 2 strings"),
+    "module-labels-too-short": (module_doc(labels=["a"]), "module m: labels must be 2 strings"),
+    "extension-action-not-array": (
+        f5_doc("extensions", "e", {"coring": "u", "by": "u", "right_action": 3,
+                                   "coaction_lift": [[1]]}),
+        "extension e: right_action must be an array of matrices",
+    ),
+    "field-p-float": (
+        {"field": {"kind": "prime", "p": 5.5}}, "field: p must be a positive integer"
+    ),
+    "field-p-string": (
+        {"field": {"kind": "prime", "p": "5"}}, "field: p must be a positive integer"
+    ),
+    "algebra-missing-unit": (
+        f5_doc("algebras", "a", {"dim": 1, "table": [[[1]]]}), "algebra a: missing key 'unit'"
+    ),
+    # e_0 e_1 = 0 breaks the unit law, whose witness would read the missing label.
+    "algebra-labels-too-short": (
+        f5_doc("algebras", "a", {"dim": 2, "table": [[[1, 0], [0, 0]], [[0, 1], [0, 0]]],
+                                 "unit": [1, 0], "labels": ["e"]}),
+        "algebra a: labels must be 2 strings",
+    ),
+})
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_workspace_is_a_syntax_error(case, capsys, tmp_path):
     doc, detail = MALFORMED[case]
@@ -143,7 +217,9 @@ def test_malformed_workspace_is_a_syntax_error(case, capsys, tmp_path):
     lines = out.splitlines()
     assert "error: syntax" in lines
     assert lines[-1] == "result: error"
-    assert any(line.startswith("detail: ") and detail in line for line in lines)
+    [line] = [line for line in lines if line.startswith("detail: ")]
+    assert detail in line
+    assert line.count(detail.split(": ")[0] + ": ") == 1  # the object is named once
 
 
 @pytest.mark.parametrize(
@@ -164,3 +240,126 @@ def test_exact_scalar_spellings_load(field, entry, capsys, tmp_path):
     code, out, err = run_doc(capsys, tmp_path, one_dim_algebra(field, entry), "dims", "a")
     assert (code, err) == (0, "")
     assert "dim: 1" in out.splitlines()
+
+
+# A small F_5 workspace with every section and both spellings (fixture and
+# inline) of each kind of object; every object loads and checks.
+I2 = [[1, 0], [0, 1]]
+FUZZ_BASE = {
+    "field": F5,
+    "algebras": {
+        "k": {"fixture": {"kind": "ground"}},
+        "d": {"fixture": {"kind": "dual_numbers"}},
+        "g": {"fixture": {"kind": "group_algebra", "table": [[0, 1], [1, 0]]}},
+        "a": {"dim": 1, "table": [[["1"]]], "unit": ["1"], "labels": ["1"]},
+    },
+    "modules": {
+        "m": {"left": "k", "right": "d", "dim": 2, "left_action": [I2],
+              "right_action": [I2, [[0, 1], [0, 0]]], "labels": ["p", "q"]},
+    },
+    "corings": {
+        "u": {"fixture": {"kind": "unit"}},
+        "t": {"fixture": {"kind": "trivial", "algebra": "d"}},
+        "c2": {"fixture": {"kind": "grouplike", "table": [[0, 1], [1, 0]]}},
+        "m2": {"fixture": {"kind": "matrix_coalgebra", "n": 2}},
+        "s": {"fixture": {"kind": "sweedler", "source": "k", "target": "d",
+                          "map": [["1", "0"]]}},
+        "i": {"base": "k", "carrier": {"left": "k", "right": "k", "dim": 1,
+                                       "left_action": [[[1]]], "right_action": [[[1]]]},
+              "comul_lift": [[1]], "counit": [[1]]},
+    },
+    "extensions": {
+        "r": {"fixture": {"kind": "regular", "coring": "t"}},
+        "e": {"coring": "c2", "by": "u", "right_action": [I2], "coaction_lift": I2},
+    },
+    "morphisms": {
+        "id": {"kind": "ext", "fixture": {"kind": "identity", "coring": "t"}},
+        "ic": {"kind": "ext", "fixture": {"kind": "identity", "coring": "c2"}},
+        "x": {"kind": "ext", "source": "c2", "target": "u", "action": I2,
+              "coaction_lift": I2},
+        "cu": {"kind": "corings", "fixture": {"kind": "counit", "coring": "t"}},
+        "cm": {"kind": "corings", "source": "c2", "target": "u", "alg_map": [[1]],
+               "phi": [[1], [1]]},
+        "gl": {"kind": "corings", "fixture": {"kind": "grouplike", "source": "c2",
+                                               "target": "c2", "mapping": [1, 0]}},
+        "tr": {"kind": "corings", "fixture": {"kind": "trivial", "source": "d",
+                                               "target": "k", "map": [[1], [0]]}},
+    },
+}
+FUZZ_VALUES = [0, 1, -1, 7, 2**70, "1", "x", "1/0", "0.5", "", True, None, 1.5, [], {},
+               [[]], [[1]], [0, 1], I2, {"kind": "unit"}, "u", "k", "d", "c2", "x"]
+FUZZ_KEYS = ["kind", "fixture", "dim", "labels", "zzz"]
+FUZZ_COMMANDS = [
+    ["dims", "s"], ["dims", "e"], ["check", "a"], ["check", "m"], ["check", "e"],
+    ["check", "x"], ["check", "gl"], ["tensor", "c2", "t"], ["extend-tensor", "r", "e"],
+    ["compose", "id", "id"], ["compose", "x", "ic"], ["compose", "cu", "cu"],
+    ["base-extend", "cm"], ["verify-monoidal", "ext"], ["verify-monoidal", "corings"],
+]
+
+
+def json_paths(node, prefix=()):
+    """The key path of every value below the root of a JSON tree."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from json_paths(value, prefix + (key,))
+
+
+def mutate(doc, path, op, arg):
+    """Set, delete or rename (in an array: duplicate) the value at `path`, if it resolves."""
+    parent, node = None, doc
+    for key in path:
+        if not (isinstance(node, dict) and key in node
+                or isinstance(node, list) and isinstance(key, int) and key < len(node)):
+            return
+        parent, node = node, node[key]
+    if op == "set":
+        parent[key] = copy.deepcopy(arg)
+    elif op == "delete":
+        del parent[key]
+    elif isinstance(parent, dict):
+        parent[arg] = parent.pop(key)
+    else:
+        parent.insert(key, copy.deepcopy(parent[key]))
+
+
+MUTATION = st.tuples(
+    st.sampled_from(list(json_paths(FUZZ_BASE))),
+    st.one_of(
+        st.tuples(st.just("set"), st.sampled_from(FUZZ_VALUES)),
+        st.tuples(st.just("delete"), st.none()),
+        st.tuples(st.just("rename"), st.sampled_from(FUZZ_KEYS)),
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "ws.json"
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(mutations=st.lists(MUTATION, min_size=1, max_size=2),
+       command=st.sampled_from(FUZZ_COMMANDS))
+def test_mutated_workspace_keeps_the_exit_contract(fuzz_file, mutations, command):
+    doc = copy.deepcopy(FUZZ_BASE)
+    for path, (op, arg) in mutations:
+        mutate(doc, path, op, arg)
+    fuzz_file.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["--json-report", "--workspace", str(fuzz_file), *command])
+    assert code in (0, 1, 2)
+    assert err.getvalue() == ""
+    json.loads(out.getvalue())
+
+
+def test_fuzz_base_loads_and_checks(capsys, tmp_path):
+    for command in FUZZ_COMMANDS:
+        code, out, err = run_doc(capsys, tmp_path, FUZZ_BASE, *command)
+        assert (code, err) == (0, ""), (command, out)
