@@ -2,10 +2,10 @@
 
 Everything is computed over the rationals or a prime field with exact
 arithmetic: algebras by structure constants, bimodules by action matrices,
-tensor products over an algebra as explicit quotients, corings and their
-comodules, right coring extensions, and the two monoidal categories built on
-them.  Every construction is paired with a machine checker that verifies the
-defining axioms as exact matrix identities.
+tensor products over an algebra as explicit quotients, corings, right coring
+extensions with the cotensor product behind their composition oracle, and the
+two monoidal categories built on them.  Every construction is paired with a
+machine checker that verifies the defining axioms as exact matrix identities.
 """
 
 from .algebras import (
@@ -62,13 +62,8 @@ from .constructions import (
     unit_coring,
 )
 from .coring import (
-    Bicomodule,
-    Comodule,
     Coring,
-    check_bicomodule,
-    check_comodule,
     check_coring,
-    check_left_colinear,
     cotensor,
 )
 from .linalg import Field, Mat, QuotientSpace, Subspace, kernel, quotient, rref

@@ -12,7 +12,6 @@ from .linalg import Mat
 from .verdict import Verdict, format_combo
 
 ALGEBRA_LAWS = ("unit", "associativity")
-ALGEBRA_MORPHISM_LAWS = ("unit", "multiplicativity")
 
 
 class FinDimAlgebra:
@@ -21,6 +20,8 @@ class FinDimAlgebra:
     def __init__(self, field, dim, table, unit, labels=None):
         if len(table) != dim or any(len(r) != dim for r in table):
             raise DimensionMismatch("structure-constant table must be dim x dim")
+        if labels is not None and len(labels) != dim:
+            raise DimensionMismatch(f"need {dim} labels, got {len(labels)}")
         self.field = field
         self.dim = dim
         self.table = [

@@ -39,7 +39,6 @@ from .linalg import Mat, Subspace, _Eliminator, _vadd, quotient
 from .verdict import Verdict
 
 BIMODULE_LAWS = ("left-module", "right-module", "commuting-actions")
-BIMODULE_MORPHISM_LAWS = ("left-linear", "right-linear")
 
 
 class Bimodule:
@@ -53,6 +52,8 @@ class Bimodule:
         for m in list(left_act) + list(right_act):
             if m.nrows != dim or m.ncols != dim or m.field != left_alg.field:
                 raise DimensionMismatch("action matrices must be dim x dim over the field")
+        if labels is not None and len(labels) != dim:
+            raise DimensionMismatch(f"need {dim} labels, got {len(labels)}")
         self.left_alg = left_alg
         self.right_alg = right_alg
         self.dim = dim
@@ -68,16 +69,6 @@ class Bimodule:
         if self.labels is not None:
             return self.labels[i]
         return f"e_{i}"
-
-    def forget_left(self):
-        k = ground_algebra(self.field)
-        return Bimodule(k, self.right_alg, self.dim,
-                        [Mat.identity(self.field, self.dim)], self.right_act, self.labels)
-
-    def forget_right(self):
-        k = ground_algebra(self.field)
-        return Bimodule(self.left_alg, k, self.dim,
-                        self.left_act, [Mat.identity(self.field, self.dim)], self.labels)
 
     def check(self):
         """Module laws on both sides and commutation of the two actions."""
@@ -456,6 +447,27 @@ def _kron_apply(field, f, g, ncols_g_src, ncols_g_tgt, vec):
     return out
 
 
+def descend(t_src, t_tgt, image):
+    """The map between two presented tensors induced by an ambient map.
+
+    `image` sends a sparse vector of the ambient space of t_src to one of the
+    ambient space of t_tgt.  It must send every source relation into the
+    target relations, or the map is not defined on the quotient
+    (DescentFailure).  Row s of the returned matrix is the class in t_tgt of
+    image(lift_src[s]).  Maps induced from ambient maps that are not known to
+    descend are built here, so that this is the one descent check.
+    """
+    relations = t_tgt.relations
+    for r in t_src.relations.basis.rows:
+        if not relations.contains(image(r)):
+            raise DescentFailure(
+                "ambient map does not send source relations into target relations"
+            )
+    project = t_tgt.quot.project_vec
+    rows = [project(image(r)) for r in t_src.quot.lift.rows]
+    return Mat(t_src.field, t_src.dim, t_tgt.dim, rows)
+
+
 def induced_map_on_tensor(f, g, t_src, t_tgt):
     """The map f (x)_B g between two presented tensors over the same middle algebra.
 
@@ -473,21 +485,10 @@ def induced_map_on_tensor(f, g, t_src, t_tgt):
     field = t_src.field
     nd_src = t_src.right_factor.dim
     nd_tgt = t_tgt.right_factor.dim
-
-    for r in t_src.relations.basis.rows:
-        img = _kron_apply(field, fm, gm, nd_src, nd_tgt, r)
-        if not t_tgt.relations.contains(img):
-            raise DescentFailure(
-                "ambient map does not send source relations into target relations"
-            )
-
-    rows = []
-    for s in range(t_src.dim):
-        img = _kron_apply(field, fm, gm, nd_src, nd_tgt, t_src.quot.lift.rows[s])
-        rows.append(t_tgt.quot.project_vec(img))
-    return BimoduleMorphism(
-        t_src.result, t_tgt.result, Mat(field, t_src.dim, t_tgt.dim, rows)
+    induced = descend(
+        t_src, t_tgt, lambda vec: _kron_apply(field, fm, gm, nd_src, nd_tgt, vec)
     )
+    return BimoduleMorphism(t_src.result, t_tgt.result, induced)
 
 
 def middle_swap(field, a, b, c, d):
@@ -554,30 +555,17 @@ def regrouped_id_tensor(t_src, g_lift, t_pair, t_left):
     triple tensor present X (x)_k Y1 (x)_k Y2 modulo R_{X,Y1} (x) Y2 +
     X (x) R_{Y1,Y2}, so this is id (x) g followed by the re-association,
     without presenting X (x) (Y1 (x) Y2).  A source relation whose image is
-    not zero raises DescentFailure.
+    not zero raises DescentFailure (`descend`).
     """
     field = t_src.field
     d_y = t_src.right_factor.dim
-    d_y1 = t_pair.right_factor.dim
     d_y2 = t_left.right_factor.dim
-    d_flat = d_y1 * d_y2
-    pair_project = t_pair.project.rows
+    d_flat = t_pair.right_factor.dim * d_y2
+    id_x = Mat.identity(field, t_src.left_factor.dim)
+    id_y2 = Mat.identity(field, d_y2)
 
     def image(vec):
-        flat = {}
-        for idx, val in vec.items():
-            x, y = divmod(idx, d_y)
-            _vadd(field, flat, {x * d_flat + k: v for k, v in g_lift.rows[y].items()}, val)
-        out = {}
-        for idx, val in flat.items():
-            xy1, y2 = divmod(idx, d_y2)
-            _vadd(field, out, {u * d_y2 + y2: v for u, v in pair_project[xy1].items()}, val)
-        return out
+        flat = _kron_apply(field, id_x, g_lift, d_y, d_flat, vec)
+        return _kron_apply(field, t_pair.project, id_y2, d_y2, d_y2, flat)
 
-    for r in t_src.relations.basis.rows:
-        if not t_left.relations.contains(image(r)):
-            raise DescentFailure(
-                "ambient map does not send source relations into target relations"
-            )
-    rows = [t_left.quot.project_vec(image(t_src.quot.lift.rows[s])) for s in range(t_src.dim)]
-    return Mat(field, t_src.dim, t_left.dim, rows)
+    return descend(t_src, t_left, image)

@@ -61,7 +61,8 @@ class Field:
 
     def __init__(self, p=None):
         if p is not None:
-            p = int(p)
+            if p.__class__ is bool or not isinstance(p, int):
+                raise TypeError(f"modulus must be an int, got {p!r}")
             if p >= 1 << 31:
                 raise ValueError(f"modulus {p} exceeds 2^31")
             if not _is_prime(p):

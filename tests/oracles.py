@@ -1,6 +1,6 @@
 """Constructions only the tests use: module-hom bases, unit embeddings, the
-tensor of algebra maps and the interchange isomorphism with its naturality
-square.
+unit map of an algebra, the tensor of algebra maps and the interchange
+isomorphism with its naturality square.
 
 They serve as independent oracles for the library: `interchange_iso` is the
 route `tensor_coring`'s middle swap must agree with, the unit embeddings
@@ -8,7 +8,7 @@ invert the library's unit collapses, and the hom-space helpers draw random
 module maps for functoriality checks.
 """
 
-from corings.algebras import AlgebraMorphism, tensor_algebra
+from corings.algebras import AlgebraMorphism, ground_algebra, tensor_algebra
 from corings.bimodules import (
     BimoduleMorphism,
     induced_map_on_tensor,
@@ -24,6 +24,16 @@ from corings.errors import (
 )
 from corings.linalg import Mat, _vadd, kernel
 from corings.verdict import Verdict
+
+
+def unit_map(a):
+    """The algebra map k -> A sending 1 to the unit of A.
+
+    Restricting one side of a bimodule along it leaves the ground field
+    acting there by scalars: a one-sided module seen as a bimodule.
+    """
+    return AlgebraMorphism(ground_algebra(a.field), a, Mat(a.field, 1, a.dim, [
+        {i: v for i, v in enumerate(a.unit) if v}]))
 
 
 def tensor_algebra_morphism(f, g):

@@ -5,12 +5,17 @@ eliminator that deferred back-substitution replaced).  `reference_present_tensor
 presents M (x)_B N from the relations of every basis element of B and
 re-checks that each induced outer action preserves the relation subspace (the
 builder that algebra-generator relations replaced).  Both must agree with the
-library exactly.
+library exactly.  `reference_delta_right_linearity` checks that the
+comultiplication commutes with a new right action by inducing that action on
+C (x)_A C by hand, descent check included (the routine that reading the action
+off `tensor_over_alg(C, M)` replaced); swapped in for the library's, it must
+leave every extension verdict unchanged.
 """
 
 from corings.bimodules import Bimodule, PresentedTensor
 from corings.errors import AlgebraMismatch, FieldMismatch
 from corings.linalg import Mat, Subspace, _vadd, _vscale, quotient
+from corings.verdict import Verdict
 
 
 class ReferenceEliminator:
@@ -142,3 +147,41 @@ def reference_present_tensor(m, n):
 
     result = Bimodule(m.left_alg, n.right_alg, quot.dim, left_mats, right_mats)
     return PresentedTensor(m, n, over, quot, result)
+
+
+def reference_delta_right_linearity(c, bimodule):
+    """Right linearity of the comultiplication for the new right action."""
+    field = c.field
+    b_alg = bimodule.right_alg
+    nd = c.dim
+    induced = []
+    for j in range(b_alg.dim):
+        rows_b = bimodule.right_act[j].rows
+
+        def img(vec, rows_b=rows_b):
+            out = {}
+            for idx, val in vec.items():
+                i, t = divmod(idx, nd)
+                _vadd(field, out, {i * nd + w: v for w, v in rows_b[t].items()}, val)
+            return out
+
+        for r in c.tens.relations.basis.rows:
+            if not c.tens.relations.contains(img(r)):
+                return Verdict.failed(
+                    "delta-right-linear",
+                    f"the right action of {b_alg.label(j)} on the second tensor leg "
+                    f"is not defined on C (x)_A C",
+                )
+        mat_rows = [
+            c.tens.quot.project_vec(img(c.tens.quot.lift.rows[s]))
+            for s in range(c.tens.dim)
+        ]
+        induced.append(Mat(field, c.tens.dim, c.tens.dim, mat_rows))
+    for j in range(b_alg.dim):
+        if bimodule.right_act[j] @ c.comul != c.comul @ induced[j]:
+            return Verdict.failed(
+                "delta-right-linear",
+                f"comultiplication does not commute with the right action of "
+                f"{b_alg.label(j)}",
+            )
+    return Verdict.passed(("delta-right-linear",))

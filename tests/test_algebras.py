@@ -14,7 +14,7 @@ from corings.algebras import (
     identity_morphism,
     tensor_algebra,
 )
-from corings.errors import FieldMismatch
+from corings.errors import DimensionMismatch, FieldMismatch
 from corings.linalg import Field, Mat
 from oracles import tensor_algebra_morphism
 
@@ -38,6 +38,13 @@ class TestCheckAlgebra:
         assert not v.ok
         assert v.law == "unit"
         assert "index 0" in v.witness
+
+    def test_labels_must_fit_the_dimension(self):
+        # With one label for two basis elements, the failing unit law of this
+        # table would name index 1 by a label that is not there.
+        table = [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]
+        with pytest.raises(DimensionMismatch):
+            FinDimAlgebra(Q, 2, table, [0, 1], labels=["e"])
 
     def test_non_associative_table(self):
         # x*x = y, x*y = 1, y*x = y*y = 0, so (x*x)*x differs from x*(x*x).

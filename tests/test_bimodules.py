@@ -18,13 +18,14 @@ from corings.bimodules import (
     middle_swap,
     regrouped_id_tensor,
     regular_bimodule,
+    restrict_scalars,
     right_unit_collapse,
     scalar_bimodule,
     tensor_over_alg,
     tensor_over_k,
 )
 from corings.constructions import sweedler_coring, trivial_coring
-from corings.errors import AlgebraMismatch, DescentFailure, FieldMismatch
+from corings.errors import AlgebraMismatch, DescentFailure, DimensionMismatch, FieldMismatch
 from corings.linalg import Field, Mat, Subspace
 from oracles import (
     InterchangeFixtures,
@@ -34,6 +35,7 @@ from oracles import (
     module_hom_space,
     random_module_hom,
     right_unit_embed,
+    unit_map,
 )
 
 Q = Field.rationals()
@@ -58,6 +60,12 @@ class TestBimodule:
                        regular_bimodule(a).right_act)
         v = bad.check()
         assert not v.ok and v.law == "left-module"
+
+    @pytest.mark.parametrize("labels", [["u"], ["u", "v", "w"]])
+    def test_labels_must_fit_the_dimension(self, labels):
+        with pytest.raises(DimensionMismatch):
+            scalar_bimodule(F5, 2, labels=labels)
+        assert scalar_bimodule(F5, 2, labels=["u", "v"]).label(1) == "v"
 
     def test_non_commuting_actions(self):
         a = dual_numbers(Q)
@@ -145,7 +153,7 @@ def cache_cases():
     return [
         (dual, dual),
         (twisted_dual_regular(), dual),
-        (regular_bimodule(k4), regular_bimodule(k4).forget_right()),
+        (regular_bimodule(k4), restrict_scalars(regular_bimodule(k4), right=unit_map(k4))),
         (scalar_bimodule(F5, 2), scalar_bimodule(F5, 3)),
         (tensor_over_k(dual, dual), regular_bimodule(tensor_algebra(
             dual_numbers(Q), dual_numbers(Q)))),
@@ -279,7 +287,7 @@ class TestInterchangeIso:
 class TestNaturality:
     @pytest.fixture
     def square(self, dual_regular):
-        m = dual_regular.forget_left()
+        m = restrict_scalars(dual_regular, left=unit_map(dual_regular.left_alg))
         return InterchangeFixtures(m, m, m, m, dual_regular, dual_regular)
 
     def test_identity_square(self, square):
@@ -287,7 +295,7 @@ class TestNaturality:
         assert check_interchange_naturality(ident, ident, square).ok
 
     def test_random_right_linear_maps(self, square, dual_regular):
-        m = dual_regular.forget_left()
+        m = restrict_scalars(dual_regular, left=unit_map(dual_regular.left_alg))
         homs = module_hom_space(m, m, "right")
         assert len(homs) == 2
         rng = random.Random(23)
@@ -335,7 +343,7 @@ def two_route_shapes(c):
     coaction: X = Y1 = C, Y = Y2 = M the regular left comodule and g its
     coaction.  t_y presents Y1 (x) Y2, the tensor g lands in.
     """
-    m = c.carrier.forget_right()
+    m = restrict_scalars(c.carrier, right=unit_map(c.base))
     t_cm = tensor_over_alg(c.carrier, m)
     return {
         "coassociativity": (c.tens, c.comul_lift, c.tens, c.tens),

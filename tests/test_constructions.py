@@ -150,7 +150,12 @@ class TestRightExtension:
         ga = group_algebra(F5, CYCLIC_2)
         mats = [ga.right_regular_mat(j) for j in range(2)]
         m = ExtMorphism(gl, trivial_coring(ga), mats, Mat(F5, 2, 4, [{}, {}]))
-        assert check_ext_morphism(m).law == "delta-right-linear"
+        v = check_ext_morphism(m)
+        assert (v.law, v.witness, v.laws_passed) == (
+            "delta-right-linear",
+            "comultiplication does not commute with the right action of g_1",
+            ("bimodule",),
+        )
 
     def test_flip_coaction_is_a_coaction_but_not_colinear(self):
         mc = matrix_coalgebra(2, F5)

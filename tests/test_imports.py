@@ -7,9 +7,16 @@ so are `from __future__` imports.  In `src/corings/`, a function-local
 `from .X import ...` is allowed only where the file has no module-level import
 from `.X`: such an import exists to break an import cycle, as `constructions`
 does for `.category`.
+
+A second scan finds dead definitions: every module-level function, class and
+constant of `src/corings/*.py` (again bar `__init__.py`) must be read, as a
+name or an attribute, somewhere in `src/` or `tests/` outside its own
+definition.
 """
 
 import ast
+from collections import Counter
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -72,3 +79,63 @@ def test_scan_sees_a_redundant_local_import():
 @pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
 def test_no_redundant_local_imports(path):
     assert redundant_local_imports(path.read_text()) == []
+
+
+def read_names(tree):
+    """How often each name is read, as a loaded name or as an attribute, in `tree`."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        or isinstance(n, ast.Attribute)
+    )
+
+
+def unread_definitions(source, elsewhere):
+    """(line, name) of the module-level definitions of `source` that nothing reads.
+
+    A definition is read when a name or attribute of that spelling is loaded
+    in `source` outside the definition itself, or counted in `elsewhere`.
+    """
+    tree = ast.parse(source)
+    reads = read_names(tree) + elsewhere
+    unread = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        own = read_names(node)
+        unread += [(node.lineno, n) for n in names if reads[n] <= own[n]]
+    return sorted(unread)
+
+
+@cache
+def file_reads(path):
+    return read_names(ast.parse(path.read_text()))
+
+
+def test_scan_sees_an_unread_definition():
+    source = (
+        "A = 1\n"
+        "B: int = A\n"
+        "def f(n):\n"
+        "    return f(n - 1)\n"
+        "class C:\n"
+        "    def same(self, other):\n"
+        "        return isinstance(other, C)\n"
+        "def g():\n"
+        "    return B\n"
+    )
+    assert unread_definitions(source, Counter()) == [(3, "f"), (5, "C"), (8, "g")]
+    assert unread_definitions(source, Counter(["f", "g"])) == [(5, "C")]
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_no_unread_definitions(path):
+    elsewhere = sum((file_reads(p) for p in FILES if p != path), Counter())
+    assert unread_definitions(path.read_text(), elsewhere) == []

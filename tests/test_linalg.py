@@ -37,6 +37,11 @@ class TestField:
         with pytest.raises(ValueError):
             Field.prime(1)
 
+    @pytest.mark.parametrize("p", [5.5, 5.0, "5", True], ids=repr)
+    def test_modulus_must_be_an_int(self, p):
+        with pytest.raises(TypeError):
+            Field.prime(p)
+
     def test_modulus_bound(self):
         with pytest.raises(ValueError):
             Field.prime((1 << 31) + 11)

@@ -6,6 +6,13 @@ algebra only and trusts the bimodule laws of its (validated) factors.
 basis element, eliminates them with the reference eliminator and re-checks
 that the outer actions preserve the relations.  On every (M, N) the CLI
 presents for the benchmark corpus, both must agree exactly.
+
+The right linearity of an extension's comultiplication reads the new right
+action on C (x)_A C off `tensor_over_alg(C, M)`, M the carrier with that
+action: the relations of that presentation depend on the left action of M
+only, which is C's.  On every extension of the corpus it must present what
+the tensor square does, and the checker must give the verdict that the
+hand-induced action of `reference_delta_right_linearity` gives.
 """
 
 from pathlib import Path
@@ -13,18 +20,21 @@ from unittest import mock
 
 import pytest
 
-from corings import bimodules, cli
+from corings import bimodules, cli, constructions
 from corings.algebras import (
+    CYCLIC_2,
     KLEIN_4,
     dual_numbers,
     ground_algebra,
     group_algebra,
     tensor_algebra,
 )
-from corings.bimodules import _algebra_generators
-from corings.linalg import Field, Subspace
+from corings.bimodules import _algebra_generators, tensor_over_alg
+from corings.category import ExtMorphism, check_ext_morphism
+from corings.constructions import grouplike_coalgebra, trivial_coring
+from corings.linalg import Field, Mat, Subspace
 from corings.workspace import load_workspace
-from reference import reference_present_tensor
+from reference import reference_delta_right_linearity, reference_present_tensor
 
 WORKSPACES = Path(__file__).resolve().parents[1] / "perfbench" / "workspaces"
 FIELDS = {"Q": Field.rationals(), "F5": Field.prime(5)}
@@ -123,3 +133,44 @@ def test_generators_are_needed():
     gens = _algebra_generators(a)
     for g in gens:
         assert closure(a, [h for h in gens if h != g]).dim < a.dim
+
+
+def corpus_extensions():
+    """Every extension and ext morphism the three benchmark workspaces load."""
+    found = []
+    for name in ("cli-q", "cli-f5", "monoidal-f5"):
+        ws = load_workspace(WORKSPACES / f"{name}.json")
+        found += ws.extensions.values()
+        found += [m for kind, m in ws.morphisms.values() if kind == "ext"]
+    return found
+
+
+def not_right_linear():
+    """k[C2] acting on the right of the grouplike coalgebra: a bimodule whose
+    comultiplication is not right linear."""
+    f5 = Field.prime(5)
+    ga = group_algebra(f5, CYCLIC_2)
+    mats = [ga.right_regular_mat(j) for j in range(2)]
+    return ExtMorphism(grouplike_coalgebra(CYCLIC_2, f5), trivial_coring(ga), mats,
+                       Mat(f5, 2, 4, [{}, {}]))
+
+
+def test_new_action_presents_the_tensor_square():
+    extensions = corpus_extensions()
+    assert len(extensions) == 18
+    for e in extensions:
+        t = tensor_over_alg(e.source.carrier, e.bimodule)
+        assert t.relations.basis == e.source.tens.relations.basis
+        assert t.relations.pivots == e.source.tens.relations.pivots
+        assert t.project == e.source.tens.project
+
+
+def test_right_linearity_matches_the_reference():
+    cases = [*corpus_extensions(), not_right_linear()]
+    got = [check_ext_morphism(e) for e in cases]
+    with mock.patch.object(constructions, "_delta_right_linearity",
+                           reference_delta_right_linearity):
+        want = [check_ext_morphism(e) for e in cases]
+    assert got == want
+    assert got[-1].law == "delta-right-linear"
+    assert all(v.ok for v in got[:-1])
