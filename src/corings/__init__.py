@@ -37,7 +37,6 @@ from .category import (
     corings_compose,
     corings_identity,
     corings_tensor_morphisms,
-    corings_to_ext,
     counit_corings_morphism,
     ext_compose,
     ext_compose_via_cotensor,
@@ -52,7 +51,6 @@ from .category import (
     verify_ext_monoidal,
 )
 from .constructions import (
-    BaseRingExtension,
     base_ring_extension,
     grouplike_coalgebra,
     matrix_coalgebra,

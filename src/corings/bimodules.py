@@ -33,7 +33,6 @@ from .errors import (
     DescentFailure,
     DimensionMismatch,
     FieldMismatch,
-    IsoFailure,
 )
 from .linalg import Mat, Subspace, _Eliminator, _vadd, quotient
 from .verdict import Verdict
@@ -432,19 +431,30 @@ def _as_mat(f):
     return f.map if isinstance(f, BimoduleMorphism) else f
 
 
-def _kron_apply(field, f, g, ncols_g_src, ncols_g_tgt, vec):
+def _kron_apply(f, g, vec):
     """Image of a sparse ambient vector under f (x) g without materializing it."""
     out = {}
+    field = f.field
     p = field.p
     for idx, val in vec.items():
-        i, j = divmod(idx, ncols_g_src)
+        i, j = divmod(idx, g.nrows)
         gi = g.rows[j]
         for u, fv in f.rows[i].items():
-            base = u * ncols_g_tgt
+            base = u * g.ncols
             coeff = val * fv if p is None else (val * fv) % p
             if coeff:
                 _vadd(field, out, {base + w: v for w, v in gi.items()}, coeff)
     return out
+
+
+def push(t_tgt, image, rows):
+    """Row i is the class in t_tgt of image(rows[i]).
+
+    Nothing is checked: the caller must know, from a law it has already
+    checked, that the classes do not depend on the representatives in `rows`.
+    """
+    project = t_tgt.quot.project_vec
+    return Mat(t_tgt.field, len(rows), t_tgt.dim, [project(image(r)) for r in rows])
 
 
 def descend(t_src, t_tgt, image):
@@ -454,8 +464,9 @@ def descend(t_src, t_tgt, image):
     ambient space of t_tgt.  It must send every source relation into the
     target relations, or the map is not defined on the quotient
     (DescentFailure).  Row s of the returned matrix is the class in t_tgt of
-    image(lift_src[s]).  Maps induced from ambient maps that are not known to
-    descend are built here, so that this is the one descent check.
+    image(lift_src[s]).  A law whose map is known to descend, because an
+    earlier law of its checker implies it, pushes its lift rows through
+    `push` instead and skips this check.
     """
     relations = t_tgt.relations
     for r in t_src.relations.basis.rows:
@@ -463,9 +474,7 @@ def descend(t_src, t_tgt, image):
             raise DescentFailure(
                 "ambient map does not send source relations into target relations"
             )
-    project = t_tgt.quot.project_vec
-    rows = [project(image(r)) for r in t_src.quot.lift.rows]
-    return Mat(t_src.field, t_src.dim, t_tgt.dim, rows)
+    return push(t_tgt, image, t_src.quot.lift.rows)
 
 
 def induced_map_on_tensor(f, g, t_src, t_tgt):
@@ -482,12 +491,7 @@ def induced_map_on_tensor(f, g, t_src, t_tgt):
         raise DimensionMismatch("left map incompatible with the tensor factors")
     if gm.nrows != t_src.right_factor.dim or gm.ncols != t_tgt.right_factor.dim:
         raise DimensionMismatch("right map incompatible with the tensor factors")
-    field = t_src.field
-    nd_src = t_src.right_factor.dim
-    nd_tgt = t_tgt.right_factor.dim
-    induced = descend(
-        t_src, t_tgt, lambda vec: _kron_apply(field, fm, gm, nd_src, nd_tgt, vec)
-    )
+    induced = descend(t_src, t_tgt, lambda vec: _kron_apply(fm, gm, vec))
     return BimoduleMorphism(t_src.result, t_tgt.result, induced)
 
 
@@ -507,65 +511,29 @@ def middle_swap(field, a, b, c, d):
     return Mat(field, total, total, rows)
 
 
-def left_unit_collapse(t):
-    """Inverse of a (x) m -> class(a (x) m) for t = A (x)_A M: sends it to a.m."""
-    field = t.field
-    m = t.right_factor
-    nd = m.dim
-    rows = []
-    for s in range(t.dim):
-        out = {}
-        for idx, val in t.quot.lift.rows[s].items():
-            i, j = divmod(idx, nd)
-            _vadd(field, out, m.left_act[i].rows[j], val)
-        rows.append(out)
-    mat = Mat(field, t.dim, nd, rows)
-    if t.dim != nd:
-        raise IsoFailure("left unit collapse is not square")
-    mat.inverse()
-    return mat
+def regrouped_image(g_lift, t_pair, t_left):
+    """Ambient map of id (x) g read in (X (x) Y1) (x) Y2, with no descent check.
 
-
-def right_unit_collapse(t):
-    """m (x) a -> m.a for t = M (x)_A A, verified invertible."""
-    field = t.field
-    m = t.left_factor
-    nd = t.right_factor.dim
-    rows = []
-    for s in range(t.dim):
-        out = {}
-        for idx, val in t.quot.lift.rows[s].items():
-            i, j = divmod(idx, nd)
-            _vadd(field, out, m.right_act[j].rows[i], val)
-        rows.append(out)
-    mat = Mat(field, t.dim, m.dim, rows)
-    if t.dim != m.dim:
-        raise IsoFailure("right unit collapse is not square")
-    mat.inverse()
-    return mat
+    g_lift lifts g: Y -> Y1 (x) Y2 into the ambient Y1 (x)_k Y2, t_pair
+    presents X (x) Y1 and t_left presents t_pair.result (x) Y2.  A vector of
+    X (x)_k Y goes to (project_pair (x) id)(id (x) g_lift) of it, in the
+    ambient space of t_left.  Both groupings of the triple tensor present
+    X (x)_k Y1 (x)_k Y2 modulo R_{X,Y1} (x) Y2 + X (x) R_{Y1,Y2}, so this is
+    id (x) g followed by the re-association, without presenting
+    X (x) (Y1 (x) Y2).
+    """
+    field = g_lift.field
+    id_x = Mat.identity(field, t_pair.left_factor.dim)
+    id_y2 = Mat.identity(field, t_left.right_factor.dim)
+    return lambda vec: _kron_apply(t_pair.project, id_y2, _kron_apply(id_x, g_lift, vec))
 
 
 def regrouped_id_tensor(t_src, g_lift, t_pair, t_left):
     """id (x) g: X (x) Y -> X (x) (Y1 (x) Y2), read in (X (x) Y1) (x) Y2.
 
-    t_src presents X (x) Y, g_lift lifts g: Y -> Y1 (x) Y2 into the ambient
-    Y1 (x)_k Y2, t_pair presents X (x) Y1 and t_left presents
-    t_pair.result (x) Y2.  Row s is the class in t_left of
-    (project_pair (x) id)(id (x) g_lift)(lift_src[s]).  Both groupings of the
-    triple tensor present X (x)_k Y1 (x)_k Y2 modulo R_{X,Y1} (x) Y2 +
-    X (x) R_{Y1,Y2}, so this is id (x) g followed by the re-association,
-    without presenting X (x) (Y1 (x) Y2).  A source relation whose image is
-    not zero raises DescentFailure (`descend`).
+    t_src presents X (x) Y and the other arguments are those of
+    `regrouped_image`.  Row s is the class in t_left of the image of
+    lift_src[s].  A source relation whose image is not zero raises
+    DescentFailure (`descend`).
     """
-    field = t_src.field
-    d_y = t_src.right_factor.dim
-    d_y2 = t_left.right_factor.dim
-    d_flat = t_pair.right_factor.dim * d_y2
-    id_x = Mat.identity(field, t_src.left_factor.dim)
-    id_y2 = Mat.identity(field, d_y2)
-
-    def image(vec):
-        flat = _kron_apply(field, id_x, g_lift, d_y, d_flat, vec)
-        return _kron_apply(field, t_pair.project, id_y2, d_y2, d_y2, flat)
-
-    return descend(t_src, t_left, image)
+    return descend(t_src, t_left, regrouped_image(g_lift, t_pair, t_left))

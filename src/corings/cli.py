@@ -19,7 +19,6 @@ from .category import (
     check_corings_morphism,
     check_ext_morphism,
     corings_compose,
-    corings_to_ext,
     ext_compose,
     ext_compose_via_cotensor,
     ext_morphisms_equal,
@@ -27,7 +26,7 @@ from .category import (
     verify_corings_monoidal,
     verify_ext_monoidal,
 )
-from .constructions import tensor_coring
+from .constructions import base_ring_extension, tensor_coring
 from .coring import check_coring
 from .errors import CoringsError, UnknownReference, ValidationFailure, WorkspaceError
 from .workspace import LAWS_BY_KIND, Dumper, load_workspace
@@ -205,7 +204,7 @@ def _cmd_base_extend(ws, args, report):
     report["morphism"] = args.morphism
     out_name = args.out or "result"
     report["out"] = out_name
-    ext = corings_to_ext(m)
+    ext = base_ring_extension(m)
     report["coring-dim"] = str(ext.source.dim)
     report["base-dim"] = str(ext.source.base.dim)
     verdict = check_coring(ext.source)

@@ -1,17 +1,23 @@
-"""Constructions only the tests use: module-hom bases, unit embeddings, the
-unit map of an algebra, the tensor of algebra maps and the interchange
-isomorphism with its naturality square.
+"""Constructions only the tests use: module-hom bases, unit embeddings and
+collapses, the comparison maps of a base ring extension, the unit map of an
+algebra, the tensor of algebra maps and the interchange isomorphism with its
+naturality square.
 
 They serve as independent oracles for the library: `interchange_iso` is the
-route `tensor_coring`'s middle swap must agree with, the unit embeddings
-invert the library's unit collapses, and the hom-space helpers draw random
-module maps for functoriality checks.
+route `tensor_coring`'s middle swap must agree with, the unit collapses
+A (x)_A M -> M and M (x)_A A -> M (verified invertible, inverted by the unit
+embeddings) give the counit laws' route through a presented unit tensor,
+`base_extension_maps` relates a base ring extension to the coring it
+extends, and the hom-space helpers draw random module maps for
+functoriality checks.
 """
 
 from corings.algebras import AlgebraMorphism, ground_algebra, tensor_algebra
 from corings.bimodules import (
     BimoduleMorphism,
     induced_map_on_tensor,
+    regular_bimodule,
+    restrict_scalars,
     tensor_over_alg,
     tensor_over_k,
 )
@@ -200,6 +206,86 @@ def right_unit_embed(t):
         vec = {i * nd + j: c for j, c in enumerate(a.unit) if c}
         rows.append(t.quot.project_vec(vec))
     return Mat(field, t.left_factor.dim, t.dim, rows)
+
+
+def left_unit_collapse(t):
+    """Inverse of a (x) m -> class(a (x) m) for t = A (x)_A M: sends it to a.m."""
+    field = t.field
+    m = t.right_factor
+    nd = m.dim
+    rows = []
+    for s in range(t.dim):
+        out = {}
+        for idx, val in t.quot.lift.rows[s].items():
+            i, j = divmod(idx, nd)
+            _vadd(field, out, m.left_act[i].rows[j], val)
+        rows.append(out)
+    mat = Mat(field, t.dim, nd, rows)
+    if t.dim != nd:
+        raise IsoFailure("left unit collapse is not square")
+    mat.inverse()
+    return mat
+
+
+def right_unit_collapse(t):
+    """m (x) a -> m.a for t = M (x)_A A, verified invertible."""
+    field = t.field
+    m = t.left_factor
+    nd = t.right_factor.dim
+    rows = []
+    for s in range(t.dim):
+        out = {}
+        for idx, val in t.quot.lift.rows[s].items():
+            i, j = divmod(idx, nd)
+            _vadd(field, out, m.right_act[j].rows[i], val)
+        rows.append(out)
+    mat = Mat(field, t.dim, m.dim, rows)
+    if t.dim != m.dim:
+        raise IsoFailure("right unit collapse is not square")
+    mat.inverse()
+    return mat
+
+
+def base_extension_maps(m):
+    """The comparison maps of the base ring extension of (phi, varphi): (C:A) -> (D:B).
+
+    Returns (collapse, embed) for X = B (x)_A C (x)_A B presented as
+    `base_ring_extension` presents it: collapse sends b (x) c (x) b' to
+    b phi(c) b' in D, and embed sends c to the class of 1 (x) c (x) 1.
+    """
+    c, d = m.source, m.target
+    b_alg = d.base
+    field = c.field
+    b_left = restrict_scalars(regular_bimodule(b_alg), right=m.varphi)
+    b_right = restrict_scalars(regular_bimodule(b_alg), left=m.varphi)
+    t_bc = tensor_over_alg(b_left, c.carrier)
+    t_bcb = tensor_over_alg(t_bc.result, b_right)
+    dim_b, dim_c = b_alg.dim, c.dim
+    collapse_rows = []
+    for s in range(t_bcb.dim):
+        row = {}
+        for idx, val in t_bcb.quot.lift.rows[s].items():
+            u, l = divmod(idx, dim_b)
+            for bc_idx, bc_val in t_bc.quot.lift.rows[u].items():
+                b_i, c_j = divmod(bc_idx, dim_c)
+                coeff = field.mul(val, bc_val)
+                # b_i . phi(c_j) . b_l through the bimodule structure of D
+                for t, v in m.phi.rows[c_j].items():
+                    for u2, uv in d.carrier.left_act[b_i].rows[t].items():
+                        _vadd(field, row, d.carrier.right_act[l].rows[u2],
+                              field.mul(coeff, field.mul(v, uv)))
+        collapse_rows.append(row)
+    collapse = Mat(field, t_bcb.dim, d.dim, collapse_rows)
+
+    unit_b = {i: v for i, v in enumerate(b_alg.unit) if v}
+    embed_rows = []
+    for j in range(dim_c):
+        bc = t_bc.quot.project_vec({i * dim_c + j: v for i, v in unit_b.items()})
+        amb = {}
+        for u, uv in bc.items():
+            _vadd(field, amb, {u * dim_b + l: lv for l, lv in unit_b.items()}, uv)
+        embed_rows.append(t_bcb.quot.project_vec(amb))
+    return collapse, Mat(field, dim_c, t_bcb.dim, embed_rows)
 
 
 def module_hom_space(m, n, side="right"):

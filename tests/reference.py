@@ -10,12 +10,36 @@ comultiplication commutes with a new right action by inducing that action on
 C (x)_A C by hand, descent check included (the routine that reading the action
 off `tensor_over_alg(C, M)` replaced); swapped in for the library's, it must
 leave every extension verdict unchanged.
+
+`reference_check_coring`, `reference_right_coaction_verdict`,
+`reference_coaction_compatibility` and `reference_check_corings_morphism` are
+the law checkers that induced whole maps on presented tensors: each two-route
+law builds the induced matrix through `descend`, with its descent check, and
+multiplies it by the projected comultiplication or coaction, and each counit
+law presents the unit tensor A (x)_A C, C (x)_A A or M (x)_B B, induces the
+counit on it and collapses it with a verified inverse (the checkers that
+evaluating each law on the rows of its lift replaced).  On inputs that meet
+the library checkers' preconditions both must give the same verdict, law,
+witness and passed laws.
 """
 
-from corings.bimodules import Bimodule, PresentedTensor
-from corings.errors import AlgebraMismatch, FieldMismatch
+from corings.algebras import check_algebra_morphism
+from corings.bimodules import (
+    Bimodule,
+    BimoduleMorphism,
+    PresentedTensor,
+    _kron_apply,
+    descend,
+    induced_map_on_tensor,
+    regrouped_id_tensor,
+    regular_bimodule,
+    restrict_scalars,
+    tensor_over_alg,
+)
+from corings.errors import AlgebraMismatch, DescentFailure, FieldMismatch
 from corings.linalg import Mat, Subspace, _vadd, _vscale, quotient
-from corings.verdict import Verdict
+from corings.verdict import Verdict, first_difference, format_combo
+from oracles import left_unit_collapse, right_unit_collapse
 
 
 class ReferenceEliminator:
@@ -185,3 +209,186 @@ def reference_delta_right_linearity(c, bimodule):
                 f"{b_alg.label(j)}",
             )
     return Verdict.passed(("delta-right-linear",))
+
+
+def _reference_counit_leg(law, what, coact, f, g, t_src, t_unit, collapse, label, passed):
+    """One counit law: collapse o (f (x) g) o coact must be the identity."""
+    try:
+        leg = induced_map_on_tensor(f, g, t_src, t_unit).map @ collapse(t_unit)
+    except DescentFailure as e:
+        return Verdict.failed(law, str(e), passed)
+    got = coact @ leg
+    i = first_difference(got, Mat.identity(got.field, got.nrows))
+    if i is None:
+        return None
+    return Verdict.failed(
+        law,
+        f"{label(i)}: {what} = {format_combo(got.rows[i], label, got.field.fmt)} != {label(i)}",
+        passed,
+    )
+
+
+def reference_check_coring(c):
+    """Bilinearity, coassociativity, and both counit laws, with a witness."""
+    passed = []
+
+    v = BimoduleMorphism(c.carrier, c.tens.result, c.comul).check()
+    if not v.ok:
+        return Verdict.failed("bilinearity", f"comultiplication: {v.witness}", passed)
+    v = c.counit.check()
+    if not v.ok:
+        return Verdict.failed("bilinearity", f"counit: {v.witness}", passed)
+    passed.append("bilinearity")
+
+    ident = Mat.identity(c.field, c.dim)
+    try:
+        t_left = tensor_over_alg(c.tens.result, c.carrier)
+        lhs = c.comul @ induced_map_on_tensor(c.comul, ident, c.tens, t_left).map
+        rhs = c.comul @ regrouped_id_tensor(c.tens, c.comul_lift, c.tens, t_left)
+    except DescentFailure as e:
+        return Verdict.failed("coassociativity", str(e), passed)
+    i = first_difference(lhs, rhs)
+    if i is not None:
+        return Verdict.failed(
+            "coassociativity",
+            f"{c.label(i)}: the two triple coproducts differ",
+            passed,
+        )
+    passed.append("coassociativity")
+
+    unit_tensor_right = tensor_over_alg(c.carrier, regular_bimodule(c.base))
+    v = _reference_counit_leg("right-counit", "(C (x) counit) o comul", c.comul, ident,
+                              c.counit_mat, c.tens, unit_tensor_right,
+                              right_unit_collapse, c.label, passed)
+    if v is not None:
+        return v
+    passed.append("right-counit")
+
+    unit_tensor_left = tensor_over_alg(regular_bimodule(c.base), c.carrier)
+    v = _reference_counit_leg("left-counit", "(counit (x) C) o comul", c.comul,
+                              c.counit_mat, ident, c.tens, unit_tensor_left,
+                              left_unit_collapse, c.label, passed)
+    if v is not None:
+        return v
+    passed.append("left-counit")
+    return Verdict.passed(passed)
+
+
+def reference_right_coaction_verdict(carrier, d, coact_lift):
+    """Right-coaction laws for rho: M -> M (x)_B D on an (*, B)-bimodule M."""
+    passed = []
+    field = carrier.field
+    t_md = tensor_over_alg(carrier, d.carrier)
+    rho = coact_lift @ t_md.project
+
+    for j in range(carrier.right_alg.dim):
+        if carrier.right_act[j] @ rho != rho @ t_md.result.right_act[j]:
+            return Verdict.failed(
+                "coaction-linearity",
+                f"coaction does not commute with the right action of "
+                f"{carrier.right_alg.label(j)}",
+                passed,
+            )
+    passed.append("coaction-linearity")
+
+    try:
+        t_l = tensor_over_alg(t_md.result, d.carrier)
+        lhs = rho @ induced_map_on_tensor(
+            rho, Mat.identity(field, d.dim), t_md, t_l
+        ).map
+        rhs = rho @ regrouped_id_tensor(t_md, d.comul_lift, t_md, t_l)
+    except DescentFailure as e:
+        return Verdict.failed("coaction-coassociativity", str(e), passed)
+    i = first_difference(lhs, rhs)
+    if i is not None:
+        return Verdict.failed(
+            "coaction-coassociativity",
+            f"{carrier.label(i)}: the coaction is not coassociative",
+            passed,
+        )
+    passed.append("coaction-coassociativity")
+
+    v = _reference_counit_leg("coaction-counit", "(M (x) counit) o coaction", rho,
+                              Mat.identity(field, carrier.dim), d.counit_mat, t_md,
+                              tensor_over_alg(carrier, regular_bimodule(d.base)),
+                              right_unit_collapse, carrier.label, passed)
+    if v is not None:
+        return v
+    passed.append("coaction-counit")
+    return Verdict.passed(passed)
+
+
+def reference_coaction_compatibility(c, d, carrier, left_lift, right_lift):
+    """Commutation of a left C-coaction with a right D-coaction on one carrier."""
+    field = carrier.field
+    t_cm = tensor_over_alg(c.carrier, carrier)
+    t_md = tensor_over_alg(carrier, d.carrier)
+    lam = left_lift @ t_cm.project
+    rho = right_lift @ t_md.project
+    try:
+        t_l = tensor_over_alg(t_cm.result, d.carrier)
+        lhs = rho @ induced_map_on_tensor(
+            lam, Mat.identity(field, d.dim), t_md, t_l
+        ).map
+        rhs = lam @ regrouped_id_tensor(t_cm, right_lift, t_cm, t_l)
+    except DescentFailure as e:
+        return Verdict.failed("colinearity", str(e))
+    i = first_difference(lhs, rhs)
+    if i is not None:
+        return Verdict.failed(
+            "colinearity",
+            f"{carrier.label(i)}: the two coactions do not commute",
+        )
+    return Verdict.passed(("colinearity",))
+
+
+def reference_check_corings_morphism(m):
+    """Algebra map, bilinearity, counit square, and the comultiplication square."""
+    passed = []
+    v = check_algebra_morphism(m.varphi)
+    if not v.ok:
+        return Verdict.failed("algebra-morphism", f"{v.law}: {v.witness}", passed)
+    passed.append("algebra-morphism")
+
+    restricted = restrict_scalars(m.target.carrier, left=m.varphi, right=m.varphi)
+    for i in range(m.source.base.dim):
+        if m.source.carrier.left_act[i] @ m.phi != m.phi @ restricted.left_act[i]:
+            return Verdict.failed(
+                "bilinearity",
+                f"carrier map is not left-linear over {m.source.base.label(i)}",
+                passed,
+            )
+        if m.source.carrier.right_act[i] @ m.phi != m.phi @ restricted.right_act[i]:
+            return Verdict.failed(
+                "bilinearity",
+                f"carrier map is not right-linear over {m.source.base.label(i)}",
+                passed,
+            )
+    passed.append("bilinearity")
+
+    if m.source.counit_mat @ m.varphi.map != m.phi @ m.target.counit_mat:
+        return Verdict.failed(
+            "counit-square",
+            "counit of the target after the carrier map differs from the algebra "
+            "map after the source counit",
+            passed,
+        )
+    passed.append("counit-square")
+
+    try:
+        phi_phi = descend(
+            m.source.tens, m.target.tens, lambda vec: _kron_apply(m.phi, m.phi, vec)
+        )
+    except DescentFailure as e:
+        return Verdict.failed("comultiplication-square", str(e), passed)
+    lhs = m.phi @ m.target.comul
+    rhs = m.source.comul @ phi_phi
+    i = first_difference(lhs, rhs)
+    if i is not None:
+        return Verdict.failed(
+            "comultiplication-square",
+            f"{m.source.label(i)}: the comultiplication square does not commute",
+            passed,
+        )
+    passed.append("comultiplication-square")
+    return Verdict.passed(passed)

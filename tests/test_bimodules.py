@@ -14,12 +14,10 @@ from corings import bimodules
 from corings.bimodules import (
     Bimodule,
     induced_map_on_tensor,
-    left_unit_collapse,
     middle_swap,
     regrouped_id_tensor,
     regular_bimodule,
     restrict_scalars,
-    right_unit_collapse,
     scalar_bimodule,
     tensor_over_alg,
     tensor_over_k,
@@ -31,9 +29,11 @@ from oracles import (
     InterchangeFixtures,
     check_interchange_naturality,
     interchange_iso,
+    left_unit_collapse,
     left_unit_embed,
     module_hom_space,
     random_module_hom,
+    right_unit_collapse,
     right_unit_embed,
     unit_map,
 )

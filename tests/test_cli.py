@@ -132,3 +132,19 @@ def test_verify_monoidal_reports_vacuous_associator(capsys, tmp_path):
     assert "check.associator: vacuous" in lines
     assert "check.interchange: pass" in lines
     assert lines[-1] == "result: pass"
+
+
+@pytest.mark.parametrize("category", ["ext", "corings"])
+def test_verify_monoidal_on_an_empty_family_is_vacuous(category, capsys, tmp_path):
+    # Every law holds on zero instances: no failed math check, so exit 0.
+    ws = tmp_path / "empty.json"
+    ws.write_text(json.dumps({"field": {"kind": "prime", "p": 5}}))
+    code, out, err = run_cli(capsys, ws, "verify-monoidal", category)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-5:] == [
+        "check.identity-preservation: vacuous",
+        "check.interchange: vacuous",
+        "check.unit-isomorphisms: vacuous",
+        "check.associator: vacuous",
+        "result: pass",
+    ]

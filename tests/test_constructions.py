@@ -30,7 +30,7 @@ from corings.constructions import (
 from corings.coring import check_coring
 from corings.errors import FieldMismatch, NotInjective
 from corings.linalg import Field, Mat
-from oracles import interchange_iso
+from oracles import base_extension_maps, interchange_iso
 
 Q = Field.rationals()
 F5 = Field.prime(5)
@@ -206,18 +206,20 @@ class TestTensorExtension:
 class TestBaseRingExtension:
     def test_identity_morphism_recovers_the_coring(self):
         mc = matrix_coalgebra(2, F5)
-        bre = base_ring_extension(corings_identity(mc))
-        assert bre.coring.dim == mc.dim
-        assert check_coring(bre.coring).ok
-        assert check_ext_morphism(bre.extension).ok
-        assert (bre.embed @ bre.collapse).is_identity()
-        assert (bre.collapse @ bre.embed).is_identity()
-        mu, mu_inv = bre.collapse, bre.collapse.inverse()
-        transported = mu_inv @ bre.extension.coact_lift @ mu.kron(Mat.identity(F5, 4))
+        m = corings_identity(mc)
+        ext = base_ring_extension(m)
+        collapse, embed = base_extension_maps(m)
+        assert ext.source.dim == mc.dim
+        assert check_coring(ext.source).ok
+        assert check_ext_morphism(ext).ok
+        assert (embed @ collapse).is_identity()
+        assert (collapse @ embed).is_identity()
+        mu, mu_inv = collapse, collapse.inverse()
+        transported = mu_inv @ ext.coact_lift @ mu.kron(Mat.identity(F5, 4))
         assert transported @ mc.tens.project == mc.comul
         ei = ext_identity(mc)
         for j in range(mc.base.dim):
-            assert mu_inv @ bre.extension.bimodule.right_act[j] @ mu == ei.action_mats[j]
+            assert mu_inv @ ext.bimodule.right_act[j] @ mu == ei.action_mats[j]
 
     def test_collapse_to_ground_field(self):
         sw = sweedler_coring(dual_inclusion(Q))
@@ -227,14 +229,14 @@ class TestBaseRingExtension:
         m = CoringsMorphism(
             sw, unit_coring(Q), sw.counit_mat @ collapse.map, collapse
         )
-        bre = base_ring_extension(m)
-        assert bre.coring.dim == 1
-        assert check_coring(bre.coring).ok
-        assert check_ext_morphism(bre.extension).ok
+        ext = base_ring_extension(m)
+        assert ext.source.dim == 1
+        assert check_coring(ext.source).ok
+        assert check_ext_morphism(ext).ok
 
     def test_counit_morphism(self):
         sw = sweedler_coring(dual_inclusion(Q))
-        bre = base_ring_extension(counit_corings_morphism(sw))
-        assert bre.coring.dim == sw.dim
-        assert check_coring(bre.coring).ok
-        assert check_ext_morphism(bre.extension).ok
+        ext = base_ring_extension(counit_corings_morphism(sw))
+        assert ext.source.dim == sw.dim
+        assert check_coring(ext.source).ok
+        assert check_ext_morphism(ext).ok

@@ -9,7 +9,7 @@ from corings.algebras import (
 )
 from corings.bimodules import (
     induced_map_on_tensor,
-    left_unit_collapse,
+    regular_bimodule,
     restrict_scalars,
     scalar_bimodule,
     tensor_over_alg,
@@ -28,7 +28,7 @@ from corings.coring import (
     right_coaction_verdict,
 )
 from corings.linalg import Field, Mat
-from oracles import unit_map
+from oracles import left_unit_collapse, unit_map
 
 Q = Field.rationals()
 F5 = Field.prime(5)
@@ -109,9 +109,10 @@ class TestComodule:
 class TestLeftColinear:
     def test_counit_leg_collapse_is_identity_and_colinear(self):
         mc = matrix_coalgebra(2, F5)
+        unit_tensor = tensor_over_alg(regular_bimodule(mc.base), mc.carrier)
         leg = induced_map_on_tensor(
-            mc.counit_mat, Mat.identity(F5, 4), mc.tens, mc.unit_tensor_left
-        ).map @ left_unit_collapse(mc.unit_tensor_left)
+            mc.counit_mat, Mat.identity(F5, 4), mc.tens, unit_tensor
+        ).map @ left_unit_collapse(unit_tensor)
         f = mc.comul @ leg
         assert f.is_identity()
         # f then comul is the comultiplication again: a valid extension of C by C.
