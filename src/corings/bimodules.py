@@ -13,7 +13,9 @@ those of its factors, and the unit's relations vanish.  The factors must
 therefore satisfy the bimodule laws; inputs are validated where they enter
 the program (workspace load, the extension and morphism checkers), not on
 every build.  Maps into such a tensor are supplied as lifts into the ambient
-(x)_k space, which keeps user input independent of pivot choices.
+(x)_k space, which keeps user input independent of pivot choices.  The outer
+actions of a presentation (`PresentedTensor.result`) are induced on first
+read, since most presentations are only projected into.
 
 tensor_over_alg memoizes its presentations for the life of the process, keyed
 on the structure of the two factors (what Bimodule.__eq__ compares; labels are
@@ -242,12 +244,25 @@ def tensor_over_k(m, n):
 class PresentedTensor:
     """M (x)_B N as a quotient of M (x)_k N with explicit project and lift."""
 
-    def __init__(self, left_factor, right_factor, over, quot, result):
+    def __init__(self, left_factor, right_factor, over, quot):
         self.left_factor = left_factor
         self.right_factor = right_factor
         self.over = over
         self.quot = quot
-        self.result = result
+
+    @cached_property
+    def result(self):
+        """M (x)_B N as an (A, C)-bimodule, its outer actions induced on first read.
+
+        Commuting actions on the factors make a (x) id and id (x) c preserve
+        the relations, so the lift rows are pushed with no descent check.
+        """
+        m, n = self.left_factor, self.right_factor
+        rows = self.quot.lift.rows
+        id_m, id_n = Mat.identity(self.field, m.dim), Mat.identity(self.field, n.dim)
+        left = [push(self, lambda v, a=a: _kron_apply(a, id_n, v), rows) for a in m.left_act]
+        right = [push(self, lambda v, c=c: _kron_apply(id_m, c, v), rows) for c in n.right_act]
+        return Bimodule(m.left_alg, n.right_alg, self.dim, left, right)
 
     @property
     def dim(self):
@@ -359,9 +374,8 @@ def tensor_over_alg(m, n):
 def _present_tensor(m, n):
     """Build the presentation of M (x)_B N, uncached.
 
-    The factors must be bimodules.  The module laws make the relations of
-    the algebra generators of B span all relations, and commuting actions
-    make the outer actions preserve them, so neither is re-checked here.
+    The factors must be bimodules: the module laws make the relations of the
+    algebra generators of B span all relations, which is not re-checked here.
     """
     if m.field != n.field:
         raise FieldMismatch("tensor factors over different fields")
@@ -388,43 +402,7 @@ def _present_tensor(m, n):
                     gens.append(g)
     relations = Subspace.from_generators(field, ambient_dim, gens)
     quot = quotient(ambient_dim, relations)
-
-    def induce(amb_row_image):
-        rows = []
-        for s in range(quot.dim):
-            img = amb_row_image(quot.lift.rows[s])
-            rows.append(quot.project_vec(img))
-        return Mat(field, quot.dim, quot.dim, rows)
-
-    def left_image(p):
-        lp = m.left_act[p].rows
-
-        def img(vec):
-            out = {}
-            for idx, val in vec.items():
-                i, j = divmod(idx, nd)
-                _vadd(field, out, {u * nd + j: v for u, v in lp[i].items()}, val)
-            return out
-
-        return img
-
-    def right_image(q):
-        rq = n.right_act[q].rows
-
-        def img(vec):
-            out = {}
-            for idx, val in vec.items():
-                i, j = divmod(idx, nd)
-                _vadd(field, out, {i * nd + w: v for w, v in rq[j].items()}, val)
-            return out
-
-        return img
-
-    left_mats = [induce(left_image(p)) for p in range(m.left_alg.dim)]
-    right_mats = [induce(right_image(q)) for q in range(n.right_alg.dim)]
-
-    result = Bimodule(m.left_alg, n.right_alg, quot.dim, left_mats, right_mats)
-    return PresentedTensor(m, n, over, quot, result)
+    return PresentedTensor(m, n, over, quot)
 
 
 def _as_mat(f):
@@ -495,20 +473,27 @@ def induced_map_on_tensor(f, g, t_src, t_tgt):
     return BimoduleMorphism(t_src.result, t_tgt.result, induced)
 
 
-def middle_swap(field, a, b, c, d):
-    """Permutation (X1 (x) X2) (x) (Y1 (x) Y2) -> (X1 (x) Y1) (x) (X2 (x) Y2).
+def regrouped_kron(f, g, b, d):
+    """f (x) g regrouped from (X1 (x) X2) (x) (Y1 (x) Y2) to (X1 (x) Y1) (x) (X2 (x) Y2).
 
-    Index ((x,y),(z,w)) is sent to ((x,z),(y,w)) in row-major coordinates.
+    f maps into X1 (x)_k X2 with dim X2 = b and g into Y1 (x)_k Y2 with
+    dim Y2 = d, both in row-major pair indexing.  Row (i, i') holds the
+    products of row i of f and row i' of g, each written straight to its
+    regrouped column ((x, z), (y, w)).
     """
-    one = field.one
-    total = a * b * c * d
+    field = f.field
+    c = g.ncols // d
     rows = []
-    for x in range(a):
-        for y in range(b):
-            for z in range(c):
-                for w in range(d):
-                    rows.append({((x * c + z) * b + y) * d + w: one})
-    return Mat(field, total, total, rows)
+    for fr in f.rows:
+        for gr in g.rows:
+            out = {}
+            for idx, v in fr.items():
+                x, y = divmod(idx, b)
+                for idx2, v2 in gr.items():
+                    z, w = divmod(idx2, d)
+                    out[((x * c + z) * b + y) * d + w] = field.mul(v, v2)
+            rows.append(out)
+    return Mat(field, f.nrows * g.nrows, f.ncols * g.ncols, rows)
 
 
 def regrouped_image(g_lift, t_pair, t_left):

@@ -28,7 +28,7 @@ from .algebras import (
 )
 from .bimodules import (
     Bimodule,
-    middle_swap,
+    regrouped_kron,
     regular_bimodule,
     restrict_scalars,
     scalar_bimodule,
@@ -48,16 +48,16 @@ from .verdict import Verdict
 def tensor_coring(c, c2):
     """The coring C (x)_k C' over A (x)_k A'.
 
-    The comultiplication lift sends c (x) c' to the middle-swap of the two
-    lifts, whose projection equals the regrouping iso applied after
-    comul (x) comul'; the counit is exactly counit (x) counit'.
+    The comultiplication lift sends c (x) c' to the two lifts' product
+    regrouped into (C (x) C') (x) (C (x) C'), whose projection equals the
+    regrouping iso applied after comul (x) comul'; the counit is exactly
+    counit (x) counit'.
     """
     if c.field != c2.field:
         raise FieldMismatch("tensor corings over different fields")
     base = tensor_algebra(c.base, c2.base)
     carrier = tensor_over_k(c.carrier, c2.carrier)
-    swap = middle_swap(c.field, c.dim, c.dim, c2.dim, c2.dim)
-    comul_lift = c.comul_lift.kron(c2.comul_lift) @ swap
+    comul_lift = regrouped_kron(c.comul_lift, c2.comul_lift, c.dim, c2.dim)
     counit = c.counit_mat.kron(c2.counit_mat)
     return Coring(base, carrier, comul_lift, counit)
 

@@ -418,6 +418,8 @@ def parse_workspace(text, source="<workspace>"):
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise WorkspaceSyntaxError(f"{source}:{e.lineno}: {e.msg}")
+    except RecursionError:
+        raise WorkspaceSyntaxError(f"{source}: arrays or objects nested too deep")
     if not isinstance(doc, dict):
         raise WorkspaceSyntaxError(f"{source}: top level must be an object")
     for key in doc:
@@ -459,7 +461,10 @@ def parse_workspace(text, source="<workspace>"):
 
 def load_workspace(path):
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise WorkspaceSyntaxError(f"{path}: not UTF-8 at byte {e.start}")
     return parse_workspace(text, source=str(path))
 
 

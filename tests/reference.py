@@ -21,9 +21,17 @@ counit on it and collapses it with a verified inverse (the checkers that
 evaluating each law on the rows of its lift replaced).  On inputs that meet
 the library checkers' preconditions both must give the same verdict, law,
 witness and passed laws.
+
+`middle_swap` is the permutation matrix that tensor lifts were regrouped with
+(`regrouped_kron` writes each product entry to its regrouped column instead).
+`reference_verify_monoidal` is the monoidal verifier that checked each unitor
+and the associator as morphisms, with the category's checker, and checked
+every composite once per square it appears in (the verifier that compares
+corings for the strict structure and checks each composite once replaced).
+On a family whose corings are all valid both must give the same verdict.
 """
 
-from corings.algebras import check_algebra_morphism
+from corings.algebras import AlgebraMorphism, check_algebra_morphism, identity_morphism
 from corings.bimodules import (
     Bimodule,
     BimoduleMorphism,
@@ -36,6 +44,24 @@ from corings.bimodules import (
     restrict_scalars,
     tensor_over_alg,
 )
+from corings.category import (
+    MAX_SQUARES,
+    MAX_TRIPLES,
+    CoringsMorphism,
+    ExtMorphism,
+    _composable_pairs,
+    _sampled,
+    check_corings_morphism,
+    check_ext_morphism,
+    corings_compose,
+    corings_identity,
+    corings_tensor_morphisms,
+    ext_compose,
+    ext_identity,
+    ext_morphisms_equal,
+    ext_tensor_morphisms,
+)
+from corings.constructions import tensor_coring, unit_coring
 from corings.errors import AlgebraMismatch, DescentFailure, FieldMismatch
 from corings.linalg import Mat, Subspace, _vadd, _vscale, quotient
 from corings.verdict import Verdict, first_difference, format_combo
@@ -169,8 +195,9 @@ def reference_present_tensor(m, n):
         check_preserved(img, f"right action of {n.right_alg.label(q)}")
         right_mats.append(induce(img))
 
-    result = Bimodule(m.left_alg, n.right_alg, quot.dim, left_mats, right_mats)
-    return PresentedTensor(m, n, over, quot, result)
+    t = PresentedTensor(m, n, over, quot)
+    t.result = Bimodule(m.left_alg, n.right_alg, quot.dim, left_mats, right_mats)
+    return t
 
 
 def reference_delta_right_linearity(c, bimodule):
@@ -392,3 +419,166 @@ def reference_check_corings_morphism(m):
         )
     passed.append("comultiplication-square")
     return Verdict.passed(passed)
+
+
+def middle_swap(field, a, b, c, d):
+    """Permutation (X1 (x) X2) (x) (Y1 (x) Y2) -> (X1 (x) Y1) (x) (X2 (x) Y2).
+
+    Index ((x,y),(z,w)) is sent to ((x,z),(y,w)) in row-major coordinates.
+    """
+    one = field.one
+    total = a * b * c * d
+    rows = []
+    for x in range(a):
+        for y in range(b):
+            for z in range(c):
+                for w in range(d):
+                    rows.append({((x * c + z) * b + y) * d + w: one})
+    return Mat(field, total, total, rows)
+
+
+def reference_verify_monoidal(corings, morphisms, seed, kind):
+    """Four-phase monoidal verifier that checks the unitors and associator as morphisms.
+
+    The tensor builders no longer take their ends, so identity preservation
+    compares with the identity of a tensor coring formed here; the builders
+    form an equal one.
+    """
+    is_ext = kind == "ext"
+    passed = []
+    vacuous = []
+
+    def failed(law, witness):
+        return Verdict.failed(law, witness, passed, vacuous)
+
+    def held(law, instances):
+        passed.append(law)
+        if not instances:
+            vacuous.append(law)
+
+    identity_of = ext_identity if is_ext else corings_identity
+    tensor_of = ext_tensor_morphisms if is_ext else corings_tensor_morphisms
+    compose = ext_compose if is_ext else corings_compose
+    check = check_ext_morphism if is_ext else check_corings_morphism
+
+    def morphs_equal(a, b):
+        if is_ext:
+            return ext_morphisms_equal(a, b)
+        return a == b
+
+    for i in range(len(corings)):
+        for j in range(len(corings)):
+            t = tensor_coring(corings[i], corings[j])
+            lhs = tensor_of(identity_of(corings[i]), identity_of(corings[j]))
+            rhs = identity_of(t)
+            same = (
+                lhs.action_mats == rhs.action_mats and lhs.coact_lift == rhs.coact_lift
+                if is_ext
+                else lhs == rhs
+            )
+            if not same:
+                return failed(
+                    "identity-preservation",
+                    f"tensor of the identities of corings {i} and {j} is not the "
+                    f"identity of their tensor",
+                )
+    held("identity-preservation", corings)
+
+    pairs = _composable_pairs(morphisms)
+    squares = _sampled(
+        [(p, q) for p in pairs for q in pairs], MAX_SQUARES[kind], seed
+    )
+    for (gi, fi), (gj, fj) in squares:
+        g, f = morphisms[gi], morphisms[fi]
+        g2, f2 = morphisms[gj], morphisms[fj]
+        comp1 = compose(g, f)
+        v = check(comp1)
+        if not v.ok:
+            return failed(
+                "interchange",
+                f"composite of morphisms {gi} after {fi} is not a valid morphism "
+                f"({v.law}: {v.witness})",
+            )
+        comp2 = compose(g2, f2)
+        v = check(comp2)
+        if not v.ok:
+            return failed(
+                "interchange",
+                f"composite of morphisms {gj} after {fj} is not a valid morphism "
+                f"({v.law}: {v.witness})",
+            )
+        lhs = tensor_of(comp1, comp2)
+        rhs = compose(tensor_of(g, g2), tensor_of(f, f2))
+        if not morphs_equal(lhs, rhs):
+            return failed(
+                "interchange",
+                f"interchange fails on morphism pairs ({gi},{fi}) and ({gj},{fj})",
+            )
+    held("interchange", squares)
+
+    for i, c in enumerate(corings):
+        unit = unit_coring(c.field)
+        for t in (tensor_coring(unit, c), tensor_coring(c, unit)):
+            if t != c:
+                return failed(
+                    "unit-isomorphisms",
+                    f"tensoring coring {i} with the unit does not collapse to it",
+                )
+            if is_ext:
+                u = ExtMorphism(t, c, c.carrier.right_act, c.comul_lift)
+                uinv = ExtMorphism(c, t, c.carrier.right_act, c.comul_lift)
+            else:
+                ident = Mat.identity(c.field, c.dim)
+                u = CoringsMorphism(t, c, ident, identity_morphism(c.base))
+                uinv = CoringsMorphism(c, t, ident.copy(), identity_morphism(c.base))
+            for half in (u, uinv):
+                v = check(half)
+                if not v.ok:
+                    return failed(
+                        "unit-isomorphisms",
+                        f"unitor of coring {i} is not a morphism ({v.law}: {v.witness})",
+                    )
+            if not morphs_equal(compose(u, uinv), identity_of(c)) or not morphs_equal(
+                compose(uinv, u), identity_of(t)
+            ):
+                return failed(
+                    "unit-isomorphisms",
+                    f"unitors of coring {i} are not mutually inverse in the category",
+                )
+    held("unit-isomorphisms", corings)
+
+    triples = [
+        (i, j, l)
+        for i in range(len(corings))
+        for j in range(len(corings))
+        for l in range(len(corings))
+        if corings[i].dim * corings[j].dim * corings[l].dim <= 64
+    ]
+    triples = _sampled(triples, MAX_TRIPLES, seed + 1)
+    for i, j, l in triples:
+        left = tensor_coring(tensor_coring(corings[i], corings[j]), corings[l])
+        right = tensor_coring(corings[i], tensor_coring(corings[j], corings[l]))
+        if left.dim != right.dim:
+            return failed(
+                "associator", f"re-association of ({i},{j},{l}) changes dimensions"
+            )
+        field = left.field
+        ident = Mat.identity(field, left.dim)
+        fwd = CoringsMorphism(
+            left, right, ident, AlgebraMorphism(left.base, right.base,
+                                                Mat.identity(field, left.base.dim))
+        )
+        bwd = CoringsMorphism(
+            right, left, ident.copy(), AlgebraMorphism(right.base, left.base,
+                                                       Mat.identity(field, left.base.dim))
+        )
+        for half in (fwd, bwd):
+            v = check_corings_morphism(half)
+            if not v.ok:
+                return failed(
+                    "associator",
+                    f"re-association map of ({i},{j},{l}) is not a coring isomorphism "
+                    f"({v.law}: {v.witness})",
+                )
+    held("associator", triples)
+    return Verdict.passed(passed, vacuous)

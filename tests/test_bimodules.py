@@ -14,7 +14,6 @@ from corings import bimodules
 from corings.bimodules import (
     Bimodule,
     induced_map_on_tensor,
-    middle_swap,
     regrouped_id_tensor,
     regular_bimodule,
     restrict_scalars,
@@ -37,6 +36,7 @@ from oracles import (
     right_unit_embed,
     unit_map,
 )
+from reference import middle_swap
 
 Q = Field.rationals()
 F5 = Field.prime(5)

@@ -149,8 +149,8 @@ class TestExtTensor:
         t = tensor_coring(corings["matrix2"], corings["grouplike_c2"])
         lhs = ext_tensor_morphisms(
             ext_identity(corings["matrix2"]), ext_identity(corings["grouplike_c2"]),
-            source=t, target=t,
         )
+        assert lhs.source == t == lhs.target
         assert lhs.action_mats == ext_identity(t).action_mats
         assert lhs.coact_lift == t.comul_lift
 

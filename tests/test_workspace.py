@@ -242,6 +242,28 @@ def test_exact_scalar_spellings_load(field, entry, capsys, tmp_path):
     assert "dim: 1" in out.splitlines()
 
 
+# Files that json.loads never sees as a document: bytes that are not UTF-8,
+# and nesting deeper than the decoder's recursion limit.
+UNREADABLE = {
+    "not-utf8": (b'\xff\xfe{"field": {"kind": "rationals"}}', "not UTF-8 at byte 0"),
+    "nested-too-deep": (b"[" * 100_000 + b"]" * 100_000, "nested too deep"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_unreadable_file_is_a_syntax_error(case, capsys, tmp_path):
+    data, detail = UNREADABLE[case]
+    ws = tmp_path / "ws.json"
+    ws.write_bytes(data)
+    code = cli.main(["--workspace", str(ws), "dims", "a"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (2, "")
+    lines = out.splitlines()
+    assert "error: syntax" in lines
+    assert lines[-1] == "result: error"
+    assert detail in out
+
+
 # A small F_5 workspace with every section and both spellings (fixture and
 # inline) of each kind of object; every object loads and checks.
 I2 = [[1, 0], [0, 1]]
