@@ -31,6 +31,13 @@ class FinDimAlgebra:
         self.unit = self._coerce_vec(field, dim, unit)
         self.labels = list(labels) if labels is not None else None
 
+    @classmethod
+    def _trusted(cls, field, dim, table, unit, labels):
+        """An algebra from canonical field data built inside the library, taken as is."""
+        a = cls.__new__(cls)
+        a.field, a.dim, a.table, a.unit, a.labels = field, dim, table, unit, labels
+        return a
+
     @staticmethod
     def _coerce_vec(field, dim, vec):
         if len(vec) != dim:
@@ -64,16 +71,20 @@ class FinDimAlgebra:
         v[i] = self.field.one
         return v
 
+    def _sparse_mat(self, vecs):
+        return Mat(self.field, self.dim, self.dim,
+                   [{t: c for t, c in enumerate(v) if c} for v in vecs])
+
     def left_regular_mat(self, i):
         """Matrix of x -> a_i * x in the row-vector convention."""
-        return Mat.from_rows(self.field, [self.table[i][j] for j in range(self.dim)])
+        return self._sparse_mat([self.table[i][j] for j in range(self.dim)])
 
     def right_regular_mat(self, j):
         """Matrix of x -> x * a_j in the row-vector convention."""
-        return Mat.from_rows(self.field, [self.table[i][j] for i in range(self.dim)])
+        return self._sparse_mat([self.table[i][j] for i in range(self.dim)])
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FinDimAlgebra)
             and self.field == other.field
             and self.dim == other.dim
@@ -124,7 +135,10 @@ def check_algebra(a):
 
 
 def tensor_algebra(a, a2):
-    """Tensor product algebra with row-major pair indexing and unit u (x) u'."""
+    """Tensor product algebra with row-major pair indexing and unit u (x) u'.
+
+    Products of canonical field elements are canonical: nothing is re-coerced.
+    """
     if a.field != a2.field:
         raise FieldMismatch("tensor factors live over different fields")
     field = a.field
@@ -152,7 +166,7 @@ def tensor_algebra(a, a2):
     labels = None
     if a.labels is not None and a2.labels is not None:
         labels = [f"{x}(x){y}" for x in a.labels for y in a2.labels]
-    return FinDimAlgebra(field, dim, table, pair_vec(a.unit, a2.unit), labels)
+    return FinDimAlgebra._trusted(field, dim, table, pair_vec(a.unit, a2.unit), labels)
 
 
 class AlgebraMorphism:
@@ -223,14 +237,14 @@ def identity_morphism(a):
 
 def ground_algebra(field):
     """The base field as a 1-dimensional algebra."""
-    return FinDimAlgebra(field, 1, [[[field.one]]], [field.one], labels=["1"])
+    return FinDimAlgebra._trusted(field, 1, [[[field.one]]], [field.one], ["1"])
 
 
 def dual_numbers(field):
     """k[x]/(x^2) with basis {1, x}."""
     z, o = field.zero, field.one
     table = [[[o, z], [z, o]], [[z, o], [z, z]]]
-    return FinDimAlgebra(field, 2, table, [o, z], labels=["1", "x"])
+    return FinDimAlgebra._trusted(field, 2, table, [o, z], ["1", "x"])
 
 
 def check_group_table(table):

@@ -223,7 +223,10 @@ class BimoduleMorphism:
 
 
 def tensor_over_k(m, n):
-    """M (x)_k N with the pairwise bi-action (a(x)a')(m(x)n)(b(x)b') = amb (x) a'nb'."""
+    """M (x)_k N with the pairwise bi-action (a(x)a')(m(x)n)(b(x)b') = amb (x) a'nb'.
+
+    Factors with one algebra on both sides (coring carriers) give one tensor algebra.
+    """
     if m.field != n.field:
         raise FieldMismatch("tensor factors over different fields")
     left = [lm.kron(ln) for lm in m.left_act for ln in n.left_act]
@@ -231,14 +234,10 @@ def tensor_over_k(m, n):
     labels = None
     if m.labels is not None and n.labels is not None:
         labels = [f"{x}(x){y}" for x in m.labels for y in n.labels]
-    return Bimodule(
-        tensor_algebra(m.left_alg, n.left_alg),
-        tensor_algebra(m.right_alg, n.right_alg),
-        m.dim * n.dim,
-        left,
-        right,
-        labels,
-    )
+    left_alg = tensor_algebra(m.left_alg, n.left_alg)
+    one_alg = m.right_alg == m.left_alg and n.right_alg == n.left_alg
+    right_alg = left_alg if one_alg else tensor_algebra(m.right_alg, n.right_alg)
+    return Bimodule(left_alg, right_alg, m.dim * n.dim, left, right, labels)
 
 
 class PresentedTensor:
@@ -283,10 +282,6 @@ class PresentedTensor:
     @property
     def field(self):
         return self.left_factor.field
-
-    @cached_property
-    def ambient(self):
-        return tensor_over_k(self.left_factor, self.right_factor)
 
     def pure_class(self, i, j):
         """Quotient coordinates of the class of m_i (x) n_j."""
@@ -405,10 +400,6 @@ def _present_tensor(m, n):
     return PresentedTensor(m, n, over, quot)
 
 
-def _as_mat(f):
-    return f.map if isinstance(f, BimoduleMorphism) else f
-
-
 def _kron_apply(f, g, vec):
     """Image of a sparse ambient vector under f (x) g without materializing it."""
     out = {}
@@ -458,19 +449,18 @@ def descend(t_src, t_tgt, image):
 def induced_map_on_tensor(f, g, t_src, t_tgt):
     """The map f (x)_B g between two presented tensors over the same middle algebra.
 
-    The ambient map must send source relations into target relations
-    (DescentFailure otherwise, which signals a non-bilinear input pair); the
-    returned morphism is project_tgt after (f (x) g) after lift_src.
+    f and g are matrices.  The ambient map must send source relations into
+    target relations (DescentFailure otherwise, which signals a non-bilinear
+    input pair); the returned matrix is project_tgt after (f (x) g) after
+    lift_src.
     """
-    fm, gm = _as_mat(f), _as_mat(g)
     if t_src.over != t_tgt.over:
         raise AlgebraMismatch("presented tensors have different middle algebras")
-    if fm.nrows != t_src.left_factor.dim or fm.ncols != t_tgt.left_factor.dim:
+    if f.nrows != t_src.left_factor.dim or f.ncols != t_tgt.left_factor.dim:
         raise DimensionMismatch("left map incompatible with the tensor factors")
-    if gm.nrows != t_src.right_factor.dim or gm.ncols != t_tgt.right_factor.dim:
+    if g.nrows != t_src.right_factor.dim or g.ncols != t_tgt.right_factor.dim:
         raise DimensionMismatch("right map incompatible with the tensor factors")
-    induced = descend(t_src, t_tgt, lambda vec: _kron_apply(fm, gm, vec))
-    return BimoduleMorphism(t_src.result, t_tgt.result, induced)
+    return descend(t_src, t_tgt, lambda vec: _kron_apply(f, g, vec))
 
 
 def regrouped_kron(f, g, b, d):

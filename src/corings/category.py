@@ -237,9 +237,7 @@ def ext_compose_via_cotensor(g, f):
     t_cd = g.coaction_tensor
     g_rho = g.coaction
     t_r = tensor_over_alg(f.bimodule, t_cd.result)
-    through_d = induced_map_on_tensor(
-        Mat.identity(field, e_dim), g_rho, t_ec, t_r
-    ).map
+    through_d = induced_map_on_tensor(Mat.identity(field, e_dim), g_rho, t_ec, t_r)
 
     t_ed = explicit.coaction_tensor
     eps = c_coring.counit_mat
@@ -266,14 +264,6 @@ def ext_compose_via_cotensor(g, f):
     return ExtMorphism(f.source, g.target, explicit.action_mats, lift)
 
 
-def _tensor_ends(m, m2):
-    """The tensor corings at both ends of m (x) m2, formed once for two endomorphisms."""
-    source = tensor_coring(m.source, m2.source)
-    if m.target is m.source and m2.target is m2.source:
-        return source, source
-    return source, tensor_coring(m.target, m2.target)
-
-
 def ext_tensor_morphisms(m, m2):
     """Tensor of two morphisms: paired action and regrouped coaction lift.
 
@@ -283,7 +273,8 @@ def ext_tensor_morphisms(m, m2):
     """
     if m.source.field != m2.source.field:
         raise FieldMismatch("tensor of morphisms over different fields")
-    source, target = _tensor_ends(m, m2)
+    source = tensor_coring(m.source, m2.source)
+    target = tensor_coring(m.target, m2.target)
     action = [r.kron(r2) for r in m.action_mats for r2 in m2.action_mats]
     coact = regrouped_kron(m.coact_lift, m2.coact_lift, m.target.dim, m2.target.dim)
     return ExtMorphism(source, target, action, coact)
@@ -425,7 +416,8 @@ def corings_tensor_morphisms(m, m2):
     """(phi (x) phi', varphi (x) varphi') between the tensor corings."""
     if m.source.field != m2.source.field:
         raise FieldMismatch("tensor of morphisms over different fields")
-    source, target = _tensor_ends(m, m2)
+    source = tensor_coring(m.source, m2.source)
+    target = tensor_coring(m.target, m2.target)
     varphi = AlgebraMorphism(source.base, target.base, m.varphi.map.kron(m2.varphi.map))
     return CoringsMorphism(source, target, m.phi.kron(m2.phi), varphi)
 

@@ -106,16 +106,23 @@ def _dump(ws, args, report, add):
         report["dumped"] = args.dump
 
 
-def _want_coring(ws, name):
+def _a(kind):
+    """A kind name as prose, with its article: "ext-morphism" -> "an ext morphism"."""
+    words = kind.replace("-", " ")
+    return f"{'an' if words[0] in 'aeiou' else 'a'} {words}"
+
+
+def _want(ws, name, expected, kinds=None):
+    """(kind, object) named `name`, whose kind must be in `kinds` (default: `expected`)."""
     kind, obj = ws.find(name)
-    if kind != "coring":
-        raise UnknownReference(f'"{name}" is a {kind}, expected a coring')
-    return obj
+    if kind not in (kinds or (expected,)):
+        raise UnknownReference(f'"{name}" is {_a(kind)}, expected {_a(expected)}')
+    return kind, obj
 
 
 def _cmd_tensor(ws, args, report):
-    c = _want_coring(ws, args.left)
-    c2 = _want_coring(ws, args.right)
+    c = _want(ws, args.left, "coring")[1]
+    c2 = _want(ws, args.right, "coring")[1]
     out_name = args.out or "result"
     t = tensor_coring(c, c2)
     report["left"] = args.left
@@ -130,16 +137,9 @@ def _cmd_tensor(ws, args, report):
     return 0 if verdict.ok else 1
 
 
-def _want_extension(ws, name):
-    kind, obj = ws.find(name)
-    if kind != "extension":
-        raise UnknownReference(f'"{name}" is a {kind}, expected an extension')
-    return obj
-
-
 def _cmd_extend_tensor(ws, args, report):
-    e = _want_extension(ws, args.left)
-    e2 = _want_extension(ws, args.right)
+    e = _want(ws, args.left, "extension")[1]
+    e2 = _want(ws, args.right, "extension")[1]
     out_name = args.out or "result"
     report["left"] = args.left
     report["right"] = args.right
@@ -156,9 +156,7 @@ def _cmd_extend_tensor(ws, args, report):
 
 
 def _want_morphism(ws, name):
-    kind, obj = ws.find(name)
-    if kind not in ("ext-morphism", "corings-morphism"):
-        raise UnknownReference(f'"{name}" is a {kind}, expected a morphism')
+    kind, obj = _want(ws, name, "morphism", ("ext-morphism", "corings-morphism"))
     return kind.split("-")[0], obj
 
 
@@ -196,11 +194,7 @@ def _cmd_compose(ws, args, report):
 
 
 def _cmd_base_extend(ws, args, report):
-    kind, m = _want_morphism(ws, args.morphism)
-    if kind != "corings":
-        raise UnknownReference(
-            f'"{args.morphism}" is an {kind} morphism; base-extend needs a corings morphism'
-        )
+    m = _want(ws, args.morphism, "corings-morphism")[1]
     report["morphism"] = args.morphism
     out_name = args.out or "result"
     report["out"] = out_name

@@ -8,6 +8,13 @@ base ring extension B (x)_A C (x)_A B with its right extension by the target.
 of C: a new right action making C an (A,B)-bimodule, comultiplication right
 linear for it, a right D-coaction, and left C-colinearity of that coaction.
 
+`tensor_coring` is memoized for the life of the process, like the
+presentations of `bimodules.tensor_over_alg`, but keyed on the identity of
+its factors; each entry holds both factors, so no id is reused, and a call
+that raises stores nothing.  Corings are immutable, so sharing is safe.  It
+takes exact field data as is (`tensor_algebra`): scalars are coerced once,
+where they enter the program (`FinDimAlgebra`, `Mat.from_rows`).
+
 A right extension is a morphism of the extension category and is held as a
 `category.ExtMorphism`.  Constructors here check their inputs (the table of a
 grouplike fixture, the algebra map of a Sweedler fixture, the morphism given to
@@ -20,12 +27,7 @@ Fixture generators for the standard small examples live here too.
 
 from __future__ import annotations
 
-from .algebras import (
-    check_algebra_morphism,
-    check_group_table,
-    ground_algebra,
-    tensor_algebra,
-)
+from .algebras import check_algebra_morphism, check_group_table, ground_algebra
 from .bimodules import (
     Bimodule,
     regrouped_kron,
@@ -45,21 +47,30 @@ from .linalg import Mat, _vadd, map_kernel
 from .verdict import Verdict
 
 
+_TENSOR_CORINGS = {}
+
+
 def tensor_coring(c, c2):
     """The coring C (x)_k C' over A (x)_k A'.
 
     The comultiplication lift sends c (x) c' to the two lifts' product
     regrouped into (C (x) C') (x) (C (x) C'), whose projection equals the
     regrouping iso applied after comul (x) comul'; the counit is exactly
-    counit (x) counit'.
+    counit (x) counit'.  The one tensor algebra A (x) A' is the base and acts
+    on both sides of the carrier.  Memoized for the life of the process on
+    the identity of (c, c2); see the module docstring.
     """
+    key = (id(c), id(c2))
+    hit = _TENSOR_CORINGS.get(key)
+    if hit is not None:
+        return hit[2]
     if c.field != c2.field:
         raise FieldMismatch("tensor corings over different fields")
-    base = tensor_algebra(c.base, c2.base)
     carrier = tensor_over_k(c.carrier, c2.carrier)
     comul_lift = regrouped_kron(c.comul_lift, c2.comul_lift, c.dim, c2.dim)
-    counit = c.counit_mat.kron(c2.counit_mat)
-    return Coring(base, carrier, comul_lift, counit)
+    t = Coring(carrier.left_alg, carrier, comul_lift, c.counit_mat.kron(c2.counit_mat))
+    _TENSOR_CORINGS[key] = (c, c2, t)
+    return t
 
 
 def _delta_right_linearity(c, bimodule):

@@ -31,7 +31,6 @@ its DescentFailure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .bimodules import (
@@ -52,16 +51,18 @@ CORING_LAWS = ("bilinearity", "coassociativity", "right-counit", "left-counit")
 
 
 class Coring:
-    """An A-coring: carrier, comultiplication lift, and counit."""
+    """An A-coring: carrier, comultiplication lift, and counit matrix C -> A.
 
-    def __init__(self, base, carrier, comul_lift, counit):
+    Immutable: tensor corings are shared (`constructions.tensor_coring`).
+    """
+
+    def __init__(self, base, carrier, comul_lift, counit_mat):
         if carrier.left_alg != base or carrier.right_alg != base:
             raise DimensionMismatch("carrier must be a bimodule over the base algebra")
         if comul_lift.nrows != carrier.dim or comul_lift.ncols != carrier.dim**2:
             raise DimensionMismatch(
                 "comultiplication lift must map the carrier into its ambient tensor square"
             )
-        counit_mat = counit.map if isinstance(counit, BimoduleMorphism) else counit
         if counit_mat.nrows != carrier.dim or counit_mat.ncols != base.dim:
             raise DimensionMismatch("counit must map the carrier to the base algebra")
         if comul_lift.field != base.field or counit_mat.field != base.field:
@@ -69,7 +70,7 @@ class Coring:
         self.base = base
         self.carrier = carrier
         self.comul_lift = comul_lift
-        self.counit = BimoduleMorphism(carrier, regular_bimodule(base), counit_mat)
+        self.counit_mat = counit_mat
 
     @property
     def field(self):
@@ -78,10 +79,6 @@ class Coring:
     @property
     def dim(self):
         return self.carrier.dim
-
-    @property
-    def counit_mat(self):
-        return self.counit.map
 
     def label(self, i):
         return self.carrier.label(i)
@@ -97,12 +94,12 @@ class Coring:
         return self.comul_lift @ self.tens.project
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Coring)
             and self.base == other.base
             and self.carrier == other.carrier
             and self.comul_lift == other.comul_lift
-            and self.counit.map == other.counit.map
+            and self.counit_mat == other.counit_mat
         )
 
     __hash__ = None
@@ -150,13 +147,16 @@ def _counit_leg(law, what, got, label, passed):
 
 
 def check_coring(c):
-    """Bilinearity, coassociativity, and both counit laws, with a witness."""
+    """Bilinearity, coassociativity, and both counit laws, with a witness.
+
+    `bilinearity` checks the counit matrix against the regular actions of A.
+    """
     passed = []
 
     v = BimoduleMorphism(c.carrier, c.tens.result, c.comul).check()
     if not v.ok:
         return Verdict.failed("bilinearity", f"comultiplication: {v.witness}", passed)
-    v = c.counit.check()
+    v = BimoduleMorphism(c.carrier, regular_bimodule(c.base), c.counit_mat).check()
     if not v.ok:
         return Verdict.failed("bilinearity", f"counit: {v.witness}", passed)
     passed.append("bilinearity")
@@ -269,13 +269,13 @@ def coaction_compatibility(c, d, carrier, left_lift, right_lift):
     return Verdict.passed(("colinearity",))
 
 
-@dataclass
 class CotensorSpace:
     """M box_C N inside the presented M (x)_A N, with its inclusion."""
 
-    tensor: object
-    subspace: object
-    include: Mat
+    def __init__(self, tensor, subspace, include):
+        self.tensor = tensor
+        self.subspace = subspace
+        self.include = include
 
     @property
     def dim(self):
@@ -295,7 +295,7 @@ def cotensor(m, rho_lift, c, n, lam_lift):
     t_l = tensor_over_alg(t_mc.result, n)
     rho_side = induced_map_on_tensor(
         rho_lift @ t_mc.project, Mat.identity(c.field, n.dim), t_mn, t_l
-    ).map
+    )
     lam_side = regrouped_id_tensor(t_mn, lam_lift, t_mc, t_l)
     subspace = map_kernel(rho_side - lam_side)
     include = Mat(c.field, subspace.dim, t_mn.dim, [dict(r) for r in subspace.basis.rows])

@@ -8,16 +8,14 @@ so a report can tell "checked and held" from "nothing to check".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class Verdict:
-    ok: bool
-    law: str | None = None
-    witness: str | None = None
-    laws_passed: tuple[str, ...] = ()
-    laws_vacuous: tuple[str, ...] = ()
+class Verdict(namedtuple("Verdict", "ok law witness laws_passed laws_vacuous",
+                         defaults=(None, None, (), ()))):
+    """Immutable and hashable; a namedtuple keeps `dataclasses` off the import path."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok

@@ -168,14 +168,14 @@ def check_interchange_naturality(f, g, fixtures):
     ident_c2 = Mat.identity(fx.cc2.field, fx.cc2.dim)
     f_tens = induced_map_on_tensor(fm, ident_c, fx.t_mc, fx.t_m2c)
     g_tens = induced_map_on_tensor(gm, ident_c2, fx.t_nc, fx.t_n2c)
-    lhs = f_tens.map.kron(g_tens.map) @ fx.iso2.map
+    lhs = f_tens.kron(g_tens) @ fx.iso2.map
 
     fg = fm.kron(gm)
     ident_cc = Mat.identity(fx.cc.field, fx.cc.dim * fx.cc2.dim)
     fg_tens = induced_map_on_tensor(
         fg, ident_cc, fx.iso.target_tensor, fx.iso2.target_tensor
     )
-    rhs = fx.iso.map @ fg_tens.map
+    rhs = fx.iso.map @ fg_tens
     if lhs != rhs:
         return Verdict.failed(
             "naturality",

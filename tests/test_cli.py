@@ -148,3 +148,42 @@ def test_verify_monoidal_on_an_empty_family_is_vacuous(category, capsys, tmp_pat
         "check.associator: vacuous",
         "result: pass",
     ]
+
+
+# One object of each kind in cli-f5.json, named in the message with its article.
+KIND_OBJECTS = {
+    "algebra": ("k", "an algebra"),
+    "coring": ("m2", "a coring"),
+    "extension": ("regular_dual", "an extension"),
+    "ext-morphism": ("id_m2", "an ext morphism"),
+    "corings-morphism": ("cid_m2", "a corings morphism"),
+}
+# Each command that takes named objects: its argv around one name, and the
+# kinds it accepts, as the message spells them.
+WANTS = {
+    "tensor": (lambda x: ["tensor", x, "m2"], {"coring"}, "a coring"),
+    "extend-tensor": (lambda x: ["extend-tensor", x, "regular_dual"], {"extension"},
+                      "an extension"),
+    "compose": (lambda x: ["compose", x, "id_m2"], {"ext-morphism", "corings-morphism"},
+                "a morphism"),
+    "base-extend": (lambda x: ["base-extend", x], {"corings-morphism"},
+                    "a corings morphism"),
+}
+
+
+WRONG_KINDS = [
+    (command, kind)
+    for command in sorted(WANTS)
+    for kind in sorted(KIND_OBJECTS)
+    if kind not in WANTS[command][1]
+]
+
+
+@pytest.mark.parametrize(("command", "kind"), WRONG_KINDS)
+def test_wrong_kind_is_named_with_its_article(command, kind, capsys):
+    argv, _, expected = WANTS[command]
+    name, spelled = KIND_OBJECTS[kind]
+    code, out, err = run_cli(capsys, WORKSPACES / "cli-f5.json", *argv(name))
+    assert (code, err) == (2, "")
+    assert f'detail: "{name}" is {spelled}, expected {expected}\n' in out
+    assert out.endswith("result: error\n")

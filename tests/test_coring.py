@@ -112,7 +112,7 @@ class TestLeftColinear:
         unit_tensor = tensor_over_alg(regular_bimodule(mc.base), mc.carrier)
         leg = induced_map_on_tensor(
             mc.counit_mat, Mat.identity(F5, 4), mc.tens, unit_tensor
-        ).map @ left_unit_collapse(unit_tensor)
+        ) @ left_unit_collapse(unit_tensor)
         f = mc.comul @ leg
         assert f.is_identity()
         # f then comul is the comultiplication again: a valid extension of C by C.

@@ -12,9 +12,16 @@ A second scan finds dead definitions: every module-level function, class and
 constant of `src/corings/*.py` (again bar `__init__.py`) must be read, as a
 name or an attribute, somewhere in `src/` or `tests/` outside its own
 definition.
+
+A third check keeps the start-up path of every command lean: importing
+`corings.cli` in a fresh interpreter must not load `dataclasses` or the
+introspection modules it pulls in (`inspect`, `ast`, `dis`, `tokenize`).
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from functools import cache
 from pathlib import Path
@@ -139,3 +146,29 @@ def test_scan_sees_an_unread_definition():
 def test_no_unread_definitions(path):
     elsewhere = sum((file_reads(p) for p in FILES if p != path), Counter())
     assert unread_definitions(path.read_text(), elsewhere) == []
+
+
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def heavy_modules_after(code):
+    """The HEAVY modules loaded once `code` has run in a fresh interpreter.
+
+    The interpreter runs without `site` (-S), so nothing but `code` and the
+    interpreter's own start-up can load a module.
+    """
+    probe = f"{code}\nimport sys\nprint(*[m for m in {HEAVY!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    return out.stdout.split()
+
+
+def test_cli_import_loads_no_introspection_modules():
+    assert heavy_modules_after("import corings.cli") == []
+
+
+def test_import_guard_sees_dataclasses():
+    assert "dataclasses" in heavy_modules_after("import dataclasses\nimport corings.cli")

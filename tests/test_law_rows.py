@@ -317,7 +317,7 @@ def collapse_route(lift, t, counit, left):
         unit_tensor = tensor_over_alg(t.left_factor, regular_bimodule(t.over))
         f, g = Mat.identity(field, t.left_factor.dim), counit
         collapse = right_unit_collapse(unit_tensor)
-    return lift @ t.project @ induced_map_on_tensor(f, g, t, unit_tensor).map @ collapse
+    return lift @ t.project @ induced_map_on_tensor(f, g, t, unit_tensor) @ collapse
 
 
 @pytest.mark.parametrize("corpus", CORPORA)

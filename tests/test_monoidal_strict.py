@@ -36,6 +36,7 @@ from corings.category import (
     verify_ext_monoidal,
 )
 from corings.constructions import tensor_coring
+from corings.coring import Coring
 from corings.linalg import Field, Mat, _vadd
 from corings.workspace import load_workspace
 from reference import middle_swap, reference_verify_monoidal
@@ -180,14 +181,18 @@ def test_every_admitted_triple_reassociates_to_the_same_coring(corpus):
 def perturbed_tensor_coring(when):
     """`tensor_coring` that adds 1 to one comultiplication-lift entry when `when` holds.
 
-    `when(c, c2, made)` also sees every tensor coring built so far.
+    `when(c, c2, made)` also sees every tensor coring built so far.  The
+    perturbed coring is a copy: `tensor_coring` shares its results, which no
+    caller may change.
     """
     made = []
 
     def build(c, c2):
         t = tensor_coring(c, c2)
         if when(c, c2, made):
-            _vadd(t.field, t.comul_lift.rows[0], {0: t.field.one}, t.field.one)
+            lift = t.comul_lift.copy()
+            _vadd(t.field, lift.rows[0], {0: t.field.one}, t.field.one)
+            t = Coring(t.base, t.carrier, lift, t.counit_mat)
         made.append(t)
         return t
 

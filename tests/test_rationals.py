@@ -1,8 +1,9 @@
 """The Q scalar representation: `int` when integral, else a reduced `Fraction`.
 
 The differential tests run the sparse eliminator against a dense Gauss-Jordan
-reference written here in plain `Fraction` arithmetic.  The invariant test
-walks every matrix a Q workspace load builds, so a code path that stops
+reference written here in plain `Fraction` arithmetic.  The invariant tests
+walk every matrix a Q workspace load builds, and every tensor coring that
+`verify-monoidal corings` forms from it, so a code path that stops
 normalizing fails here instead of silently slowing the program down.
 """
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corings import cli, constructions
 from corings.bimodules import (
     Bimodule,
     BimoduleMorphism,
@@ -191,7 +193,7 @@ def test_loaded_q_workspace_holds_only_canonical_scalars():
         t_left = tensor_over_alg(c.tens.result, c.carrier)
         regrouped[name] = regrouped_id_tensor(c.tens, c.comul_lift, c.tens, t_left)
         mats += reachable_mats(
-            [c.carrier, c.comul_lift, c.comul, c.counit, c.tens, t_left, regrouped[name]],
+            [c.carrier, c.comul_lift, c.comul, c.counit_mat, c.tens, t_left, regrouped[name]],
             seen,
         )
     for e in ws.extensions.values():
@@ -200,5 +202,28 @@ def test_loaded_q_workspace_holds_only_canonical_scalars():
     # covers eliminated relations, not only identity presentations.
     assert len(mats) > 100
     assert any(m.field == Q and m.rows and m is regrouped["sw"] for m in mats)
+    for m in mats:
+        assert_canonical(m)
+
+
+def test_tensor_corings_of_verify_monoidal_hold_only_canonical_scalars(capsys):
+    # tensor_coring takes exact field data as is, so its results must be
+    # canonical without a coercion pass.  The memo holds every tensor coring
+    # the run formed, with whatever presented tensor square it built.
+    before = set(constructions._TENSOR_CORINGS)
+    argv = ["--workspace", str(CLI_Q), "--seed", "1", "verify-monoidal", "corings"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    formed = [t for key, (_, _, t) in constructions._TENSOR_CORINGS.items()
+              if key not in before]
+    assert len(formed) > 10 and all(t.field == Q for t in formed)
+    seen = {}
+    mats = []
+    for t in formed:
+        entries = [x for row in t.base.table for vec in row for x in vec] + list(t.base.unit)
+        assert all(is_canonical(x) for x in entries)
+        built = [t.__dict__[k] for k in ("tens", "comul") if k in t.__dict__]
+        mats += reachable_mats([t.carrier, t.comul_lift, t.counit_mat, *built], seen)
+    assert any(m.rows for m in mats)
     for m in mats:
         assert_canonical(m)
