@@ -32,6 +32,7 @@ from .bimodules import (
 from .category import (
     CoringsMorphism,
     ExtMorphism,
+    base_ring_extension,
     check_corings_morphism,
     check_ext_morphism,
     corings_compose,
@@ -51,7 +52,6 @@ from .category import (
     verify_ext_monoidal,
 )
 from .constructions import (
-    base_ring_extension,
     grouplike_coalgebra,
     matrix_coalgebra,
     sweedler_coring,

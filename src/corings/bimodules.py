@@ -37,7 +37,7 @@ from .errors import (
     FieldMismatch,
 )
 from .linalg import Mat, Subspace, _Eliminator, _vadd, quotient
-from .verdict import Verdict
+from .verdict import Verdict, first_noncommuting
 
 BIMODULE_LAWS = ("left-module", "right-module", "commuting-actions")
 
@@ -193,21 +193,21 @@ class BimoduleMorphism:
         src, tgt, f = self.source, self.target, self.map
         if src.left_alg != tgt.left_alg or src.right_alg != tgt.right_alg:
             return Verdict.failed("left-linear", "source and target algebras differ", passed)
-        for i in range(src.left_alg.dim):
-            if src.left_act[i] @ f != f @ tgt.left_act[i]:
-                return Verdict.failed(
-                    "left-linear",
-                    f"map does not commute with the left action of {src.left_alg.label(i)}",
-                    passed,
-                )
+        i = first_noncommuting(src.left_act, f, tgt.left_act)
+        if i is not None:
+            return Verdict.failed(
+                "left-linear",
+                f"map does not commute with the left action of {src.left_alg.label(i)}",
+                passed,
+            )
         passed.append("left-linear")
-        for j in range(src.right_alg.dim):
-            if src.right_act[j] @ f != f @ tgt.right_act[j]:
-                return Verdict.failed(
-                    "right-linear",
-                    f"map does not commute with the right action of {src.right_alg.label(j)}",
-                    passed,
-                )
+        j = first_noncommuting(src.right_act, f, tgt.right_act)
+        if j is not None:
+            return Verdict.failed(
+                "right-linear",
+                f"map does not commute with the right action of {src.right_alg.label(j)}",
+                passed,
+            )
         passed.append("right-linear")
         return Verdict.passed(passed)
 

@@ -6,8 +6,12 @@ C -> C (x)_B D; that is, D is a right extension of C (Brzezinski), and
 `ExtMorphism` is the one class for both readings: the `extensions` of a
 workspace load as these morphisms.  The action is held as one C -> C matrix
 per basis element of B, the form `Bimodule` and `tensor_over_alg` read.
+`check_ext_morphism` runs the four laws of a right extension on the
+`ExtMorphism` itself; the coaction laws it calls live in `coring`.
 Composition is by the bullet formulas, computed from the explicit lifts, with
-an independent oracle that routes through the cotensor product.
+an independent oracle that routes through the cotensor product.  A corings
+morphism gives rise to the base ring extension B (x)_A C (x)_A B with its
+right extension by the target (`base_ring_extension`), an `ExtMorphism`.
 
 In the plain corings category a morphism is an algebra map together with a
 compatible bilinear map of carriers.  Both categories carry the tensor-coring
@@ -35,24 +39,21 @@ from .bimodules import (
     induced_map_on_tensor,
     push,
     regrouped_kron,
+    regular_bimodule,
     restrict_scalars,
     tensor_over_alg,
 )
-from .constructions import (
-    right_extension_verdict,
-    tensor_coring,
-    trivial_coring,
-    unit_coring,
-)
-from .coring import cotensor
+from .constructions import tensor_coring, trivial_coring, unit_coring
+from .coring import Coring, coaction_compatibility, cotensor, right_coaction_verdict
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
+    InvalidMorphism,
     IsoFailure,
     ObjectMismatch,
 )
 from .linalg import Mat, _vadd
-from .verdict import Verdict, first_difference
+from .verdict import Verdict, first_difference, first_noncommuting
 
 EXT_MORPHISM_LAWS = ("bimodule", "delta-right-linear", "coaction", "colinearity")
 CORINGS_MORPHISM_LAWS = (
@@ -93,7 +94,7 @@ class ExtMorphism:
             raise DimensionMismatch("need one C -> C action matrix per basis element of B")
         if coact_lift.nrows != dim_c or coact_lift.ncols != dim_c * dim_d:
             raise DimensionMismatch("coaction lift must map C into ambient C (x) D")
-        if any(m.field != source.field for m in (*action_mats, coact_lift)):
+        if any(m.field != source.field for m in (target, *action_mats, coact_lift)):
             raise FieldMismatch("morphism data over mixed fields")
         self.source = source
         self.target = target
@@ -124,8 +125,38 @@ class ExtMorphism:
 
 
 def check_ext_morphism(m):
-    """Full right-extension validation of the morphism data."""
-    return right_extension_verdict(m.source, m.target, m.action_mats, m.coact_lift)
+    """The four laws of a right extension in order, stopping at the first failure."""
+    passed = []
+    c, bimodule = m.source, m.bimodule
+    v = bimodule.check()
+    if not v.ok:
+        return Verdict.failed("bimodule", v.witness, passed)
+    passed.append("bimodule")
+
+    # The action on C (x)_A C is read off C (x)_A M, whose relations use only
+    # C's left action, so it is in the coordinates of `c.comul`; it descends
+    # because the two actions on M commute (`bimodule`).
+    act = tensor_over_alg(c.carrier, bimodule).result.right_act
+    j = first_noncommuting(bimodule.right_act, c.comul, act)
+    if j is not None:
+        return Verdict.failed(
+            "delta-right-linear",
+            f"comultiplication does not commute with the right action of "
+            f"{bimodule.right_alg.label(j)}",
+            passed,
+        )
+    passed.append("delta-right-linear")
+
+    v = right_coaction_verdict(bimodule, m.target, m.coact_lift)
+    if not v.ok:
+        return Verdict.failed("coaction", f"{v.law}: {v.witness}", passed)
+    passed.append("coaction")
+
+    v = coaction_compatibility(c, m.target, bimodule, c.comul_lift, m.coact_lift)
+    if not v.ok:
+        return Verdict.failed("colinearity", v.witness, passed)
+    passed.append("colinearity")
+    return Verdict.passed(passed)
 
 
 def ext_identity(c):
@@ -328,21 +359,20 @@ def check_corings_morphism(m):
         return Verdict.failed("algebra-morphism", f"{v.law}: {v.witness}", passed)
     passed.append("algebra-morphism")
 
-    # The target carrier as a bimodule over the source base, along varphi.
-    restricted = restrict_scalars(m.target.carrier, left=m.varphi, right=m.varphi)
-    for i in range(m.source.base.dim):
-        if m.source.carrier.left_act[i] @ m.phi != m.phi @ restricted.left_act[i]:
-            return Verdict.failed(
-                "bilinearity",
-                f"carrier map is not left-linear over {m.source.base.label(i)}",
-                passed,
-            )
-        if m.source.carrier.right_act[i] @ m.phi != m.phi @ restricted.right_act[i]:
-            return Verdict.failed(
-                "bilinearity",
-                f"carrier map is not right-linear over {m.source.base.label(i)}",
-                passed,
-            )
+    # The target carrier as a bimodule over the source base, along varphi;
+    # the left, then the right action of each basis element in turn.
+    src = m.source.carrier
+    tgt = restrict_scalars(m.target.carrier, left=m.varphi, right=m.varphi)
+    k = first_noncommuting([a for p in zip(src.left_act, src.right_act) for a in p], m.phi,
+                           [a for p in zip(tgt.left_act, tgt.right_act) for a in p])
+    if k is not None:
+        i, side = divmod(k, 2)
+        return Verdict.failed(
+            "bilinearity",
+            f"carrier map is not {('left', 'right')[side]}-linear over "
+            f"{m.source.base.label(i)}",
+            passed,
+        )
     passed.append("bilinearity")
 
     if m.source.counit_mat @ m.varphi.map != m.phi @ m.target.counit_mat:
@@ -420,6 +450,105 @@ def corings_tensor_morphisms(m, m2):
     target = tensor_coring(m.target, m2.target)
     varphi = AlgebraMorphism(source.base, target.base, m.varphi.map.kron(m2.varphi.map))
     return CoringsMorphism(source, target, m.phi.kron(m2.phi), varphi)
+
+
+def base_ring_extension(m):
+    """Base ring extension of a corings morphism (phi, varphi): (C:A) -> (D:B).
+
+    Builds the B-coring X = B (x)_A C (x)_A B with the standard
+    comultiplication and counit and the right D-coaction
+    b (x) c (x) b' -> (b (x) c_(1) (x) 1) (x)_B phi(c_(2)) b', and returns
+    the extension as the `ExtMorphism` (X:B) -> (D:B), whose action
+    is right multiplication.  The morphism is checked first
+    (InvalidMorphism); the extension is not.
+    """
+    v = check_corings_morphism(m)
+    if not v.ok:
+        raise InvalidMorphism(f"{v.law}: {v.witness}")
+    c, d = m.source, m.target
+    b_alg = d.base
+    field = c.field
+    phi, varphi = m.phi, m.varphi.map
+
+    # B as a (B, A)-bimodule and as an (A, B)-bimodule, the A-side through varphi.
+    b_left = restrict_scalars(regular_bimodule(b_alg), right=m.varphi)
+    b_right = restrict_scalars(regular_bimodule(b_alg), left=m.varphi)
+
+    t_bc = tensor_over_alg(b_left, c.carrier)
+    t_bcb = tensor_over_alg(t_bc.result, b_right)
+    carrier = t_bcb.result
+    dim_b, dim_c = b_alg.dim, c.dim
+    x_dim = carrier.dim
+
+    def cls_bc(b_vec, c_idx):
+        """Class in t_bc of (sum b_vec) (x) c_idx."""
+        return t_bc.quot.project_vec(
+            {i * dim_c + c_idx: v for i, v in b_vec.items() if v}
+        )
+
+    def cls_x(bc_vec, b_vec):
+        """Class in the carrier of (element of t_bc) (x) (sum b_vec)."""
+        amb = {}
+        for u, uv in bc_vec.items():
+            _vadd(field, amb, {u * dim_b + l: lv for l, lv in b_vec.items()}, uv)
+        return t_bcb.quot.project_vec(amb)
+
+    unit_b = {i: v for i, v in enumerate(b_alg.unit) if v}
+
+    # Comultiplication: (b (x) c_(1) (x) 1) (x)_X (1 (x) c_(2) (x) b').
+    comul_rows = []
+    counit_rows = []
+    coact_rows = []
+    eps_phi = c.counit_mat @ varphi
+    for s in range(x_dim):
+        comul_row = {}
+        counit_row = {}
+        coact_row = {}
+        outer = t_bcb.quot.lift.rows[s]
+        for idx, val in outer.items():
+            u, l = divmod(idx, dim_b)
+            for bc_idx, bc_val in t_bc.quot.lift.rows[u].items():
+                b_i, c_j = divmod(bc_idx, dim_c)
+                coeff = field.mul(val, bc_val)
+                if not coeff:
+                    continue
+                # counit: b * varphi(counit(c)) * b'
+                for t, v in eps_phi.rows[c_j].items():
+                    prod = b_alg.mul_vec(b_alg.table[b_i][t], b_alg.basis_vec(l))
+                    _vadd(field, counit_row, {w: pv for w, pv in enumerate(prod) if pv},
+                          field.mul(coeff, v))
+                # comultiplication and coaction share the expansion of comul(c).
+                for pair, dv in c.comul_lift.rows[c_j].items():
+                    c1, c2 = divmod(pair, dim_c)
+                    w = field.mul(coeff, dv)
+                    if not w:
+                        continue
+                    z1 = cls_x(cls_bc({b_i: field.one}, c1), unit_b)
+                    z2 = cls_x(cls_bc(unit_b, c2), {l: field.one})
+                    for p1, v1 in z1.items():
+                        _vadd(field, comul_row, {p1 * x_dim + p2: v2 for p2, v2 in z2.items()},
+                              field.mul(w, v1))
+                    # coaction: (b (x) c1 (x) 1) (x)_k phi(c2) . b', the product
+                    # taken in the right B-module structure of D
+                    d_vec = {}
+                    for t, pv in phi.rows[c2].items():
+                        _vadd(field, d_vec, d.carrier.right_act[l].rows[t], pv)
+                    for p1, v1 in z1.items():
+                        _vadd(field, coact_row, {p1 * d.dim + q: qv for q, qv in d_vec.items()},
+                              field.mul(w, v1))
+        comul_rows.append(comul_row)
+        counit_rows.append(counit_row)
+        coact_rows.append(coact_row)
+
+    coring = Coring(
+        b_alg,
+        carrier,
+        Mat(field, x_dim, x_dim * x_dim, comul_rows),
+        Mat(field, x_dim, b_alg.dim, counit_rows),
+    )
+    return ExtMorphism(
+        coring, d, carrier.right_act, Mat(field, x_dim, x_dim * d.dim, coact_rows)
+    )
 
 
 def _composable_pairs(morphisms):

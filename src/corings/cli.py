@@ -16,6 +16,7 @@ import sys
 
 from .algebras import check_algebra
 from .category import (
+    base_ring_extension,
     check_corings_morphism,
     check_ext_morphism,
     corings_compose,
@@ -26,7 +27,7 @@ from .category import (
     verify_corings_monoidal,
     verify_ext_monoidal,
 )
-from .constructions import base_ring_extension, tensor_coring
+from .constructions import tensor_coring
 from .coring import check_coring
 from .errors import CoringsError, UnknownReference, ValidationFailure, WorkspaceError
 from .workspace import LAWS_BY_KIND, Dumper, load_workspace

@@ -2,13 +2,15 @@
 
 A coring over an algebra A is an (A,A)-bimodule C with an A-bilinear
 comultiplication C -> C (x)_A C and counit C -> A satisfying coassociativity
-and the two counit laws (`check_coring`).  A right extension of C by D is
-checked with the laws of a right D-coaction (`right_coaction_verdict`) and
-its commutation with the left C-coaction that is the comultiplication
-(`coaction_compatibility`); the cotensor product (`cotensor`) backs the
-independent oracle of `compose`.  Comultiplications and coactions are
-supplied as lifts into the ambient (x)_k space and projected through the
-presented quotients, so input data never depends on internal pivot choices.
+and the two counit laws (`check_coring`).  `category.check_ext_morphism`
+checks a right extension of C by D with the laws of a right D-coaction
+(`right_coaction_verdict`) and its commutation with the left C-coaction that
+is the comultiplication (`coaction_compatibility`).  The comultiplication is
+the right coaction of C on itself, so both coassociativity laws take one
+route.  The cotensor product (`cotensor`) backs the independent oracle of
+`compose`.  Comultiplications and coactions are supplied as lifts into the
+ambient (x)_k space and projected through the presented quotients, so input
+data never depends on internal pivot choices.
 
 Triple tensors are presented left-associated only: a route that applies a
 map on the right leg is regrouped into that presentation as it is computed
@@ -45,7 +47,7 @@ from .bimodules import (
 )
 from .errors import DescentFailure, DimensionMismatch, FieldMismatch
 from .linalg import Mat, _vadd, map_kernel
-from .verdict import Verdict, first_difference, format_combo
+from .verdict import Verdict, first_difference, first_noncommuting, format_combo
 
 CORING_LAWS = ("bilinearity", "coassociativity", "right-counit", "left-counit")
 
@@ -146,6 +148,19 @@ def _counit_leg(law, what, got, label, passed):
     )
 
 
+def _coassociativity_row(t_md, rho, lift, d):
+    """First row of `lift` where (rho (x) D) o rho and (M (x) comul_D) o rho differ, or None.
+
+    rho: M -> M (x)_B D into `t_md` must be right B-linear, so that rho (x) D
+    descends; M (x) comul_D does because D is a coring.
+    """
+    t_l = tensor_over_alg(t_md.result, d.carrier)
+    ident = Mat.identity(d.field, d.dim)
+    lhs = push(t_l, lambda vec: _kron_apply(rho, ident, vec), lift.rows)
+    rhs = push(t_l, regrouped_image(d.comul_lift, t_md, t_l), lift.rows)
+    return first_difference(lhs, rhs)
+
+
 def check_coring(c):
     """Bilinearity, coassociativity, and both counit laws, with a witness.
 
@@ -161,14 +176,9 @@ def check_coring(c):
         return Verdict.failed("bilinearity", f"counit: {v.witness}", passed)
     passed.append("bilinearity")
 
-    # comul (x) C and C (x) comul descend from C (x)_A C because comul is
-    # right and left A-linear (`bilinearity`).
-    t_left = tensor_over_alg(c.tens.result, c.carrier)
-    ident = Mat.identity(c.field, c.dim)
-    rows = c.comul_lift.rows
-    lhs = push(t_left, lambda vec: _kron_apply(c.comul, ident, vec), rows)
-    rhs = push(t_left, regrouped_image(c.comul_lift, c.tens, t_left), rows)
-    i = first_difference(lhs, rhs)
+    # The comultiplication is the right coaction of C on itself; it is right
+    # and left A-linear (`bilinearity`), as that route needs.
+    i = _coassociativity_row(c.tens, c.comul, c.comul_lift, c)
     if i is not None:
         return Verdict.failed(
             "coassociativity",
@@ -204,25 +214,17 @@ def right_coaction_verdict(carrier, d, coact_lift):
     t_md = tensor_over_alg(carrier, d.carrier)
     rho = coact_lift @ t_md.project
 
-    for j in range(carrier.right_alg.dim):
-        if carrier.right_act[j] @ rho != rho @ t_md.result.right_act[j]:
-            return Verdict.failed(
-                "coaction-linearity",
-                f"coaction does not commute with the right action of "
-                f"{carrier.right_alg.label(j)}",
-                passed,
-            )
+    j = first_noncommuting(carrier.right_act, rho, t_md.result.right_act)
+    if j is not None:
+        return Verdict.failed(
+            "coaction-linearity",
+            f"coaction does not commute with the right action of "
+            f"{carrier.right_alg.label(j)}",
+            passed,
+        )
     passed.append("coaction-linearity")
 
-    # rho (x) D descends from M (x)_B D because rho is right B-linear
-    # (`coaction-linearity`), and M (x) comul_D because comul_D is left
-    # B-linear (D is a coring).
-    t_l = tensor_over_alg(t_md.result, d.carrier)
-    ident = Mat.identity(carrier.field, d.dim)
-    rows = coact_lift.rows
-    lhs = push(t_l, lambda vec: _kron_apply(rho, ident, vec), rows)
-    rhs = push(t_l, regrouped_image(d.comul_lift, t_md, t_l), rows)
-    i = first_difference(lhs, rhs)
+    i = _coassociativity_row(t_md, rho, coact_lift, d)
     if i is not None:
         return Verdict.failed(
             "coaction-coassociativity",

@@ -56,3 +56,8 @@ def format_combo(vec, label, fmt):
 def first_difference(lhs, rhs):
     """Index of the first row where two same-shape matrices differ, or None."""
     return next((i for i, (a, b) in enumerate(zip(lhs.rows, rhs.rows)) if a != b), None)
+
+
+def first_noncommuting(acts, f, acts2):
+    """Index of the first i with acts[i] @ f != f @ acts2[i], or None."""
+    return next((i for i, (a, b) in enumerate(zip(acts, acts2)) if a @ f != f @ b), None)

@@ -14,7 +14,8 @@ first violation aborts with the object name and a witness.
 
 The shape of every value is checked before it reaches a constructor (exit 2):
 action lists must be arrays of matrices, group tables non-empty arrays of
-arrays of integers, and `labels`, when present, exactly `dim` strings.  Every
+arrays of integers, an algebra's table arrays of arrays of coordinate vectors
+and its unit an array, and `labels`, when present, exactly `dim` strings.  Every
 bimodule built from file data is validated before a tensor over an algebra is
 presented from it, since presentations assume the bimodule laws: named modules
 by `Bimodule.check` (exit 1), inline coring carriers by the same check at parse
@@ -207,13 +208,14 @@ def _parse_algebra(ws, name, spec):
     table = _require(spec, "table", what)
     unit = _require(spec, "unit", what)
     labels = _labels(spec, dim, what)
+    if not isinstance(table, list) or not all(
+        isinstance(row, list) and all(isinstance(vec, list) for vec in row) for row in table
+    ):
+        raise WorkspaceSyntaxError(f"{what}: table must be arrays of coordinate vectors")
+    if not isinstance(unit, list):
+        raise WorkspaceSyntaxError(f"{what}: unit must be an array of scalars")
     try:
-        coerced = [
-            [[ws.field.coerce(x) for x in vec] for vec in row] for row in table
-        ]
-        return FinDimAlgebra(
-            ws.field, dim, coerced, [ws.field.coerce(x) for x in unit], labels
-        )
+        return FinDimAlgebra(ws.field, dim, table, unit, labels)
     except CoringsError as e:
         raise WorkspaceSyntaxError(f"{what}: {e}")
     except (ValueError, TypeError, ZeroDivisionError) as e:

@@ -8,8 +8,10 @@ builder that algebra-generator relations replaced).  Both must agree with the
 library exactly.  `reference_delta_right_linearity` checks that the
 comultiplication commutes with a new right action by inducing that action on
 C (x)_A C by hand, descent check included (the routine that reading the action
-off `tensor_over_alg(C, M)` replaced); swapped in for the library's, it must
-leave every extension verdict unchanged.
+off `tensor_over_alg(C, M)` replaced).  `reference_right_extension_verdict`
+runs the four extension laws on that routine, rebuilding the bimodule from the
+raw action matrices (the checker that `check_ext_morphism` running the laws on
+its `ExtMorphism` replaced); on every extension it must give the same verdict.
 
 `reference_check_coring`, `reference_right_coaction_verdict`,
 `reference_coaction_compatibility` and `reference_check_corings_morphism` are
@@ -76,8 +78,8 @@ from corings.category import (
     ext_tensor_morphisms,
 )
 from corings.constructions import tensor_coring, unit_coring
-from corings.coring import Coring
-from corings.errors import AlgebraMismatch, DescentFailure, FieldMismatch
+from corings.coring import Coring, coaction_compatibility, right_coaction_verdict
+from corings.errors import AlgebraMismatch, DescentFailure, DimensionMismatch, FieldMismatch
 from corings.linalg import Mat, Subspace, _vadd, _vscale, quotient
 from corings.verdict import Verdict, first_difference, format_combo
 from oracles import left_unit_collapse, right_unit_collapse
@@ -251,6 +253,40 @@ def reference_delta_right_linearity(c, bimodule):
                 f"{b_alg.label(j)}",
             )
     return Verdict.passed(("delta-right-linear",))
+
+
+def reference_right_extension_verdict(c, d, right_action_mats, coact_lift):
+    """All four extension conditions in order, stopping at the first failure."""
+    passed = []
+    if c.field != d.field:
+        raise FieldMismatch("extension data over mixed fields")
+    try:
+        bimodule = Bimodule(
+            c.base, d.base, c.dim, c.carrier.left_act, right_action_mats,
+            c.carrier.labels,
+        )
+    except (DimensionMismatch, FieldMismatch) as e:
+        return Verdict.failed("bimodule", str(e), passed)
+    v = bimodule.check()
+    if not v.ok:
+        return Verdict.failed("bimodule", v.witness, passed)
+    passed.append("bimodule")
+
+    v = reference_delta_right_linearity(c, bimodule)
+    if not v.ok:
+        return Verdict.failed(v.law, v.witness, passed)
+    passed.append("delta-right-linear")
+
+    v = right_coaction_verdict(bimodule, d, coact_lift)
+    if not v.ok:
+        return Verdict.failed("coaction", f"{v.law}: {v.witness}", passed)
+    passed.append("coaction")
+
+    v = coaction_compatibility(c, d, bimodule, c.comul_lift, coact_lift)
+    if not v.ok:
+        return Verdict.failed("colinearity", v.witness, passed)
+    passed.append("colinearity")
+    return Verdict.passed(passed)
 
 
 def _reference_counit_leg(law, what, coact, f, g, t_src, t_unit, collapse, label, passed):

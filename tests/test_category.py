@@ -15,6 +15,7 @@ from corings.algebras import (
 from corings.category import (
     CoringsMorphism,
     ExtMorphism,
+    base_ring_extension,
     check_corings_morphism,
     check_ext_morphism,
     corings_compose,
@@ -34,7 +35,6 @@ from corings.category import (
     verify_ext_monoidal,
 )
 from corings.constructions import (
-    base_ring_extension,
     grouplike_coalgebra,
     matrix_coalgebra,
     tensor_coring,

@@ -10,6 +10,7 @@ from corings.algebras import (
 from corings.category import (
     CoringsMorphism,
     ExtMorphism,
+    base_ring_extension,
     check_ext_morphism,
     corings_identity,
     counit_corings_morphism,
@@ -19,7 +20,6 @@ from corings.category import (
     ext_to_unit,
 )
 from corings.constructions import (
-    base_ring_extension,
     grouplike_coalgebra,
     matrix_coalgebra,
     sweedler_coring,
@@ -99,6 +99,13 @@ class TestFixtures:
     def test_unit_coring_is_one_dimensional(self):
         assert unit_coring(Q).dim == 1
         assert check_coring(unit_coring(Q)).ok
+
+    def test_unit_coring_is_one_object_per_field(self):
+        assert unit_coring(F5) is unit_coring(F5)
+        assert unit_coring(Field.prime(5)) is unit_coring(F5)
+        assert unit_coring(Q) is not unit_coring(F5)
+        mc = matrix_coalgebra(2, F5)
+        assert tensor_coring(unit_coring(F5), mc) is tensor_coring(unit_coring(F5), mc)
 
     def test_matrix_coalgebra_comultiplication(self):
         mc = matrix_coalgebra(2, F5)

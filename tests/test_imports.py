@@ -3,10 +3,9 @@
 A stdlib `ast` scan stands in for a linter: every name bound by an import in
 `src/corings/*.py` or `tests/*.py` must be read somewhere in the same file.
 `__init__.py` is exempt, since its imports are the package's re-exports, and
-so are `from __future__` imports.  In `src/corings/`, a function-local
-`from .X import ...` is allowed only where the file has no module-level import
-from `.X`: such an import exists to break an import cycle, as `constructions`
-does for `.category`.
+so are `from __future__` imports.  In `src/corings/`, no function imports a
+sibling module (`from .X import ...` inside a function): such an import only
+hides an import cycle, and a cycle is fixed by where the code lives.
 
 A second scan finds dead definitions: every module-level function, class and
 constant of `src/corings/*.py` (again bar `__init__.py`) must be read, as a
@@ -48,15 +47,14 @@ def unused_imports(source):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-def redundant_local_imports(source):
-    """(line, module) of function-local relative imports of an already imported module."""
+def local_imports(source):
+    """(line, module) of the relative imports made inside a function."""
     tree = ast.parse(source)
-    top = {n.module for n in tree.body if isinstance(n, ast.ImportFrom) and n.level == 1}
     return sorted({
-        (node.lineno, f".{node.module}")
+        (node.lineno, "." * node.level + (node.module or ""))
         for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
         for node in ast.walk(fn)
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in top
+        if isinstance(node, ast.ImportFrom) and node.level
     })
 
 
@@ -74,18 +72,21 @@ def test_no_unused_imports(path):
 def test_scan_sees_a_redundant_local_import():
     source = (
         "from .a import x\n"
+        "import json\n"
         "def f():\n"
         "    from .a import y\n"
         "    from .b import z\n"
+        "    from . import c\n"
+        "    import os\n"
         "    def g():\n"
         "        from .a import w\n"
     )
-    assert redundant_local_imports(source) == [(3, ".a"), (6, ".a")]
+    assert local_imports(source) == [(4, ".a"), (5, ".b"), (6, "."), (9, ".a")]
 
 
 @pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
 def test_no_redundant_local_imports(path):
-    assert redundant_local_imports(path.read_text()) == []
+    assert local_imports(path.read_text()) == []
 
 
 def read_names(tree):

@@ -13,6 +13,13 @@ preconditions: the carriers and the corings an object refers to stay as
 loaded, so every carrier is a bimodule and every D a coring.  Corruptions
 include adding a relation of the presented tensor to a lift row, which must
 change no verdict, because the new checkers read the lift itself.
+
+On the same extensions and corruptions, `check_ext_morphism`, which runs the
+four extension laws on its `ExtMorphism`, must give the verdict of
+`reference_right_extension_verdict`.  A coring's comultiplication is the right
+coaction of C on itself, so `right_coaction_verdict` must pass it and fail the
+corruptions that `check_coring` fails on coassociativity or the right counit,
+on the same row.
 """
 
 import random
@@ -22,16 +29,16 @@ from unittest import mock
 
 import pytest
 
-from corings import constructions
+from corings import category
 from corings.algebras import AlgebraMorphism
 from corings.bimodules import induced_map_on_tensor, regular_bimodule, tensor_over_alg
 from corings.category import (
     CoringsMorphism,
     ExtMorphism,
+    base_ring_extension,
     check_corings_morphism,
     check_ext_morphism,
 )
-from corings.constructions import base_ring_extension
 from corings.coring import (
     Coring,
     _counit_contraction,
@@ -47,6 +54,7 @@ from reference import (
     reference_check_corings_morphism,
     reference_coaction_compatibility,
     reference_right_coaction_verdict,
+    reference_right_extension_verdict,
 )
 
 WORKSPACES = Path(__file__).resolve().parents[1] / "perfbench" / "workspaces"
@@ -85,9 +93,9 @@ def corpus_objects(corpus):
 
 def reference_ext_verdict(m):
     """`check_ext_morphism` with the reference coaction checkers swapped in."""
-    with mock.patch.object(constructions, "right_coaction_verdict",
+    with mock.patch.object(category, "right_coaction_verdict",
                            reference_right_coaction_verdict), \
-            mock.patch.object(constructions, "coaction_compatibility",
+            mock.patch.object(category, "coaction_compatibility",
                               reference_coaction_compatibility):
         return check_ext_morphism(m)
 
@@ -339,3 +347,52 @@ def test_counit_contraction_equals_the_collapse_route(corpus):
             for left, acts in sides:
                 got = _counit_contraction(lift, t.right_factor.dim, counit, acts, left)
                 assert got == collapse_route(lift, t, counit, left), (name, k)
+
+
+def ext_cases(corpus):
+    """Every extension-kind object of `corpus` and its derandomized corruptions."""
+    for name, kind, obj in corpus_objects(corpus):
+        if kind == "ext":
+            yield name, obj
+            for k in range(CORRUPTIONS_PER_OBJECT):
+                yield name, corrupt_ext(random.Random(f"{corpus}/{name}/{k}"), obj)
+
+
+@pytest.mark.parametrize("corpus", CORPORA)
+def test_extension_checker_matches_the_reference(corpus):
+    """`check_ext_morphism` on its `ExtMorphism` against the four laws on raw data."""
+    laws = set()
+    for name, m in ext_cases(corpus):
+        v = check_ext_morphism(m)
+        ref = reference_right_extension_verdict(m.source, m.target, m.action_mats,
+                                                m.coact_lift)
+        assert v == ref, name
+        laws.add(v.law)
+    assert {None, "bimodule", "coaction", "colinearity"} <= laws
+
+
+@pytest.mark.parametrize("corpus", CORPORA)
+def test_a_coring_coacts_on_itself(corpus):
+    """The comultiplication is the right coaction of C on itself.
+
+    It passes `right_coaction_verdict` on every corpus coring; where a
+    corruption makes `check_coring` fail coassociativity or the right counit
+    law, the coaction laws fail on the same row.
+    """
+    same_law = {"coassociativity": "coaction-coassociativity",
+                "right-counit": "coaction-counit"}
+    seen = set()
+    for name, kind, obj in corpus_objects(corpus):
+        if kind != "coring":
+            continue
+        assert right_coaction_verdict(obj.carrier, obj, obj.comul_lift).ok, name
+        for k in range(CORRUPTIONS_PER_OBJECT):
+            c = corrupt_coring(random.Random(f"{corpus}/{name}/{k}"), obj)
+            v = check_coring(c)
+            if v.law not in same_law:
+                continue
+            w = right_coaction_verdict(c.carrier, c, c.comul_lift)
+            assert w.law == same_law[v.law], (name, k)
+            assert w.witness.split(": ")[0] == v.witness.split(": ")[0], (name, k)
+            seen.add(v.law)
+    assert seen == set(same_law)

@@ -10,12 +10,14 @@ import contextlib
 import copy
 import io
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corings import cli
+from corings.linalg import Field
 
 Q = {"kind": "rationals"}
 F5 = {"kind": "prime", "p": 5}
@@ -164,6 +166,7 @@ def module_doc(**changes):
 
 
 GROUP_TABLE = "table must be a non-empty array of arrays of integers"
+DUAL_TABLE = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
 # Malformed shapes that escaped as Python exceptions, or loaded, before the
 # workspace checked them at the boundary.
 MALFORMED.update({
@@ -198,6 +201,21 @@ MALFORMED.update({
     ),
     "algebra-missing-unit": (
         f5_doc("algebras", "a", {"dim": 1, "table": [[[1]]]}), "algebra a: missing key 'unit'"
+    ),
+    # A string in place of a coordinate vector was read one character at a
+    # time, so these loaded the dual numbers.
+    "algebra-table-vectors-strings": (
+        f5_doc("algebras", "a", {"dim": 2, "table": [["10", "01"], ["01", "00"]],
+                                 "unit": [1, 0]}),
+        "algebra a: table must be arrays of coordinate vectors",
+    ),
+    "algebra-unit-string": (
+        f5_doc("algebras", "a", {"dim": 2, "table": DUAL_TABLE, "unit": "10"}),
+        "algebra a: unit must be an array of scalars",
+    ),
+    "algebra-table-not-array": (
+        f5_doc("algebras", "a", {"dim": 1, "table": 5, "unit": [1]}),
+        "algebra a: table must be arrays of coordinate vectors",
     ),
     # e_0 e_1 = 0 breaks the unit law, whose witness would read the missing label.
     "algebra-labels-too-short": (
@@ -240,6 +258,22 @@ def test_exact_scalar_spellings_load(field, entry, capsys, tmp_path):
     code, out, err = run_doc(capsys, tmp_path, one_dim_algebra(field, entry), "dims", "a")
     assert (code, err) == (0, "")
     assert "dim: 1" in out.splitlines()
+
+
+def test_algebra_scalars_are_coerced_once(capsys, tmp_path):
+    """A 2-dim algebra has 8 structure constants and 2 unit coordinates."""
+    doc = {"field": F5, "algebras": {"a": {"dim": 2, "table": DUAL_TABLE, "unit": [1, 0]}}}
+    coerce = Field.coerce
+    calls = []
+
+    def counting(field, x):
+        calls.append(x)
+        return coerce(field, x)
+
+    with mock.patch.object(Field, "coerce", counting):
+        code, out, err = run_doc(capsys, tmp_path, doc, "dims", "a")
+    assert (code, err) == (0, "")
+    assert len(calls) == 10
 
 
 # Files that json.loads never sees as a document: bytes that are not UTF-8,
