@@ -64,7 +64,7 @@ from .coring import (
     check_coring,
     cotensor,
 )
-from .linalg import Field, Mat, QuotientSpace, Subspace, kernel, quotient, rref
+from .linalg import Field, Mat, QuotientSpace, Subspace, kernel, quotient, quotient_by_rows, rref
 from .verdict import Verdict
 from .workspace import Workspace, load_workspace, parse_workspace
 

@@ -9,7 +9,10 @@ M (x)_B N is realized as an explicit quotient of M (x)_k N by the span of
 (m_i . b_t) (x) n_j  -  m_i (x) (b_t . n_j) over all basis pairs (i, j) and
 every b_t in a set of algebra generators of B (`_algebra_generators`).  For
 bimodules these span all relations: the relation of a product follows from
-those of its factors, and the unit's relations vanish.  The factors must
+those of its factors, and the unit's relations vanish.  A generator that acts
+by monomial matrices (at most one nonzero entry per row) gives relations of
+one or two terms, which `linalg.quotient_by_rows` collapses into orbits of
+pure tensors instead of eliminating them.  The factors must
 therefore satisfy the bimodule laws; inputs are validated where they enter
 the program (workspace load, the extension and morphism checkers), not on
 every build.  Maps into such a tensor are supplied as lifts into the ambient
@@ -36,7 +39,7 @@ from .errors import (
     DimensionMismatch,
     FieldMismatch,
 )
-from .linalg import Mat, Subspace, _Eliminator, _vadd, quotient
+from .linalg import Mat, _Eliminator, _vadd, _vscale, quotient_by_rows
 from .verdict import Verdict, first_noncommuting
 
 BIMODULE_LAWS = ("left-module", "right-module", "commuting-actions")
@@ -371,6 +374,10 @@ def _present_tensor(m, n):
 
     The factors must be bimodules: the module laws make the relations of the
     algebra generators of B span all relations, which is not re-checked here.
+    The relation rows are streamed into `quotient_by_rows`.  When a generator
+    acts by monomial matrices on both factors (at most one nonzero entry per
+    row), each of its rows has one or two terms and collapses into an orbit
+    of pure tensors with no elimination.
     """
     if m.field != n.field:
         raise FieldMismatch("tensor factors over different fields")
@@ -380,23 +387,27 @@ def _present_tensor(m, n):
     over = m.right_alg
     nd = n.dim
     ambient_dim = m.dim * nd
+    minus_one = field.neg(field.one)
 
-    gens = []
-    for t in _algebra_generators(over):
-        right_rows = m.right_act[t].rows
-        left_rows = n.left_act[t].rows
-        for i in range(m.dim):
-            ri = right_rows[i]
-            for j in range(nd):
-                g = {}
-                for u, v in ri.items():
-                    g[u * nd + j] = v
-                _vadd(field, g, {i * nd + w: v for w, v in left_rows[j].items()},
-                      field.neg(field.one))
-                if g:
-                    gens.append(g)
-    relations = Subspace.from_generators(field, ambient_dim, gens)
-    quot = quotient(ambient_dim, relations)
+    def relation_rows():
+        for t in _algebra_generators(over):
+            right_rows = m.right_act[t].rows
+            minus_left = [_vscale(field, r, minus_one) for r in n.left_act[t].rows]
+            for i in range(m.dim):
+                ri = right_rows[i]
+                base = i * nd
+                for j in range(nd):
+                    g = {u * nd + j: v for u, v in ri.items()}
+                    for w, v in minus_left[j].items():
+                        c = base + w
+                        if c in g:
+                            v = field.add(g.pop(c), v)
+                        if v:
+                            g[c] = v
+                    if g:
+                        yield g
+
+    quot = quotient_by_rows(field, ambient_dim, relation_rows())
     return PresentedTensor(m, n, over, quot)
 
 
@@ -431,15 +442,15 @@ def descend(t_src, t_tgt, image):
 
     `image` sends a sparse vector of the ambient space of t_src to one of the
     ambient space of t_tgt.  It must send every source relation into the
-    target relations, or the map is not defined on the quotient
-    (DescentFailure).  Row s of the returned matrix is the class in t_tgt of
-    image(lift_src[s]).  A law whose map is known to descend, because an
-    earlier law of its checker implies it, pushes its lift rows through
-    `push` instead and skips this check.
+    target relations, the kernel of the target's projection, or the map is
+    not defined on the quotient (DescentFailure).  Row s of the returned
+    matrix is the class in t_tgt of image(lift_src[s]).  A law whose map is
+    known to descend, because an earlier law of its checker implies it,
+    pushes its lift rows through `push` instead and skips this check.
     """
-    relations = t_tgt.relations
+    project = t_tgt.quot.project_vec
     for r in t_src.relations.basis.rows:
-        if not relations.contains(image(r)):
+        if project(image(r)):
             raise DescentFailure(
                 "ambient map does not send source relations into target relations"
             )

@@ -13,7 +13,11 @@ Conventions used throughout the library:
 * `kernel(m)` solves m x = 0, i.e. it returns {v : v * m^T = 0}; the kernel of
   a map stored row-convention is `kernel(m.transpose())`.
 * Quotients pick the non-pivot ambient coordinates, in increasing index order,
-  as representatives, so every basis choice is deterministic.
+  as representatives, so every basis choice is deterministic.  `quotient`
+  takes a relation subspace that is already eliminated; `quotient_by_rows`
+  takes relation rows and collapses those with one or two terms as orbits
+  with a weighted union-find, eliminating only the rows with more terms.
+  Both give the same quotient of the same span.
 
 Rows are stored sparsely as {column: nonzero scalar}; every constructor and
 accessor speaks dense row-major entries.  RREF is canonical for a given row
@@ -22,11 +26,15 @@ space, which is what makes reports byte-stable across runs.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import isqrt
 
 from .errors import DimensionMismatch, FieldMismatch, IsoFailure
+
+
+_SCALAR = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def _is_prime(p):
@@ -107,26 +115,37 @@ class Field:
         return n if self.p is None else n % self.p
 
     def coerce(self, x):
-        """Canonical element for an int, a Fraction or a string such as "3/4".
+        """Canonical element for an int, a Fraction or a scalar string.
 
-        Floats (inexact) and bools (a JSON `true` is not a number) raise TypeError.
+        A string is an integer ("-3") or an integer over a positive integer
+        ("3/4"), in ASCII digits with no sign on the denominator, spaces or
+        exponent: one grammar on every field.  Floats (inexact) and bools (a
+        JSON `true` is not a number) raise TypeError, any other string and a
+        zero denominator raise ValueError.
         """
         if x.__class__ is bool or not isinstance(x, (int, Fraction, str)):
             raise TypeError(
                 f'not an exact scalar: {x!r} (give an integer or a string such as "3/4")'
             )
-        if self.p is None:
-            return x if x.__class__ is int else _norm(Fraction(x))
         if isinstance(x, str):
-            if "/" in x:
-                num, den = x.split("/", 1)
-                return self.mul(int(num) % self.p, self.inv(int(den)))
-            return int(x) % self.p
-        if isinstance(x, Fraction):
-            if x.denominator != 1:
-                return self.mul(x.numerator % self.p, self.inv(x.denominator))
-            return x.numerator % self.p
-        return int(x) % self.p
+            if _SCALAR.fullmatch(x) is None:
+                raise ValueError(
+                    f'not an exact scalar: {x!r} (give an integer or a string such as "3/4")'
+                )
+            num, _, den = x.partition("/")
+            try:
+                num, den = int(num), int(den or 1)
+            except ValueError:  # past the interpreter's limit on digits
+                raise ValueError(f"scalar string of {len(x)} characters is too long")
+            if den == 0 or (self.p is not None and den % self.p == 0):
+                where = "" if self.p is None else f" in {self!r}"
+                raise ValueError(f"zero denominator{where}: {x!r}")
+            x = num if den == 1 else Fraction(num, den)
+        if self.p is None:
+            return _norm(x)
+        if x.__class__ is int:
+            return x % self.p
+        return self.mul(x.numerator % self.p, self.inv(x.denominator))
 
     def fmt(self, x):
         return str(x)
@@ -552,17 +571,36 @@ class QuotientSpace:
 
     Representatives are the non-pivot ambient coordinates in increasing order;
     project @ lift is the identity on the quotient and kernel(project) equals
-    the relations.
+    the relations.  A quotient built from its project rows alone
+    (`quotient_by_rows`) derives `relations` from them on first read.
     """
 
-    __slots__ = ("ambient_dim", "relations", "rep_columns", "project", "lift")
+    __slots__ = ("ambient_dim", "_relations", "rep_columns", "project", "lift")
 
     def __init__(self, ambient_dim, relations, rep_columns, project, lift):
         self.ambient_dim = ambient_dim
-        self.relations = relations
+        self._relations = relations
         self.rep_columns = rep_columns
         self.project = project
         self.lift = lift
+
+    @property
+    def relations(self):
+        """The relation subspace: the row of pivot c is e_c - lift(project(e_c))."""
+        if self._relations is None:
+            field = self.project.field
+            one = field.one
+            reps = set(self.rep_columns)
+            pivots = [c for c in range(self.ambient_dim) if c not in reps]
+            rows = []
+            for c in pivots:
+                row = {c: one}
+                for t, v in self.project.rows[c].items():
+                    row[self.rep_columns[t]] = field.neg(v)
+                rows.append(row)
+            basis = Mat(field, len(pivots), self.ambient_dim, rows)
+            self._relations = Subspace(self.ambient_dim, basis, pivots)
+        return self._relations
 
     @property
     def dim(self):
@@ -576,7 +614,7 @@ class QuotientSpace:
         return self.project.apply(vec)
 
     def __repr__(self):
-        return f"QuotientSpace(k^{self.ambient_dim} / dim-{self.relations.dim})"
+        return f"QuotientSpace(k^{self.ambient_dim} / dim-{self.ambient_dim - self.dim})"
 
 
 def quotient(ambient_dim, relations):
@@ -597,3 +635,129 @@ def quotient(ambient_dim, relations):
     project = Mat(field, ambient_dim, len(rep_columns), proj_rows)
     lift = Mat(field, len(rep_columns), ambient_dim, [{c: one} for c in rep_columns])
     return QuotientSpace(ambient_dim, relations, rep_columns, project, lift)
+
+
+def quotient_by_rows(field, ambient_dim, rows):
+    """`quotient(ambient_dim, Subspace.from_generators(field, ambient_dim, rows))`.
+
+    `rows` is an iterable of sparse rows of nonzero field elements; it is
+    read once.  The result has the same `rep_columns`, `project`, `lift` and
+    `relations` as that call, without eliminating every row.
+
+    A one- or two-term row is an orbit relation: a weighted union-find with
+    path compression keeps e_x = ratio[x] * e_root(x) modulo those rows, the
+    root of a component being its largest coordinate.  A component is dead
+    (all of it lies in the relations) once it meets a one-term row or a cycle
+    whose ratios disagree.  Read as an RREF, every non-root coordinate of a
+    live component is a pivot with row e_c - ratio[c] * e_root, every
+    coordinate of a dead component is a pivot, and the live roots span the
+    quotient by those rows.  Rows of three or more terms are rewritten into
+    live root coordinates and eliminated by `_Eliminator` afterwards; a live
+    root is a pivot of the whole span exactly when it is a pivot of that
+    residual RREF, since a relation led by a root has no other coordinate of
+    that root's component.  No `_Eliminator` is built when every row has at
+    most two terms.
+    """
+    one = field.one
+    minus_one = field.neg(one)
+    mul, neg = field.mul, field.neg
+    parent = list(range(ambient_dim))
+    ratio = [one] * ambient_dim
+    dead = set()
+    wide = []
+
+    def find(x):
+        """(root, w) with e_x = w * e_root modulo the orbit rows read so far."""
+        r = parent[x]
+        if r == x:
+            return x, one
+        if parent[r] == r:
+            return r, ratio[x]
+        path = [x]
+        while parent[r] != r:
+            path.append(r)
+            r = parent[r]
+        w = one
+        for y in reversed(path):
+            if w == one:
+                w = ratio[y]
+            else:
+                w = ratio[y] = mul(ratio[y], w)
+            parent[y] = r
+        return r, w
+
+    for row in rows:
+        if len(row) > 2:
+            wide.append(row)
+            continue
+        if len(row) == 1:
+            dead.add(find(next(iter(row)))[0])
+            continue
+        (x, a), (y, b) = row.items()
+        rx, wx = find(x)
+        ry, wy = find(y)
+        # a * e_rx + b * e_ry lies in the relations, after weighting.
+        if wx != one:
+            a = mul(a, wx)
+        if wy != one:
+            b = mul(b, wy)
+        if rx == ry:
+            if field.add(a, b):
+                dead.add(rx)
+            continue
+        if rx > ry:
+            rx, ry, a, b = ry, rx, b, a
+        # e_rx = -(b / a) * e_ry: the smaller root joins the larger.
+        parent[rx] = ry
+        if a == one:
+            ratio[rx] = neg(b)
+        elif a == minus_one:
+            ratio[rx] = b
+        else:
+            ratio[rx] = neg(mul(b, field.inv(a)))
+        if rx in dead:
+            dead.add(ry)
+
+    # A parent always has a larger index than its child, so in descending
+    # order each parent already points at its root: one pass flattens all.
+    for x in range(ambient_dim - 1, -1, -1):
+        r = parent[x]
+        if parent[r] != r:
+            if ratio[r] != one:
+                ratio[x] = mul(ratio[x], ratio[r])
+            parent[x] = parent[r]
+    live_roots = [x for x in range(ambient_dim) if parent[x] == x and x not in dead]
+
+    residual = {}
+    if wide:
+        elim = _Eliminator(field, ambient_dim)
+        for row in wide:
+            out = {}
+            for x, v in row.items():
+                r = parent[x]
+                if r not in dead:
+                    w = field.add(out.pop(r, 0), mul(v, ratio[x]))
+                    if w:
+                        out[r] = w
+            elim.insert(out)
+        residual = {c: elim.pivrows[c] for c in elim.pivots()}
+
+    rep_columns = [r for r in live_roots if r not in residual]
+    rep_index = {c: t for t, c in enumerate(rep_columns)}
+    root_class = {
+        r: {rep_index[j]: neg(v) for j, v in residual[r].items() if j != r}
+        if r in residual else {rep_index[r]: one}
+        for r in live_roots
+    }
+    proj_rows = []
+    for x in range(ambient_dim):
+        r = parent[x]
+        if r in dead:
+            proj_rows.append({})
+        elif ratio[x] == one:
+            proj_rows.append(dict(root_class[r]))
+        else:
+            proj_rows.append(_vscale(field, root_class[r], ratio[x]))
+    project = Mat(field, ambient_dim, len(rep_columns), proj_rows)
+    lift = Mat(field, len(rep_columns), ambient_dim, [{c: one} for c in rep_columns])
+    return QuotientSpace(ambient_dim, None, rep_columns, project, lift)

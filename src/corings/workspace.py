@@ -422,6 +422,8 @@ def parse_workspace(text, source="<workspace>"):
         raise WorkspaceSyntaxError(f"{source}:{e.lineno}: {e.msg}")
     except RecursionError:
         raise WorkspaceSyntaxError(f"{source}: arrays or objects nested too deep")
+    except ValueError:  # an integer literal past the interpreter's limit on digits
+        raise WorkspaceSyntaxError(f"{source}: a number has too many digits")
     if not isinstance(doc, dict):
         raise WorkspaceSyntaxError(f"{source}: top level must be an object")
     for key in doc:

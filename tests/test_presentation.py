@@ -7,6 +7,11 @@ basis element, eliminates them with the reference eliminator and re-checks
 that the outer actions preserve the relations.  On every (M, N) the CLI
 presents for the benchmark corpus, both must agree exactly.
 
+Every algebra generator the corpus presents over acts by monomial matrices,
+so each relation row has one or two terms and `quotient_by_rows` collapses
+it as an orbit.  While the three workspaces load, and while `tensor sw m2`
+runs, no relation row of a presentation reaches an `_Eliminator`.
+
 The right linearity of an extension's comultiplication reads the new right
 action on C (x)_A C off `tensor_over_alg(C, M)`, M the carrier with that
 action: the relations of that presentation depend on the left action of M
@@ -21,7 +26,7 @@ from unittest import mock
 
 import pytest
 
-from corings import bimodules, cli
+from corings import bimodules, cli, constructions, linalg
 from corings.algebras import (
     CYCLIC_2,
     KLEIN_4,
@@ -91,6 +96,47 @@ def test_every_presentation_matches_the_reference(run, capsys):
         assert got.lift == want.lift
         assert got.result.left_act == want.result.left_act
         assert got.result.right_act == want.result.right_act
+
+
+GUARDED_RUNS = {
+    "load-cli-q": load("cli-q.json"),
+    "load-cli-f5": load("cli-f5.json"),
+    "load-monoidal-f5": load("monoidal-f5.json"),
+    "tensor-sw-m2": lambda: cli.main(["--workspace", str(WORKSPACES / "cli-f5.json"),
+                                      "tensor", "sw", "m2"]),
+}
+
+
+@pytest.mark.parametrize("run", sorted(GUARDED_RUNS))
+def test_presentations_eliminate_no_relation_row(run, capsys):
+    inserted = []
+    presenting = []
+    build = bimodules._present_tensor
+
+    class Recording(linalg._Eliminator):
+        def insert(self, row):
+            if presenting:
+                inserted.append(row)
+            super().insert(row)
+
+    def guarded(m, n):
+        presenting.append((m.dim, n.dim))
+        try:
+            return build(m, n)
+        finally:
+            presenting.pop()
+
+    with mock.patch.object(bimodules, "_TENSORS", {}), \
+            mock.patch.object(constructions, "_TENSOR_CORINGS", {}), \
+            mock.patch.object(bimodules, "_present_tensor", guarded), \
+            mock.patch.object(linalg, "_Eliminator", Recording):
+        built = presented_pairs(GUARDED_RUNS[run])
+    out = capsys.readouterr().out
+    assert built
+    assert inserted == []
+    if run == "tensor-sw-m2":
+        assert "result: pass" in out.splitlines()
+        assert (1024, 64) in [(m.dim, n.dim) for m, n in built]  # ambient dim 65,536
 
 
 def closure(a, gens):

@@ -226,6 +226,35 @@ MALFORMED.update({
 })
 
 
+# Scalar strings follow one grammar on every field: an integer or an integer
+# over a positive integer.  Q used to load decimals and exponents through
+# `Fraction`, so "1e5000" loaded and crashed when a witness printed it, and
+# "1e10000000" took seconds to parse.
+EXACT = '(give an integer or a string such as "3/4")'
+MALFORMED.update({
+    f"scalar-{name}-{tag}": (one_dim_algebra(field, entry), f"algebra a: {detail}")
+    for tag, field in (("Q", Q), ("F5", F5))
+    for name, entry, detail in (
+        ("exponent", "1e5000", f"not an exact scalar: '1e5000' {EXACT}"),
+        ("huge-exponent", "1e10000000", f"not an exact scalar: '1e10000000' {EXACT}"),
+        ("decimal", "1.5", f"not an exact scalar: '1.5' {EXACT}"),
+        ("spaces", " 1", f"not an exact scalar: ' 1' {EXACT}"),
+        ("plus-sign", "+1", f"not an exact scalar: '+1' {EXACT}"),
+        ("signed-denominator", "1/-1", f"not an exact scalar: '1/-1' {EXACT}"),
+        ("too-long", "1" * 5000, "scalar string of 5000 characters is too long"),
+    )
+})
+MALFORMED.update({
+    "scalar-zero-denominator-Q": (one_dim_algebra(Q, "1/0"), "algebra a: zero denominator: '1/0'"),
+    "scalar-zero-denominator-F5": (
+        one_dim_algebra(F5, "1/0"), "algebra a: zero denominator in F_5: '1/0'"
+    ),
+    "scalar-denominator-p-F5": (
+        one_dim_algebra(F5, "2/5"), "algebra a: zero denominator in F_5: '2/5'"
+    ),
+})
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_workspace_is_a_syntax_error(case, capsys, tmp_path):
     doc, detail = MALFORMED[case]
@@ -276,11 +305,20 @@ def test_algebra_scalars_are_coerced_once(capsys, tmp_path):
     assert len(calls) == 10
 
 
-# Files that json.loads never sees as a document: bytes that are not UTF-8,
-# and nesting deeper than the decoder's recursion limit.
+# Files that json.loads cannot read as a document: bytes that are not UTF-8,
+# nesting deeper than the decoder's recursion limit, and an integer literal
+# longer than the interpreter converts (a ValueError that used to escape).
 UNREADABLE = {
     "not-utf8": (b'\xff\xfe{"field": {"kind": "rationals"}}', "not UTF-8 at byte 0"),
     "nested-too-deep": (b"[" * 100_000 + b"]" * 100_000, "nested too deep"),
+    **{
+        f"number-too-long-{tag}": (
+            b'{"field": ' + field + b', "algebras": {"a": {"dim": 1, "table": [[[1'
+            + b"0" * 5000 + b']]], "unit": [1]}}}',
+            "a number has too many digits",
+        )
+        for tag, field in (("Q", b'{"kind": "rationals"}'), ("F5", b'{"kind": "prime", "p": 5}'))
+    },
 }
 
 
