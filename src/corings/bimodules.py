@@ -9,10 +9,13 @@ M (x)_B N is realized as an explicit quotient of M (x)_k N by the span of
 (m_i . b_t) (x) n_j  -  m_i (x) (b_t . n_j) over all basis pairs (i, j) and
 every b_t in a set of algebra generators of B (`_algebra_generators`).  For
 bimodules these span all relations: the relation of a product follows from
-those of its factors, and the unit's relations vanish.  A generator that acts
-by monomial matrices (at most one nonzero entry per row) gives relations of
-one or two terms, which `linalg.quotient_by_rows` collapses into orbits of
-pure tensors instead of eliminating them.  The factors must
+those of its factors, and the unit's relations vanish.  Each relation row goes
+to `linalg.quotient_by_rows` as a sequence of (column, value) pairs with
+distinct columns, its row contract.  A generator that acts by monomial
+matrices (at most one nonzero entry per row) gives rows of one or two terms,
+built straight from the two action rows with no dict per row, which
+`quotient_by_rows` collapses into orbits of pure tensors instead of
+eliminating them.  The factors must
 therefore satisfy the bimodule laws; inputs are validated where they enter
 the program (workspace load, the extension and morphism checkers), not on
 every build.  Maps into such a tensor are supplied as lifts into the ambient
@@ -39,7 +42,7 @@ from .errors import (
     DimensionMismatch,
     FieldMismatch,
 )
-from .linalg import Mat, _Eliminator, _vadd, _vscale, quotient_by_rows
+from .linalg import Mat, _Eliminator, _vadd, quotient_by_rows
 from .verdict import Verdict, first_noncommuting
 
 BIMODULE_LAWS = ("left-module", "right-module", "commuting-actions")
@@ -374,41 +377,65 @@ def _present_tensor(m, n):
 
     The factors must be bimodules: the module laws make the relations of the
     algebra generators of B span all relations, which is not re-checked here.
-    The relation rows are streamed into `quotient_by_rows`.  When a generator
-    acts by monomial matrices on both factors (at most one nonzero entry per
-    row), each of its rows has one or two terms and collapses into an orbit
-    of pure tensors with no elimination.
+    The relation rows are streamed into `quotient_by_rows`.
     """
     if m.field != n.field:
         raise FieldMismatch("tensor factors over different fields")
     if m.right_alg != n.left_alg:
         raise AlgebraMismatch("middle algebras differ")
-    field = m.field
-    over = m.right_alg
-    nd = n.dim
-    ambient_dim = m.dim * nd
-    minus_one = field.neg(field.one)
+    quot = quotient_by_rows(m.field, m.dim * n.dim, _relation_rows(m, n))
+    return PresentedTensor(m, n, m.right_alg, quot)
 
-    def relation_rows():
-        for t in _algebra_generators(over):
-            right_rows = m.right_act[t].rows
-            minus_left = [_vscale(field, r, minus_one) for r in n.left_act[t].rows]
-            for i in range(m.dim):
-                ri = right_rows[i]
-                base = i * nd
-                for j in range(nd):
-                    g = {u * nd + j: v for u, v in ri.items()}
-                    for w, v in minus_left[j].items():
+
+def _relation_rows(m, n):
+    """(m_i . b_t) (x) n_j - m_i (x) (b_t . n_j) for each algebra generator b_t
+    of B and basis pair (i, j), as (column, value) pairs; zero rows are skipped.
+
+    The terms of the two sides land on one column only at a fixed point, where
+    m_i . b_t and b_t . n_j both involve their own basis vector.  A row whose
+    action rows have at most one entry each (monomial actions) is therefore
+    built from those entries directly, merging only at a fixed point, and has
+    one or two terms; so is a row with terms on one side only.  A row with
+    terms on both sides and a wider action row is summed in a dict.
+    """
+    field = m.field
+    add, neg = field.add, field.neg
+    nd = n.dim
+    for t in _algebra_generators(m.right_alg):
+        # Row j holds the terms of -(b_t . n_j) as (w, value) pairs.
+        minus_left = [[(w, neg(v)) for w, v in r.items()] for r in n.left_act[t].rows]
+        for i, ri in enumerate(m.right_act[t].rows):
+            base = i * nd
+            right = [(u * nd, v) for u, v in ri.items()]
+            one_right = len(right) == 1
+            if one_right:
+                ((col, x),) = right
+            for j, lj in enumerate(minus_left):
+                if one_right and len(lj) == 1:
+                    c = col + j
+                    ((w, y),) = lj
+                    w += base
+                    if c != w:
+                        yield ((c, x), (w, y))
+                    else:
+                        s = add(x, y)
+                        if s:
+                            yield ((c, s),)
+                elif not lj:
+                    if right:
+                        yield [(c + j, v) for c, v in right]
+                elif not right:
+                    yield [(base + w, v) for w, v in lj]
+                else:
+                    g = {c + j: v for c, v in right}
+                    for w, v in lj:
                         c = base + w
                         if c in g:
-                            v = field.add(g.pop(c), v)
+                            v = add(g.pop(c), v)
                         if v:
                             g[c] = v
                     if g:
-                        yield g
-
-    quot = quotient_by_rows(field, ambient_dim, relation_rows())
-    return PresentedTensor(m, n, over, quot)
+                        yield list(g.items())
 
 
 def _kron_apply(f, g, vec):

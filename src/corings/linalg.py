@@ -15,8 +15,9 @@ Conventions used throughout the library:
 * Quotients pick the non-pivot ambient coordinates, in increasing index order,
   as representatives, so every basis choice is deterministic.  `quotient`
   takes a relation subspace that is already eliminated; `quotient_by_rows`
-  takes relation rows and collapses those with one or two terms as orbits
-  with a weighted union-find, eliminating only the rows with more terms.
+  takes relation rows, each a sequence of (column, value) pairs, and
+  collapses those with one or two terms as orbits with a weighted
+  union-find, eliminating only the rows with more terms.
   Both give the same quotient of the same span.
 
 Rows are stored sparsely as {column: nonzero scalar}; every constructor and
@@ -56,6 +57,20 @@ def _norm(x):
     if x.__class__ is Fraction and x.denominator == 1:
         return x.numerator
     return x
+
+
+def _int_str(n):
+    """str(n), or its sign and digit count past the interpreter's limit on digits."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    a = abs(n)
+    # a has b bits, so its digit count is floor(b log10 2) + 1 or one less.
+    digits = int(a.bit_length() * 0.30102999566398120) + 1
+    if 10 ** (digits - 1) > a:
+        digits -= 1
+    return f"{'-' if n < 0 else ''}<integer of {digits} digits>"
 
 
 class Field:
@@ -148,7 +163,15 @@ class Field:
         return self.mul(x.numerator % self.p, self.inv(x.denominator))
 
     def fmt(self, x):
-        return str(x)
+        """str(x) for a canonical scalar x, but never raises.
+
+        An integer, or a numerator or denominator, past the interpreter's
+        limit on digits (`sys.get_int_max_str_digits`) is written by its
+        digit count, as in `<integer of 6001 digits>`.
+        """
+        if x.__class__ is Fraction:
+            return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"
+        return _int_str(x)
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.p == other.p
@@ -638,11 +661,17 @@ def quotient(ambient_dim, relations):
 
 
 def quotient_by_rows(field, ambient_dim, rows):
-    """`quotient(ambient_dim, Subspace.from_generators(field, ambient_dim, rows))`.
+    """`quotient(ambient_dim, Subspace.from_generators(field, ambient_dim, ...))`
+    on the span of `rows`.
 
-    `rows` is an iterable of sparse rows of nonzero field elements; it is
-    read once.  The result has the same `rep_columns`, `project`, `lift` and
-    `relations` as that call, without eliminating every row.
+    `rows` is an iterable, read once, of relation rows.  Each row is a
+    sequence of (column, value) pairs with distinct columns and nonzero
+    values, such as `tuple(d.items())` for a sparse row `d`; the caller need
+    not build a dict per row.  The result has the same `rep_columns`,
+    `project`, `lift` and `relations` as that call, without eliminating
+    every row.  Rows of `project` with equal entries may be one shared dict,
+    so the result, like every presentation built from it, must not be
+    changed in place.
 
     A one- or two-term row is an orbit relation: a weighted union-find with
     path compression keeps e_x = ratio[x] * e_root(x) modulo those rows, the
@@ -691,9 +720,9 @@ def quotient_by_rows(field, ambient_dim, rows):
             wide.append(row)
             continue
         if len(row) == 1:
-            dead.add(find(next(iter(row)))[0])
+            dead.add(find(row[0][0])[0])
             continue
-        (x, a), (y, b) = row.items()
+        (x, a), (y, b) = row
         rx, wx = find(x)
         ry, wy = find(y)
         # a * e_rx + b * e_ry lies in the relations, after weighting.
@@ -733,7 +762,7 @@ def quotient_by_rows(field, ambient_dim, rows):
         elim = _Eliminator(field, ambient_dim)
         for row in wide:
             out = {}
-            for x, v in row.items():
+            for x, v in row:
                 r = parent[x]
                 if r not in dead:
                     w = field.add(out.pop(r, 0), mul(v, ratio[x]))
@@ -749,13 +778,16 @@ def quotient_by_rows(field, ambient_dim, rows):
         if r in residual else {rep_index[r]: one}
         for r in live_roots
     }
+    # Rows with equal entries share one dict: every dead coordinate's, and
+    # those of an orbit with ratio one.
     proj_rows = []
+    zero = {}
     for x in range(ambient_dim):
         r = parent[x]
         if r in dead:
-            proj_rows.append({})
+            proj_rows.append(zero)
         elif ratio[x] == one:
-            proj_rows.append(dict(root_class[r]))
+            proj_rows.append(root_class[r])
         else:
             proj_rows.append(_vscale(field, root_class[r], ratio[x]))
     project = Mat(field, ambient_dim, len(rep_columns), proj_rows)

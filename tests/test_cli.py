@@ -187,3 +187,18 @@ def test_wrong_kind_is_named_with_its_article(command, kind, capsys):
     assert (code, err) == (2, "")
     assert f'detail: "{name}" is {spelled}, expected {expected}\n' in out
     assert out.endswith("result: error\n")
+
+
+def test_scalar_past_the_digit_limit_is_named_by_its_digit_count(capsys, tmp_path):
+    """Each scalar loads (3,001 digits), but the unit-law witness is their
+    6,001-digit product, past the interpreter's limit on int-to-str digits."""
+    big = "1" + "0" * 3000
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "field": {"kind": "rationals"},
+        "algebras": {"a": {"dim": 1, "table": [[[big]]], "unit": [big]}},
+    }), encoding="utf-8")
+    code, out, err = run_cli(capsys, path, "check", "a")
+    assert (code, err) == (1, "")
+    assert "witness: index 0: unit*a_0 or a_0*unit = <integer of 6001 digits>*a_0 != a_0\n" in out
+    assert out.endswith("result: fail\n")

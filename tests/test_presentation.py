@@ -25,17 +25,20 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corings import bimodules, cli, constructions, linalg
 from corings.algebras import (
     CYCLIC_2,
     KLEIN_4,
+    FinDimAlgebra,
     dual_numbers,
     ground_algebra,
     group_algebra,
     tensor_algebra,
 )
-from corings.bimodules import _algebra_generators, tensor_over_alg
+from corings.bimodules import Bimodule, _algebra_generators, tensor_over_alg
 from corings.category import ExtMorphism, check_ext_morphism
 from corings.constructions import grouplike_coalgebra, trivial_coring
 from corings.linalg import Field, Mat, Subspace
@@ -220,3 +223,138 @@ def test_right_linearity_matches_the_reference():
     assert got == want
     assert got[-1].law == "delta-right-linear"
     assert all(v.ok for v in got[:-1])
+
+
+# Random modules over B = k[x]/(p), for the row producer against the
+# reference.  x generates B, so every relation row comes from the matrix X by
+# which x acts, and X is block diagonal (up to a permutation of the basis)
+# with blocks whose minimal polynomials divide p = x^e * prod (x - l):
+# a shift e_i -> c_i e_{i+1} of size at most e (monomial rows, the last one
+# zero), a 1x1 block [l] (a fixed point with scalar l; a zero row when l = 0),
+# and [[l, s], [0, l']] with l != l' (a row of two entries, so a relation row
+# of three terms).  Two fixed points with equal scalars give a zero relation
+# row, with unequal scalars a one-term row.
+ROW_FIELDS = {"Q": Field.rationals(), "F2": Field.prime(2), "F3": Field.prime(3),
+              "F5": Field.prime(5)}
+
+
+def polynomial_algebra(field, p):
+    """k[x]/(p) on the basis 1, x, ..., x^(d-1), for p monic (low degree first)."""
+    d = len(p) - 1
+    powers = [[field.one if t == s else field.zero for t in range(d)] for s in range(d)]
+    x_d = [field.neg(c) for c in p[:d]]  # x^d = -(p_0 + ... + p_(d-1) x^(d-1))
+    powers.append(x_d)
+    for _ in range(d, 2 * d - 2):
+        prev = powers[-1]
+        nxt = [field.zero] + prev[:-1]
+        powers.append([field.add(a, field.mul(prev[-1], b)) for a, b in zip(nxt, x_d)])
+    table = [[powers[i + j] for j in range(d)] for i in range(d)]
+    return FinDimAlgebra(field, d, table, powers[0])
+
+
+def block_matrix(field, blocks, order):
+    """The block-diagonal matrix of `blocks` (sparse row lists), basis permuted by `order`."""
+    rows = []
+    for block in blocks:
+        base = len(rows)
+        rows += [{base + c: v for c, v in r.items()} for r in block]
+    n = len(rows)
+    where = {old: new for new, old in enumerate(order)}
+    out = [None] * n
+    for old, r in enumerate(rows):
+        out[where[old]] = {where[c]: v for c, v in r.items()}
+    return Mat(field, n, n, out)
+
+
+@st.composite
+def x_action(draw, field, e, roots):
+    nonzero = st.integers(1, 3) if field.p is None else st.integers(1, field.p - 1)
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        kinds = ["fixed"] + (["shift"] if e else []) + (["wide"] if len(roots) > 1 else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "shift":
+            size = draw(st.integers(1, e))
+            blocks.append([{i + 1: field.coerce(draw(nonzero))} for i in range(size - 1)] + [{}])
+        elif kind == "fixed":
+            lam = draw(st.sampled_from(roots))
+            blocks.append([{0: lam} if lam else {}])
+        else:
+            lam, mu = draw(st.lists(st.sampled_from(roots), min_size=2, max_size=2, unique=True))
+            blocks.append([{0: lam, 1: field.coerce(draw(nonzero))} if lam else
+                           {1: field.coerce(draw(nonzero))}, {1: mu} if mu else {}])
+    n = sum(len(b) for b in blocks)
+    return block_matrix(field, blocks, draw(st.permutations(range(n))))
+
+
+@st.composite
+def module_pairs(draw):
+    field = ROW_FIELDS[draw(st.sampled_from(sorted(ROW_FIELDS)))]
+    e = draw(st.integers(0, 2))
+    elements = range(1, 4) if field.p is None else range(1, field.p)
+    nonzero_roots = draw(st.lists(st.sampled_from(elements), max_size=2, unique=True))
+    roots = [field.coerce(r) for r in nonzero_roots] + ([field.zero] if e else [])
+    if not roots:
+        roots = [field.one]
+        nonzero_roots = [1]
+    p = [field.one]  # x^e * prod (x - r), low degree first
+    for r in [0] * e + nonzero_roots:
+        r = field.coerce(r)
+        p = [field.sub(a, field.mul(r, b)) for a, b in zip([field.zero] + p, p + [field.zero])]
+    b = polynomial_algebra(field, p)
+    k = ground_algebra(field)
+    xm, xn = draw(x_action(field, e, roots)), draw(x_action(field, e, roots))
+
+    def powers(x):
+        acts = [Mat.identity(field, x.nrows)]
+        while len(acts) < b.dim:
+            acts.append(acts[-1] @ x)
+        return acts
+
+    m = Bimodule(k, b, xm.nrows, [Mat.identity(field, xm.nrows)], powers(xm))
+    n = Bimodule(b, k, xn.nrows, powers(xn), [Mat.identity(field, xn.nrows)])
+    return m, n
+
+
+def assert_matches_the_reference(m, n):
+    assert m.check().ok and n.check().ok
+    got = bimodules._present_tensor(m, n)
+    want = reference_present_tensor(m, n)
+    assert got.relations.basis == want.relations.basis
+    assert got.relations.pivots == want.relations.pivots
+    assert got.project == want.project
+    assert got.lift == want.lift
+    assert got.result.left_act == want.result.left_act
+    assert got.result.right_act == want.result.right_act
+
+
+@given(module_pairs())
+@settings(max_examples=150, deadline=None)
+def test_relation_rows_match_the_reference(pair):
+    assert_matches_the_reference(*pair)
+
+
+@pytest.mark.parametrize("field", FIELDS.values(), ids=FIELDS)
+def test_every_kind_of_relation_row_matches_the_reference(field):
+    """B = k[x]/(x^2 (x - 1) (x + 1)): X_M has a shift, the fixed points 1 and
+    -1 and a two-entry row; X_N has a shift and the fixed point 1."""
+    one, minus_one, two = field.one, field.neg(field.one), field.coerce(2)
+    p = [field.zero, field.zero, minus_one, field.zero, one]  # x^4 - x^2
+    b = polynomial_algebra(field, p)
+    k = ground_algebra(field)
+    xm = block_matrix(field, [[{1: two}, {}], [{0: one}], [{0: minus_one}],
+                              [{0: one, 1: two}, {1: minus_one}]], [5, 0, 3, 1, 4, 2])
+    xn = block_matrix(field, [[{1: two}, {}], [{0: one}]], [1, 2, 0])
+    acts_m, acts_n = [Mat.identity(field, 6)], [Mat.identity(field, 3)]
+    for _ in range(3):
+        acts_m.append(acts_m[-1] @ xm)
+        acts_n.append(acts_n[-1] @ xn)
+    m = Bimodule(k, b, 6, [Mat.identity(field, 6)], acts_m)
+    n = Bimodule(b, k, 3, acts_n, [Mat.identity(field, 3)])
+    assert _algebra_generators(b) == [1]
+    lengths = sorted({len(r) for r in bimodules._relation_rows(m, n)})
+    assert lengths == [1, 2, 3]
+    # 18 basis pairs, two of them zero rows: the fixed point 1 on both sides,
+    # and the zero rows that end the two shifts.
+    assert sum(1 for _ in bimodules._relation_rows(m, n)) == 16
+    assert_matches_the_reference(m, n)

@@ -78,6 +78,11 @@ def relation_rows(draw):
     return field, n, rows
 
 
+def as_pairs(rows):
+    """The rows as `quotient_by_rows` reads them: (column, value) pairs."""
+    return (tuple(r.items()) for r in rows)
+
+
 def assert_same_quotient(got, want):
     assert got.ambient_dim == want.ambient_dim
     assert got.rep_columns == want.rep_columns
@@ -92,7 +97,7 @@ def assert_same_quotient(got, want):
 def test_matches_the_eliminating_quotient(case):
     field, n, rows = case
     want = quotient(n, Subspace.from_generators(field, n, [dict(r) for r in rows]))
-    got = quotient_by_rows(field, n, (dict(r) for r in rows))
+    got = quotient_by_rows(field, n, as_pairs(rows))
     assert_same_quotient(got, want)
 
 
@@ -103,14 +108,14 @@ class TestOrbits:
         c = field.from_int(2) or field.one
         rows = [{0: field.one, 1: field.neg(c)}, {1: field.one, 3: field.neg(c)},
                 {2: field.one, 3: field.neg(field.one)}]
-        got = quotient_by_rows(field, 5, iter(rows))
+        got = quotient_by_rows(field, 5, as_pairs(rows))
         assert got.rep_columns == [3, 4]
         assert got.project.rows[0] == {0: field.mul(c, c)}
         assert_same_quotient(got, quotient(5, Subspace.from_generators(field, 5, rows)))
 
     def test_one_term_row_kills_its_orbit(self, field):
         rows = [{0: field.one, 2: field.one}, {2: field.one, 3: field.one}, {0: field.one}]
-        got = quotient_by_rows(field, 4, iter(rows))
+        got = quotient_by_rows(field, 4, as_pairs(rows))
         assert got.rep_columns == [1]
         assert got.project.rows[3] == {}
 
@@ -120,7 +125,7 @@ class TestOrbits:
         minus_one = field.neg(field.one)
         rows = [{0: field.one, 1: minus_one}, {1: field.one, 2: minus_one},
                 {0: field.neg(c), 2: field.one}]
-        got = quotient_by_rows(field, 3, iter(rows))
+        got = quotient_by_rows(field, 3, as_pairs(rows))
         assert got.rep_columns == ([2] if c == field.one else [])
         assert_same_quotient(got, quotient(3, Subspace.from_generators(field, 3, rows)))
 
@@ -134,10 +139,10 @@ class TestOrbits:
 
         monkeypatch.setattr(linalg, "_Eliminator", Recording)
         pairs = [{0: field.one, 1: field.one}, {2: field.one, 3: field.one}]
-        quotient_by_rows(field, 5, iter(pairs))
+        quotient_by_rows(field, 5, as_pairs(pairs))
         assert built == []
         wide = [{1: field.one, 3: field.one, 4: field.one}]
-        got = quotient_by_rows(field, 5, iter(pairs + wide))
+        got = quotient_by_rows(field, 5, as_pairs(pairs + wide))
         assert len(built) == 1
         assert_same_quotient(
             got, quotient(5, Subspace.from_generators(field, 5, pairs + wide)))

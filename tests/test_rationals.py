@@ -227,3 +227,18 @@ def test_tensor_corings_of_verify_monoidal_hold_only_canonical_scalars(capsys):
     assert any(m.rows for m in mats)
     for m in mats:
         assert_canonical(m)
+
+
+@pytest.mark.parametrize(("x", "want"), [
+    (10 ** 4299, "1" + "0" * 4299),
+    (10 ** 4300 - 1, "9" * 4300),
+    (10 ** 4300, "<integer of 4301 digits>"),
+    (-(10 ** 5000), "-<integer of 5001 digits>"),
+    (2 ** 20000, "<integer of 6021 digits>"),
+    (Fraction(10 ** 5000 + 1, 3), "<integer of 5001 digits>/3"),
+    (Fraction(-1, 10 ** 5000 + 1), "-1/<integer of 5001 digits>"),
+    (Fraction(-2, 3), "-2/3"),
+], ids=["4300-digits", "4300-nines", "4301-digits", "negative", "power-of-2",
+        "long-numerator", "long-denominator", "fraction"])
+def test_fmt_names_the_digit_count_past_the_limit(x, want):
+    assert Q.fmt(x) == want
