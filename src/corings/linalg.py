@@ -28,7 +28,6 @@ space, which is what makes reports byte-stable across runs.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import isqrt
 
@@ -36,6 +35,22 @@ from .errors import DimensionMismatch, FieldMismatch, IsoFailure
 
 
 _SCALAR = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+class _Unloaded:
+    """`Fraction` until `_load_fractions` runs: nothing is an instance."""
+
+
+Fraction = _Unloaded
+
+
+def _load_fractions():
+    """Bind `Fraction`.  Only Q makes Fractions, so `fractions`, with the
+    `decimal` it imports (about 0.4 MB resident and 2 ms a process), is loaded
+    by the first Q field, or by `coerce` handed a Fraction made elsewhere: a
+    program over F_p never loads it."""
+    global Fraction
+    from fractions import Fraction
 
 
 def _is_prime(p):
@@ -90,6 +105,8 @@ class Field:
                 raise ValueError(f"modulus {p} exceeds 2^31")
             if not _is_prime(p):
                 raise ValueError(f"modulus {p} is not prime")
+        else:
+            _load_fractions()
         self.p = p
         self.zero = 0
         self.one = 1
@@ -139,6 +156,9 @@ class Field:
         zero denominator raise ValueError.
         """
         if x.__class__ is bool or not isinstance(x, (int, Fraction, str)):
+            if Fraction is _Unloaded:  # x may be a Fraction made elsewhere
+                _load_fractions()
+                return self.coerce(x)
             raise TypeError(
                 f'not an exact scalar: {x!r} (give an integer or a string such as "3/4")'
             )
@@ -155,6 +175,8 @@ class Field:
             if den == 0 or (self.p is not None and den % self.p == 0):
                 where = "" if self.p is None else f" in {self!r}"
                 raise ValueError(f"zero denominator{where}: {x!r}")
+            if den != 1 and self.p is not None:
+                return self.mul(num % self.p, self.inv(den))
             x = num if den == 1 else Fraction(num, den)
         if self.p is None:
             return _norm(x)
@@ -163,11 +185,12 @@ class Field:
         return self.mul(x.numerator % self.p, self.inv(x.denominator))
 
     def fmt(self, x):
-        """str(x) for a canonical scalar x, but never raises.
+        """str(x) for a canonical scalar x in a report, but never raises.
 
         An integer, or a numerator or denominator, past the interpreter's
         limit on digits (`sys.get_int_max_str_digits`) is written by its
-        digit count, as in `<integer of 6001 digits>`.
+        digit count, as in `<integer of 6001 digits>`.  That text does not
+        load back, so dumps write scalars with `str` instead.
         """
         if x.__class__ is Fraction:
             return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"

@@ -29,6 +29,7 @@ is exactly that.
 from __future__ import annotations
 
 import json
+import sys
 
 from .algebras import (
     ALGEBRA_LAWS,
@@ -68,6 +69,7 @@ from .errors import (
     CoringsError,
     UnknownReference,
     ValidationFailure,
+    WorkspaceError,
     WorkspaceSyntaxError,
 )
 from .linalg import Field, Mat
@@ -478,17 +480,33 @@ def field_to_json(field):
     return {"kind": "rationals"}
 
 
+def _scalar_json(field, x):
+    """The file text of scalar x, which loading reads back as x.
+
+    An integer past the interpreter's limit on digits has no such text: it
+    is an error (exit 2), never the digit count `Field.fmt` shows in a
+    witness, so no dump is written that cannot be loaded.
+    """
+    try:
+        return str(x)
+    except ValueError:
+        raise WorkspaceError(
+            f"cannot dump the scalar {field.fmt(x)}: a workspace loads no integer "
+            f"past {sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
 def mat_to_json(m):
-    fmt = m.field.fmt
-    return [[fmt(x) for x in row] for row in m.to_lists()]
+    field = m.field
+    return [[_scalar_json(field, x) for x in row] for row in m.to_lists()]
 
 
 def algebra_to_json(a):
-    fmt = a.field.fmt
+    field = a.field
     out = {
         "dim": a.dim,
-        "table": [[[fmt(x) for x in vec] for vec in row] for row in a.table],
-        "unit": [fmt(x) for x in a.unit],
+        "table": [[[_scalar_json(field, x) for x in vec] for vec in row] for row in a.table],
+        "unit": [_scalar_json(field, x) for x in a.unit],
     }
     if a.labels is not None:
         out["labels"] = list(a.labels)

@@ -202,3 +202,30 @@ def test_scalar_past_the_digit_limit_is_named_by_its_digit_count(capsys, tmp_pat
     assert (code, err) == (1, "")
     assert "witness: index 0: unit*a_0 or a_0*unit = <integer of 6001 digits>*a_0 != a_0\n" in out
     assert out.endswith("result: fail\n")
+
+
+def test_dump_of_a_scalar_past_the_digit_limit_is_an_error(capsys, tmp_path):
+    """A grouplike coring with comul scalar 10^3000 and counit 10^-3000 loads,
+    but C (x) C has the 6,001-digit comul scalar 10^6000, which no workspace
+    can hold: the dump stops with exit 2, and no file is written."""
+    big = "1" + "0" * 3000
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "field": {"kind": "rationals"},
+        "algebras": {"k": {"fixture": {"kind": "ground"}}},
+        "corings": {"c": {
+            "base": "k",
+            "carrier": {"left": "k", "right": "k", "dim": 1,
+                        "left_action": [[["1"]]], "right_action": [[["1"]]]},
+            "comul_lift": [[big]],
+            "counit": [["1/" + big]],
+        }},
+    }), encoding="utf-8")
+    assert run_cli(capsys, path, "check", "c")[0] == 0
+    dump = tmp_path / "out.json"
+    code, out, err = run_cli(capsys, path, "tensor", "c", "c", "--dump", str(dump))
+    assert (code, err) == (2, "")
+    assert ("detail: cannot dump the scalar <integer of 6001 digits>: "
+            "a workspace loads no integer past 4300 digits\n") in out
+    assert "dumped" not in out
+    assert not dump.exists()

@@ -5,8 +5,10 @@ its code.  On the benchmark workspaces both routes must write the same report
 bytes and give the same exit code for each exit class: a pass (0), a failed
 mathematical check (1), bad input (2) and an argument error (2, usage on
 stderr).  A `--dump` file written by the fresh process must be complete: the
-same bytes as the in-process one, and valid JSON.  Only the entry point
-freezes: an in-process call leaves the collector's frozen set as it was.
+same bytes as the in-process one, and valid JSON.  A reader that closes the
+pipe before the output ends makes an I/O error (exit 2) with nothing on
+stderr.  Only the entry point freezes: an in-process call leaves the
+collector's frozen set as it was.
 """
 
 import gc
@@ -33,10 +35,14 @@ CASES = {
 }
 
 
-def run_fresh(argv, cwd):
+def fresh_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    proc = subprocess.run([sys.executable, "-m", "corings", *argv], cwd=cwd, env=env,
+    return env
+
+
+def run_fresh(argv, cwd):
+    proc = subprocess.run([sys.executable, "-m", "corings", *argv], cwd=cwd, env=fresh_env(),
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=60)
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -74,3 +80,19 @@ def test_fresh_process_writes_a_complete_dump(capsysbinary, tmp_path):
     assert (code, out) == (0, want[1].replace(bytes(here), bytes(fresh)))
     assert fresh.read_bytes() == here.read_bytes()
     assert "m2c2" in json.loads(fresh.read_text(encoding="utf-8"))["corings"]
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_a_closed_pipe_is_an_io_error_without_a_traceback(unbuffered, tmp_path):
+    """The dump of M_2 (x) M_3, about 750 KB, outlasts any pipe buffer, so the
+    reader below closes the pipe while the program still writes."""
+    env = dict(fresh_env(), PYTHONUNBUFFERED=unbuffered)
+    argv = ["--workspace", str(WORKSPACES / "cli-q.json"), "tensor", "m2", "m3",
+            "--dump", "/dev/stdout"]
+    with subprocess.Popen([sys.executable, "-m", "corings", *argv], cwd=tmp_path, env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+    assert err == b""

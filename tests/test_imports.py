@@ -14,7 +14,8 @@ definition.
 
 A third check keeps the start-up path of every command lean: importing
 `corings.cli` in a fresh interpreter must not load `dataclasses` or the
-introspection modules it pulls in (`inspect`, `ast`, `dis`, `tokenize`).
+introspection modules it pulls in (`inspect`, `ast`, `dis`, `tokenize`), and a
+command over F_p must not load `fractions` or the `decimal` it imports.
 """
 
 import ast
@@ -152,13 +153,13 @@ def test_no_unread_definitions(path):
 HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
 
-def heavy_modules_after(code):
-    """The HEAVY modules loaded once `code` has run in a fresh interpreter.
+def heavy_modules_after(code, heavy=HEAVY):
+    """The modules of `heavy` loaded once `code` has run in a fresh interpreter.
 
     The interpreter runs without `site` (-S), so nothing but `code` and the
     interpreter's own start-up can load a module.
     """
-    probe = f"{code}\nimport sys\nprint(*[m for m in {HEAVY!r} if m in sys.modules])"
+    probe = f"{code}\nimport sys\nprint(*[m for m in {heavy!r} if m in sys.modules])"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run(
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True,
@@ -173,3 +174,27 @@ def test_cli_import_loads_no_introspection_modules():
 
 def test_import_guard_sees_dataclasses():
     assert "dataclasses" in heavy_modules_after("import dataclasses\nimport corings.cli")
+
+
+Q_ONLY = ("fractions", "decimal")
+# The report goes to a buffer, so that the probe's own line is all of stdout.
+RUN = ("import io, sys\nimport corings.cli\nsys.stdout = io.StringIO()\n"
+       "corings.cli.main(['--workspace', {!r}, *{!r}])\nsys.stdout = sys.__stdout__")
+
+
+def test_a_command_over_a_prime_field_loads_no_fractions():
+    workspace = ROOT / "perfbench" / "workspaces" / "monoidal-f5.json"
+    argv = ["--seed", "3", "verify-monoidal", "ext"]
+    assert heavy_modules_after(RUN.format(str(workspace), argv), Q_ONLY) == []
+
+
+def test_fraction_guard_sees_a_command_over_q():
+    workspace = ROOT / "perfbench" / "workspaces" / "cli-q.json"
+    assert heavy_modules_after(RUN.format(str(workspace), ["check", "m3"]), Q_ONLY) == list(Q_ONLY)
+
+
+def test_a_prime_field_reads_a_fraction_made_before_fractions_was_needed():
+    code = ("from fractions import Fraction\nfrom corings.linalg import Field\n"
+            "assert Field.prime(5).coerce(Fraction(1, 2)) == 3\n"
+            "assert Field.prime(5).coerce('1/2') == 3")
+    assert heavy_modules_after(code, Q_ONLY) == list(Q_ONLY)
