@@ -3,9 +3,10 @@
 Everything is computed over the rationals or a prime field with exact
 arithmetic: algebras by structure constants, bimodules by action matrices,
 tensor products over an algebra as explicit quotients, corings, right coring
-extensions with the cotensor product behind their composition oracle, and the
-two monoidal categories built on them.  Every construction is paired with a
-machine checker that verifies the defining axioms as exact matrix identities.
+extensions, whose composition is checked by an oracle that reads E as the
+cotensor product E box_C C along the coaction, and the two monoidal categories
+built on them.  Every construction is paired with a machine checker that
+verifies the defining axioms as exact matrix identities.
 """
 
 from .algebras import (
@@ -59,11 +60,7 @@ from .constructions import (
     trivial_coring,
     unit_coring,
 )
-from .coring import (
-    Coring,
-    check_coring,
-    cotensor,
-)
+from .coring import Coring, check_coring
 from .linalg import Field, Mat, QuotientSpace, Subspace, kernel, quotient, quotient_by_rows, rref
 from .verdict import Verdict
 from .workspace import Workspace, load_workspace, parse_workspace

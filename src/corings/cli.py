@@ -166,7 +166,7 @@ def _cmd_compose(ws, args, report):
     kind_f, f = _want_morphism(ws, args.second)
     if kind_g != kind_f:
         raise UnknownReference(
-            f'cannot compose a {kind_g} morphism with a {kind_f} morphism'
+            f"cannot compose {_a(kind_g + '-morphism')} with {_a(kind_f + '-morphism')}"
         )
     report["kind"] = kind_g
     report["first"] = args.first

@@ -1,4 +1,4 @@
-"""Corings, the coaction laws of a right extension, and the cotensor product.
+"""Corings and the coaction laws of a right extension.
 
 A coring over an algebra A is an (A,A)-bimodule C with an A-bilinear
 comultiplication C -> C (x)_A C and counit C -> A satisfying coassociativity
@@ -7,8 +7,7 @@ checks a right extension of C by D with the laws of a right D-coaction
 (`right_coaction_verdict`) and its commutation with the left C-coaction that
 is the comultiplication (`coaction_compatibility`).  The comultiplication is
 the right coaction of C on itself, so both coassociativity laws take one
-route.  The cotensor product (`cotensor`) backs the independent oracle of
-`compose`.  Comultiplications and coactions are supplied as lifts into the
+route.  Comultiplications and coactions are supplied as lifts into the
 ambient (x)_k space and projected through the presented quotients, so input
 data never depends on internal pivot choices.
 
@@ -38,7 +37,6 @@ from functools import cached_property
 from .bimodules import (
     BimoduleMorphism,
     _kron_apply,
-    induced_map_on_tensor,
     push,
     regrouped_id_tensor,
     regrouped_image,
@@ -46,7 +44,7 @@ from .bimodules import (
     tensor_over_alg,
 )
 from .errors import DescentFailure, DimensionMismatch, FieldMismatch
-from .linalg import Mat, _vadd, map_kernel
+from .linalg import Mat, _vadd
 from .verdict import Verdict, first_difference, first_noncommuting, format_combo
 
 CORING_LAWS = ("bilinearity", "coassociativity", "right-counit", "left-counit")
@@ -269,36 +267,3 @@ def coaction_compatibility(c, d, carrier, left_lift, right_lift):
             f"{carrier.label(i)}: the two coactions do not commute",
         )
     return Verdict.passed(("colinearity",))
-
-
-class CotensorSpace:
-    """M box_C N inside the presented M (x)_A N, with its inclusion."""
-
-    def __init__(self, tensor, subspace, include):
-        self.tensor = tensor
-        self.subspace = subspace
-        self.include = include
-
-    @property
-    def dim(self):
-        return self.subspace.dim
-
-
-def cotensor(m, rho_lift, c, n, lam_lift):
-    """Kernel presentation of M box_C N for a right and a left C-comodule.
-
-    M is an (*, A)-bimodule with coaction lift `rho_lift` into M (x)_k C, and
-    N an (A, *)-bimodule with coaction lift `lam_lift` into C (x)_k N, A the
-    base of the coring `c`.  The cotensor product is the kernel of
-    rho (x) N - M (x) lambda on the presented M (x)_A N.
-    """
-    t_mn = tensor_over_alg(m, n)
-    t_mc = tensor_over_alg(m, c.carrier)
-    t_l = tensor_over_alg(t_mc.result, n)
-    rho_side = induced_map_on_tensor(
-        rho_lift @ t_mc.project, Mat.identity(c.field, n.dim), t_mn, t_l
-    )
-    lam_side = regrouped_id_tensor(t_mn, lam_lift, t_mc, t_l)
-    subspace = map_kernel(rho_side - lam_side)
-    include = Mat(c.field, subspace.dim, t_mn.dim, [dict(r) for r in subspace.basis.rows])
-    return CotensorSpace(t_mn, subspace, include)

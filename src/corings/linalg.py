@@ -556,21 +556,6 @@ class Subspace:
     def contains(self, vec):
         return not self.reduce(vec)
 
-    def coords_of(self, vec):
-        """Coefficients of `vec` in the RREF basis, or None if not a member."""
-        coords = {}
-        for i, c in enumerate(self.pivots):
-            v = vec.get(c)
-            if v:
-                coords[i] = v
-        residue = dict(vec)
-        field = self.basis.field
-        for i, v in coords.items():
-            _vadd(field, residue, self.basis.rows[i], field.neg(v))
-        if residue:
-            return None
-        return coords
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)

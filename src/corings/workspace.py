@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 
 from .algebras import (
     ALGEBRA_LAWS,
@@ -110,18 +111,26 @@ class Workspace:
         raise UnknownReference(f'no object named "{name}"')
 
 
+@contextmanager
+def _input_errors(what):
+    """Report a constructor's rejection of file data as a syntax error in `what`.
+
+    A `WorkspaceError` (a bad reference, or a syntax error already naming
+    its object) passes unchanged.
+    """
+    try:
+        yield
+    except WorkspaceError:
+        raise
+    except (CoringsError, ValueError, TypeError, ZeroDivisionError) as e:
+        raise WorkspaceSyntaxError(f"{what}: {e}")
+
+
 def _mat(field, data, nrows=None, ncols=None, what="matrix"):
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise WorkspaceSyntaxError(f"{what} must be an array of arrays of scalars")
-    try:
-        if data:
-            m = Mat.from_rows(field, data)
-        else:
-            m = Mat(field, 0, ncols or 0, [])
-    except CoringsError as e:
-        raise WorkspaceSyntaxError(f"{what}: {e}")
-    except (ValueError, TypeError, ZeroDivisionError) as e:
-        raise WorkspaceSyntaxError(f"{what}: {e}")
+    with _input_errors(what):
+        m = Mat.from_rows(field, data) if data else Mat(field, 0, ncols or 0, [])
     if nrows is not None and m.nrows != nrows:
         raise WorkspaceSyntaxError(f"{what}: expected {nrows} rows, got {m.nrows}")
     if ncols is not None and m.ncols != ncols:
@@ -184,10 +193,8 @@ def _parse_field(spec):
     if kind == "rationals":
         return Field.rationals()
     if kind == "prime":
-        try:
+        with _input_errors("field"):
             return Field.prime(_positive_int(spec, "p", "field"))
-        except ValueError as e:
-            raise WorkspaceSyntaxError(f"field: {e}")
     raise WorkspaceSyntaxError(f"field: unknown kind {kind!r}")
 
 
@@ -201,10 +208,8 @@ def _parse_algebra(ws, name, spec):
         if kind == "dual_numbers":
             return dual_numbers(ws.field)
         if kind == "group_algebra":
-            try:
+            with _input_errors(what):
                 return group_algebra(ws.field, _group_table(fx, what))
-            except ValueError as e:
-                raise WorkspaceSyntaxError(f"{what}: {e}")
         raise WorkspaceSyntaxError(f"{what}: unknown fixture kind {kind!r}")
     dim = _positive_int(spec, "dim", what)
     table = _require(spec, "table", what)
@@ -216,12 +221,8 @@ def _parse_algebra(ws, name, spec):
         raise WorkspaceSyntaxError(f"{what}: table must be arrays of coordinate vectors")
     if not isinstance(unit, list):
         raise WorkspaceSyntaxError(f"{what}: unit must be an array of scalars")
-    try:
+    with _input_errors(what):
         return FinDimAlgebra(ws.field, dim, table, unit, labels)
-    except CoringsError as e:
-        raise WorkspaceSyntaxError(f"{what}: {e}")
-    except (ValueError, TypeError, ZeroDivisionError) as e:
-        raise WorkspaceSyntaxError(f"{what}: {e}")
 
 
 def _get_algebra(ws, ref, what):
@@ -239,12 +240,8 @@ def _parse_module(ws, name, spec):
     dim = _positive_int(spec, "dim", what)
     left_action = _actions(ws, spec, "left_action", dim, what)
     right_action = _actions(ws, spec, "right_action", dim, what)
-    try:
+    with _input_errors(what):
         return Bimodule(left, right, dim, left_action, right_action, _labels(spec, dim, what))
-    except CoringsError as e:
-        if isinstance(e, WorkspaceSyntaxError):
-            raise
-        raise WorkspaceSyntaxError(f"{what}: {e}")
 
 
 def _get_coring(ws, ref, what):
@@ -260,7 +257,7 @@ def _parse_coring(ws, name, spec):
     if "fixture" in spec:
         fx = _object(spec["fixture"], f"{what}: fixture")
         kind = _require(fx, "kind", what)
-        try:
+        with _input_errors(what):
             if kind == "trivial":
                 return trivial_coring(_get_algebra(ws, _require(fx, "algebra", what), what))
             if kind == "unit":
@@ -276,12 +273,6 @@ def _parse_coring(ws, name, spec):
                     src, tgt, _mat(ws.field, _require(fx, "map", what), src.dim, tgt.dim, what)
                 )
                 return sweedler_coring(inc)
-        except CoringsError as e:
-            if isinstance(e, (WorkspaceSyntaxError, UnknownReference)):
-                raise
-            raise WorkspaceSyntaxError(f"{what}: {e}")
-        except ValueError as e:
-            raise WorkspaceSyntaxError(f"{what}: {e}")
         raise WorkspaceSyntaxError(f"{what}: unknown fixture kind {kind!r}")
     base = _get_algebra(ws, _require(spec, "base", what), what)
     carrier_spec = _require(spec, "carrier", what)
@@ -296,7 +287,7 @@ def _parse_coring(ws, name, spec):
         v = carrier.check()
         if not v.ok:
             raise WorkspaceSyntaxError(f"{what}: carrier: {v.law}: {v.witness}")
-    try:
+    with _input_errors(what):
         return Coring(
             base,
             carrier,
@@ -304,10 +295,6 @@ def _parse_coring(ws, name, spec):
                  carrier.dim, carrier.dim**2, what),
             _mat(ws.field, _require(spec, "counit", what), carrier.dim, base.dim, what),
         )
-    except CoringsError as e:
-        if isinstance(e, (WorkspaceSyntaxError, UnknownReference)):
-            raise
-        raise WorkspaceSyntaxError(f"{what}: {e}")
 
 
 def _parse_extension(ws, name, spec):
@@ -385,7 +372,7 @@ def _parse_morphism(ws, name, spec):
         raise WorkspaceSyntaxError(f"{what}: unknown fixture kind {fkind!r}")
     src = _get_coring(ws, _require(spec, "source", what), what)
     tgt = _get_coring(ws, _require(spec, "target", what), what)
-    try:
+    with _input_errors(what):
         if kind == "ext":
             action = _mat(ws.field, _require(spec, "action", what),
                           src.dim * tgt.base.dim, src.dim, what)
@@ -405,10 +392,6 @@ def _parse_morphism(ws, name, spec):
             _mat(ws.field, _require(spec, "phi", what), src.dim, tgt.dim, what),
             varphi,
         )
-    except CoringsError as e:
-        if isinstance(e, (WorkspaceSyntaxError, UnknownReference)):
-            raise
-        raise WorkspaceSyntaxError(f"{what}: {e}")
 
 
 def _validate(name, verdict):

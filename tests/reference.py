@@ -39,6 +39,14 @@ base and each acting algebra of the carrier), each time through the coercing
 `BimoduleMorphism` into the regular bimodule of the base, whose action
 matrices go through the coercing `Mat.from_rows`.  Its base, carrier,
 comultiplication lift and counit must equal the library's exactly.
+
+`cotensor` presents M box_C N as the kernel of rho (x) N - M (x) lambda on
+M (x)_A N, and `reference_ext_compose_via_cotensor` is the composition oracle
+that built E box_C C that way and checked, on every call, that f's coaction
+maps E onto it bijectively before taking its route (the oracle that starts
+the route from f's coaction on E (x)_A C replaced; a valid f makes the check
+hold).  On valid morphisms both oracles must give the same coaction lift
+exactly.
 """
 
 from corings.algebras import (
@@ -79,8 +87,15 @@ from corings.category import (
 )
 from corings.constructions import tensor_coring, unit_coring
 from corings.coring import Coring, coaction_compatibility, right_coaction_verdict
-from corings.errors import AlgebraMismatch, DescentFailure, DimensionMismatch, FieldMismatch
-from corings.linalg import Mat, Subspace, _vadd, _vscale, quotient
+from corings.errors import (
+    AlgebraMismatch,
+    DescentFailure,
+    DimensionMismatch,
+    FieldMismatch,
+    IsoFailure,
+    ObjectMismatch,
+)
+from corings.linalg import Mat, Subspace, _vadd, _vscale, map_kernel, quotient
 from corings.verdict import Verdict, first_difference, format_combo
 from oracles import left_unit_collapse, right_unit_collapse
 
@@ -694,3 +709,111 @@ def reference_tensor_coring(c, c2):
         carrier, _reference_regular_bimodule(base), c.counit_mat.kron(c2.counit_mat)
     )
     return Coring(base, carrier, comul_lift, counit.map)
+
+
+class CotensorSpace:
+    """M box_C N inside the presented M (x)_A N, with its inclusion."""
+
+    def __init__(self, tensor, subspace, include):
+        self.tensor = tensor
+        self.subspace = subspace
+        self.include = include
+
+    @property
+    def dim(self):
+        return self.subspace.dim
+
+
+def cotensor(m, rho_lift, c, n, lam_lift):
+    """Kernel presentation of M box_C N for a right and a left C-comodule.
+
+    M is an (*, A)-bimodule with coaction lift `rho_lift` into M (x)_k C, and
+    N an (A, *)-bimodule with coaction lift `lam_lift` into C (x)_k N, A the
+    base of the coring `c`.  The cotensor product is the kernel of
+    rho (x) N - M (x) lambda on the presented M (x)_A N.
+    """
+    t_mn = tensor_over_alg(m, n)
+    t_mc = tensor_over_alg(m, c.carrier)
+    t_l = tensor_over_alg(t_mc.result, n)
+    rho_side = induced_map_on_tensor(
+        rho_lift @ t_mc.project, Mat.identity(c.field, n.dim), t_mn, t_l
+    )
+    lam_side = regrouped_id_tensor(t_mn, lam_lift, t_mc, t_l)
+    subspace = map_kernel(rho_side - lam_side)
+    include = Mat(c.field, subspace.dim, t_mn.dim, [dict(r) for r in subspace.basis.rows])
+    return CotensorSpace(t_mn, subspace, include)
+
+
+def _coords_of(subspace, vec):
+    """Coefficients of `vec` in the RREF basis of `subspace`, or None if not a member."""
+    coords = {}
+    for i, c in enumerate(subspace.pivots):
+        v = vec.get(c)
+        if v:
+            coords[i] = v
+    residue = dict(vec)
+    field = subspace.field
+    for i, v in coords.items():
+        _vadd(field, residue, subspace.basis.rows[i], field.neg(v))
+    if residue:
+        return None
+    return coords
+
+
+def reference_ext_compose_via_cotensor(g, f):
+    """Bullet coaction through the cotensor route, as an independent oracle.
+
+    Embeds E into E box_C C along f's coaction (bijectivity verified), pushes
+    through E box_C (C (x)_B D), and collapses with the counit.  The action
+    component has only the explicit formula and is shared with ext_compose.
+    """
+    if f.target != g.source:
+        raise ObjectMismatch("inner endpoints do not match")
+    field = f.source.field
+    e_dim = f.source.dim
+    c_coring = g.source
+    d_dim = g.target.dim
+
+    explicit = ext_compose(g, f)
+
+    cot = cotensor(f.bimodule, f.coact_lift, c_coring, c_coring.carrier,
+                   c_coring.comul_lift)
+    rho_mat = f.coaction
+    coords = []
+    for r in rho_mat.rows:
+        c = _coords_of(cot.subspace, r)
+        if c is None:
+            raise IsoFailure("the coaction does not land in the cotensor product")
+        coords.append(c)
+    emb = Mat(field, e_dim, cot.dim, coords)
+    emb.inverse()
+
+    t_ec = cot.tensor
+    t_cd = g.coaction_tensor
+    g_rho = g.coaction
+    t_r = tensor_over_alg(f.bimodule, t_cd.result)
+    through_d = induced_map_on_tensor(Mat.identity(field, e_dim), g_rho, t_ec, t_r)
+
+    t_ed = explicit.coaction_tensor
+    eps = c_coring.counit_mat
+    act_f = f.action_mats
+    collapse_rows = []
+    for s in range(t_r.dim):
+        amb = {}
+        for idx, val in t_r.quot.lift.rows[s].items():
+            i, u = divmod(idx, t_cd.dim)
+            for idx2, val2 in t_cd.quot.lift.rows[u].items():
+                c, d = divmod(idx2, d_dim)
+                coeff = field.mul(val, val2)
+                if not coeff:
+                    continue
+                moved = {}
+                for t, at in eps.rows[c].items():
+                    _vadd(field, moved, act_f[t].rows[i], field.mul(coeff, at))
+                _vadd(field, amb, {w * d_dim + d: wv for w, wv in moved.items()}, field.one)
+        collapse_rows.append(t_ed.quot.project_vec(amb))
+    collapse = Mat(field, t_r.dim, t_ed.dim, collapse_rows)
+
+    oracle = rho_mat @ through_d @ collapse
+    lift = oracle @ t_ed.quot.lift
+    return ExtMorphism(f.source, g.target, explicit.action_mats, lift)

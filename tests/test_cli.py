@@ -189,6 +189,17 @@ def test_wrong_kind_is_named_with_its_article(command, kind, capsys):
     assert out.endswith("result: error\n")
 
 
+@pytest.mark.parametrize(("first", "second", "spelled"), [
+    ("cid_m2", "id_dual", "a corings morphism with an ext morphism"),
+    ("id_dual", "cid_m2", "an ext morphism with a corings morphism"),
+])
+def test_compose_across_kinds_names_each_with_its_article(first, second, spelled, capsys):
+    code, out, err = run_cli(capsys, CLI_Q, "compose", first, second)
+    assert (code, err) == (2, "")
+    assert f"detail: cannot compose {spelled}\n" in out
+    assert out.endswith("result: error\n")
+
+
 def test_scalar_past_the_digit_limit_is_named_by_its_digit_count(capsys, tmp_path):
     """Each scalar loads (3,001 digits), but the unit-law witness is their
     6,001-digit product, past the interpreter's limit on int-to-str digits."""

@@ -1,4 +1,8 @@
+from pathlib import Path
+
 import pytest
+
+from conftest import coring_family, ext_morphism_family
 
 from corings.algebras import (
     CYCLIC_2,
@@ -24,14 +28,16 @@ from corings.constructions import (
 from corings.coring import (
     Coring,
     check_coring,
-    cotensor,
     right_coaction_verdict,
 )
 from corings.linalg import Field, Mat
+from corings.workspace import load_workspace
 from oracles import left_unit_collapse, unit_map
+from reference import cotensor
 
 Q = Field.rationals()
 F5 = Field.prime(5)
+WORKSPACES = Path(__file__).resolve().parents[1] / "perfbench" / "workspaces"
 
 
 def right_module(c):
@@ -129,10 +135,8 @@ class TestCotensor:
         for c in [matrix_coalgebra(2, F5), grouplike_coalgebra(CYCLIC_2, Q),
                   trivial_coring(dual_numbers(Q))]:
             ct = regular_cotensor(c)
-            coords = [ct.subspace.coords_of(r) for r in c.comul.rows]
-            assert all(x is not None for x in coords)
-            emb = Mat(c.field, c.dim, ct.dim, coords)
-            emb.inverse()
+            assert all(ct.subspace.contains(r) for r in c.comul.rows)
+            assert c.comul.rank() == c.dim == ct.dim
 
     def test_trivial_coring_defect_vanishes(self):
         ct = regular_cotensor(trivial_coring(dual_numbers(Q)))
@@ -143,6 +147,27 @@ class TestCotensor:
         assert ct.include.nrows == ct.dim
         for r in ct.include.rows:
             assert ct.subspace.contains(r)
+
+    @pytest.mark.parametrize("source", ["Q", "F5", "cli-q", "cli-f5", "monoidal-f5"])
+    def test_coaction_is_an_isomorphism_onto_the_cotensor(self, source):
+        """Every valid right extension f: (E:A) -> (C:B) maps E onto E box_C C
+        along its coaction, which is why the composition oracle does not
+        re-check it: each row lies in the cotensor, and the rank of the
+        coaction is dim E, which is dim E box_C C."""
+        if source in ("Q", "F5"):
+            morphisms = [m for _, m in ext_morphism_family(coring_family(
+                Q if source == "Q" else F5))]
+        else:
+            ws = load_workspace(WORKSPACES / f"{source}.json")
+            morphisms = [*ws.extensions.values(),
+                         *(m for kind, m in ws.morphisms.values() if kind == "ext")]
+        assert morphisms
+        for f in morphisms:
+            c = f.target
+            ct = cotensor(f.bimodule, f.coact_lift, c, c.carrier, c.comul_lift)
+            assert ct.tensor is f.coaction_tensor
+            assert all(ct.subspace.contains(r) for r in f.coaction.rows)
+            assert f.coaction.rank() == f.source.dim == ct.dim
 
 
 def sweedler_dual(field):
