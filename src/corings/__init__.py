@@ -7,6 +7,12 @@ extensions, whose composition is checked by an oracle that reads E as the
 cotensor product E box_C C along the coaction, and the two monoidal categories
 built on them.  Every construction is paired with a machine checker that
 verifies the defining axioms as exact matrix identities.
+
+Of the linear algebra, the package exports the scalar fields, matrices and the
+quotient presentations the program builds (`quotient_by_rows`); the only
+elimination it runs is that routine's and `linalg._Eliminator`'s.  Kernels,
+inverses and the eliminating quotient, which only the tests use, live in
+`tests/reference.py`.
 """
 
 from .algebras import (
@@ -61,7 +67,7 @@ from .constructions import (
     unit_coring,
 )
 from .coring import Coring, check_coring
-from .linalg import Field, Mat, QuotientSpace, Subspace, kernel, quotient, quotient_by_rows, rref
+from .linalg import Field, Mat, QuotientSpace, Subspace, quotient_by_rows
 from .verdict import Verdict
 from .workspace import Workspace, load_workspace, parse_workspace
 

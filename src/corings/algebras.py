@@ -282,11 +282,3 @@ def group_algebra(field, table, labels=None):
         labels = [f"g_{i}" for i in range(n)]
     return FinDimAlgebra(field, n, alg_table, unit, labels)
 
-
-CYCLIC_2 = [[0, 1], [1, 0]]
-KLEIN_4 = [
-    [0, 1, 2, 3],
-    [1, 0, 3, 2],
-    [2, 3, 0, 1],
-    [3, 2, 1, 0],
-]

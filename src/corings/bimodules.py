@@ -84,18 +84,11 @@ class Bimodule:
         passed = []
 
         def law_mats(alg, acts, compose_ij):
-            u = Mat.zero(field, self.dim, self.dim)
-            for i, c in enumerate(alg.unit):
-                if c:
-                    u = u + acts[i].scale(c)
-            if u != ident:
+            if _combination(field, self.dim, acts, enumerate(alg.unit)) != ident:
                 return "unit acts as a non-identity matrix"
             for i in range(alg.dim):
                 for j in range(alg.dim):
-                    combo = Mat.zero(field, self.dim, self.dim)
-                    for t, c in enumerate(alg.table[i][j]):
-                        if c:
-                            combo = combo + acts[t].scale(c)
+                    combo = _combination(field, self.dim, acts, enumerate(alg.table[i][j]))
                     if combo != compose_ij(acts, i, j):
                         return (
                             f"action of {alg.label(i)}*{alg.label(j)} differs from the "
@@ -139,6 +132,15 @@ class Bimodule:
         return f"Bimodule(dim {self.dim} over {self.field!r})"
 
 
+def _combination(field, dim, acts, coeffs):
+    """sum_t c * acts[t] over the pairs (t, c) of `coeffs`, summed row by row."""
+    rows = [{} for _ in range(dim)]
+    for t, c in coeffs:
+        for row, src in zip(rows, acts[t].rows):
+            _vadd(field, row, src, c)
+    return Mat(field, dim, dim, rows)
+
+
 def regular_bimodule(a):
     """The algebra as a bimodule over itself by left/right multiplication."""
     left = [a.left_regular_mat(i) for i in range(a.dim)]
@@ -155,13 +157,7 @@ def restrict_scalars(m, left=None, right=None):
     """
 
     def pulled_back(f, acts):
-        mats = []
-        for img in f.map.rows:
-            mat = Mat.zero(m.field, m.dim, m.dim)
-            for t, v in img.items():
-                mat = mat + acts[t].scale(v)
-            mats.append(mat)
-        return mats
+        return [_combination(m.field, m.dim, acts, img.items()) for img in f.map.rows]
 
     left_alg, left_act = (
         (m.left_alg, m.left_act) if left is None
@@ -282,16 +278,8 @@ class PresentedTensor:
         return self.quot.lift
 
     @property
-    def relations(self):
-        return self.quot.relations
-
-    @property
     def field(self):
         return self.left_factor.field
-
-    def pure_class(self, i, j):
-        """Quotient coordinates of the class of m_i (x) n_j."""
-        return self.quot.project_vec({i * self.right_factor.dim + j: self.field.one})
 
     def __repr__(self):
         return (
@@ -464,14 +452,16 @@ def descend(t_src, t_tgt, image):
     `image` sends a sparse vector of the ambient space of t_src to one of the
     ambient space of t_tgt.  It must send every source relation into the
     target relations, the kernel of the target's projection, or the map is
-    not defined on the quotient (DescentFailure).  Row s of the returned
-    matrix is the class in t_tgt of image(lift_src[s]).  A law whose map is
-    known to descend, because an earlier law of its checker implies it,
-    pushes its lift rows through `push` instead and skips this check.
+    not defined on the quotient (DescentFailure).  That is checked on the
+    rows t_src was presented by (`_relation_rows`): they span the source
+    relations and `image` is linear.  Row s of the returned matrix is the
+    class in t_tgt of image(lift_src[s]).  A law whose map is known to
+    descend, because an earlier law of its checker implies it, pushes its
+    lift rows through `push` instead and skips this check.
     """
     project = t_tgt.quot.project_vec
-    for r in t_src.relations.basis.rows:
-        if project(image(r)):
+    for r in _relation_rows(t_src.left_factor, t_src.right_factor):
+        if project(image(dict(r))):
             raise DescentFailure(
                 "ambient map does not send source relations into target relations"
             )

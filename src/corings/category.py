@@ -236,25 +236,25 @@ def ext_compose(g, f):
     return ExtMorphism(f.source, g.target, action, coact)
 
 
-def ext_compose_via_cotensor(g, f):
+def ext_compose_via_cotensor(g, f, composed):
     """Bullet coaction through the cotensor route, as an independent oracle.
 
-    Reads E as E box_C C along f's coaction rho_f: E -> E (x)_A C, pushes
-    through E box_C (C (x)_B D) along g's coaction, and collapses with the
-    counit.  That rho_f maps E onto E box_C C bijectively is not checked
-    here, since it holds for every right C-comodule: rho_f lands in the
-    cotensor by coassociativity, and E (x) counit splits it by the counit law
-    and the right A-linearity of rho_f.  f must therefore be a valid right
+    `composed` is `ext_compose(g, f)`, the composite under check.  Reads E
+    as E box_C C along f's coaction rho_f: E -> E (x)_A C, pushes through
+    E box_C (C (x)_B D) along g's coaction, and collapses with the counit
+    into the presentation of E (x)_B D that `composed` carries.  That rho_f
+    maps E onto E box_C C bijectively is not checked here, since it holds
+    for every right C-comodule: rho_f lands in the cotensor by
+    coassociativity, and E (x) counit splits it by the counit law and the
+    right A-linearity of rho_f.  f must therefore be a valid right
     extension, as every loaded morphism is: `check_ext_morphism` verified
     those laws for it at load.  The action component has only the explicit
-    formula and is shared with ext_compose.
+    formula, so the result takes the action of `composed`.
     """
     if f.target != g.source:
         raise ObjectMismatch("inner endpoints do not match")
     field = f.source.field
     d_dim = g.target.dim
-
-    explicit = ext_compose(g, f)
 
     t_cd = g.coaction_tensor
     t_r = tensor_over_alg(f.bimodule, t_cd.result)
@@ -262,7 +262,7 @@ def ext_compose_via_cotensor(g, f):
         Mat.identity(field, f.source.dim), g.coaction, f.coaction_tensor, t_r
     )
 
-    t_ed = explicit.coaction_tensor
+    t_ed = composed.coaction_tensor
     eps = g.source.counit_mat
     act_f = f.action_mats
     collapse_rows = []
@@ -284,7 +284,7 @@ def ext_compose_via_cotensor(g, f):
 
     oracle = f.coaction @ through_d @ collapse
     lift = oracle @ t_ed.quot.lift
-    return ExtMorphism(f.source, g.target, explicit.action_mats, lift)
+    return ExtMorphism(f.source, g.target, composed.action_mats, lift)
 
 
 def ext_tensor_morphisms(m, m2):

@@ -178,7 +178,7 @@ def _cmd_compose(ws, args, report):
         verdict = check_ext_morphism(composed)
         _law_lines(report, "ext-morphism", verdict)
         if verdict.ok:
-            oracle = ext_compose_via_cotensor(g, f)
+            oracle = ext_compose_via_cotensor(g, f, composed)
             agreed = ext_morphisms_equal(composed, oracle)
             report["oracle.cotensor-route"] = "equal" if agreed else "mismatch"
             if not agreed:

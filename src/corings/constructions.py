@@ -38,7 +38,7 @@ from .bimodules import (
 )
 from .coring import Coring
 from .errors import FieldMismatch, InvalidMorphism, NotInjective
-from .linalg import Mat, _vadd, map_kernel
+from .linalg import Mat, _Eliminator, _vadd
 
 
 _TENSOR_CORINGS = {}
@@ -121,7 +121,11 @@ def sweedler_coring(inclusion):
     The map is checked to be an injective algebra morphism: restricting A
     along anything else yields no bimodule to present the tensor over.
     """
-    if map_kernel(inclusion.map).dim != 0:
+    # Injective exactly when the rows of the map are independent.
+    span = _Eliminator(inclusion.map.field, inclusion.map.ncols)
+    for r in inclusion.map.rows:
+        span.insert(dict(r))
+    if len(span.pivrows) != inclusion.map.nrows:
         raise NotInjective("the algebra map has a nonzero kernel")
     v = check_algebra_morphism(inclusion)
     if not v.ok:

@@ -28,10 +28,6 @@ class ObjectMismatch(CoringsError):
     """Composition was requested for morphisms that do not share an endpoint."""
 
 
-class IsoFailure(CoringsError):
-    """A map that must be invertible turned out not to be."""
-
-
 class NotInjective(CoringsError):
     """An algebra inclusion required to be injective has a kernel."""
 

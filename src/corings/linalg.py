@@ -10,19 +10,19 @@ Conventions used throughout the library:
   has one representation whichever path computed it.
 * A linear map f: k^m -> k^n is a Mat with m rows and n columns acting on row
   vectors, f(v) = v * M.  "Apply f, then g" is therefore the product F @ G.
-* `kernel(m)` solves m x = 0, i.e. it returns {v : v * m^T = 0}; the kernel of
-  a map stored row-convention is `kernel(m.transpose())`.
-* Quotients pick the non-pivot ambient coordinates, in increasing index order,
-  as representatives, so every basis choice is deterministic.  `quotient`
-  takes a relation subspace that is already eliminated; `quotient_by_rows`
-  takes relation rows, each a sequence of (column, value) pairs, and
-  collapses those with one or two terms as orbits with a weighted
-  union-find, eliminating only the rows with more terms.
-  Both give the same quotient of the same span.
+* Elimination here is `_Eliminator`, an incremental canonical RREF, and
+  `quotient_by_rows`, which takes relation rows, each a sequence of
+  (column, value) pairs, collapses those with one or two terms as orbits with
+  a weighted union-find and hands only the rows with more terms to an
+  `_Eliminator`.  A quotient picks the non-pivot ambient coordinates, in
+  increasing index order, as representatives, so every basis choice is
+  deterministic.
 
 Rows are stored sparsely as {column: nonzero scalar}; every constructor and
 accessor speaks dense row-major entries.  RREF is canonical for a given row
-space, which is what makes reports byte-stable across runs.
+space, which is what makes reports byte-stable across runs.  The kernels,
+inverses and eliminating quotient that only the tests use are in
+`tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import re
 from heapq import heapify, heappop, heappush
 from math import isqrt
 
-from .errors import DimensionMismatch, FieldMismatch, IsoFailure
+from .errors import DimensionMismatch, FieldMismatch
 
 
 _SCALAR = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
@@ -142,9 +142,6 @@ class Field:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
-
-    def from_int(self, n):
-        return n if self.p is None else n % self.p
 
     def coerce(self, x):
         """Canonical element for an int, a Fraction or a scalar string.
@@ -272,10 +269,6 @@ class Mat:
         return cls(field, nrows, ncols, rows)
 
     @classmethod
-    def zero(cls, field, nrows, ncols):
-        return cls(field, nrows, ncols, [{} for _ in range(nrows)])
-
-    @classmethod
     def identity(cls, field, n):
         one = field.one
         return cls(field, n, n, [{i: one} for i in range(n)])
@@ -291,12 +284,6 @@ class Mat:
     def copy(self):
         return Mat(self.field, self.nrows, self.ncols, [dict(r) for r in self.rows])
 
-    def is_identity(self):
-        if self.nrows != self.ncols:
-            return False
-        one = self.field.one
-        return all(r == {i: one} for i, r in enumerate(self.rows))
-
     def __eq__(self, other):
         return (
             isinstance(other, Mat)
@@ -311,45 +298,14 @@ class Mat:
     def __repr__(self):
         return f"Mat({self.nrows}x{self.ncols} over {self.field!r})"
 
-    def _check_compatible(self, other, same_shape):
+    def _check_compatible(self, other):
         if not isinstance(other, Mat):
             raise TypeError("expected a Mat")
         if self.field != other.field:
             raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
-        if same_shape and (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionMismatch(
-                f"{self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}"
-            )
-
-    def __add__(self, other):
-        self._check_compatible(other, True)
-        rows = []
-        for a, b in zip(self.rows, other.rows):
-            r = dict(a)
-            _vadd(self.field, r, b, self.field.one)
-            rows.append(r)
-        return Mat(self.field, self.nrows, self.ncols, rows)
-
-    def __sub__(self, other):
-        self._check_compatible(other, True)
-        minus_one = self.field.neg(self.field.one)
-        rows = []
-        for a, b in zip(self.rows, other.rows):
-            r = dict(a)
-            _vadd(self.field, r, b, minus_one)
-            rows.append(r)
-        return Mat(self.field, self.nrows, self.ncols, rows)
-
-    def scale(self, c):
-        return Mat(
-            self.field,
-            self.nrows,
-            self.ncols,
-            [_vscale(self.field, r, c) for r in self.rows],
-        )
 
     def __matmul__(self, other):
-        self._check_compatible(other, False)
+        self._check_compatible(other)
         if self.ncols != other.nrows:
             raise DimensionMismatch(
                 f"cannot compose {self.nrows}x{self.ncols} with {other.nrows}x{other.ncols}"
@@ -370,16 +326,9 @@ class Mat:
             _vadd(self.field, out, self.rows[k], v)
         return out
 
-    def transpose(self):
-        rows = [{} for _ in range(self.ncols)]
-        for i, r in enumerate(self.rows):
-            for j, v in r.items():
-                rows[j][i] = v
-        return Mat(self.field, self.ncols, self.nrows, rows)
-
     def kron(self, other):
         """Kronecker product with row-major pair indexing (i,j) -> i*dim' + j."""
-        self._check_compatible(other, False)
+        self._check_compatible(other)
         field = self.field
         p = field.p
         nr, nc = other.nrows, other.ncols
@@ -400,42 +349,12 @@ class Mat:
                 rows.append(out)
         return Mat(field, self.nrows * nr, self.ncols * nc, rows)
 
-    def rref(self):
-        """Reduced row echelon form with zero rows dropped, plus pivot columns."""
-        elim = _Eliminator(self.field, self.ncols)
-        for r in self.rows:
-            elim.insert(dict(r))
-        return elim.to_mat(), elim.pivots()
-
-    def rank(self):
-        return self.rref()[0].nrows
-
-    def inverse(self):
-        """Inverse matrix; raises IsoFailure when not square or singular."""
-        n = self.nrows
-        if n != self.ncols:
-            raise IsoFailure(f"not square: {self.nrows}x{self.ncols}")
-        elim = _Eliminator(self.field, 2 * n)
-        one = self.field.one
-        for i, r in enumerate(self.rows):
-            aug = dict(r)
-            aug[n + i] = one
-            elim.insert(aug)
-        pivots = elim.pivots()
-        if len(pivots) < n or any(c >= n for c in pivots):
-            raise IsoFailure("matrix is singular")
-        rows = [
-            {j - n: v for j, v in elim.pivrows[c].items() if j >= n} for c in pivots
-        ]
-        return Mat(self.field, n, n, rows)
-
-
 class _Eliminator:
     """Incremental canonical RREF accumulator over sparse rows.
 
     `insert` keeps echelon form only: each pivot row is normalized and has no
     entry left of its pivot, but may hold entries in later pivot columns.  The
-    first read of `pivots()` or `to_mat()` back-substitutes once, which yields
+    first read of `pivots()` back-substitutes once, which yields
     the canonical RREF of the row space whatever the insertion order.
     """
 
@@ -495,45 +414,17 @@ class _Eliminator:
             self._back_substitute()
         return sorted(self.pivrows)
 
-    def to_mat(self):
-        piv = self.pivots()
-        return Mat(self.field, len(piv), self.ncols, [dict(self.pivrows[c]) for c in piv])
 
-
-def rref(m):
-    """Reduced row echelon form and pivot columns of `m`; row space preserved."""
-    return m.rref()
-
-
+# Kept, with `QuotientSpace.relations`, only because perfbench/tracer.py reads `relations.dim`.
 class Subspace:
-    """A subspace of k^ambient_dim held as a canonical RREF basis."""
+    """A subspace of k^ambient_dim held as its canonical RREF basis, as data."""
 
-    __slots__ = ("ambient_dim", "basis", "pivots", "_pivot_index")
+    __slots__ = ("ambient_dim", "basis", "pivots")
 
     def __init__(self, ambient_dim, basis, pivots):
         self.ambient_dim = ambient_dim
         self.basis = basis
         self.pivots = pivots
-        self._pivot_index = {c: i for i, c in enumerate(pivots)}
-
-    @classmethod
-    def from_generators(cls, field, ambient_dim, gens):
-        elim = _Eliminator(field, ambient_dim)
-        for g in gens:
-            if isinstance(g, dict):
-                row = {j: v for j, v in g.items() if v}
-            else:
-                row = {}
-                for j, x in enumerate(g):
-                    v = field.coerce(x)
-                    if v:
-                        row[j] = v
-            elim.insert(row)
-        return cls(ambient_dim, elim.to_mat(), elim.pivots())
-
-    @classmethod
-    def zero(cls, field, ambient_dim):
-        return cls(ambient_dim, Mat(field, 0, ambient_dim, []), [])
 
     @property
     def field(self):
@@ -542,19 +433,6 @@ class Subspace:
     @property
     def dim(self):
         return self.basis.nrows
-
-    def reduce(self, vec):
-        """Canonical coset representative: eliminate every pivot coordinate."""
-        field = self.basis.field
-        out = dict(vec)
-        for c in [c for c in out if c in self._pivot_index]:
-            coeff = out.get(c)
-            if coeff:
-                _vadd(field, out, self.basis.rows[self._pivot_index[c]], field.neg(coeff))
-        return out
-
-    def contains(self, vec):
-        return not self.reduce(vec)
 
     def __eq__(self, other):
         return (
@@ -569,41 +447,13 @@ class Subspace:
         return f"Subspace(dim {self.dim} of k^{self.ambient_dim})"
 
 
-def kernel(m):
-    """Null space {v : v * m^T = 0} of `m`, i.e. the solutions of m x = 0.
-
-    Rank-nullity holds with the domain read off the columns:
-    dim kernel + rank(m) = m.ncols.
-    """
-    red, pivots = m.rref()
-    field = m.field
-    pivot_set = set(pivots)
-    gens = []
-    one = field.one
-    for j in range(m.ncols):
-        if j in pivot_set:
-            continue
-        v = {j: one}
-        for idx, p in enumerate(pivots):
-            e = red.rows[idx].get(j)
-            if e:
-                v[p] = field.neg(e)
-        gens.append(v)
-    return Subspace.from_generators(field, m.ncols, gens)
-
-
-def map_kernel(f):
-    """Kernel of the row-convention map v -> v @ f, inside k^f.nrows."""
-    return kernel(f.transpose())
-
-
 class QuotientSpace:
     """k^ambient_dim modulo a relation subspace, with explicit project and lift.
 
     Representatives are the non-pivot ambient coordinates in increasing order;
     project @ lift is the identity on the quotient and kernel(project) equals
-    the relations.  A quotient built from its project rows alone
-    (`quotient_by_rows`) derives `relations` from them on first read.
+    the relations.  `quotient_by_rows` leaves `relations` to be derived from
+    the project rows on first read.
     """
 
     __slots__ = ("ambient_dim", "_relations", "rep_columns", "project", "lift")
@@ -648,36 +498,15 @@ class QuotientSpace:
         return f"QuotientSpace(k^{self.ambient_dim} / dim-{self.ambient_dim - self.dim})"
 
 
-def quotient(ambient_dim, relations):
-    """Quotient of k^ambient_dim by `relations`, with canonical representatives."""
-    if relations.ambient_dim != ambient_dim:
-        raise DimensionMismatch(
-            f"relations live in k^{relations.ambient_dim}, not k^{ambient_dim}"
-        )
-    field = relations.field
-    pivot_set = set(relations.pivots)
-    rep_columns = [j for j in range(ambient_dim) if j not in pivot_set]
-    rep_index = {c: t for t, c in enumerate(rep_columns)}
-    one = field.one
-    proj_rows = []
-    for j in range(ambient_dim):
-        red = relations.reduce({j: one})
-        proj_rows.append({rep_index[c]: v for c, v in red.items()})
-    project = Mat(field, ambient_dim, len(rep_columns), proj_rows)
-    lift = Mat(field, len(rep_columns), ambient_dim, [{c: one} for c in rep_columns])
-    return QuotientSpace(ambient_dim, relations, rep_columns, project, lift)
-
-
 def quotient_by_rows(field, ambient_dim, rows):
-    """`quotient(ambient_dim, Subspace.from_generators(field, ambient_dim, ...))`
-    on the span of `rows`.
+    """The quotient of k^ambient_dim by the span of `rows`.
 
     `rows` is an iterable, read once, of relation rows.  Each row is a
     sequence of (column, value) pairs with distinct columns and nonzero
     values, such as `tuple(d.items())` for a sparse row `d`; the caller need
-    not build a dict per row.  The result has the same `rep_columns`,
-    `project`, `lift` and `relations` as that call, without eliminating
-    every row.  Rows of `project` with equal entries may be one shared dict,
+    not build a dict per row.  The result has the `rep_columns`, `project`,
+    `lift` and `relations` that eliminating every row into an RREF gives,
+    without eliminating every row.  Rows of `project` with equal entries may be one shared dict,
     so the result, like every presentation built from it, must not be
     changed in place.
 

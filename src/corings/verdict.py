@@ -28,11 +28,6 @@ class Verdict(namedtuple("Verdict", "ok law witness laws_passed laws_vacuous",
     def failed(cls, law, witness, laws_passed=(), laws_vacuous=()):
         return cls(False, law, witness, tuple(laws_passed), tuple(laws_vacuous))
 
-    def describe(self):
-        if self.ok:
-            return "pass"
-        return f"fail [{self.law}] {self.witness}"
-
 
 def format_combo(vec, label, fmt):
     """Render a sparse or dense vector as `c*label + ...` with stable ordering.

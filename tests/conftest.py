@@ -16,10 +16,19 @@ from corings import (
     trivial_corings_morphism,
     unit_coring,
 )
-from corings.algebras import CYCLIC_2, KLEIN_4, AlgebraMorphism
+from corings.algebras import AlgebraMorphism
 from corings.linalg import Mat
 
 FIELD_IDS = ["Q", "F5"]
+
+# Multiplication tables of the cyclic group of order 2 and the Klein four-group.
+CYCLIC_2 = [[0, 1], [1, 0]]
+KLEIN_4 = [
+    [0, 1, 2, 3],
+    [1, 0, 3, 2],
+    [2, 3, 0, 1],
+    [3, 2, 1, 0],
+]
 
 
 def make_field(field_id):

@@ -1,15 +1,14 @@
-"""Constructions only the tests use: module-hom bases, unit embeddings and
-collapses, the comparison maps of a base ring extension, the unit map of an
-algebra, the tensor of algebra maps and the interchange isomorphism with its
-naturality square.
+"""Constructions only the tests use: module-hom bases, unit embeddings, the
+comparison maps of a base ring extension, the unit map of an algebra, the
+tensor of algebra maps and the interchange isomorphism with its naturality
+square.
 
 They serve as independent oracles for the library: `interchange_iso` is the
-route `tensor_coring`'s middle swap must agree with, the unit collapses
-A (x)_A M -> M and M (x)_A A -> M (verified invertible, inverted by the unit
-embeddings) give the counit laws' route through a presented unit tensor,
-`base_extension_maps` relates a base ring extension to the coring it
-extends, and the hom-space helpers draw random module maps for
-functoriality checks.
+route `tensor_coring`'s middle swap must agree with, the unit embeddings
+invert the unit collapses of tests/reference.py (the counit laws' route
+through a presented unit tensor), `base_extension_maps` relates a base ring
+extension to the coring it extends, and the hom-space helpers draw random
+module maps for functoriality checks.
 """
 
 from corings.algebras import AlgebraMorphism, ground_algebra, tensor_algebra
@@ -26,10 +25,10 @@ from corings.errors import (
     DescentFailure,
     DimensionMismatch,
     FieldMismatch,
-    IsoFailure,
 )
-from corings.linalg import Mat, _vadd, kernel
+from corings.linalg import Mat, _vadd
 from corings.verdict import Verdict
+from reference import IsoFailure, contains, inverse, kernel, mat_add, scaled, zero_mat
 
 
 def unit_map(a):
@@ -94,15 +93,15 @@ def interchange_iso(t1, t2, target=None):
 
     # Well-definedness: relations of either factor, tensored with any ambient
     # basis vector of the other, must die in the target quotient.
-    for r in t1.relations.basis.rows:
+    for r in t1.quot.relations.basis.rows:
         for idx2 in range(d_n * d_c2):
             vec = {shuffle(idx1, idx2): v for idx1, v in r.items()}
-            if not target.relations.contains(vec):
+            if not contains(target.quot.relations, vec):
                 raise DescentFailure("regrouping map is not well defined (left factor)")
-    for r in t2.relations.basis.rows:
+    for r in t2.quot.relations.basis.rows:
         for idx1 in range(d_m * d_c):
             vec = {shuffle(idx1, idx2): v for idx2, v in r.items()}
-            if not target.relations.contains(vec):
+            if not contains(target.quot.relations, vec):
                 raise DescentFailure("regrouping map is not well defined (right factor)")
 
     source = tensor_over_k(t1.result, t2.result)
@@ -124,10 +123,9 @@ def interchange_iso(t1, t2, target=None):
         raise IsoFailure(
             f"regrouping map is {mat.nrows}x{mat.ncols}, hence not invertible"
         )
-    inverse = mat.inverse()
     morphism = BimoduleMorphism(source, target.result, mat)
     morphism.target_tensor = target
-    morphism.inverse_map = inverse
+    morphism.inverse_map = inverse(mat)
     return morphism
 
 
@@ -206,44 +204,6 @@ def right_unit_embed(t):
         vec = {i * nd + j: c for j, c in enumerate(a.unit) if c}
         rows.append(t.quot.project_vec(vec))
     return Mat(field, t.left_factor.dim, t.dim, rows)
-
-
-def left_unit_collapse(t):
-    """Inverse of a (x) m -> class(a (x) m) for t = A (x)_A M: sends it to a.m."""
-    field = t.field
-    m = t.right_factor
-    nd = m.dim
-    rows = []
-    for s in range(t.dim):
-        out = {}
-        for idx, val in t.quot.lift.rows[s].items():
-            i, j = divmod(idx, nd)
-            _vadd(field, out, m.left_act[i].rows[j], val)
-        rows.append(out)
-    mat = Mat(field, t.dim, nd, rows)
-    if t.dim != nd:
-        raise IsoFailure("left unit collapse is not square")
-    mat.inverse()
-    return mat
-
-
-def right_unit_collapse(t):
-    """m (x) a -> m.a for t = M (x)_A A, verified invertible."""
-    field = t.field
-    m = t.left_factor
-    nd = t.right_factor.dim
-    rows = []
-    for s in range(t.dim):
-        out = {}
-        for idx, val in t.quot.lift.rows[s].items():
-            i, j = divmod(idx, nd)
-            _vadd(field, out, m.right_act[j].rows[i], val)
-        rows.append(out)
-    mat = Mat(field, t.dim, m.dim, rows)
-    if t.dim != m.dim:
-        raise IsoFailure("right unit collapse is not square")
-    mat.inverse()
-    return mat
 
 
 def base_extension_maps(m):
@@ -335,9 +295,9 @@ def module_hom_space(m, n, side="right"):
 
 def random_module_hom(rng, basis, field, shape):
     """Deterministic random combination of a module-hom basis."""
-    out = Mat.zero(field, shape[0], shape[1])
+    out = zero_mat(field, shape[0], shape[1])
     for b in basis:
-        c = field.from_int(rng.randint(-3, 3))
+        c = field.coerce(rng.randint(-3, 3))
         if c:
-            out = out + b.scale(c)
+            out = mat_add(out, scaled(b, c))
     return out

@@ -47,8 +47,35 @@ maps E onto it bijectively before taking its route (the oracle that starts
 the route from f's coaction on E (x)_A C replaced; a valid f makes the check
 hold).  On valid morphisms both oracles must give the same coaction lift
 exactly.
+
+`reference_descend` is `descend` as it checked a map before it read the
+generating relation rows of the source presentation: on every row of the
+RREF basis of the source relations.  `descend_both_ways` runs each library
+call through both, and tests/test_descend.py and tests/test_law_rows.py
+require the same outcome, failure message included, on every call.
+
+The linear algebra the program no longer runs lives here too, moved out of
+`corings.linalg` (and `IsoFailure` out of `corings.errors`) as functions:
+`rref`, `rank`, `inverse`, `kernel`, `map_kernel`, `transpose`,
+`is_identity`, `zero_mat`, `mat_add`, `mat_sub`, `scaled`, `echelon_mat`
+(the former `_Eliminator.to_mat`), and on subspaces `from_generators`,
+`zero_subspace`, `reduce` and `contains`.  Each looks `_Eliminator` up
+through `corings.linalg` on every call, so tests/test_eliminator.py can swap
+in `ReferenceEliminator` and compare `rref`, `kernel`, `from_generators` and
+`inverse` on both.  `quotient`, which eliminates every relation row, is the
+reference tests/test_quotient_by_rows.py compares `quotient_by_rows` with;
+tests/test_linalg.py and tests/test_rationals.py test these helpers against
+their laws and a dense Fraction RREF.  `pure_class` was a method of
+`PresentedTensor` and `describe` one of `Verdict`.  The unit collapses
+A (x)_A M -> M and M (x)_A A -> M (`left_unit_collapse`,
+`right_unit_collapse`), verified invertible, moved here from
+tests/oracles.py, which now imports this module's helpers.
 """
 
+from contextlib import contextmanager
+from unittest import mock
+
+from corings import bimodules, linalg
 from corings.algebras import (
     AlgebraMorphism,
     FinDimAlgebra,
@@ -60,8 +87,8 @@ from corings.bimodules import (
     BimoduleMorphism,
     PresentedTensor,
     _kron_apply,
-    descend,
     induced_map_on_tensor,
+    push,
     regrouped_id_tensor,
     regrouped_kron,
     regular_bimodule,
@@ -89,15 +116,274 @@ from corings.constructions import tensor_coring, unit_coring
 from corings.coring import Coring, coaction_compatibility, right_coaction_verdict
 from corings.errors import (
     AlgebraMismatch,
+    CoringsError,
     DescentFailure,
     DimensionMismatch,
     FieldMismatch,
-    IsoFailure,
     ObjectMismatch,
 )
-from corings.linalg import Mat, Subspace, _vadd, _vscale, map_kernel, quotient
+from corings.linalg import Mat, Subspace, _vadd, _vscale
 from corings.verdict import Verdict, first_difference, format_combo
-from oracles import left_unit_collapse, right_unit_collapse
+
+
+class IsoFailure(CoringsError):
+    """A map that must be invertible turned out not to be."""
+
+
+def zero_mat(field, nrows, ncols):
+    return Mat(field, nrows, ncols, [{} for _ in range(nrows)])
+
+
+def _plus_multiple(a, b, coeff):
+    """a + coeff * b for matrices of one shape over one field."""
+    if not isinstance(b, Mat):
+        raise TypeError("expected a Mat")
+    if a.field != b.field:
+        raise FieldMismatch(f"{a.field!r} vs {b.field!r}")
+    if (a.nrows, a.ncols) != (b.nrows, b.ncols):
+        raise DimensionMismatch(f"{a.nrows}x{a.ncols} vs {b.nrows}x{b.ncols}")
+    rows = []
+    for x, y in zip(a.rows, b.rows):
+        r = dict(x)
+        _vadd(a.field, r, y, coeff)
+        rows.append(r)
+    return Mat(a.field, a.nrows, a.ncols, rows)
+
+
+def mat_add(a, b):
+    return _plus_multiple(a, b, a.field.one)
+
+
+def mat_sub(a, b):
+    return _plus_multiple(a, b, a.field.neg(a.field.one))
+
+
+def scaled(m, c):
+    return Mat(m.field, m.nrows, m.ncols, [_vscale(m.field, r, c) for r in m.rows])
+
+
+def transpose(m):
+    rows = [{} for _ in range(m.ncols)]
+    for i, r in enumerate(m.rows):
+        for j, v in r.items():
+            rows[j][i] = v
+    return Mat(m.field, m.ncols, m.nrows, rows)
+
+
+def is_identity(m):
+    one = m.field.one
+    return m.nrows == m.ncols and all(r == {i: one} for i, r in enumerate(m.rows))
+
+
+def echelon_mat(elim):
+    """The canonical RREF an eliminator holds, as a matrix of its pivot rows."""
+    piv = elim.pivots()
+    return Mat(elim.field, len(piv), elim.ncols, [dict(elim.pivrows[c]) for c in piv])
+
+
+# `linalg._Eliminator` is looked up on each call, so that a test can swap in
+# `ReferenceEliminator` (tests/test_eliminator.py).
+def rref(m):
+    """Reduced row echelon form with zero rows dropped, plus pivot columns."""
+    elim = linalg._Eliminator(m.field, m.ncols)
+    for r in m.rows:
+        elim.insert(dict(r))
+    return echelon_mat(elim), elim.pivots()
+
+
+def rank(m):
+    return rref(m)[0].nrows
+
+
+def inverse(m):
+    """Inverse matrix; raises IsoFailure when not square or singular."""
+    n = m.nrows
+    if n != m.ncols:
+        raise IsoFailure(f"not square: {m.nrows}x{m.ncols}")
+    elim = linalg._Eliminator(m.field, 2 * n)
+    one = m.field.one
+    for i, r in enumerate(m.rows):
+        aug = dict(r)
+        aug[n + i] = one
+        elim.insert(aug)
+    pivots = elim.pivots()
+    if len(pivots) < n or any(c >= n for c in pivots):
+        raise IsoFailure("matrix is singular")
+    rows = [{j - n: v for j, v in elim.pivrows[c].items() if j >= n} for c in pivots]
+    return Mat(m.field, n, n, rows)
+
+
+def from_generators(field, ambient_dim, gens):
+    """The span of `gens`, sparse rows or dense lists of scalars, as a Subspace."""
+    elim = linalg._Eliminator(field, ambient_dim)
+    for g in gens:
+        if isinstance(g, dict):
+            row = {j: v for j, v in g.items() if v}
+        else:
+            row = {}
+            for j, x in enumerate(g):
+                v = field.coerce(x)
+                if v:
+                    row[j] = v
+        elim.insert(row)
+    return Subspace(ambient_dim, echelon_mat(elim), elim.pivots())
+
+
+def zero_subspace(field, ambient_dim):
+    return Subspace(ambient_dim, Mat(field, 0, ambient_dim, []), [])
+
+
+def reduce(subspace, vec):
+    """Canonical coset representative: eliminate every pivot coordinate."""
+    field = subspace.field
+    index = {c: i for i, c in enumerate(subspace.pivots)}
+    out = dict(vec)
+    for c in [c for c in out if c in index]:
+        coeff = out.get(c)
+        if coeff:
+            _vadd(field, out, subspace.basis.rows[index[c]], field.neg(coeff))
+    return out
+
+
+def contains(subspace, vec):
+    return not reduce(subspace, vec)
+
+
+def kernel(m):
+    """Null space {v : v * m^T = 0} of `m`, i.e. the solutions of m x = 0.
+
+    Rank-nullity holds with the domain read off the columns:
+    dim kernel + rank(m) = m.ncols.
+    """
+    red, pivots = rref(m)
+    field = m.field
+    pivot_set = set(pivots)
+    gens = []
+    one = field.one
+    for j in range(m.ncols):
+        if j in pivot_set:
+            continue
+        v = {j: one}
+        for idx, p in enumerate(pivots):
+            e = red.rows[idx].get(j)
+            if e:
+                v[p] = field.neg(e)
+        gens.append(v)
+    return from_generators(field, m.ncols, gens)
+
+
+def map_kernel(f):
+    """Kernel of the row-convention map v -> v @ f, inside k^f.nrows."""
+    return kernel(transpose(f))
+
+
+def quotient(ambient_dim, relations):
+    """Quotient of k^ambient_dim by `relations`, with canonical representatives."""
+    if relations.ambient_dim != ambient_dim:
+        raise DimensionMismatch(
+            f"relations live in k^{relations.ambient_dim}, not k^{ambient_dim}"
+        )
+    field = relations.field
+    pivot_set = set(relations.pivots)
+    rep_columns = [j for j in range(ambient_dim) if j not in pivot_set]
+    rep_index = {c: t for t, c in enumerate(rep_columns)}
+    one = field.one
+    proj_rows = []
+    for j in range(ambient_dim):
+        red = reduce(relations, {j: one})
+        proj_rows.append({rep_index[c]: v for c, v in red.items()})
+    project = Mat(field, ambient_dim, len(rep_columns), proj_rows)
+    lift = Mat(field, len(rep_columns), ambient_dim, [{c: one} for c in rep_columns])
+    return linalg.QuotientSpace(ambient_dim, relations, rep_columns, project, lift)
+
+
+def pure_class(t, i, j):
+    """Quotient coordinates of the class of m_i (x) n_j in the presented tensor t."""
+    return t.quot.project_vec({i * t.right_factor.dim + j: t.field.one})
+
+
+def describe(verdict):
+    if verdict.ok:
+        return "pass"
+    return f"fail [{verdict.law}] {verdict.witness}"
+
+
+def reference_descend(t_src, t_tgt, image):
+    """`descend` checking the rows of the RREF basis of the source relations."""
+    project = t_tgt.quot.project_vec
+    for r in t_src.quot.relations.basis.rows:
+        if project(image(r)):
+            raise DescentFailure(
+                "ambient map does not send source relations into target relations"
+            )
+    return push(t_tgt, image, t_src.quot.lift.rows)
+
+
+def _descend_outcome(fn, t_src, t_tgt, image):
+    try:
+        return ("descends", fn(t_src, t_tgt, image))
+    except DescentFailure as e:
+        return ("fails", str(e))
+
+
+@contextmanager
+def descend_both_ways():
+    """Run every call of `bimodules.descend` through `reference_descend` too.
+
+    Yields a list that gains, per call, the pair (library outcome, reference
+    outcome), each ("descends", matrix) or ("fails", message).  The caller
+    gets the library's matrix or DescentFailure.
+    """
+    library = bimodules.descend
+    outcomes = []
+
+    def both(t_src, t_tgt, image):
+        got = _descend_outcome(library, t_src, t_tgt, image)
+        outcomes.append((got, _descend_outcome(reference_descend, t_src, t_tgt, image)))
+        if got[0] == "fails":
+            raise DescentFailure(got[1])
+        return got[1]
+
+    with mock.patch.object(bimodules, "descend", both):
+        yield outcomes
+
+
+def left_unit_collapse(t):
+    """Inverse of a (x) m -> class(a (x) m) for t = A (x)_A M: sends it to a.m."""
+    field = t.field
+    m = t.right_factor
+    nd = m.dim
+    rows = []
+    for s in range(t.dim):
+        out = {}
+        for idx, val in t.quot.lift.rows[s].items():
+            i, j = divmod(idx, nd)
+            _vadd(field, out, m.left_act[i].rows[j], val)
+        rows.append(out)
+    mat = Mat(field, t.dim, nd, rows)
+    if t.dim != nd:
+        raise IsoFailure("left unit collapse is not square")
+    inverse(mat)
+    return mat
+
+
+def right_unit_collapse(t):
+    """m (x) a -> m.a for t = M (x)_A A, verified invertible."""
+    field = t.field
+    m = t.left_factor
+    nd = t.right_factor.dim
+    rows = []
+    for s in range(t.dim):
+        out = {}
+        for idx, val in t.quot.lift.rows[s].items():
+            i, j = divmod(idx, nd)
+            _vadd(field, out, m.right_act[j].rows[i], val)
+        rows.append(out)
+    mat = Mat(field, t.dim, m.dim, rows)
+    if t.dim != m.dim:
+        raise IsoFailure("right unit collapse is not square")
+    inverse(mat)
+    return mat
 
 
 class ReferenceEliminator:
@@ -138,10 +424,6 @@ class ReferenceEliminator:
     def pivots(self):
         return sorted(self.pivrows)
 
-    def to_mat(self):
-        piv = self.pivots()
-        return Mat(self.field, len(piv), self.ncols, [dict(self.pivrows[c]) for c in piv])
-
 
 class GuardFired(AssertionError):
     """An induced outer action did not preserve the relation subspace."""
@@ -177,7 +459,7 @@ def reference_present_tensor(m, n):
                       field.neg(field.one))
                 if g:
                     elim.insert(g)
-    relations = Subspace(ambient_dim, elim.to_mat(), elim.pivots())
+    relations = Subspace(ambient_dim, echelon_mat(elim), elim.pivots())
     quot = quotient(ambient_dim, relations)
 
     def induce(amb_row_image):
@@ -189,7 +471,7 @@ def reference_present_tensor(m, n):
 
     def check_preserved(amb_row_image, what):
         for r in relations.basis.rows:
-            if not relations.contains(amb_row_image(r)):
+            if not contains(relations, amb_row_image(r)):
                 raise GuardFired(f"{what} does not preserve the relations")
 
     def left_image(p):
@@ -248,8 +530,9 @@ def reference_delta_right_linearity(c, bimodule):
                 _vadd(field, out, {i * nd + w: v for w, v in rows_b[t].items()}, val)
             return out
 
-        for r in c.tens.relations.basis.rows:
-            if not c.tens.relations.contains(img(r)):
+        relations = c.tens.quot.relations
+        for r in relations.basis.rows:
+            if not contains(relations, img(r)):
                 return Verdict.failed(
                     "delta-right-linear",
                     f"the right action of {b_alg.label(j)} on the second tensor leg "
@@ -465,7 +748,7 @@ def reference_check_corings_morphism(m):
     passed.append("counit-square")
 
     try:
-        phi_phi = descend(
+        phi_phi = bimodules.descend(
             m.source.tens, m.target.tens, lambda vec: _kron_apply(m.phi, m.phi, vec)
         )
     except DescentFailure as e:
@@ -739,7 +1022,7 @@ def cotensor(m, rho_lift, c, n, lam_lift):
         rho_lift @ t_mc.project, Mat.identity(c.field, n.dim), t_mn, t_l
     )
     lam_side = regrouped_id_tensor(t_mn, lam_lift, t_mc, t_l)
-    subspace = map_kernel(rho_side - lam_side)
+    subspace = map_kernel(mat_sub(rho_side, lam_side))
     include = Mat(c.field, subspace.dim, t_mn.dim, [dict(r) for r in subspace.basis.rows])
     return CotensorSpace(t_mn, subspace, include)
 
@@ -785,8 +1068,7 @@ def reference_ext_compose_via_cotensor(g, f):
         if c is None:
             raise IsoFailure("the coaction does not land in the cotensor product")
         coords.append(c)
-    emb = Mat(field, e_dim, cot.dim, coords)
-    emb.inverse()
+    inverse(Mat(field, e_dim, cot.dim, coords))
 
     t_ec = cot.tensor
     t_cd = g.coaction_tensor

@@ -1,8 +1,8 @@
 import pytest
 
+from conftest import CYCLIC_2, KLEIN_4
+
 from corings.algebras import (
-    CYCLIC_2,
-    KLEIN_4,
     AlgebraMorphism,
     FinDimAlgebra,
     check_algebra,

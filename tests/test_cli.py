@@ -12,10 +12,11 @@ while an ext morphism still stored its right action as one interleaved matrix.
 
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from corings import cli
+from corings import category, cli
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKSPACES = ROOT / "perfbench" / "workspaces"
@@ -240,3 +241,15 @@ def test_dump_of_a_scalar_past_the_digit_limit_is_an_error(capsys, tmp_path):
             "a workspace loads no integer past 4300 digits\n") in out
     assert "dumped" not in out
     assert not dump.exists()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_compose_builds_the_bullet_composite_once(family, capsys, tmp_path, monkeypatch):
+    """The cotensor oracle checks the composite the command built; it builds none."""
+    monkeypatch.chdir(tmp_path)
+    with mock.patch.object(cli, "ext_compose", wraps=category.ext_compose) as from_cli, \
+            mock.patch.object(category, "ext_compose", wraps=category.ext_compose) as inside:
+        code, out, _ = run_cli(capsys, WORKSPACES / f"{family}.json",
+                               *GOLDEN_CASES["compose_to_trivial_dual_id_dual"])
+    assert code == 0 and "oracle.cotensor-route: equal" in out
+    assert (from_cli.call_count, inside.call_count) == (1, 0)

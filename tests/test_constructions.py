@@ -1,7 +1,8 @@
 import pytest
 
+from conftest import CYCLIC_2
+
 from corings.algebras import (
-    CYCLIC_2,
     AlgebraMorphism,
     dual_numbers,
     ground_algebra,
@@ -28,9 +29,10 @@ from corings.constructions import (
     unit_coring,
 )
 from corings.coring import check_coring
-from corings.errors import FieldMismatch, NotInjective
+from corings.errors import FieldMismatch, InvalidMorphism, NotInjective
 from corings.linalg import Field, Mat
 from oracles import base_extension_maps, interchange_iso
+from reference import inverse, is_identity
 
 Q = Field.rationals()
 F5 = Field.prime(5)
@@ -118,12 +120,26 @@ class TestFixtures:
         assert sw.dim == 4
         assert check_coring(sw).ok
 
-    def test_sweedler_rejects_non_injective(self):
-        collapse = AlgebraMorphism(
-            dual_numbers(Q), ground_algebra(Q), Mat.from_rows(Q, [[1], [0]])
-        )
-        with pytest.raises(NotInjective):
-            sweedler_coring(collapse)
+    @pytest.mark.parametrize("field", [Q, F5], ids=["Q", "F5"])
+    @pytest.mark.parametrize("target, rows", [
+        ("k", [[1], [0]]),  # the algebra map D -> k killing x
+        ("D", [[1, 0], [1, 0]]),  # rank 1, no zero row
+        ("D", [[1, 2], [2, 4]]),  # rank 1, the second row twice the first
+        ("D", [[0, 0], [0, 0]]),
+    ], ids=["collapse", "repeated-row", "multiple-row", "zero"])
+    def test_sweedler_rejects_non_injective(self, field, target, rows):
+        d = dual_numbers(field)
+        b = ground_algebra(field) if target == "k" else d
+        with pytest.raises(NotInjective, match="^the algebra map has a nonzero kernel$"):
+            sweedler_coring(AlgebraMorphism(d, b, Mat.from_rows(field, rows)))
+
+    @pytest.mark.parametrize("field", [Q, F5], ids=["Q", "F5"])
+    def test_sweedler_checks_an_injective_map_for_the_algebra_laws(self, field):
+        d = dual_numbers(field)
+        swap = AlgebraMorphism(d, d, Mat.from_rows(field, [[0, 1], [1, 0]]))
+        with pytest.raises(InvalidMorphism, match="^the algebra map fails "):
+            sweedler_coring(swap)
+        assert sweedler_coring(dual_inclusion(field)).dim == 4
 
     def test_grouplike_requires_a_group(self):
         with pytest.raises(ValueError):
@@ -219,9 +235,9 @@ class TestBaseRingExtension:
         assert ext.source.dim == mc.dim
         assert check_coring(ext.source).ok
         assert check_ext_morphism(ext).ok
-        assert (embed @ collapse).is_identity()
-        assert (collapse @ embed).is_identity()
-        mu, mu_inv = collapse, collapse.inverse()
+        assert is_identity(embed @ collapse)
+        assert is_identity(collapse @ embed)
+        mu, mu_inv = collapse, inverse(collapse)
         transported = mu_inv @ ext.coact_lift @ mu.kron(Mat.identity(F5, 4))
         assert transported @ mc.tens.project == mc.comul
         ei = ext_identity(mc)

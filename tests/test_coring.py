@@ -2,10 +2,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import coring_family, ext_morphism_family
+from conftest import CYCLIC_2, coring_family, ext_morphism_family
 
 from corings.algebras import (
-    CYCLIC_2,
     AlgebraMorphism,
     dual_numbers,
     ground_algebra,
@@ -32,8 +31,17 @@ from corings.coring import (
 )
 from corings.linalg import Field, Mat
 from corings.workspace import load_workspace
-from oracles import left_unit_collapse, unit_map
-from reference import cotensor
+from oracles import unit_map
+from reference import (
+    contains,
+    cotensor,
+    is_identity,
+    left_unit_collapse,
+    mat_add,
+    mat_sub,
+    rank,
+    zero_mat,
+)
 
 Q = Field.rationals()
 F5 = Field.prime(5)
@@ -120,7 +128,7 @@ class TestLeftColinear:
             mc.counit_mat, Mat.identity(F5, 4), mc.tens, unit_tensor
         ) @ left_unit_collapse(unit_tensor)
         f = mc.comul @ leg
-        assert f.is_identity()
+        assert is_identity(f)
         # f then comul is the comultiplication again: a valid extension of C by C.
         m = ExtMorphism(mc, mc, mc.carrier.right_act, f @ mc.comul_lift)
         assert check_ext_morphism(m).ok
@@ -135,8 +143,8 @@ class TestCotensor:
         for c in [matrix_coalgebra(2, F5), grouplike_coalgebra(CYCLIC_2, Q),
                   trivial_coring(dual_numbers(Q))]:
             ct = regular_cotensor(c)
-            assert all(ct.subspace.contains(r) for r in c.comul.rows)
-            assert c.comul.rank() == c.dim == ct.dim
+            assert all(contains(ct.subspace, r) for r in c.comul.rows)
+            assert rank(c.comul) == c.dim == ct.dim
 
     def test_trivial_coring_defect_vanishes(self):
         ct = regular_cotensor(trivial_coring(dual_numbers(Q)))
@@ -146,7 +154,7 @@ class TestCotensor:
         ct = regular_cotensor(matrix_coalgebra(2, F5))
         assert ct.include.nrows == ct.dim
         for r in ct.include.rows:
-            assert ct.subspace.contains(r)
+            assert contains(ct.subspace, r)
 
     @pytest.mark.parametrize("source", ["Q", "F5", "cli-q", "cli-f5", "monoidal-f5"])
     def test_coaction_is_an_isomorphism_onto_the_cotensor(self, source):
@@ -166,8 +174,8 @@ class TestCotensor:
             c = f.target
             ct = cotensor(f.bimodule, f.coact_lift, c, c.carrier, c.comul_lift)
             assert ct.tensor is f.coaction_tensor
-            assert all(ct.subspace.contains(r) for r in f.coaction.rows)
-            assert f.coaction.rank() == f.source.dim == ct.dim
+            assert all(contains(ct.subspace, r) for r in f.coaction.rows)
+            assert rank(f.coaction) == f.source.dim == ct.dim
 
 
 def sweedler_dual(field):
@@ -186,9 +194,9 @@ def transported_coaction(c, i, j):
     """Lift of (phi^-1 (x) C) o comul o phi for phi = I + E_ij on the carrier."""
     field = c.field
     ident = Mat.identity(field, c.dim)
-    n = Mat.zero(field, c.dim, c.dim)
+    n = zero_mat(field, c.dim, c.dim)
     n.rows[i][j] = field.one
-    return (ident + n) @ c.comul_lift @ (ident - n).kron(ident)
+    return mat_add(ident, n) @ c.comul_lift @ mat_sub(ident, n).kron(ident)
 
 
 class TestTwoRouteCorruptions:
@@ -197,7 +205,7 @@ class TestTwoRouteCorruptions:
 
     def test_coring_coassociativity(self, field):
         sw = sweedler_dual(field)
-        one_plus_x = sw.carrier.left_act[0] + sw.carrier.left_act[1]
+        one_plus_x = mat_add(sw.carrier.left_act[0], sw.carrier.left_act[1])
         lift = sw.comul_lift @ one_plus_x.kron(Mat.identity(field, 4))
         v = check_coring(Coring(sw.base, sw.carrier, lift, sw.counit_mat))
         assert (v.law, v.witness) == ("coassociativity", "e_0: the two triple coproducts differ")

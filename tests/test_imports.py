@@ -8,9 +8,12 @@ sibling module (`from .X import ...` inside a function): such an import only
 hides an import cycle, and a cycle is fixed by where the code lives.
 
 A second scan finds dead definitions: every module-level function, class and
-constant of `src/corings/*.py` (again bar `__init__.py`) must be read, as a
-name or an attribute, somewhere in `src/` or `tests/` outside its own
-definition.
+constant of `src/corings/*.py` (again bar `__init__.py`), and every method and
+property of its classes bar the dunders, must be read, as a name or an
+attribute, somewhere in `src/corings/` or `perfbench/` outside its own
+definition.  Reads in `tests/` do not count: code only the tests run belongs
+in `tests/reference.py`.  `perfbench/` counts because its tracer reads the
+program's objects (`QuotientSpace.relations`).
 
 A third check keeps the start-up path of every command lean: importing
 `corings.cli` in a fresh interpreter must not load `dataclasses` or the
@@ -31,6 +34,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = sorted(p for p in ROOT.glob("src/corings/*.py") if p.name != "__init__.py")
 FILES = sorted([*SRC, *ROOT.glob("tests/*.py")])
+READERS = sorted([*ROOT.glob("src/corings/*.py"), *ROOT.glob("perfbench/*.py")])
 
 
 def unused_imports(source):
@@ -100,26 +104,44 @@ def read_names(tree):
     )
 
 
-def unread_definitions(source, elsewhere):
-    """(line, name) of the module-level definitions of `source` that nothing reads.
+def is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
 
-    A definition is read when a name or attribute of that spelling is loaded
-    in `source` outside the definition itself, or counted in `elsewhere`.
+
+def definitions(tree):
+    """(line, name, node) of each module-level function, class and constant,
+    and of each method and property of those classes except the dunders;
+    a method is named `Class.method`."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name, node
+        elif isinstance(node, ast.Assign):
+            for t in node.targets:
+                if isinstance(t, ast.Name):
+                    yield node.lineno, t.id, node
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.lineno, node.target.id, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not is_dunder(item.name)):
+                    yield item.lineno, f"{node.name}.{item.name}", item
+
+
+def unread_definitions(source, elsewhere):
+    """(line, name) of the definitions of `source` that nothing reads.
+
+    A definition is read when a name or attribute of its spelling (a
+    method's own name) is loaded in `source` outside the definition itself,
+    or counted in `elsewhere`.
     """
     tree = ast.parse(source)
     reads = read_names(tree) + elsewhere
     unread = []
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, ast.Assign):
-            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            names = [node.target.id]
-        else:
-            continue
-        own = read_names(node)
-        unread += [(node.lineno, n) for n in names if reads[n] <= own[n]]
+    for line, name, node in definitions(tree):
+        spelling = name.rpartition(".")[2]
+        if reads[spelling] <= read_names(node)[spelling]:
+            unread.append((line, name))
     return sorted(unread)
 
 
@@ -140,13 +162,35 @@ def test_scan_sees_an_unread_definition():
         "def g():\n"
         "    return B\n"
     )
-    assert unread_definitions(source, Counter()) == [(3, "f"), (5, "C"), (8, "g")]
-    assert unread_definitions(source, Counter(["f", "g"])) == [(5, "C")]
+    assert unread_definitions(source, Counter()) == [
+        (3, "f"), (5, "C"), (6, "C.same"), (8, "g")]
+    assert unread_definitions(source, Counter(["f", "g"])) == [(5, "C"), (6, "C.same")]
+
+
+def test_scan_sees_a_method_only_a_test_reads():
+    source = (
+        "class M:\n"
+        "    def used(self):\n"
+        "        return self.size\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return 1\n"
+        "    def spare(self):\n"
+        "        return self.spare()\n"
+        "    def __eq__(self, other):\n"
+        "        return True\n"
+        "M().used()\n"
+    )
+    test_file = "from m import M\nassert M().spare() == M().size\n"
+    assert unread_definitions(source, Counter()) == [(7, "M.spare")]
+    # A read in a test file would keep it, which is why no test file is read.
+    assert unread_definitions(source, read_names(ast.parse(test_file))) == []
+    assert all(p.parent.name != "tests" for p in READERS)
 
 
 @pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
 def test_no_unread_definitions(path):
-    elsewhere = sum((file_reads(p) for p in FILES if p != path), Counter())
+    elsewhere = sum((file_reads(p) for p in READERS if p != path), Counter())
     assert unread_definitions(path.read_text(), elsewhere) == []
 
 

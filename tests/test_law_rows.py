@@ -14,6 +14,11 @@ loaded, so every carrier is a bimodule and every D a coring.  Corruptions
 include adding a relation of the presented tensor to a lift row, which must
 change no verdict, because the new checkers read the lift itself.
 
+Every `descend` call those checkers make, on the corpus objects and on their
+corruptions, runs through `reference_descend` too (`descend_both_ways`): the
+check on the generating relation rows must fail exactly where the check on a
+relation basis fails.
+
 On the same extensions and corruptions, `check_ext_morphism`, which runs the
 four extension laws on its `ExtMorphism`, must give the verdict of
 `reference_right_extension_verdict`.  A coring's comultiplication is the right
@@ -48,13 +53,19 @@ from corings.coring import (
 )
 from corings.linalg import Mat, _vadd
 from corings.workspace import load_workspace
-from oracles import left_unit_collapse, right_unit_collapse
 from reference import (
+    descend_both_ways,
+    left_unit_collapse,
+    mat_add,
+    mat_sub,
     reference_check_coring,
     reference_check_corings_morphism,
     reference_coaction_compatibility,
     reference_right_coaction_verdict,
     reference_right_extension_verdict,
+    right_unit_collapse,
+    scaled,
+    zero_mat,
 )
 
 WORKSPACES = Path(__file__).resolve().parents[1] / "perfbench" / "workspaces"
@@ -135,7 +146,7 @@ def twist(rng, field, n, counit=None):
     is bilinear, so a lift composed with it reaches the laws after bilinearity.
     """
     if n < 2:
-        return Mat.identity(field, n).scale(scalar(rng, field))
+        return scaled(Mat.identity(field, n), scalar(rng, field))
     i, j, l = rng.randrange(n), rng.randrange(n), rng.randrange(n)
     if counit is not None:
         same = [(a, b) for a in range(n) for b in range(a)
@@ -156,13 +167,13 @@ def corrupt_coring(rng, c):
         elif step == 1:
             counit = poke(rng, counit)
         elif step == 2:
-            counit = counit.scale(scalar(rng, c.field))
+            counit = scaled(counit, scalar(rng, c.field))
         elif step == 3:
             lift = lift @ twist(rng, c.field, c.dim).kron(ident)
         elif step == 4:
             lift = lift @ ident.kron(twist(rng, c.field, c.dim))
         else:
-            lift = shift_by_relation(rng, lift, c.tens.relations)
+            lift = shift_by_relation(rng, lift, c.tens.quot.relations)
     return Coring(c.base, c.carrier, lift, counit)
 
 
@@ -175,20 +186,20 @@ def corrupt_ext(rng, m):
         if step == 0:
             lift = poke(rng, lift)
         elif step == 1:
-            lift = lift.scale(scalar(rng, field))
+            lift = scaled(lift, scalar(rng, field))
         elif step == 2:
             lift = lift @ Mat.identity(field, c_dim).kron(twist(rng, field, d_dim))
         elif step == 3:
             # Transport along phi = I + N, N = s E_ij nilpotent: lift of
             # (phi^-1 (x) D) o rho o phi.
-            n = Mat.zero(field, c_dim, c_dim)
+            n = zero_mat(field, c_dim, c_dim)
             if c_dim > 1:
                 i, j = rng.sample(range(c_dim), 2)
                 n = added(n, i, {j: field.one}, scalar(rng, field))
             ident = Mat.identity(field, c_dim)
-            lift = (ident + n) @ lift @ (ident - n).kron(Mat.identity(field, d_dim))
+            lift = mat_add(ident, n) @ lift @ mat_sub(ident, n).kron(Mat.identity(field, d_dim))
         elif step == 4:
-            lift = shift_by_relation(rng, lift, m.coaction_tensor.relations)
+            lift = shift_by_relation(rng, lift, m.coaction_tensor.quot.relations)
         elif step == 5:
             j = rng.randrange(len(actions))
             actions[j] = poke(rng, actions[j])
@@ -204,7 +215,7 @@ def corrupt_corings_morphism(rng, m):
         if step == 0:
             phi = poke(rng, phi)
         elif step == 1:
-            phi = phi.scale(scalar(rng, phi.field))
+            phi = scaled(phi, scalar(rng, phi.field))
         elif step == 2:
             phi = phi @ twist(rng, phi.field, m.target.dim, m.target.counit_mat)
         elif step == 3:
@@ -241,15 +252,25 @@ CORRUPT = {"coring": corrupt_coring, "ext": corrupt_ext, "corings": corrupt_cori
 
 
 @cache
-def corruption_results(corpus):
-    """(object, index, checker, new, reference) over CORRUPTIONS_PER_OBJECT per object."""
+def corruption_run(corpus):
+    """(results, descents) over CORRUPTIONS_PER_OBJECT corruptions per object.
+
+    A result is (object, index, checker, new, reference); a descent is the
+    (library, reference) outcome pair of one `descend` call the checkers made
+    (`descend_both_ways`).
+    """
     results = []
-    for name, kind, obj in corpus_objects(corpus):
-        for k in range(CORRUPTIONS_PER_OBJECT):
-            rng = random.Random(f"{corpus}/{name}/{k}")
-            bad = CORRUPT[kind](rng, obj)
-            results += [(name, k, *row) for row in compare(kind, bad)]
-    return results
+    with descend_both_ways() as descents:
+        for name, kind, obj in corpus_objects(corpus):
+            for k in range(CORRUPTIONS_PER_OBJECT):
+                rng = random.Random(f"{corpus}/{name}/{k}")
+                bad = CORRUPT[kind](rng, obj)
+                results += [(name, k, *row) for row in compare(kind, bad)]
+    return results, descents
+
+
+def corruption_results(corpus):
+    return corruption_run(corpus)[0]
 
 
 LAWS_TRIPPED = {
@@ -262,15 +283,28 @@ LAWS_TRIPPED = {
 
 @pytest.mark.parametrize("corpus", CORPORA)
 def test_corpus_objects_agree(corpus):
-    for name, kind, obj in corpus_objects(corpus):
-        for checker, new, ref in compare(kind, obj):
-            assert new == ref, (name, checker)
-            assert new[0], (name, checker)
+    with descend_both_ways() as descents:
+        for name, kind, obj in corpus_objects(corpus):
+            for checker, new, ref in compare(kind, obj):
+                assert new == ref, (name, checker)
+                assert new[0], (name, checker)
+    assert descents and [d for d in descents if d[0] != d[1]] == []
 
 
 @pytest.mark.parametrize("corpus", CORPORA)
 def test_corruptions_agree(corpus):
     assert [r for r in corruption_results(corpus) if r[3] != r[4]] == []
+
+
+def test_descend_on_corruptions_agrees_with_the_relation_basis_check():
+    """`descend` raises on exactly the calls `reference_descend` raises on.
+
+    No corruption of `monoidal-f5` reaches a map that fails to descend; those
+    of the two cli corpora do.
+    """
+    descents = [d for corpus in CORPORA for d in corruption_run(corpus)[1]]
+    assert [d for d in descents if d[0] != d[1]] == []
+    assert {got[0] for got, _ in descents} == {"descends", "fails"}
 
 
 def test_corruptions_reach_every_law():
@@ -291,15 +325,15 @@ def test_relations_added_to_lift_rows_change_no_verdict():
     shifted = 0
     for corpus, (name, kind, obj) in ((c, o) for c in CORPORA for o in corpus_objects(c)):
         rng = random.Random(f"{corpus}/{name}/relations")
-        if kind == "coring" and obj.tens.relations.dim:
+        if kind == "coring" and obj.tens.quot.relations.dim:
             lift = obj.comul_lift
             for _ in range(3):
-                lift = shift_by_relation(rng, lift, obj.tens.relations)
+                lift = shift_by_relation(rng, lift, obj.tens.quot.relations)
             obj = Coring(obj.base, obj.carrier, lift, obj.counit_mat)
-        elif kind == "ext" and obj.coaction_tensor.relations.dim:
+        elif kind == "ext" and obj.coaction_tensor.quot.relations.dim:
             lift = obj.coact_lift
             for _ in range(3):
-                lift = shift_by_relation(rng, lift, obj.coaction_tensor.relations)
+                lift = shift_by_relation(rng, lift, obj.coaction_tensor.quot.relations)
             obj = ExtMorphism(obj.source, obj.target, obj.action_mats, lift)
         else:
             continue

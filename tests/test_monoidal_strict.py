@@ -39,7 +39,7 @@ from corings.constructions import tensor_coring
 from corings.coring import Coring
 from corings.linalg import Field, Mat, _vadd
 from corings.workspace import load_workspace
-from reference import middle_swap, reference_verify_monoidal
+from reference import is_identity, middle_swap, reference_verify_monoidal, scaled
 from test_law_rows import corrupt_corings_morphism, corrupt_ext
 
 WORKSPACES = Path(__file__).resolve().parents[1] / "perfbench" / "workspaces"
@@ -237,9 +237,9 @@ def test_a_tensor_that_is_not_functorial_trips_the_interchange_square():
 
     def doubled(m, m2):
         t = real(m, m2)
-        if m.phi.is_identity() and m2.phi.is_identity():
+        if is_identity(m.phi) and is_identity(m2.phi):
             return t
-        return CoringsMorphism(t.source, t.target, t.phi.scale(F5.coerce(2)), t.varphi)
+        return CoringsMorphism(t.source, t.target, scaled(t.phi, F5.coerce(2)), t.varphi)
 
     with mock.patch.object(category, "corings_tensor_morphisms", doubled):
         v = verify_corings_monoidal(corings, morphisms, seed=1)

@@ -2,7 +2,7 @@
 
 `quotient_by_rows` collapses relation rows of one or two terms with a weighted
 union-find and eliminates only the rows of three or more terms.
-`quotient(n, Subspace.from_generators(...))` eliminates every row.  On the
+`quotient(n, from_generators(...))` eliminates every row.  On the
 same rows both must give the same representatives, projection, lift and
 relation subspace, over Q and over F_2, F_3 and F_5.  The rows mix one-term
 rows, two-term rows, wider rows, rows repeated on the same columns, and
@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corings import linalg
-from corings.linalg import Field, Subspace, quotient, quotient_by_rows
+from corings.linalg import Field, quotient_by_rows
+from reference import from_generators, quotient
 
 FIELDS = {
     "Q": Field.rationals(),
@@ -96,7 +97,7 @@ def assert_same_quotient(got, want):
 @settings(max_examples=250, deadline=None)
 def test_matches_the_eliminating_quotient(case):
     field, n, rows = case
-    want = quotient(n, Subspace.from_generators(field, n, [dict(r) for r in rows]))
+    want = quotient(n, from_generators(field, n, [dict(r) for r in rows]))
     got = quotient_by_rows(field, n, as_pairs(rows))
     assert_same_quotient(got, want)
 
@@ -105,13 +106,13 @@ def test_matches_the_eliminating_quotient(case):
 class TestOrbits:
     def test_chain_merges_into_its_largest_coordinate(self, field):
         # e_0 = c e_1, e_1 = c e_3, e_2 = e_3: one live orbit with root 3.
-        c = field.from_int(2) or field.one
+        c = field.coerce(2) or field.one
         rows = [{0: field.one, 1: field.neg(c)}, {1: field.one, 3: field.neg(c)},
                 {2: field.one, 3: field.neg(field.one)}]
         got = quotient_by_rows(field, 5, as_pairs(rows))
         assert got.rep_columns == [3, 4]
         assert got.project.rows[0] == {0: field.mul(c, c)}
-        assert_same_quotient(got, quotient(5, Subspace.from_generators(field, 5, rows)))
+        assert_same_quotient(got, quotient(5, from_generators(field, 5, rows)))
 
     def test_one_term_row_kills_its_orbit(self, field):
         rows = [{0: field.one, 2: field.one}, {2: field.one, 3: field.one}, {0: field.one}]
@@ -121,13 +122,13 @@ class TestOrbits:
 
     def test_inconsistent_cycle_kills_its_orbit(self, field):
         # e_0 = e_1 = e_2 and e_2 = c e_0: dead unless c = 1, as on F_2.
-        c = field.from_int(2) or field.one
+        c = field.coerce(2) or field.one
         minus_one = field.neg(field.one)
         rows = [{0: field.one, 1: minus_one}, {1: field.one, 2: minus_one},
                 {0: field.neg(c), 2: field.one}]
         got = quotient_by_rows(field, 3, as_pairs(rows))
         assert got.rep_columns == ([2] if c == field.one else [])
-        assert_same_quotient(got, quotient(3, Subspace.from_generators(field, 3, rows)))
+        assert_same_quotient(got, quotient(3, from_generators(field, 3, rows)))
 
     def test_wide_rows_reach_the_eliminator_only_when_present(self, field, monkeypatch):
         built = []
@@ -145,4 +146,4 @@ class TestOrbits:
         got = quotient_by_rows(field, 5, as_pairs(pairs + wide))
         assert len(built) == 1
         assert_same_quotient(
-            got, quotient(5, Subspace.from_generators(field, 5, pairs + wide)))
+            got, quotient(5, from_generators(field, 5, pairs + wide)))

@@ -15,8 +15,9 @@ from pathlib import Path
 
 import pytest
 
+from conftest import CYCLIC_2
+
 from corings import constructions
-from corings.algebras import CYCLIC_2
 from corings.constructions import (
     grouplike_coalgebra,
     matrix_coalgebra,
