@@ -42,14 +42,14 @@ from .errors import (
     DimensionMismatch,
     FieldMismatch,
 )
-from .linalg import Mat, _Eliminator, _vadd, quotient_by_rows
+from .linalg import Mat, _Eliminator, _vadd, _vadd_at, quotient_by_rows
 from .verdict import Verdict, first_noncommuting
 
 BIMODULE_LAWS = ("left-module", "right-module", "commuting-actions")
 
 
 class Bimodule:
-    __slots__ = ("left_alg", "right_alg", "dim", "left_act", "right_act", "labels")
+    __slots__ = ("left_alg", "right_alg", "dim", "left_act", "right_act", "labels", "_key")
 
     def __init__(self, left_alg, right_alg, dim, left_act, right_act, labels=None):
         if left_alg.field != right_alg.field:
@@ -67,6 +67,7 @@ class Bimodule:
         self.left_act = list(left_act)
         self.right_act = list(right_act)
         self.labels = list(labels) if labels is not None else None
+        self._key = None
 
     @property
     def field(self):
@@ -243,7 +244,7 @@ def tensor_over_k(m, n):
 
 
 class PresentedTensor:
-    """M (x)_B N as a quotient of M (x)_k N with explicit project and lift."""
+    """M (x)_B N as a quotient `quot` of M (x)_k N (`linalg.QuotientSpace`)."""
 
     def __init__(self, left_factor, right_factor, over, quot):
         self.left_factor = left_factor
@@ -259,23 +260,14 @@ class PresentedTensor:
         the relations, so the lift rows are pushed with no descent check.
         """
         m, n = self.left_factor, self.right_factor
-        rows = self.quot.lift.rows
-        id_m, id_n = Mat.identity(self.field, m.dim), Mat.identity(self.field, n.dim)
-        left = [push(self, lambda v, a=a: _kron_apply(a, id_n, v), rows) for a in m.left_act]
-        right = [push(self, lambda v, c=c: _kron_apply(id_m, c, v), rows) for c in n.right_act]
+        rows = _lift_rows(self)
+        left = [push(self, lambda v, a=a: _kron_apply(a, n.dim, v), rows) for a in m.left_act]
+        right = [push(self, lambda v, c=c: _kron_apply(m.dim, c, v), rows) for c in n.right_act]
         return Bimodule(m.left_alg, n.right_alg, self.dim, left, right)
 
     @property
     def dim(self):
         return self.quot.dim
-
-    @property
-    def project(self):
-        return self.quot.project
-
-    @property
-    def lift(self):
-        return self.quot.lift
 
     @property
     def field(self):
@@ -293,14 +285,20 @@ def _alg_key(a):
 
 
 def _bimodule_key(b):
-    """What Bimodule.__eq__ compares, as a hashable value (labels left out)."""
-    return (
-        _alg_key(b.left_alg),
-        _alg_key(b.right_alg),
-        b.dim,
-        tuple(frozenset(r.items()) for mat in b.left_act for r in mat.rows),
-        tuple(frozenset(r.items()) for mat in b.right_act for r in mat.rows),
-    )
+    """What Bimodule.__eq__ compares, as a hashable value (labels left out).
+
+    Built on the first call for `b` and kept on it, since no bimodule is
+    changed in place.
+    """
+    if b._key is None:
+        b._key = (
+            _alg_key(b.left_alg),
+            _alg_key(b.right_alg),
+            b.dim,
+            tuple(frozenset(r.items()) for mat in b.left_act for r in mat.rows),
+            tuple(frozenset(r.items()) for mat in b.right_act for r in mat.rows),
+        )
+    return b._key
 
 
 _TENSORS = {}
@@ -421,19 +419,37 @@ def _relation_rows(m, n):
 
 
 def _kron_apply(f, g, vec):
-    """Image of a sparse ambient vector under f (x) g without materializing it."""
+    """Image of a sparse ambient vector under f (x) g without materializing it.
+
+    Either factor may be an int n instead of a matrix: the identity of k^n.
+    Each term is added into the result where it lands (`_vadd_at`).
+    """
     out = {}
-    field = f.field
-    p = field.p
-    for idx, val in vec.items():
-        i, j = divmod(idx, g.nrows)
-        gi = g.rows[j]
-        for u, fv in f.rows[i].items():
-            base = u * g.ncols
-            coeff = val * fv if p is None else (val * fv) % p
-            if coeff:
-                _vadd(field, out, {base + w: v for w, v in gi.items()}, coeff)
+    if f.__class__ is int:
+        field, nr, nc = g.field, g.nrows, g.ncols
+        for idx, val in vec.items():
+            i, j = divmod(idx, nr)
+            _vadd_at(field, out, g.rows[j], val, i * nc, 1)
+    elif g.__class__ is int:
+        field = f.field
+        for idx, val in vec.items():
+            i, j = divmod(idx, g)
+            _vadd_at(field, out, f.rows[i], val, j, g)
+    else:
+        field, nr, nc = f.field, g.nrows, g.ncols
+        mul = field.mul
+        for idx, val in vec.items():
+            i, j = divmod(idx, nr)
+            gj = g.rows[j]
+            for u, fv in f.rows[i].items():
+                _vadd_at(field, out, gj, mul(val, fv), u * nc, 1)
     return out
+
+
+def _lift_rows(t):
+    """The lift of each class of t, a basis vector of its ambient space."""
+    one = t.field.one
+    return [{c: one} for c in t.quot.rep_columns]
 
 
 def push(t_tgt, image, rows):
@@ -455,9 +471,10 @@ def descend(t_src, t_tgt, image):
     not defined on the quotient (DescentFailure).  That is checked on the
     rows t_src was presented by (`_relation_rows`): they span the source
     relations and `image` is linear.  Row s of the returned matrix is the
-    class in t_tgt of image(lift_src[s]).  A law whose map is known to
-    descend, because an earlier law of its checker implies it, pushes its
-    lift rows through `push` instead and skips this check.
+    class in t_tgt of the image of the lift of class s of t_src.  A law
+    whose map is known to descend, because an earlier law of its checker
+    implies it, pushes its lift rows through `push` instead and skips this
+    check.
     """
     project = t_tgt.quot.project_vec
     for r in _relation_rows(t_src.left_factor, t_src.right_factor):
@@ -465,7 +482,7 @@ def descend(t_src, t_tgt, image):
             raise DescentFailure(
                 "ambient map does not send source relations into target relations"
             )
-    return push(t_tgt, image, t_src.quot.lift.rows)
+    return push(t_tgt, image, _lift_rows(t_src))
 
 
 def induced_map_on_tensor(f, g, t_src, t_tgt):
@@ -473,8 +490,8 @@ def induced_map_on_tensor(f, g, t_src, t_tgt):
 
     f and g are matrices.  The ambient map must send source relations into
     target relations (DescentFailure otherwise, which signals a non-bilinear
-    input pair); the returned matrix is project_tgt after (f (x) g) after
-    lift_src.
+    input pair); row s of the returned matrix is the class in t_tgt of
+    (f (x) g) applied to the lift of class s of t_src.
     """
     if t_src.over != t_tgt.over:
         raise AlgebraMismatch("presented tensors have different middle algebras")
@@ -517,20 +534,20 @@ def regrouped_image(g_lift, t_pair, t_left):
     ambient space of t_left.  Both groupings of the triple tensor present
     X (x)_k Y1 (x)_k Y2 modulo R_{X,Y1} (x) Y2 + X (x) R_{Y1,Y2}, so this is
     id (x) g followed by the re-association, without presenting
-    X (x) (Y1 (x) Y2).
+    X (x) (Y1 (x) Y2).  The projection of t_pair acts on the left leg only
+    (`QuotientSpace.project_vec` with a width).
     """
-    field = g_lift.field
-    id_x = Mat.identity(field, t_pair.left_factor.dim)
-    id_y2 = Mat.identity(field, t_left.right_factor.dim)
-    return lambda vec: _kron_apply(t_pair.project, id_y2, _kron_apply(id_x, g_lift, vec))
+    x_dim, y2_dim = t_pair.left_factor.dim, t_left.right_factor.dim
+    project = t_pair.quot.project_vec
+    return lambda vec: project(_kron_apply(x_dim, g_lift, vec), y2_dim)
 
 
 def regrouped_id_tensor(t_src, g_lift, t_pair, t_left):
     """id (x) g: X (x) Y -> X (x) (Y1 (x) Y2), read in (X (x) Y1) (x) Y2.
 
     t_src presents X (x) Y and the other arguments are those of
-    `regrouped_image`.  Row s is the class in t_left of the image of
-    lift_src[s].  A source relation whose image is not zero raises
-    DescentFailure (`descend`).
+    `regrouped_image`.  Row s is the class in t_left of the image of the
+    lift of class s of t_src.  A source relation whose image is not zero
+    raises DescentFailure (`descend`).
     """
     return descend(t_src, t_left, regrouped_image(g_lift, t_pair, t_left))

@@ -118,7 +118,7 @@ class ExtMorphism:
 
     @cached_property
     def coaction(self):
-        return self.coact_lift @ self.coaction_tensor.project
+        return self.coaction_tensor.quot.project_rows(self.coact_lift)
 
     def __repr__(self):
         return f"ExtMorphism({self.source!r} -> {self.target!r})"
@@ -266,24 +266,22 @@ def ext_compose_via_cotensor(g, f, composed):
     eps = g.source.counit_mat
     act_f = f.action_mats
     collapse_rows = []
-    for s in range(t_r.dim):
-        amb = {}
-        for idx, val in t_r.quot.lift.rows[s].items():
-            i, u = divmod(idx, t_cd.dim)
-            for idx2, val2 in t_cd.quot.lift.rows[u].items():
-                c, d = divmod(idx2, d_dim)
-                coeff = field.mul(val, val2)
-                if not coeff:
-                    continue
-                moved = {}
-                for t, at in eps.rows[c].items():
-                    _vadd(field, moved, act_f[t].rows[i], field.mul(coeff, at))
-                _vadd(field, amb, {w * d_dim + d: wv for w, wv in moved.items()}, field.one)
-        collapse_rows.append(t_ed.quot.project_vec(amb))
+    # Class s of t_r lifts to e_i (x) (class u of t_cd), which lifts to
+    # e_i (x) e_c (x) e_d.
+    for idx in t_r.quot.rep_columns:
+        i, u = divmod(idx, t_cd.dim)
+        c, d = divmod(t_cd.quot.rep_columns[u], d_dim)
+        moved = {}
+        for t, at in eps.rows[c].items():
+            _vadd(field, moved, act_f[t].rows[i], at)
+        collapse_rows.append(
+            t_ed.quot.project_vec({w * d_dim + d: wv for w, wv in moved.items()}))
     collapse = Mat(field, t_r.dim, t_ed.dim, collapse_rows)
 
     oracle = f.coaction @ through_d @ collapse
-    lift = oracle @ t_ed.quot.lift
+    reps = t_ed.quot.rep_columns
+    lift = Mat(field, oracle.nrows, t_ed.quot.ambient_dim,
+               [{reps[t]: v for t, v in row.items()} for row in oracle.rows])
     return ExtMorphism(f.source, g.target, composed.action_mats, lift)
 
 
@@ -309,8 +307,7 @@ def ext_morphisms_equal(a, b):
         return False
     if a.action_mats != b.action_mats:
         return False
-    t = a.coaction_tensor
-    return a.coaction == b.coact_lift @ t.project
+    return a.coaction == a.coaction_tensor.quot.project_rows(b.coact_lift)
 
 
 class CoringsMorphism:
@@ -492,42 +489,34 @@ def base_ring_extension(m):
     counit_rows = []
     coact_rows = []
     eps_phi = c.counit_mat @ varphi
-    for s in range(x_dim):
+    for idx in t_bcb.quot.rep_columns:
         comul_row = {}
         counit_row = {}
         coact_row = {}
-        outer = t_bcb.quot.lift.rows[s]
-        for idx, val in outer.items():
-            u, l = divmod(idx, dim_b)
-            for bc_idx, bc_val in t_bc.quot.lift.rows[u].items():
-                b_i, c_j = divmod(bc_idx, dim_c)
-                coeff = field.mul(val, bc_val)
-                if not coeff:
-                    continue
-                # counit: b * varphi(counit(c)) * b'
-                for t, v in eps_phi.rows[c_j].items():
-                    prod = b_alg.mul_vec(b_alg.table[b_i][t], b_alg.basis_vec(l))
-                    _vadd(field, counit_row, {w: pv for w, pv in enumerate(prod) if pv},
-                          field.mul(coeff, v))
-                # comultiplication and coaction share the expansion of comul(c).
-                for pair, dv in c.comul_lift.rows[c_j].items():
-                    c1, c2 = divmod(pair, dim_c)
-                    w = field.mul(coeff, dv)
-                    if not w:
-                        continue
-                    z1 = cls_x(cls_bc({b_i: field.one}, c1), unit_b)
-                    z2 = cls_x(cls_bc(unit_b, c2), {l: field.one})
-                    for p1, v1 in z1.items():
-                        _vadd(field, comul_row, {p1 * x_dim + p2: v2 for p2, v2 in z2.items()},
-                              field.mul(w, v1))
-                    # coaction: (b (x) c1 (x) 1) (x)_k phi(c2) . b', the product
-                    # taken in the right B-module structure of D
-                    d_vec = {}
-                    for t, pv in phi.rows[c2].items():
-                        _vadd(field, d_vec, d.carrier.right_act[l].rows[t], pv)
-                    for p1, v1 in z1.items():
-                        _vadd(field, coact_row, {p1 * d.dim + q: qv for q, qv in d_vec.items()},
-                              field.mul(w, v1))
+        # Class s of the carrier lifts to (class u of t_bc) (x) e_l, and class u
+        # to e_(b_i) (x) e_(c_j).
+        u, l = divmod(idx, dim_b)
+        b_i, c_j = divmod(t_bc.quot.rep_columns[u], dim_c)
+        # counit: b * varphi(counit(c)) * b'
+        for t, v in eps_phi.rows[c_j].items():
+            prod = b_alg.mul_vec(b_alg.table[b_i][t], b_alg.basis_vec(l))
+            _vadd(field, counit_row, {w: pv for w, pv in enumerate(prod) if pv}, v)
+        # comultiplication and coaction share the expansion of comul(c).
+        for pair, w in c.comul_lift.rows[c_j].items():
+            c1, c2 = divmod(pair, dim_c)
+            z1 = cls_x(cls_bc({b_i: field.one}, c1), unit_b)
+            z2 = cls_x(cls_bc(unit_b, c2), {l: field.one})
+            for p1, v1 in z1.items():
+                _vadd(field, comul_row, {p1 * x_dim + p2: v2 for p2, v2 in z2.items()},
+                      field.mul(w, v1))
+            # coaction: (b (x) c1 (x) 1) (x)_k phi(c2) . b', the product
+            # taken in the right B-module structure of D
+            d_vec = {}
+            for t, pv in phi.rows[c2].items():
+                _vadd(field, d_vec, d.carrier.right_act[l].rows[t], pv)
+            for p1, v1 in z1.items():
+                _vadd(field, coact_row, {p1 * d.dim + q: qv for q, qv in d_vec.items()},
+                      field.mul(w, v1))
         comul_rows.append(comul_row)
         counit_rows.append(counit_row)
         coact_rows.append(coact_row)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .algebras import check_algebra
 from .category import (
     base_ring_extension,
     check_corings_morphism,
@@ -50,22 +49,12 @@ def _law_lines(report, kind, verdict, prefix="check"):
         report["witness"] = verdict.witness
 
 
-def _validator(kind):
-    return {
-        "algebra": check_algebra,
-        "module": lambda m: m.check(),
-        "coring": check_coring,
-        "extension": check_ext_morphism,
-        "ext-morphism": check_ext_morphism,
-        "corings-morphism": check_corings_morphism,
-    }[kind]
-
-
 def _cmd_check(ws, args, report):
-    kind, obj = ws.find(args.name)
+    """Report the verdict that loading the workspace reached on the object."""
+    kind = ws.find(args.name)[0]
     report["object"] = args.name
     report["kind"] = kind
-    verdict = _validator(kind)(obj)
+    verdict = ws.verdicts[kind, args.name]
     _law_lines(report, kind, verdict)
     report["result"] = "pass" if verdict.ok else "fail"
     return 0 if verdict.ok else 1
@@ -98,8 +87,11 @@ def _cmd_dims(ws, args, report):
 
 
 def _dump(ws, args, report, add):
-    """Write the workspace fragment that `add(dumper)` fills to --dump, if given."""
-    if args.dump:
+    """Write the workspace fragment that `add(dumper)` fills to --dump, if given.
+
+    An empty path is given too: opening it fails, an I/O error (exit 2).
+    """
+    if args.dump is not None:
         dumper = Dumper(ws)
         add(dumper)
         with open(args.dump, "w", encoding="utf-8") as fh:

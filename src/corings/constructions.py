@@ -144,21 +144,17 @@ def sweedler_coring(inclusion):
     cls = t.quot.project_vec
     comul_rows = []
     counit_rows = []
-    for s in range(carrier.dim):
+    # Class s of the carrier lifts to e_i (x) e_j.
+    for idx in t.quot.rep_columns:
+        i, j = divmod(idx, dim_a)
+        # comul(a (x) a') = (a (x) 1) (x)_A (1 (x) a')
+        z1 = cls({i * dim_a + u: v for u, v in unit_a.items()})
+        z2 = cls({u * dim_a + j: v for u, v in unit_a.items()})
         comul_row = {}
-        counit_row = {}
-        for idx, val in t.quot.lift.rows[s].items():
-            i, j = divmod(idx, dim_a)
-            # comul(a (x) a') = (a (x) 1) (x)_A (1 (x) a')
-            z1 = cls({i * dim_a + u: v for u, v in unit_a.items()})
-            z2 = cls({u * dim_a + j: v for u, v in unit_a.items()})
-            for p1, v1 in z1.items():
-                _vadd(field, comul_row, {p1 * carrier.dim + p2: v2 for p2, v2 in z2.items()},
-                      field.mul(val, v1))
-            _vadd(field, counit_row, {w: pv for w, pv in enumerate(a_alg.table[i][j]) if pv},
-                  val)
+        for p1, v1 in z1.items():
+            _vadd(field, comul_row, {p1 * carrier.dim + p2: v2 for p2, v2 in z2.items()}, v1)
         comul_rows.append(comul_row)
-        counit_rows.append(counit_row)
+        counit_rows.append({w: pv for w, pv in enumerate(a_alg.table[i][j]) if pv})
     return Coring(
         a_alg,
         carrier,

@@ -91,7 +91,7 @@ class Coring:
     @cached_property
     def comul(self):
         """Comultiplication as a map into the presented C (x)_A C."""
-        return self.comul_lift @ self.tens.project
+        return self.tens.quot.project_rows(self.comul_lift)
 
     def __eq__(self, other):
         return self is other or (
@@ -153,8 +153,7 @@ def _coassociativity_row(t_md, rho, lift, d):
     descends; M (x) comul_D does because D is a coring.
     """
     t_l = tensor_over_alg(t_md.result, d.carrier)
-    ident = Mat.identity(d.field, d.dim)
-    lhs = push(t_l, lambda vec: _kron_apply(rho, ident, vec), lift.rows)
+    lhs = push(t_l, lambda vec: _kron_apply(rho, d.dim, vec), lift.rows)
     rhs = push(t_l, regrouped_image(d.comul_lift, t_md, t_l), lift.rows)
     return first_difference(lhs, rhs)
 
@@ -210,7 +209,7 @@ def right_coaction_verdict(carrier, d, coact_lift):
     """
     passed = []
     t_md = tensor_over_alg(carrier, d.carrier)
-    rho = coact_lift @ t_md.project
+    rho = t_md.quot.project_rows(coact_lift)
 
     j = first_noncommuting(carrier.right_act, rho, t_md.result.right_act)
     if j is not None:
@@ -251,11 +250,10 @@ def coaction_compatibility(c, d, carrier, left_lift, right_lift):
     `delta-right-linear` law of the extension checker).
     """
     t_cm = tensor_over_alg(c.carrier, carrier)
-    lam = left_lift @ t_cm.project
+    lam = t_cm.quot.project_rows(left_lift)
     t_l = tensor_over_alg(t_cm.result, d.carrier)
     # lambda (x) D descends from M (x)_B D because lambda is right B-linear.
-    ident = Mat.identity(carrier.field, d.dim)
-    lhs = push(t_l, lambda vec: _kron_apply(lam, ident, vec), right_lift.rows)
+    lhs = push(t_l, lambda vec: _kron_apply(lam, d.dim, vec), right_lift.rows)
     try:
         rhs = lam @ regrouped_id_tensor(t_cm, right_lift, t_cm, t_l)
     except DescentFailure as e:

@@ -18,10 +18,13 @@ Conventions used throughout the library:
   increasing index order, as representatives, so every basis choice is
   deterministic.
 
-Rows are stored sparsely as {column: nonzero scalar}; every constructor and
-accessor speaks dense row-major entries.  RREF is canonical for a given row
-space, which is what makes reports byte-stable across runs.  The kernels,
-inverses and eliminating quotient that only the tests use are in
+Matrix rows are stored sparsely as {column: nonzero scalar}; every
+constructor and accessor speaks dense row-major entries.  A quotient holds
+no matrix unless it has to (`QuotientSpace`): without relations it is its
+dim alone, and with relations of at most two terms it is one class index and
+one scale per ambient coordinate, in two flat lists.  RREF is canonical for
+a given row space, which is what makes reports byte-stable across runs.  The
+kernels, inverses and eliminating quotient that only the tests use are in
 `tests/reference.py`.
 """
 
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import re
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import isqrt
 
 from .errors import DimensionMismatch, FieldMismatch
@@ -222,6 +226,34 @@ def _vadd(field, dst, src, coeff):
                 dst[j] = w
             else:
                 dst.pop(j, None)
+
+
+def _vadd_at(field, dst, src, coeff, base, stride):
+    """dst[base + stride * j] += coeff * src[j] for sparse rows, dropping zeros.
+
+    The columns of a Kronecker factor: with stride 1 and base u * n they are
+    those of row u of A (x) B, B of width n; with stride n and base j those
+    of a row of A (x) id_n.
+    """
+    if not coeff:
+        return
+    p = field.p
+    if p is None:
+        for j, v in src.items():
+            c = base + stride * j
+            w = dst.get(c, 0) + coeff * v
+            if w:
+                dst[c] = _norm(w)
+            else:
+                dst.pop(c, None)
+    else:
+        for j, v in src.items():
+            c = base + stride * j
+            w = (dst.get(c, 0) + coeff * v) % p
+            if w:
+                dst[c] = w
+            else:
+                dst.pop(c, None)
 
 
 def _vscale(field, row, coeff):
@@ -448,35 +480,49 @@ class Subspace:
 
 
 class QuotientSpace:
-    """k^ambient_dim modulo a relation subspace, with explicit project and lift.
+    """k^ambient_dim modulo a relation subspace, in one of three forms.
 
-    Representatives are the non-pivot ambient coordinates in increasing order;
-    project @ lift is the identity on the quotient and kernel(project) equals
-    the relations.  `quotient_by_rows` leaves `relations` to be derived from
-    the project rows on first read.
+    Representatives are the non-pivot ambient coordinates in increasing
+    order, `rep_columns`, and they are the lift: class t lifts to the ambient
+    basis vector of coordinate rep_columns[t].  `project_vec` sends an
+    ambient vector to its class, and its kernel is the relations.  The form
+    is the cheapest that `quotient_by_rows` can give:
+
+    * no relations: only the dim is held, `rep_columns` is a range and
+      `project_vec` is the identity.  It may return its argument itself.
+    * relations of one or two terms (monomial): coordinate x projects to
+      scales[x] times class classes[x], or to zero where classes[x] is -1.
+    * any wider relation: `project` is a matrix with a row per coordinate.
+
+    Nothing is changed in place after construction.  `relations` is derived
+    from the projection on first read, unless it was given.
     """
 
-    __slots__ = ("ambient_dim", "_relations", "rep_columns", "project", "lift")
+    __slots__ = ("field", "ambient_dim", "rep_columns", "classes", "scales", "project",
+                 "_relations")
 
-    def __init__(self, ambient_dim, relations, rep_columns, project, lift):
+    def __init__(self, field, ambient_dim, rep_columns, classes=None, scales=None,
+                 project=None, relations=None):
+        self.field = field
         self.ambient_dim = ambient_dim
-        self._relations = relations
         self.rep_columns = rep_columns
+        self.classes = classes
+        self.scales = scales
         self.project = project
-        self.lift = lift
+        self._relations = relations
 
     @property
     def relations(self):
         """The relation subspace: the row of pivot c is e_c - lift(project(e_c))."""
         if self._relations is None:
-            field = self.project.field
+            field = self.field
             one = field.one
             reps = set(self.rep_columns)
             pivots = [c for c in range(self.ambient_dim) if c not in reps]
             rows = []
             for c in pivots:
                 row = {c: one}
-                for t, v in self.project.rows[c].items():
+                for t, v in self.project_vec({c: one}).items():
                     row[self.rep_columns[t]] = field.neg(v)
                 rows.append(row)
             basis = Mat(field, len(pivots), self.ambient_dim, rows)
@@ -487,12 +533,46 @@ class QuotientSpace:
     def dim(self):
         return len(self.rep_columns)
 
-    @property
-    def field(self):
-        return self.project.field
+    def project_vec(self, vec, width=1):
+        """The class of the sparse ambient vector `vec`.
 
-    def project_vec(self, vec):
-        return self.project.apply(vec)
+        With `width` n, `vec` lies in k^ambient_dim (x) k^n instead, and the
+        result is its image under project (x) id_n, read straight from the
+        class and scale lists when the quotient is monomial.
+        """
+        classes = self.classes
+        if classes is None:
+            if self.project is None:
+                return vec
+            out = {}
+            rows = self.project.rows
+            for x, v in vec.items():
+                i, j = divmod(x, width)
+                _vadd_at(self.field, out, rows[i], v, j, width)
+            return out
+        p = self.field.p
+        scales = self.scales
+        out = {}
+        for x, v in vec.items():
+            i, j = divmod(x, width)
+            t = classes[i]
+            if t < 0:
+                continue
+            c = t * width + j
+            w = out.get(c, 0) + v * scales[i]
+            w = _norm(w) if p is None else w % p
+            if w:
+                out[c] = w
+            else:
+                out.pop(c, None)
+        return out
+
+    def project_rows(self, m):
+        """m @ project: each row of `m`, an ambient vector, sent to its class.
+
+        A relation-free quotient returns rows of `m` themselves.
+        """
+        return Mat(self.field, m.nrows, self.dim, [self.project_vec(r) for r in m.rows])
 
     def __repr__(self):
         return f"QuotientSpace(k^{self.ambient_dim} / dim-{self.ambient_dim - self.dim})"
@@ -504,11 +584,12 @@ def quotient_by_rows(field, ambient_dim, rows):
     `rows` is an iterable, read once, of relation rows.  Each row is a
     sequence of (column, value) pairs with distinct columns and nonzero
     values, such as `tuple(d.items())` for a sparse row `d`; the caller need
-    not build a dict per row.  The result has the `rep_columns`, `project`,
-    `lift` and `relations` that eliminating every row into an RREF gives,
-    without eliminating every row.  Rows of `project` with equal entries may be one shared dict,
-    so the result, like every presentation built from it, must not be
-    changed in place.
+    not build a dict per row.  The result has the `rep_columns`, projection
+    and `relations` that eliminating every row into an RREF gives, without
+    eliminating every row, in the cheapest form of `QuotientSpace`: no rows
+    give the relation-free form, rows of at most two terms the monomial one.
+    Rows of `project` with equal entries may be one shared dict, so the
+    result must not be changed in place.
 
     A one- or two-term row is an orbit relation: a weighted union-find with
     path compression keeps e_x = ratio[x] * e_root(x) modulo those rows, the
@@ -524,6 +605,10 @@ def quotient_by_rows(field, ambient_dim, rows):
     that root's component.  No `_Eliminator` is built when every row has at
     most two terms.
     """
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        return QuotientSpace(field, ambient_dim, range(ambient_dim))
     one = field.one
     minus_one = field.neg(one)
     mul, neg = field.mul, field.neg
@@ -552,7 +637,7 @@ def quotient_by_rows(field, ambient_dim, rows):
             parent[y] = r
         return r, w
 
-    for row in rows:
+    for row in chain((first,), rows):
         if len(row) > 2:
             wide.append(row)
             continue
@@ -594,19 +679,23 @@ def quotient_by_rows(field, ambient_dim, rows):
             parent[x] = parent[r]
     live_roots = [x for x in range(ambient_dim) if parent[x] == x and x not in dead]
 
-    residual = {}
-    if wide:
-        elim = _Eliminator(field, ambient_dim)
-        for row in wide:
-            out = {}
-            for x, v in row:
-                r = parent[x]
-                if r not in dead:
-                    w = field.add(out.pop(r, 0), mul(v, ratio[x]))
-                    if w:
-                        out[r] = w
-            elim.insert(out)
-        residual = {c: elim.pivrows[c] for c in elim.pivots()}
+    if not wide:
+        # Roots keep ratio one, so `ratio` is the scale list as it stands.
+        root_class = {r: t for t, r in enumerate(live_roots)}
+        classes = [root_class.get(r, -1) for r in parent]
+        return QuotientSpace(field, ambient_dim, live_roots, classes, ratio)
+
+    elim = _Eliminator(field, ambient_dim)
+    for row in wide:
+        out = {}
+        for x, v in row:
+            r = parent[x]
+            if r not in dead:
+                w = field.add(out.pop(r, 0), mul(v, ratio[x]))
+                if w:
+                    out[r] = w
+        elim.insert(out)
+    residual = {c: elim.pivrows[c] for c in elim.pivots()}
 
     rep_columns = [r for r in live_roots if r not in residual]
     rep_index = {c: t for t, c in enumerate(rep_columns)}
@@ -628,5 +717,4 @@ def quotient_by_rows(field, ambient_dim, rows):
         else:
             proj_rows.append(_vscale(field, root_class[r], ratio[x]))
     project = Mat(field, ambient_dim, len(rep_columns), proj_rows)
-    lift = Mat(field, len(rep_columns), ambient_dim, [{c: one} for c in rep_columns])
-    return QuotientSpace(ambient_dim, None, rep_columns, project, lift)
+    return QuotientSpace(field, ambient_dim, rep_columns, project=project)

@@ -75,6 +75,17 @@ from .errors import (
 )
 from .linalg import Field, Mat
 
+# The checker of each kind of object: loading runs it on every object, and
+# keeps the verdict for `Workspace.verdicts`.
+CHECKERS = {
+    "algebra": check_algebra,
+    "module": Bimodule.check,
+    "coring": check_coring,
+    "extension": check_ext_morphism,
+    "ext-morphism": check_ext_morphism,
+    "corings-morphism": check_corings_morphism,
+}
+
 LAWS_BY_KIND = {
     "algebra": ALGEBRA_LAWS,
     "module": BIMODULE_LAWS,
@@ -87,6 +98,9 @@ LAWS_BY_KIND = {
 
 
 class Workspace:
+    """The loaded objects by section, and `verdicts`: the passing verdict that
+    load reached on each, keyed by (kind, name) with the kinds of `find`."""
+
     def __init__(self, field):
         self.field = field
         self.algebras = {}
@@ -94,6 +108,7 @@ class Workspace:
         self.corings = {}
         self.extensions = {}
         self.morphisms = {}
+        self.verdicts = {}
 
     def find(self, name):
         """Resolve a name to (kind, object) across all sections."""
@@ -394,9 +409,13 @@ def _parse_morphism(ws, name, spec):
         )
 
 
-def _validate(name, verdict):
+def _validate(ws, kind, name, obj):
+    """Check `obj` with the checker of its kind and keep the verdict; a failed
+    law aborts the load."""
+    verdict = CHECKERS[kind](obj)
     if not verdict.ok:
         raise ValidationFailure(name, verdict.law, verdict.witness)
+    ws.verdicts[kind, name] = verdict
 
 
 def parse_workspace(text, source="<workspace>"):
@@ -427,23 +446,23 @@ def parse_workspace(text, source="<workspace>"):
 
     for name, spec in entries("algebras"):
         a = _parse_algebra(ws, name, spec)
-        _validate(name, check_algebra(a))
+        _validate(ws, "algebra", name, a)
         ws.algebras[name] = a
     for name, spec in entries("modules"):
         m = _parse_module(ws, name, spec)
-        _validate(name, m.check())
+        _validate(ws, "module", name, m)
         ws.modules[name] = m
     for name, spec in entries("corings"):
         c = _parse_coring(ws, name, spec)
-        _validate(name, check_coring(c))
+        _validate(ws, "coring", name, c)
         ws.corings[name] = c
     for name, spec in entries("extensions"):
         e = _parse_extension(ws, name, spec)
-        _validate(name, check_ext_morphism(e))
+        _validate(ws, "extension", name, e)
         ws.extensions[name] = e
     for name, spec in entries("morphisms"):
         kind, m = _parse_morphism(ws, name, spec)
-        _validate(name, (check_ext_morphism if kind == "ext" else check_corings_morphism)(m))
+        _validate(ws, f"{kind}-morphism", name, m)
         ws.morphisms[name] = (kind, m)
     return ws
 

@@ -28,7 +28,16 @@ from corings.errors import (
 )
 from corings.linalg import Mat, _vadd
 from corings.verdict import Verdict
-from reference import IsoFailure, contains, inverse, kernel, mat_add, scaled, zero_mat
+from reference import (
+    IsoFailure,
+    contains,
+    inverse,
+    kernel,
+    lift_mat,
+    mat_add,
+    scaled,
+    zero_mat,
+)
 
 
 def unit_map(a):
@@ -107,10 +116,9 @@ def interchange_iso(t1, t2, target=None):
     source = tensor_over_k(t1.result, t2.result)
     rows = []
     p = field.p
-    for s in range(t1.dim):
-        w1 = t1.quot.lift.rows[s]
-        for t in range(t2.dim):
-            w2 = t2.quot.lift.rows[t]
+    lift2 = lift_mat(t2.quot).rows
+    for w1 in lift_mat(t1.quot).rows:
+        for w2 in lift2:
             amb = {}
             for idx1, v1 in w1.items():
                 for idx2, v2 in w2.items():
@@ -222,11 +230,12 @@ def base_extension_maps(m):
     t_bcb = tensor_over_alg(t_bc.result, b_right)
     dim_b, dim_c = b_alg.dim, c.dim
     collapse_rows = []
-    for s in range(t_bcb.dim):
+    lift_bc = lift_mat(t_bc.quot).rows
+    for lift_row in lift_mat(t_bcb.quot).rows:
         row = {}
-        for idx, val in t_bcb.quot.lift.rows[s].items():
+        for idx, val in lift_row.items():
             u, l = divmod(idx, dim_b)
-            for bc_idx, bc_val in t_bc.quot.lift.rows[u].items():
+            for bc_idx, bc_val in lift_bc[u].items():
                 b_i, c_j = divmod(bc_idx, dim_c)
                 coeff = field.mul(val, bc_val)
                 # b_i . phi(c_j) . b_l through the bimodule structure of D

@@ -293,8 +293,28 @@ def quotient(ambient_dim, relations):
         red = reduce(relations, {j: one})
         proj_rows.append({rep_index[c]: v for c, v in red.items()})
     project = Mat(field, ambient_dim, len(rep_columns), proj_rows)
-    lift = Mat(field, len(rep_columns), ambient_dim, [{c: one} for c in rep_columns])
-    return linalg.QuotientSpace(ambient_dim, relations, rep_columns, project, lift)
+    return linalg.QuotientSpace(field, ambient_dim, rep_columns, project=project,
+                                relations=relations)
+
+
+def project_mat(quot):
+    """The projection of a quotient as a matrix: row x is the class of e_x."""
+    one = quot.field.one
+    return Mat(quot.field, quot.ambient_dim, quot.dim,
+               [quot.project_vec({x: one}) for x in range(quot.ambient_dim)])
+
+
+def quotient_form(quot):
+    """Which form of `QuotientSpace` `quot` takes: free, monomial or residual."""
+    if quot.project is not None:
+        return "residual"
+    return "free" if quot.classes is None else "monomial"
+
+
+def lift_mat(quot):
+    """The lift of a quotient as a matrix: row t is e_(rep_columns[t])."""
+    one = quot.field.one
+    return Mat(quot.field, quot.dim, quot.ambient_dim, [{c: one} for c in quot.rep_columns])
 
 
 def pure_class(t, i, j):
@@ -316,7 +336,7 @@ def reference_descend(t_src, t_tgt, image):
             raise DescentFailure(
                 "ambient map does not send source relations into target relations"
             )
-    return push(t_tgt, image, t_src.quot.lift.rows)
+    return push(t_tgt, image, lift_mat(t_src.quot).rows)
 
 
 def _descend_outcome(fn, t_src, t_tgt, image):
@@ -354,9 +374,9 @@ def left_unit_collapse(t):
     m = t.right_factor
     nd = m.dim
     rows = []
-    for s in range(t.dim):
+    for lift_row in lift_mat(t.quot).rows:
         out = {}
-        for idx, val in t.quot.lift.rows[s].items():
+        for idx, val in lift_row.items():
             i, j = divmod(idx, nd)
             _vadd(field, out, m.left_act[i].rows[j], val)
         rows.append(out)
@@ -373,9 +393,9 @@ def right_unit_collapse(t):
     m = t.left_factor
     nd = t.right_factor.dim
     rows = []
-    for s in range(t.dim):
+    for lift_row in lift_mat(t.quot).rows:
         out = {}
-        for idx, val in t.quot.lift.rows[s].items():
+        for idx, val in lift_row.items():
             i, j = divmod(idx, nd)
             _vadd(field, out, m.right_act[j].rows[i], val)
         rows.append(out)
@@ -464,9 +484,8 @@ def reference_present_tensor(m, n):
 
     def induce(amb_row_image):
         rows = []
-        for s in range(quot.dim):
-            img = amb_row_image(quot.lift.rows[s])
-            rows.append(quot.project_vec(img))
+        for lift_row in lift_mat(quot).rows:
+            rows.append(quot.project_vec(amb_row_image(lift_row)))
         return Mat(field, quot.dim, quot.dim, rows)
 
     def check_preserved(amb_row_image, what):
@@ -539,8 +558,7 @@ def reference_delta_right_linearity(c, bimodule):
                     f"is not defined on C (x)_A C",
                 )
         mat_rows = [
-            c.tens.quot.project_vec(img(c.tens.quot.lift.rows[s]))
-            for s in range(c.tens.dim)
+            c.tens.quot.project_vec(img(lift_row)) for lift_row in lift_mat(c.tens.quot).rows
         ]
         induced.append(Mat(field, c.tens.dim, c.tens.dim, mat_rows))
     for j in range(b_alg.dim):
@@ -655,7 +673,7 @@ def reference_right_coaction_verdict(carrier, d, coact_lift):
     passed = []
     field = carrier.field
     t_md = tensor_over_alg(carrier, d.carrier)
-    rho = coact_lift @ t_md.project
+    rho = coact_lift @ project_mat(t_md.quot)
 
     for j in range(carrier.right_alg.dim):
         if carrier.right_act[j] @ rho != rho @ t_md.result.right_act[j]:
@@ -697,8 +715,8 @@ def reference_coaction_compatibility(c, d, carrier, left_lift, right_lift):
     field = carrier.field
     t_cm = tensor_over_alg(c.carrier, carrier)
     t_md = tensor_over_alg(carrier, d.carrier)
-    lam = left_lift @ t_cm.project
-    rho = right_lift @ t_md.project
+    lam = left_lift @ project_mat(t_cm.quot)
+    rho = right_lift @ project_mat(t_md.quot)
     try:
         t_l = tensor_over_alg(t_cm.result, d.carrier)
         lhs = rho @ induced_map_on_tensor(lam, Mat.identity(field, d.dim), t_md, t_l)
@@ -1019,7 +1037,7 @@ def cotensor(m, rho_lift, c, n, lam_lift):
     t_mc = tensor_over_alg(m, c.carrier)
     t_l = tensor_over_alg(t_mc.result, n)
     rho_side = induced_map_on_tensor(
-        rho_lift @ t_mc.project, Mat.identity(c.field, n.dim), t_mn, t_l
+        rho_lift @ project_mat(t_mc.quot), Mat.identity(c.field, n.dim), t_mn, t_l
     )
     lam_side = regrouped_id_tensor(t_mn, lam_lift, t_mc, t_l)
     subspace = map_kernel(mat_sub(rho_side, lam_side))
@@ -1080,11 +1098,12 @@ def reference_ext_compose_via_cotensor(g, f):
     eps = c_coring.counit_mat
     act_f = f.action_mats
     collapse_rows = []
-    for s in range(t_r.dim):
+    lift_cd = lift_mat(t_cd.quot).rows
+    for lift_row in lift_mat(t_r.quot).rows:
         amb = {}
-        for idx, val in t_r.quot.lift.rows[s].items():
+        for idx, val in lift_row.items():
             i, u = divmod(idx, t_cd.dim)
-            for idx2, val2 in t_cd.quot.lift.rows[u].items():
+            for idx2, val2 in lift_cd[u].items():
                 c, d = divmod(idx2, d_dim)
                 coeff = field.mul(val, val2)
                 if not coeff:
@@ -1097,5 +1116,5 @@ def reference_ext_compose_via_cotensor(g, f):
     collapse = Mat(field, t_r.dim, t_ed.dim, collapse_rows)
 
     oracle = rho_mat @ through_d @ collapse
-    lift = oracle @ t_ed.quot.lift
+    lift = oracle @ lift_mat(t_ed.quot)
     return ExtMorphism(f.source, g.target, explicit.action_mats, lift)

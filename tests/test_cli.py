@@ -11,12 +11,14 @@ while an ext morphism still stored its right action as one interleaved matrix.
 """
 
 import json
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
-from corings import category, cli
+from corings import category, cli, workspace
+from corings.workspace import load_workspace
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKSPACES = ROOT / "perfbench" / "workspaces"
@@ -253,3 +255,45 @@ def test_compose_builds_the_bullet_composite_once(family, capsys, tmp_path, monk
                                *GOLDEN_CASES["compose_to_trivial_dual_id_dual"])
     assert code == 0 and "oracle.cotensor-route: equal" in out
     assert (from_cli.call_count, inside.call_count) == (1, 0)
+
+
+@pytest.mark.parametrize("case", ["tensor_m2_c2", *DUMP_CASES, "base_extend_counit_sw"])
+def test_empty_dump_path_is_an_io_error(case, capsys, tmp_path, monkeypatch):
+    """`--dump ""` is a path that cannot be opened: exit 2, and nothing is dumped."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, WORKSPACES / "cli-f5.json", *GOLDEN_CASES[case],
+                             "--dump", "")
+    assert (code, err) == (2, "")
+    assert "result: error\nerror: io\n" in out
+    assert "dumped" not in out
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("family", [*FAMILIES, "monoidal-f5"])
+def test_check_reports_the_verdict_of_load(family, capsys):
+    """Load checks every object once; `check` reports that verdict and runs no checker."""
+    path = WORKSPACES / f"{family}.json"
+    ws = load_workspace(path)
+    assert len(ws.verdicts) == sum(
+        len(getattr(ws, section))
+        for section in ("algebras", "modules", "corings", "extensions", "morphisms"))
+    for (kind, name), verdict in ws.verdicts.items():
+        assert ws.find(name)[0] == kind
+        assert verdict == workspace.CHECKERS[kind](ws.find(name)[1])
+
+    calls = Counter()
+
+    def counted(kind, checker):
+        def run(obj):
+            calls[kind] += 1
+            return checker(obj)
+        return run
+
+    counting = {kind: counted(kind, f) for kind, f in workspace.CHECKERS.items()}
+    for kind, name in ws.verdicts:
+        calls.clear()
+        with mock.patch.dict(workspace.CHECKERS, counting):
+            code, out, _ = run_cli(capsys, path, "check", name)
+        assert code == 0 and out.endswith("result: pass\n")
+        assert f"kind: {kind}\n" in out
+        assert sum(calls.values()) == len(ws.verdicts)

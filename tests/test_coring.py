@@ -39,6 +39,7 @@ from reference import (
     left_unit_collapse,
     mat_add,
     mat_sub,
+    project_mat,
     rank,
     zero_mat,
 )
@@ -244,5 +245,5 @@ class TestTwoRouteCorruptions:
         # M = C = D, so C (x)_A M and M (x)_A D are one presentation.
         t_md = tensor_over_alg(sw.carrier, sw.carrier)
         t_left = tensor_over_alg(t_md.result, sw.carrier)
-        lam = sw.comul_lift @ t_md.project
+        lam = sw.comul_lift @ project_mat(t_md.quot)
         induced_map_on_tensor(lam, Mat.identity(field, 4), t_md, t_left)

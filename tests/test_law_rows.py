@@ -58,6 +58,7 @@ from reference import (
     left_unit_collapse,
     mat_add,
     mat_sub,
+    project_mat,
     reference_check_coring,
     reference_check_corings_morphism,
     reference_coaction_compatibility,
@@ -359,7 +360,7 @@ def collapse_route(lift, t, counit, left):
         unit_tensor = tensor_over_alg(t.left_factor, regular_bimodule(t.over))
         f, g = Mat.identity(field, t.left_factor.dim), counit
         collapse = right_unit_collapse(unit_tensor)
-    return lift @ t.project @ induced_map_on_tensor(f, g, t, unit_tensor) @ collapse
+    return lift @ project_mat(t.quot) @ induced_map_on_tensor(f, g, t, unit_tensor) @ collapse
 
 
 @pytest.mark.parametrize("corpus", CORPORA)

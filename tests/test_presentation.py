@@ -21,6 +21,8 @@ the tensor square does, and the checker must give the verdict that
 `reference_delta_right_linearity`, gives.
 """
 
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -40,11 +42,20 @@ from corings.algebras import (
 )
 from corings.bimodules import Bimodule, _algebra_generators, tensor_over_alg
 from corings.category import ExtMorphism, check_ext_morphism
-from corings.constructions import grouplike_coalgebra, trivial_coring
+from corings.constructions import (
+    grouplike_coalgebra,
+    matrix_coalgebra,
+    tensor_coring,
+    trivial_coring,
+)
+from corings.coring import check_coring
 from corings.linalg import Field, Mat
 from corings.workspace import load_workspace
 from reference import (
     from_generators,
+    lift_mat,
+    project_mat,
+    quotient_form,
     reference_present_tensor,
     reference_right_extension_verdict,
 )
@@ -99,8 +110,8 @@ def test_every_presentation_matches_the_reference(run, capsys):
         want = reference_present_tensor(m, n)  # raises GuardFired if the guard fires
         assert got.quot.relations.basis == want.quot.relations.basis
         assert got.quot.relations.pivots == want.quot.relations.pivots
-        assert got.project == want.project
-        assert got.lift == want.lift
+        assert project_mat(got.quot) == project_mat(want.quot)
+        assert lift_mat(got.quot) == lift_mat(want.quot)
         assert got.result.left_act == want.result.left_act
         assert got.result.right_act == want.result.right_act
 
@@ -144,6 +155,65 @@ def test_presentations_eliminate_no_relation_row(run, capsys):
     if run == "tensor-sw-m2":
         assert "result: pass" in out.splitlines()
         assert (1024, 64) in [(m.dim, n.dim) for m, n in built]  # ambient dim 65,536
+
+
+# One round of each benchmark workload's commands, `dims k` standing for load.
+CLI_COMMANDS = [
+    ["dims", "k"], ["check", "m3"], ["check", "regular_dual"], ["tensor", "m2", "c2"],
+    ["extend-tensor", "regular_dual", "unit_m2"], ["compose", "to_trivial_dual", "id_dual"],
+    ["compose", "counit_m2", "cid_m2"], ["base-extend", "counit_sw"],
+]
+CORPUS_COMMANDS = [
+    *[(corpus, argv) for corpus in ("cli-q", "cli-f5") for argv in CLI_COMMANDS],
+    *[("monoidal-f5", ["--seed", "1", "verify-monoidal", category])
+      for category in ("ext", "corings")],
+]
+
+
+@pytest.mark.parametrize(("corpus", "argv"), CORPUS_COMMANDS,
+                         ids=[f"{c}-{'-'.join(a)}" for c, a in CORPUS_COMMANDS])
+def test_no_command_builds_a_projection_matrix(corpus, argv, capsys, tmp_path, monkeypatch):
+    """Every presentation a corpus command builds is relation-free or monomial:
+    none holds a `project` matrix, a dict per ambient coordinate."""
+    monkeypatch.chdir(tmp_path)
+    forms = Counter()
+    build = bimodules.quotient_by_rows
+
+    def recording(*args):
+        quot = build(*args)
+        forms[quotient_form(quot)] += 1
+        return quot
+
+    with mock.patch.object(bimodules, "_TENSORS", {}), \
+            mock.patch.object(constructions, "_TENSOR_CORINGS", {}), \
+            mock.patch.object(bimodules, "quotient_by_rows", recording):
+        code = cli.main(["--workspace", str(WORKSPACES / f"{corpus}.json"), *argv])
+    capsys.readouterr()
+    assert code == 0
+    assert forms["residual"] == 0
+    assert forms["free"] > 0
+    if corpus != "monoidal-f5":
+        # The Sweedler coring presents over k[K4], with relations.
+        assert forms["monomial"] > 0
+    if argv == ["dims", "k"]:
+        assert forms == {"free": 10, "monomial": 4}
+
+
+@pytest.mark.parametrize("field", FIELDS.values(), ids=FIELDS)
+def test_matrix_3_squared_checks_in_small_memory(field):
+    """The triple tensor of m3 (x) m3 has ambient dim 531,441 and no relation:
+    it is held as its dim.  Holding a projection matrix peaked at 350 MB."""
+    m3 = matrix_coalgebra(3, field)
+    with mock.patch.object(bimodules, "_TENSORS", {}), \
+            mock.patch.object(constructions, "_TENSOR_CORINGS", {}):
+        tracemalloc.start()
+        try:
+            verdict = check_coring(tensor_coring(m3, m3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert verdict.ok
+    assert peak < 64 * 2**20
 
 
 def closure(a, gens):
@@ -216,7 +286,7 @@ def test_new_action_presents_the_tensor_square():
         t = tensor_over_alg(e.source.carrier, e.bimodule)
         assert t.quot.relations.basis == e.source.tens.quot.relations.basis
         assert t.quot.relations.pivots == e.source.tens.quot.relations.pivots
-        assert t.project == e.source.tens.project
+        assert project_mat(t.quot) == project_mat(e.source.tens.quot)
 
 
 def test_right_linearity_matches_the_reference():
@@ -326,8 +396,8 @@ def assert_matches_the_reference(m, n):
     want = reference_present_tensor(m, n)
     assert got.quot.relations.basis == want.quot.relations.basis
     assert got.quot.relations.pivots == want.quot.relations.pivots
-    assert got.project == want.project
-    assert got.lift == want.lift
+    assert project_mat(got.quot) == project_mat(want.quot)
+    assert lift_mat(got.quot) == lift_mat(want.quot)
     assert got.result.left_act == want.result.left_act
     assert got.result.right_act == want.result.right_act
 

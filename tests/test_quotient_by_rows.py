@@ -1,13 +1,18 @@
 """Quotients collapsed from orbit rows against the eliminating quotient.
 
 `quotient_by_rows` collapses relation rows of one or two terms with a weighted
-union-find and eliminates only the rows of three or more terms.
-`quotient(n, from_generators(...))` eliminates every row.  On the
-same rows both must give the same representatives, projection, lift and
-relation subspace, over Q and over F_2, F_3 and F_5.  The rows mix one-term
-rows, two-term rows, wider rows, rows repeated on the same columns, and
-cycles of two-term rows whose ratios agree (a live orbit) or disagree (a dead
-one).
+union-find and eliminates only the rows of three or more terms, and returns
+the quotient in one of three forms: relation-free (its dim alone), monomial
+(a class index and a scale per coordinate) or residual (a projection
+matrix).  `quotient(n, from_generators(...))` eliminates every row and always
+holds the matrix.  On the same rows both must give the same representatives,
+projection, lift and relation subspace, over Q and over F_2, F_3 and F_5, in
+each of the three forms.  The projection is compared as a matrix, on random
+vectors, and on random vectors of k^n (x) k^w under project (x) id_w, the
+projection that the regrouping of a triple tensor reads.  The rows mix
+one-term rows, two-term rows, wider rows, rows repeated on the same columns,
+and cycles of two-term rows whose ratios agree (a live orbit) or disagree (a
+dead one).
 """
 
 import pytest
@@ -15,8 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corings import linalg
-from corings.linalg import Field, quotient_by_rows
-from reference import from_generators, quotient
+from corings.linalg import Field, Mat, quotient_by_rows
+from reference import from_generators, lift_mat, project_mat, quotient, quotient_form
 
 FIELDS = {
     "Q": Field.rationals(),
@@ -30,6 +35,16 @@ RATIONALS = st.one_of(
     st.fractions(min_value=-3, max_value=3, max_denominator=3),
 ).filter(bool)
 
+ORBIT_KINDS = ("one", "pair", "consistent", "repeat", "cycle")
+ALL_KINDS = (*ORBIT_KINDS, "wide")
+# The kinds of row each form is drawn from, and the kind of a first row that
+# makes sure the rows reach that form.
+FORMS = {
+    "free": ((), None),
+    "monomial": (ORBIT_KINDS, "one"),
+    "residual": (ALL_KINDS, "wide"),
+}
+
 
 def scalar(draw, field):
     """A nonzero field element."""
@@ -38,17 +53,33 @@ def scalar(draw, field):
     return draw(st.integers(1, field.p - 1))
 
 
+def sparse_vector(draw, field, dim):
+    """A sparse vector of k^dim with nonzero entries."""
+    cols = draw(st.lists(st.integers(0, dim - 1), max_size=min(dim, 6), unique=True))
+    return {c: scalar(draw, field) for c in cols}
+
+
 @st.composite
-def relation_rows(draw):
+def relation_rows(draw, kinds=ALL_KINDS, lead=None):
+    """(field, n, rows): relation rows of the given kinds on k^n.
+
+    `lead` "one" starts the rows with a one-term row and "wide" with a row
+    of three or more terms; no kinds give no rows.
+    """
     field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
-    n = draw(st.integers(1, 12))
+    n = draw(st.integers(3 if lead == "wide" else 1, 12))
     cols = st.integers(0, n - 1)
     # A nonzero weight per coordinate: a two-term row a e_x + b e_y with
     # a * weight[x] + b * weight[y] = 0 keeps every cycle through it consistent.
     weight = [scalar(draw, field) for _ in range(n)]
     rows = []
-    for _ in range(draw(st.integers(0, 14))):
-        kind = draw(st.sampled_from(["one", "pair", "consistent", "wide", "repeat", "cycle"]))
+    if lead == "wide":
+        support = draw(st.lists(cols, min_size=3, max_size=min(n, 5), unique=True))
+        rows.append({c: scalar(draw, field) for c in support})
+    elif lead == "one":
+        rows.append({draw(cols): scalar(draw, field)})
+    for _ in range(draw(st.integers(0, 14)) if kinds else 0):
+        kind = draw(st.sampled_from(kinds))
         if kind == "one":
             rows.append({draw(cols): scalar(draw, field)})
         elif kind in ("pair", "consistent") and n > 1:
@@ -86,20 +117,59 @@ def as_pairs(rows):
 
 def assert_same_quotient(got, want):
     assert got.ambient_dim == want.ambient_dim
-    assert got.rep_columns == want.rep_columns
-    assert got.project == want.project
-    assert got.lift == want.lift
+    assert list(got.rep_columns) == want.rep_columns
+    assert project_mat(got) == want.project
+    assert lift_mat(got) == lift_mat(want)
     assert got.relations == want.relations
     assert got.relations.pivots == want.relations.pivots
 
 
-@given(relation_rows())
+def assert_same_projection(got, want, vec, width=1):
+    """project_vec agrees with the eliminating quotient's matrix, as matrices do."""
+    expected = want.project.kron(Mat.identity(want.field, width)).apply(vec)
+    assert got.project_vec(dict(vec), width) == expected
+    assert want.project_vec(dict(vec), width) == expected
+
+
+def assert_same_on_random_vectors(draw, got, want):
+    field, n = got.field, got.ambient_dim
+    for _ in range(3):
+        assert_same_projection(got, want, sparse_vector(draw, field, n))
+    width = draw(st.integers(2, 3))
+    for _ in range(3):
+        assert_same_projection(got, want, sparse_vector(draw, field, n * width), width)
+
+
+@given(data=st.data())
 @settings(max_examples=250, deadline=None)
-def test_matches_the_eliminating_quotient(case):
-    field, n, rows = case
+def test_matches_the_eliminating_quotient(data):
+    field, n, rows = data.draw(relation_rows())
     want = quotient(n, from_generators(field, n, [dict(r) for r in rows]))
     got = quotient_by_rows(field, n, as_pairs(rows))
     assert_same_quotient(got, want)
+    assert_same_on_random_vectors(data.draw, got, want)
+
+
+@pytest.mark.parametrize("kind", sorted(FORMS))
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_each_form_matches_the_eliminating_quotient(kind, data):
+    field, n, rows = data.draw(relation_rows(*FORMS[kind]))
+    want = quotient(n, from_generators(field, n, [dict(r) for r in rows]))
+    got = quotient_by_rows(field, n, as_pairs(rows))
+    assert quotient_form(got) == kind
+    assert_same_quotient(got, want)
+    assert_same_on_random_vectors(data.draw, got, want)
+
+
+@pytest.mark.parametrize("field", FIELDS.values(), ids=FIELDS)
+def test_a_relation_free_projection_returns_its_argument(field):
+    got = quotient_by_rows(field, 4, iter(()))
+    vec = {1: field.one, 3: field.neg(field.one)}
+    assert quotient_form(got) == "free"
+    assert got.rep_columns == range(4)
+    assert got.project_vec(vec) is vec and got.project_vec(vec, 2) is vec
+    assert got.relations.dim == 0 and got.relations.pivots == []
 
 
 @pytest.mark.parametrize("field", FIELDS.values(), ids=FIELDS)
@@ -110,15 +180,18 @@ class TestOrbits:
         rows = [{0: field.one, 1: field.neg(c)}, {1: field.one, 3: field.neg(c)},
                 {2: field.one, 3: field.neg(field.one)}]
         got = quotient_by_rows(field, 5, as_pairs(rows))
+        assert quotient_form(got) == "monomial"
         assert got.rep_columns == [3, 4]
-        assert got.project.rows[0] == {0: field.mul(c, c)}
+        assert got.project_vec({0: field.one}) == {0: field.mul(c, c)}
+        assert (got.classes[0], got.scales[0]) == (0, field.mul(c, c))
         assert_same_quotient(got, quotient(5, from_generators(field, 5, rows)))
 
     def test_one_term_row_kills_its_orbit(self, field):
         rows = [{0: field.one, 2: field.one}, {2: field.one, 3: field.one}, {0: field.one}]
         got = quotient_by_rows(field, 4, as_pairs(rows))
         assert got.rep_columns == [1]
-        assert got.project.rows[3] == {}
+        assert got.classes == [-1, 0, -1, -1]
+        assert got.project_vec({3: field.one}) == {}
 
     def test_inconsistent_cycle_kills_its_orbit(self, field):
         # e_0 = e_1 = e_2 and e_2 = c e_0: dead unless c = 1, as on F_2.
@@ -140,10 +213,11 @@ class TestOrbits:
 
         monkeypatch.setattr(linalg, "_Eliminator", Recording)
         pairs = [{0: field.one, 1: field.one}, {2: field.one, 3: field.one}]
-        quotient_by_rows(field, 5, as_pairs(pairs))
+        assert quotient_form(quotient_by_rows(field, 5, as_pairs(pairs))) == "monomial"
         assert built == []
         wide = [{1: field.one, 3: field.one, 4: field.one}]
         got = quotient_by_rows(field, 5, as_pairs(pairs + wide))
         assert len(built) == 1
+        assert quotient_form(got) == "residual"
         assert_same_quotient(
             got, quotient(5, from_generators(field, 5, pairs + wide)))

@@ -25,7 +25,7 @@ from corings.bimodules import (
 from corings.coring import check_coring
 from corings.linalg import Field, Mat, Subspace
 from corings.workspace import load_workspace
-from reference import IsoFailure, inverse, kernel, mat_add, rref, scaled
+from reference import IsoFailure, inverse, kernel, lift_mat, mat_add, project_mat, rref, scaled
 
 Q = Field.rationals()
 CLI_Q = Path(__file__).resolve().parents[1] / "perfbench" / "workspaces" / "cli-q.json"
@@ -163,7 +163,7 @@ def reachable_mats(obj, seen):
         yield obj
     elif isinstance(obj, PresentedTensor):
         q = obj.quot
-        for part in (q.project, q.lift, q.relations.basis, obj.result):
+        for part in (project_mat(q), lift_mat(q), q.relations.basis, obj.result):
             yield from reachable_mats(part, seen)
     elif isinstance(obj, Bimodule):
         for part in (*obj.left_act, *obj.right_act):
