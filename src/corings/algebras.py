@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .errors import DimensionMismatch, FieldMismatch
 from .linalg import Mat
-from .verdict import Verdict, format_combo
+from .verdict import checker, format_combo
 
 ALGEBRA_LAWS = ("unit", "associativity")
 
@@ -98,24 +98,21 @@ class FinDimAlgebra:
         return f"FinDimAlgebra(dim {self.dim} over {self.field!r})"
 
 
+@checker
 def check_algebra(a):
     """Unit law and associativity on all basis triples; first witness wins."""
-    field = a.field
-    fmt = field.fmt
-    passed = []
+    fmt = a.field.fmt
     for i in range(a.dim):
         e = a.basis_vec(i)
         left = a.mul_vec(a.unit, e)
         right = a.mul_vec(e, a.unit)
         if left != e or right != e:
             side = left if left != e else right
-            return Verdict.failed(
-                "unit",
+            yield "unit", (
                 f"index {i}: unit*{a.label(i)} or {a.label(i)}*unit = "
-                f"{format_combo(side, a.label, fmt)} != {a.label(i)}",
-                passed,
+                f"{format_combo(side, a.label, fmt)} != {a.label(i)}"
             )
-    passed.append("unit")
+    yield "unit", None
     for i in range(a.dim):
         for j in range(a.dim):
             ij = a.table[i][j]
@@ -123,15 +120,12 @@ def check_algebra(a):
                 lhs = a.mul_vec(ij, a.basis_vec(t))
                 rhs = a.mul_vec(a.basis_vec(i), a.table[j][t])
                 if lhs != rhs:
-                    return Verdict.failed(
-                        "associativity",
+                    yield "associativity", (
                         f"({i},{j},{t}): "
                         f"({a.label(i)}*{a.label(j)})*{a.label(t)} = {format_combo(lhs, a.label, fmt)}, "
-                        f"{a.label(i)}*({a.label(j)}*{a.label(t)}) = {format_combo(rhs, a.label, fmt)}",
-                        passed,
+                        f"{a.label(i)}*({a.label(j)}*{a.label(t)}) = {format_combo(rhs, a.label, fmt)}"
                     )
-    passed.append("associativity")
-    return Verdict.passed(passed)
+    yield "associativity", None
 
 
 def tensor_algebra(a, a2):
@@ -201,34 +195,29 @@ class AlgebraMorphism:
     __hash__ = None
 
 
+@checker
 def check_algebra_morphism(f):
     """Unit preservation and multiplicativity on all basis pairs."""
     src, tgt = f.source, f.target
     fmt = src.field.fmt
-    passed = []
     unit_image = f.apply_vec(src.unit)
     if unit_image != tgt.unit:
-        return Verdict.failed(
-            "unit",
+        yield "unit", (
             f"unit maps to {format_combo(unit_image, tgt.label, fmt)} "
-            f"!= {format_combo(tgt.unit, tgt.label, fmt)}",
-            passed,
+            f"!= {format_combo(tgt.unit, tgt.label, fmt)}"
         )
-    passed.append("unit")
+    yield "unit", None
     images = [f.apply_vec(src.basis_vec(i)) for i in range(src.dim)]
     for i in range(src.dim):
         for j in range(src.dim):
             lhs = f.apply_vec(src.table[i][j])
             rhs = tgt.mul_vec(images[i], images[j])
             if lhs != rhs:
-                return Verdict.failed(
-                    "multiplicativity",
+                yield "multiplicativity", (
                     f"({src.label(i)},{src.label(j)}): f(x*y) = {format_combo(lhs, tgt.label, fmt)}, "
-                    f"f(x)*f(y) = {format_combo(rhs, tgt.label, fmt)}",
-                    passed,
+                    f"f(x)*f(y) = {format_combo(rhs, tgt.label, fmt)}"
                 )
-    passed.append("multiplicativity")
-    return Verdict.passed(passed)
+    yield "multiplicativity", None
 
 
 def identity_morphism(a):

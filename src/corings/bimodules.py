@@ -43,7 +43,7 @@ from .errors import (
     FieldMismatch,
 )
 from .linalg import Mat, _Eliminator, _vadd, _vadd_at, quotient_by_rows
-from .verdict import Verdict, first_noncommuting
+from .verdict import checker, first_noncommuting
 
 BIMODULE_LAWS = ("left-module", "right-module", "commuting-actions")
 
@@ -78,11 +78,11 @@ class Bimodule:
             return self.labels[i]
         return f"e_{i}"
 
+    @checker
     def check(self):
         """Module laws on both sides and commutation of the two actions."""
         field = self.field
         ident = Mat.identity(field, self.dim)
-        passed = []
 
         def law_mats(alg, acts, compose_ij):
             if _combination(field, self.dim, acts, enumerate(alg.unit)) != ident:
@@ -97,25 +97,18 @@ class Bimodule:
                         )
             return None
 
-        w = law_mats(self.left_alg, self.left_act, lambda acts, i, j: acts[j] @ acts[i])
-        if w is not None:
-            return Verdict.failed("left-module", w, passed)
-        passed.append("left-module")
-        w = law_mats(self.right_alg, self.right_act, lambda acts, i, j: acts[i] @ acts[j])
-        if w is not None:
-            return Verdict.failed("right-module", w, passed)
-        passed.append("right-module")
+        yield "left-module", law_mats(
+            self.left_alg, self.left_act, lambda acts, i, j: acts[j] @ acts[i])
+        yield "right-module", law_mats(
+            self.right_alg, self.right_act, lambda acts, i, j: acts[i] @ acts[j])
         for i, L in enumerate(self.left_act):
             for j, R in enumerate(self.right_act):
                 if L @ R != R @ L:
-                    return Verdict.failed(
-                        "commuting-actions",
+                    yield "commuting-actions", (
                         f"left action of {self.left_alg.label(i)} does not commute with "
-                        f"right action of {self.right_alg.label(j)}",
-                        passed,
+                        f"right action of {self.right_alg.label(j)}"
                     )
-        passed.append("commuting-actions")
-        return Verdict.passed(passed)
+        yield "commuting-actions", None
 
     def __eq__(self, other):
         return (
@@ -190,29 +183,24 @@ class BimoduleMorphism:
         self.target = target
         self.map = map
 
+    @checker
     def check(self):
         """Equivariance for both actions on all algebra basis elements."""
-        passed = []
         src, tgt, f = self.source, self.target, self.map
         if src.left_alg != tgt.left_alg or src.right_alg != tgt.right_alg:
-            return Verdict.failed("left-linear", "source and target algebras differ", passed)
+            yield "left-linear", "source and target algebras differ"
         i = first_noncommuting(src.left_act, f, tgt.left_act)
         if i is not None:
-            return Verdict.failed(
-                "left-linear",
-                f"map does not commute with the left action of {src.left_alg.label(i)}",
-                passed,
+            yield "left-linear", (
+                f"map does not commute with the left action of {src.left_alg.label(i)}"
             )
-        passed.append("left-linear")
+        yield "left-linear", None
         j = first_noncommuting(src.right_act, f, tgt.right_act)
         if j is not None:
-            return Verdict.failed(
-                "right-linear",
-                f"map does not commute with the right action of {src.right_alg.label(j)}",
-                passed,
+            yield "right-linear", (
+                f"map does not commute with the right action of {src.right_alg.label(j)}"
             )
-        passed.append("right-linear")
-        return Verdict.passed(passed)
+        yield "right-linear", None
 
     def __eq__(self, other):
         return (

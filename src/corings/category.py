@@ -6,8 +6,8 @@ C -> C (x)_B D; that is, D is a right extension of C (Brzezinski), and
 `ExtMorphism` is the one class for both readings: the `extensions` of a
 workspace load as these morphisms.  The action is held as one C -> C matrix
 per basis element of B, the form `Bimodule` and `tensor_over_alg` read.
-`check_ext_morphism` runs the four laws of a right extension on the
-`ExtMorphism` itself; the coaction laws it calls live in `coring`.
+`check_ext_morphism` yields the four laws of a right extension of the
+`ExtMorphism` itself; the coaction checkers it calls live in `coring`.
 Composition is by the bullet formulas, computed from the explicit lifts, with
 an independent oracle that routes through the cotensor product E box_C C,
 read off f's coaction, which is an isomorphism onto it for every valid f.  A
@@ -26,6 +26,7 @@ the strictness itself as equalities of corings.
 
 from __future__ import annotations
 
+import operator
 import random
 from functools import cached_property
 
@@ -45,15 +46,15 @@ from .bimodules import (
     tensor_over_alg,
 )
 from .constructions import tensor_coring, trivial_coring, unit_coring
-from .coring import Coring, coaction_compatibility, right_coaction_verdict
+from .coring import Coring, _counit_contraction, coaction_compatibility, right_coaction_verdict
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
     InvalidMorphism,
     ObjectMismatch,
 )
-from .linalg import Mat, _vadd
-from .verdict import Verdict, first_difference, first_noncommuting
+from .linalg import Mat, _vadd, _vadd_at
+from .verdict import checker, first_difference, first_noncommuting, run_laws
 
 EXT_MORPHISM_LAWS = ("bimodule", "delta-right-linear", "coaction", "colinearity")
 CORINGS_MORPHISM_LAWS = (
@@ -124,14 +125,11 @@ class ExtMorphism:
         return f"ExtMorphism({self.source!r} -> {self.target!r})"
 
 
+@checker
 def check_ext_morphism(m):
     """The four laws of a right extension in order, stopping at the first failure."""
-    passed = []
     c, bimodule = m.source, m.bimodule
-    v = bimodule.check()
-    if not v.ok:
-        return Verdict.failed("bimodule", v.witness, passed)
-    passed.append("bimodule")
+    yield "bimodule", bimodule.check().witness
 
     # The action on C (x)_A C is read off C (x)_A M, whose relations use only
     # C's left action, so it is in the coordinates of `c.comul`; it descends
@@ -139,24 +137,18 @@ def check_ext_morphism(m):
     act = tensor_over_alg(c.carrier, bimodule).result.right_act
     j = first_noncommuting(bimodule.right_act, c.comul, act)
     if j is not None:
-        return Verdict.failed(
-            "delta-right-linear",
+        yield "delta-right-linear", (
             f"comultiplication does not commute with the right action of "
-            f"{bimodule.right_alg.label(j)}",
-            passed,
+            f"{bimodule.right_alg.label(j)}"
         )
-    passed.append("delta-right-linear")
+    yield "delta-right-linear", None
 
     v = right_coaction_verdict(bimodule, m.target, m.coact_lift)
     if not v.ok:
-        return Verdict.failed("coaction", f"{v.law}: {v.witness}", passed)
-    passed.append("coaction")
-
-    v = coaction_compatibility(c, m.target, bimodule, c.comul_lift, m.coact_lift)
-    if not v.ok:
-        return Verdict.failed("colinearity", v.witness, passed)
-    passed.append("colinearity")
-    return Verdict.passed(passed)
+        yield "coaction", f"{v.law}: {v.witness}"
+    yield "coaction", None
+    yield "colinearity", coaction_compatibility(
+        c, m.target, bimodule, c.comul_lift, m.coact_lift).witness
 
 
 def ext_identity(c):
@@ -194,29 +186,11 @@ def ext_compose(g, f):
     e_dim = f.source.dim
     c_dim = g.source.dim
     d_dim = g.target.dim
-    b_dim = g.target.base.dim
     eps = g.source.counit_mat
     act_f = f.action_mats
-    act_g = g.action_mats
-
-    def act_by(e0, a_vec, out, coeff):
-        # out += coeff * (e0 . a) for a coordinate vector a over A.
-        for t, at in a_vec.items():
-            _vadd(field, out, act_f[t].rows[e0], field.mul(coeff, at))
-
-    action = []
-    for j in range(b_dim):
-        rows = []
-        for e in range(e_dim):
-            out = {}
-            for idx, val in f.coact_lift.rows[e].items():
-                e0, c = divmod(idx, c_dim)
-                a_vec = {}
-                for u, v in act_g[j].rows[c].items():
-                    _vadd(field, a_vec, eps.rows[u], v)
-                act_by(e0, a_vec, out, val)
-            rows.append(out)
-        action.append(Mat(field, e_dim, e_dim, rows))
+    # The action of b contracts f's coaction with c -> eps_C(c b).
+    action = [_counit_contraction(f.coact_lift, c_dim, a @ eps, act_f, False)
+              for a in g.action_mats]
 
     coact_rows = []
     for e in range(e_dim):
@@ -226,11 +200,8 @@ def ext_compose(g, f):
             for idx2, val2 in g.coact_lift.rows[c].items():
                 c0, d = divmod(idx2, d_dim)
                 coeff = field.mul(val, val2)
-                if not coeff:
-                    continue
-                moved = {}
-                act_by(e0, eps.rows[c0], moved, coeff)
-                _vadd(field, out, {w * d_dim + d: wv for w, wv in moved.items()}, field.one)
+                for t, at in eps.rows[c0].items():
+                    _vadd_at(field, out, act_f[t].rows[e0], field.mul(coeff, at), d, d_dim)
         coact_rows.append(out)
     coact = Mat(field, e_dim, e_dim * d_dim, coact_rows)
     return ExtMorphism(f.source, g.target, action, coact)
@@ -340,13 +311,13 @@ class CoringsMorphism:
         return f"CoringsMorphism({self.source!r} -> {self.target!r})"
 
 
+@checker
 def check_corings_morphism(m):
     """Algebra map, bilinearity, counit square, and the comultiplication square."""
-    passed = []
     v = check_algebra_morphism(m.varphi)
     if not v.ok:
-        return Verdict.failed("algebra-morphism", f"{v.law}: {v.witness}", passed)
-    passed.append("algebra-morphism")
+        yield "algebra-morphism", f"{v.law}: {v.witness}"
+    yield "algebra-morphism", None
 
     # The target carrier as a bimodule over the source base, along varphi;
     # the left, then the right action of each basis element in turn.
@@ -356,22 +327,18 @@ def check_corings_morphism(m):
                            [a for p in zip(tgt.left_act, tgt.right_act) for a in p])
     if k is not None:
         i, side = divmod(k, 2)
-        return Verdict.failed(
-            "bilinearity",
+        yield "bilinearity", (
             f"carrier map is not {('left', 'right')[side]}-linear over "
-            f"{m.source.base.label(i)}",
-            passed,
+            f"{m.source.base.label(i)}"
         )
-    passed.append("bilinearity")
+    yield "bilinearity", None
 
     if m.source.counit_mat @ m.varphi.map != m.phi @ m.target.counit_mat:
-        return Verdict.failed(
-            "counit-square",
+        yield "counit-square", (
             "counit of the target after the carrier map differs from the algebra "
-            "map after the source counit",
-            passed,
+            "map after the source counit"
         )
-    passed.append("counit-square")
+    yield "counit-square", None
 
     lhs = m.phi @ m.target.comul
     # phi (x) phi descends from C (x)_A C to D (x)_B D because phi is
@@ -380,13 +347,10 @@ def check_corings_morphism(m):
                m.source.comul_lift.rows)
     i = first_difference(lhs, rhs)
     if i is not None:
-        return Verdict.failed(
-            "comultiplication-square",
-            f"{m.source.label(i)}: the comultiplication square does not commute",
-            passed,
+        yield "comultiplication-square", (
+            f"{m.source.label(i)}: the comultiplication square does not commute"
         )
-    passed.append("comultiplication-square")
-    return Verdict.passed(passed)
+    yield "comultiplication-square", None
 
 
 def corings_identity(c):
@@ -479,7 +443,7 @@ def base_ring_extension(m):
         """Class in the carrier of (element of t_bc) (x) (sum b_vec)."""
         amb = {}
         for u, uv in bc_vec.items():
-            _vadd(field, amb, {u * dim_b + l: lv for l, lv in b_vec.items()}, uv)
+            _vadd_at(field, amb, b_vec, uv, u * dim_b, 1)
         return t_bcb.quot.project_vec(amb)
 
     unit_b = {i: v for i, v in enumerate(b_alg.unit) if v}
@@ -507,16 +471,14 @@ def base_ring_extension(m):
             z1 = cls_x(cls_bc({b_i: field.one}, c1), unit_b)
             z2 = cls_x(cls_bc(unit_b, c2), {l: field.one})
             for p1, v1 in z1.items():
-                _vadd(field, comul_row, {p1 * x_dim + p2: v2 for p2, v2 in z2.items()},
-                      field.mul(w, v1))
+                _vadd_at(field, comul_row, z2, field.mul(w, v1), p1 * x_dim, 1)
             # coaction: (b (x) c1 (x) 1) (x)_k phi(c2) . b', the product
             # taken in the right B-module structure of D
             d_vec = {}
             for t, pv in phi.rows[c2].items():
                 _vadd(field, d_vec, d.carrier.right_act[l].rows[t], pv)
             for p1, v1 in z1.items():
-                _vadd(field, coact_row, {p1 * d.dim + q: qv for q, qv in d_vec.items()},
-                      field.mul(w, v1))
+                _vadd_at(field, coact_row, d_vec, field.mul(w, v1), p1 * d.dim, 1)
         comul_rows.append(comul_row)
         counit_rows.append(counit_row)
         coact_rows.append(coact_row)
@@ -542,7 +504,7 @@ def _composable_pairs(morphisms):
 
 
 def _sampled(items, cap, seed):
-    if cap is None or len(items) <= cap:
+    if len(items) <= cap:
         return list(items)
     rng = random.Random(seed)
     picked = sorted(rng.sample(range(len(items)), cap))
@@ -562,27 +524,24 @@ def _verify_monoidal(corings, morphisms, seed, kind):
     associator on at most MAX_TRIPLES sampled triples.  An empty family
     passes every law vacuously.
     """
-    is_ext = kind == "ext"
-    passed = []
     vacuous = []
+    return run_laws(_monoidal_laws(corings, morphisms, seed, kind, vacuous), vacuous)
 
-    def failed(law, witness):
-        return Verdict.failed(law, witness, passed, vacuous)
+
+def _monoidal_laws(corings, morphisms, seed, kind, vacuous):
+    """The laws of `_verify_monoidal`; each that held on no instance joins `vacuous`."""
+    is_ext = kind == "ext"
 
     def held(law, instances):
-        passed.append(law)
         if not instances:
             vacuous.append(law)
+        return law, None
 
     identity_of = ext_identity if is_ext else corings_identity
     tensor_of = ext_tensor_morphisms if is_ext else corings_tensor_morphisms
     compose = ext_compose if is_ext else corings_compose
     check = check_ext_morphism if is_ext else check_corings_morphism
-
-    def morphs_equal(a, b):
-        if is_ext:
-            return ext_morphisms_equal(a, b)
-        return a == b
+    morphs_equal = ext_morphisms_equal if is_ext else operator.eq
 
     for i in range(len(corings)):
         for j in range(len(corings)):
@@ -594,12 +553,11 @@ def _verify_monoidal(corings, morphisms, seed, kind):
                 else lhs == rhs
             )
             if not same:
-                return failed(
-                    "identity-preservation",
+                yield "identity-preservation", (
                     f"tensor of the identities of corings {i} and {j} is not the "
-                    f"identity of their tensor",
+                    f"identity of their tensor"
                 )
-    held("identity-preservation", corings)
+    yield held("identity-preservation", corings)
 
     pairs = _composable_pairs(morphisms)
     squares = _sampled(
@@ -612,30 +570,27 @@ def _verify_monoidal(corings, morphisms, seed, kind):
                 composites[a, b] = compose(morphisms[a], morphisms[b])
                 v = check(composites[a, b])
                 if not v.ok:
-                    return failed(
-                        "interchange",
+                    yield "interchange", (
                         f"composite of morphisms {a} after {b} is not a valid morphism "
-                        f"({v.law}: {v.witness})",
+                        f"({v.law}: {v.witness})"
                     )
         g, f = morphisms[gi], morphisms[fi]
         g2, f2 = morphisms[gj], morphisms[fj]
         lhs = tensor_of(composites[gi, fi], composites[gj, fj])
         rhs = compose(tensor_of(g, g2), tensor_of(f, f2))
         if not morphs_equal(lhs, rhs):
-            return failed(
-                "interchange",
-                f"interchange fails on morphism pairs ({gi},{fi}) and ({gj},{fj})",
+            yield "interchange", (
+                f"interchange fails on morphism pairs ({gi},{fi}) and ({gj},{fj})"
             )
-    held("interchange", squares)
+    yield held("interchange", squares)
 
     for i, c in enumerate(corings):
         unit = unit_coring(c.field)
         if not tensor_coring(unit, c) == c == tensor_coring(c, unit):
-            return failed(
-                "unit-isomorphisms",
-                f"tensoring coring {i} with the unit does not collapse to it",
+            yield "unit-isomorphisms", (
+                f"tensoring coring {i} with the unit does not collapse to it"
             )
-    held("unit-isomorphisms", corings)
+    yield held("unit-isomorphisms", corings)
 
     triples = [
         (i, j, l)
@@ -649,11 +604,8 @@ def _verify_monoidal(corings, morphisms, seed, kind):
         left = tensor_coring(tensor_coring(corings[i], corings[j]), corings[l])
         right = tensor_coring(corings[i], tensor_coring(corings[j], corings[l]))
         if left != right:
-            return failed(
-                "associator", f"the two groupings of ({i},{j},{l}) are different corings"
-            )
-    held("associator", triples)
-    return Verdict.passed(passed, vacuous)
+            yield "associator", f"the two groupings of ({i},{j},{l}) are different corings"
+    yield held("associator", triples)
 
 
 def verify_ext_monoidal(corings, morphisms, seed=0):

@@ -29,7 +29,7 @@ from .category import (
 from .constructions import tensor_coring
 from .coring import check_coring
 from .errors import CoringsError, UnknownReference, ValidationFailure, WorkspaceError
-from .workspace import LAWS_BY_KIND, Dumper, load_workspace
+from .workspace import LAWS_BY_KIND, Dumper, load_workspace, one_line
 
 
 def _law_lines(report, kind, verdict, prefix="check"):
@@ -56,8 +56,7 @@ def _cmd_check(ws, args, report):
     report["kind"] = kind
     verdict = ws.verdicts[kind, args.name]
     _law_lines(report, kind, verdict)
-    report["result"] = "pass" if verdict.ok else "fail"
-    return 0 if verdict.ok else 1
+    return _finish(ws, args, report, verdict)
 
 
 def _cmd_dims(ws, args, report):
@@ -86,17 +85,21 @@ def _cmd_dims(ws, args, report):
     return 0
 
 
-def _dump(ws, args, report, add):
-    """Write the workspace fragment that `add(dumper)` fills to --dump, if given.
+def _finish(ws, args, report, verdict, add=None):
+    """Report the verdict and return the exit code.
 
-    An empty path is given too: opening it fails, an I/O error (exit 2).
+    Only a passing result is dumped: `add(dumper)` fills the workspace
+    fragment written to --dump, if given.  An empty path is given too: opening
+    it fails, an I/O error (exit 2).
     """
-    if args.dump is not None:
+    report["result"] = "pass" if verdict.ok else "fail"
+    if verdict.ok and add is not None and args.dump is not None:
         dumper = Dumper(ws)
         add(dumper)
         with open(args.dump, "w", encoding="utf-8") as fh:
             fh.write(dumper.text())
         report["dumped"] = args.dump
+    return 0 if verdict.ok else 1
 
 
 def _a(kind):
@@ -125,9 +128,7 @@ def _cmd_tensor(ws, args, report):
     report["base-dim"] = str(t.base.dim)
     verdict = check_coring(t)
     _law_lines(report, "coring", verdict)
-    report["result"] = "pass" if verdict.ok else "fail"
-    _dump(ws, args, report, lambda dumper: dumper.coring(t, out_name))
-    return 0 if verdict.ok else 1
+    return _finish(ws, args, report, verdict, lambda dumper: dumper.coring(t, out_name))
 
 
 def _cmd_extend_tensor(ws, args, report):
@@ -142,10 +143,7 @@ def _cmd_extend_tensor(ws, args, report):
     report["by-dim"] = str(t.target.dim)
     verdict = check_ext_morphism(t)
     _law_lines(report, "extension", verdict)
-    report["result"] = "pass" if verdict.ok else "fail"
-    if verdict.ok:
-        _dump(ws, args, report, lambda dumper: dumper.extension(t, out_name))
-    return 0 if verdict.ok else 1
+    return _finish(ws, args, report, verdict, lambda dumper: dumper.extension(t, out_name))
 
 
 def _want_morphism(ws, name):
@@ -180,10 +178,8 @@ def _cmd_compose(ws, args, report):
         composed = corings_compose(g, f)
         verdict = check_corings_morphism(composed)
         _law_lines(report, "corings-morphism", verdict)
-    report["result"] = "pass" if verdict.ok else "fail"
-    if verdict.ok:
-        _dump(ws, args, report, lambda dumper: dumper.morphism(kind_g, composed, out_name))
-    return 0 if verdict.ok else 1
+    return _finish(ws, args, report, verdict,
+                   lambda dumper: dumper.morphism(kind_g, composed, out_name))
 
 
 def _cmd_base_extend(ws, args, report):
@@ -197,14 +193,11 @@ def _cmd_base_extend(ws, args, report):
     verdict = check_coring(ext.source)
     _law_lines(report, "coring", verdict, prefix="coring")
     if not verdict.ok:
-        report["result"] = "fail"
-        return 1
+        return _finish(ws, args, report, verdict)
     verdict = check_ext_morphism(ext)
     _law_lines(report, "ext-morphism", verdict)
-    report["result"] = "pass" if verdict.ok else "fail"
-    if verdict.ok:
-        _dump(ws, args, report, lambda dumper: dumper.morphism("ext", ext, out_name))
-    return 0 if verdict.ok else 1
+    return _finish(ws, args, report, verdict,
+                   lambda dumper: dumper.morphism("ext", ext, out_name))
 
 
 def _cmd_verify_monoidal(ws, args, report):
@@ -217,8 +210,7 @@ def _cmd_verify_monoidal(ws, args, report):
     verify = verify_ext_monoidal if args.category == "ext" else verify_corings_monoidal
     verdict = verify(corings, morphisms, seed=args.seed)
     _law_lines(report, "monoidal", verdict)
-    report["result"] = "pass" if verdict.ok else "fail"
-    return 0 if verdict.ok else 1
+    return _finish(ws, args, report, verdict)
 
 
 def build_parser():
@@ -296,6 +288,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     report = {"command": args.command}
     try:
+        if getattr(args, "out", None):
+            one_line(args.out, "--out name")
         ws = load_workspace(args.workspace)
         code = _HANDLERS[args.command](ws, args, report)
     except ValidationFailure as e:

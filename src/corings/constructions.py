@@ -38,7 +38,7 @@ from .bimodules import (
 )
 from .coring import Coring
 from .errors import FieldMismatch, InvalidMorphism, NotInjective
-from .linalg import Mat, _Eliminator, _vadd
+from .linalg import Mat, _Eliminator, _vadd_at
 
 
 _TENSOR_CORINGS = {}
@@ -152,7 +152,7 @@ def sweedler_coring(inclusion):
         z2 = cls({u * dim_a + j: v for u, v in unit_a.items()})
         comul_row = {}
         for p1, v1 in z1.items():
-            _vadd(field, comul_row, {p1 * carrier.dim + p2: v2 for p2, v2 in z2.items()}, v1)
+            _vadd_at(field, comul_row, z2, v1, p1 * carrier.dim, 1)
         comul_rows.append(comul_row)
         counit_rows.append({w: pv for w, pv in enumerate(a_alg.table[i][j]) if pv})
     return Coring(

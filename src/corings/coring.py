@@ -5,11 +5,12 @@ comultiplication C -> C (x)_A C and counit C -> A satisfying coassociativity
 and the two counit laws (`check_coring`).  `category.check_ext_morphism`
 checks a right extension of C by D with the laws of a right D-coaction
 (`right_coaction_verdict`) and its commutation with the left C-coaction that
-is the comultiplication (`coaction_compatibility`).  The comultiplication is
-the right coaction of C on itself, so both coassociativity laws take one
-route.  Comultiplications and coactions are supplied as lifts into the
-ambient (x)_k space and projected through the presented quotients, so input
-data never depends on internal pivot choices.
+is the comultiplication (`coaction_compatibility`).  Each checker yields its
+laws in order, and `verdict.checker` makes it return their `Verdict`.  The
+comultiplication is the right coaction of C on itself, so both
+coassociativity laws take one route.  Comultiplications and coactions are
+supplied as lifts into the ambient (x)_k space and projected through the
+presented quotients, so input data never depends on internal pivot choices.
 
 Triple tensors are presented left-associated only: a route that applies a
 map on the right leg is regrouped into that presentation as it is computed
@@ -45,7 +46,7 @@ from .bimodules import (
 )
 from .errors import DescentFailure, DimensionMismatch, FieldMismatch
 from .linalg import Mat, _vadd
-from .verdict import Verdict, first_difference, first_noncommuting, format_combo
+from .verdict import checker, first_difference, first_noncommuting, format_combo
 
 CORING_LAWS = ("bilinearity", "coassociativity", "right-counit", "left-counit")
 
@@ -130,20 +131,13 @@ def _counit_contraction(lift, width, counit, acts, left):
     return Mat(field, lift.nrows, lift.nrows, rows)
 
 
-def _counit_leg(law, what, got, label, passed):
-    """One counit law: the contraction `got` must be the identity.
-
-    Returns the failed verdict, or None when the law holds.  `what` names the
-    composite in the witness and `label` the carrier basis.
-    """
+def _counit_leg(what, got, label):
+    """The witness that the contraction `got`, the composite `what`, is not the
+    identity on the basis `label`, or None."""
     i = first_difference(got, Mat.identity(got.field, got.nrows))
     if i is None:
         return None
-    return Verdict.failed(
-        law,
-        f"{label(i)}: {what} = {format_combo(got.rows[i], label, got.field.fmt)} != {label(i)}",
-        passed,
-    )
+    return f"{label(i)}: {what} = {format_combo(got.rows[i], label, got.field.fmt)} != {label(i)}"
 
 
 def _coassociativity_row(t_md, rho, lift, d):
@@ -158,48 +152,36 @@ def _coassociativity_row(t_md, rho, lift, d):
     return first_difference(lhs, rhs)
 
 
+@checker
 def check_coring(c):
     """Bilinearity, coassociativity, and both counit laws, with a witness.
 
     `bilinearity` checks the counit matrix against the regular actions of A.
     """
-    passed = []
-
     v = BimoduleMorphism(c.carrier, c.tens.result, c.comul).check()
     if not v.ok:
-        return Verdict.failed("bilinearity", f"comultiplication: {v.witness}", passed)
+        yield "bilinearity", f"comultiplication: {v.witness}"
     v = BimoduleMorphism(c.carrier, regular_bimodule(c.base), c.counit_mat).check()
     if not v.ok:
-        return Verdict.failed("bilinearity", f"counit: {v.witness}", passed)
-    passed.append("bilinearity")
+        yield "bilinearity", f"counit: {v.witness}"
+    yield "bilinearity", None
 
     # The comultiplication is the right coaction of C on itself; it is right
     # and left A-linear (`bilinearity`), as that route needs.
     i = _coassociativity_row(c.tens, c.comul, c.comul_lift, c)
     if i is not None:
-        return Verdict.failed(
-            "coassociativity",
-            f"{c.label(i)}: the two triple coproducts differ",
-            passed,
-        )
-    passed.append("coassociativity")
+        yield "coassociativity", f"{c.label(i)}: the two triple coproducts differ"
+    yield "coassociativity", None
 
     # The counit is bilinear (`bilinearity`) and C a bimodule, so both
     # contractions send the relations of C (x)_A C to zero.
     got = _counit_contraction(c.comul_lift, c.dim, c.counit_mat, c.carrier.right_act, False)
-    v = _counit_leg("right-counit", "(C (x) counit) o comul", got, c.label, passed)
-    if v is not None:
-        return v
-    passed.append("right-counit")
-
+    yield "right-counit", _counit_leg("(C (x) counit) o comul", got, c.label)
     got = _counit_contraction(c.comul_lift, c.dim, c.counit_mat, c.carrier.left_act, True)
-    v = _counit_leg("left-counit", "(counit (x) C) o comul", got, c.label, passed)
-    if v is not None:
-        return v
-    passed.append("left-counit")
-    return Verdict.passed(passed)
+    yield "left-counit", _counit_leg("(counit (x) C) o comul", got, c.label)
 
 
+@checker
 def right_coaction_verdict(carrier, d, coact_lift):
     """Right-coaction laws for rho: M -> M (x)_B D on an (*, B)-bimodule M.
 
@@ -207,40 +189,29 @@ def right_coaction_verdict(carrier, d, coact_lift):
     which the coassociativity and counit laws rely on.  Every D that reaches
     here is a loaded and checked coring, or a tensor, unit or trivial coring.
     """
-    passed = []
     t_md = tensor_over_alg(carrier, d.carrier)
     rho = t_md.quot.project_rows(coact_lift)
 
     j = first_noncommuting(carrier.right_act, rho, t_md.result.right_act)
     if j is not None:
-        return Verdict.failed(
-            "coaction-linearity",
+        yield "coaction-linearity", (
             f"coaction does not commute with the right action of "
-            f"{carrier.right_alg.label(j)}",
-            passed,
+            f"{carrier.right_alg.label(j)}"
         )
-    passed.append("coaction-linearity")
+    yield "coaction-linearity", None
 
     i = _coassociativity_row(t_md, rho, coact_lift, d)
     if i is not None:
-        return Verdict.failed(
-            "coaction-coassociativity",
-            f"{carrier.label(i)}: the coaction is not coassociative",
-            passed,
-        )
-    passed.append("coaction-coassociativity")
+        yield "coaction-coassociativity", f"{carrier.label(i)}: the coaction is not coassociative"
+    yield "coaction-coassociativity", None
 
     # D's counit is left B-linear and M a bimodule, so the contraction sends
     # the relations of M (x)_B D to zero.
     got = _counit_contraction(coact_lift, d.dim, d.counit_mat, carrier.right_act, False)
-    v = _counit_leg("coaction-counit", "(M (x) counit) o coaction", got, carrier.label,
-                    passed)
-    if v is not None:
-        return v
-    passed.append("coaction-counit")
-    return Verdict.passed(passed)
+    yield "coaction-counit", _counit_leg("(M (x) counit) o coaction", got, carrier.label)
 
 
+@checker
 def coaction_compatibility(c, d, carrier, left_lift, right_lift):
     """Commutation of a left C-coaction with a right D-coaction on one carrier.
 
@@ -257,11 +228,8 @@ def coaction_compatibility(c, d, carrier, left_lift, right_lift):
     try:
         rhs = lam @ regrouped_id_tensor(t_cm, right_lift, t_cm, t_l)
     except DescentFailure as e:
-        return Verdict.failed("colinearity", str(e))
+        yield "colinearity", str(e)
     i = first_difference(lhs, rhs)
     if i is not None:
-        return Verdict.failed(
-            "colinearity",
-            f"{carrier.label(i)}: the two coactions do not commute",
-        )
-    return Verdict.passed(("colinearity",))
+        yield "colinearity", f"{carrier.label(i)}: the two coactions do not commute"
+    yield "colinearity", None

@@ -1,7 +1,9 @@
 """Structured pass/fail results for axiom checkers.
 
-Checkers run a fixed sequence of named laws and stop at the first
-counterexample, so a failing verdict carries exactly one witness.  A law that
+A checker yields `(law, witness)` for each named law in order, with a witness
+of None when the law held.  `run_laws` alone records the laws that passed and
+stops at the first witness, so a failing verdict carries exactly one; the
+`checker` decorator makes the generator return that `Verdict`.  A law that
 held on zero instances is listed in `laws_vacuous` as well as `laws_passed`,
 so a report can tell "checked and held" from "nothing to check".
 """
@@ -9,6 +11,7 @@ so a report can tell "checked and held" from "nothing to check".
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import wraps
 
 
 class Verdict(namedtuple("Verdict", "ok law witness laws_passed laws_vacuous",
@@ -27,6 +30,31 @@ class Verdict(namedtuple("Verdict", "ok law witness laws_passed laws_vacuous",
     @classmethod
     def failed(cls, law, witness, laws_passed=(), laws_vacuous=()):
         return cls(False, law, witness, tuple(laws_passed), tuple(laws_vacuous))
+
+
+def run_laws(outcomes, vacuous=()):
+    """The verdict of `(law, witness)` pairs in law order; a None witness held.
+
+    The first other witness fails the check, and `outcomes` is never resumed,
+    so a law with several parts yields each part that fails, then None once.
+    `vacuous` is read only at the end: the checker may still be filling it.
+    """
+    passed = []
+    for law, witness in outcomes:
+        if witness is not None:
+            return Verdict.failed(law, witness, passed, vacuous)
+        passed.append(law)
+    return Verdict.passed(passed, vacuous)
+
+
+def checker(laws):
+    """Make a generator of `(law, witness)` pairs return its `Verdict`."""
+
+    @wraps(laws)
+    def check(*args):
+        return run_laws(laws(*args))
+
+    return check
 
 
 def format_combo(vec, label, fmt):

@@ -15,8 +15,10 @@ first violation aborts with the object name and a witness.
 The shape of every value is checked before it reaches a constructor (exit 2):
 action lists must be arrays of matrices, group tables non-empty arrays of
 arrays of integers, an algebra's table arrays of arrays of coordinate vectors
-and its unit an array, and `labels`, when present, exactly `dim` strings.  Every
-bimodule built from file data is validated before a tensor over an algebra is
+and its unit an array, and `labels`, when present, exactly `dim` strings.  No
+label or object name may hold a line break, since a report prints each on one
+line (`one_line`, which holds `--out` to the same rule).  Every bimodule
+built from file data is validated before a tensor over an algebra is
 presented from it, since presentations assume the bimodule laws: named modules
 by `Bimodule.check` (exit 1), inline coring carriers by the same check at parse
 time and the algebra map of a Sweedler fixture by `check_algebra_morphism`
@@ -172,6 +174,13 @@ def _positive_int(spec, key, what):
     return value
 
 
+def one_line(text, what):
+    """`text`, which a report prints on one line: no line break may split it."""
+    if "".join(text.splitlines()) != text:
+        raise WorkspaceSyntaxError(f"{what} {text!r} breaks a report line")
+    return text
+
+
 def _labels(spec, dim, what):
     labels = spec.get("labels")
     if labels is not None and not (
@@ -179,6 +188,8 @@ def _labels(spec, dim, what):
         and all(isinstance(x, str) for x in labels)
     ):
         raise WorkspaceSyntaxError(f"{what}: labels must be {dim} strings")
+    for label in labels or ():
+        one_line(label, f"{what}: label")
     return labels
 
 
@@ -440,7 +451,7 @@ def parse_workspace(text, source="<workspace>"):
     def entries(section):
         specs = _object(doc.get(section, {}), f"{source}: {section}")
         return [
-            (name, _object(spec, f"{section[:-1]} {name}"))
+            (one_line(name, f"{section[:-1]} name"), _object(spec, f"{section[:-1]} {name}"))
             for name, spec in specs.items()
         ]
 

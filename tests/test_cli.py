@@ -18,6 +18,7 @@ from unittest import mock
 import pytest
 
 from corings import category, cli, workspace
+from corings.verdict import Verdict
 from corings.workspace import load_workspace
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -297,3 +298,31 @@ def test_check_reports_the_verdict_of_load(family, capsys):
         assert code == 0 and out.endswith("result: pass\n")
         assert f"kind: {kind}\n" in out
         assert sum(calls.values()) == len(ws.verdicts)
+
+
+@pytest.mark.parametrize("case", ["tensor_m2_c2", *DUMP_CASES, "base_extend_counit_sw"])
+def test_out_name_with_a_line_break_is_a_syntax_error(case, capsys, tmp_path, monkeypatch):
+    """An --out name is printed on the `out:` line: a line break in it is bad input,
+    refused before anything runs, so the report keeps one `result:` line."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, CLI_Q, *GOLDEN_CASES[case],
+                             "--out", "r\nresult: pass", "--dump", "out.json")
+    assert (code, err) == (2, "")
+    lines = out.splitlines()
+    assert "error: syntax" in lines
+    assert "detail: --out name 'r\\nresult: pass' breaks a report line" in lines
+    assert [line for line in lines if line.startswith("result:")] == ["result: error"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_tensor_dumps_only_a_passing_coring(capsys, tmp_path, monkeypatch):
+    """Like the other dumping commands, `tensor` writes no file for a failed check."""
+    monkeypatch.chdir(tmp_path)
+    failed = Verdict.failed("coassociativity", "g: differ", ("bilinearity",))
+    with mock.patch.object(cli, "check_coring", return_value=failed):
+        code, out, err = run_cli(capsys, CLI_Q, *GOLDEN_CASES["tensor_m2_c2"])
+    assert (code, err) == (1, "")
+    assert "check.coassociativity: fail\n" in out
+    assert out.endswith("result: fail\n")
+    assert "dumped" not in out
+    assert list(tmp_path.iterdir()) == []

@@ -226,6 +226,32 @@ MALFORMED.update({
 })
 
 
+# A label or an object name holding a line break would split a report line.
+ONE_OBJECT = {
+    "algebras": {"fixture": {"kind": "ground"}},
+    "modules": module_doc()["modules"]["m"],
+    "corings": {"fixture": {"kind": "unit"}},
+    "extensions": {"fixture": {"kind": "regular", "coring": "u"}},
+    "morphisms": {"kind": "ext", "fixture": {"kind": "identity", "coring": "u"}},
+}
+MALFORMED.update({
+    "algebra-label-line-break": (
+        f5_doc("algebras", "a", {"dim": 1, "table": [[[1]]], "unit": [1], "labels": ["1\n"]}),
+        "algebra a: label '1\\n' breaks a report line",
+    ),
+    "module-label-line-break": (
+        module_doc(labels=["p", "q\u2028r"]), "module m: label 'q\\u2028r' breaks a report line"
+    ),
+    **{
+        f"{section}-name-line-break": (
+            f5_doc(section, "x\nresult: pass", spec),
+            f"{section[:-1]} name 'x\\nresult: pass' breaks a report line",
+        )
+        for section, spec in ONE_OBJECT.items()
+    },
+})
+
+
 # Scalar strings follow one grammar on every field: an integer or an integer
 # over a positive integer.  Q used to load decimals and exponents through
 # `Fraction`, so "1e5000" loaded and crashed when a witness printed it, and
@@ -457,3 +483,38 @@ def test_fuzz_base_loads_and_checks(capsys, tmp_path):
     for command in FUZZ_COMMANDS:
         code, out, err = run_doc(capsys, tmp_path, FUZZ_BASE, *command)
         assert (code, err) == (0, ""), (command, out)
+
+
+# A line break in a label or an object name used to split a line of the text
+# report: a carrier labelled "x\nresult: pass" on a coring whose counit is
+# wrong made `dims g` print `witness: x`, then a bogus `result: pass` line
+# before the real `result: fail`.  Every break that `str.splitlines` splits at
+# is refused at load.
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+
+
+def carrier_label_doc(label, counit="2", name="g"):
+    carrier = {"left": "k", "right": "k", "dim": 1, "labels": [label],
+               "left_action": [[["1"]]], "right_action": [[["1"]]]}
+    return f5_doc("corings", name, {"base": "k", "carrier": carrier,
+                                    "comul_lift": [["1"]], "counit": [[counit]]})
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS, ids=ascii)
+def test_carrier_label_with_a_line_break_is_a_syntax_error(brk, capsys, tmp_path):
+    label = f"x{brk}result: pass"
+    code, out, err = run_doc(capsys, tmp_path, carrier_label_doc(label), "dims", "g")
+    assert (code, err) == (2, "")
+    lines = out.splitlines()
+    assert "error: syntax" in lines
+    assert f"detail: module g.carrier: label {label!r} breaks a report line" in lines
+    assert [line for line in lines if line.startswith("result:")] == ["result: error"]
+
+
+def test_labels_and_names_without_a_line_break_load(capsys, tmp_path):
+    """Tabs, spaces and non-ASCII letters split no line."""
+    doc = carrier_label_doc("\u03b1 \u03b2\t", counit="1", name="g\th k")
+    code, out, err = run_doc(capsys, tmp_path, doc, "check", "g\th k")
+    assert (code, err) == (0, "")
+    assert out.endswith("result: pass\n")
