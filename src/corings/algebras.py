@@ -1,14 +1,18 @@
 """Finite-dimensional unital associative algebras given by structure constants.
 
 An algebra is a basis a_0..a_{n-1}, a table c with a_i * a_j = sum_t c[i][j][t] a_t,
-and a unit coordinate vector.  Row-major pair indexing (i, i') -> i*dim' + i' is
-fixed globally for every tensor construction in the library.
+and a unit.  Every algebra element, each table entry and the unit included, is
+a sparse row {t: nonzero scalar} with keys ascending, the form of a `Mat` row,
+so table row i is the left regular matrix of a_i as it stands.  Only the
+coercing constructor reads dense coordinate lists.  Row-major pair indexing
+(i, i') -> i*dim' + i' is fixed globally for every tensor construction in the
+library.
 """
 
 from __future__ import annotations
 
 from .errors import DimensionMismatch, FieldMismatch
-from .linalg import Mat
+from .linalg import Mat, _vadd, coerced_row
 from .verdict import checker, format_combo
 
 ALGEBRA_LAWS = ("unit", "associativity")
@@ -33,7 +37,7 @@ class FinDimAlgebra:
 
     @classmethod
     def _trusted(cls, field, dim, table, unit, labels):
-        """An algebra from canonical field data built inside the library, taken as is."""
+        """An algebra from canonical sparse data built inside the library, taken as is."""
         a = cls.__new__(cls)
         a.field, a.dim, a.table, a.unit, a.labels = field, dim, table, unit, labels
         return a
@@ -42,7 +46,7 @@ class FinDimAlgebra:
     def _coerce_vec(field, dim, vec):
         if len(vec) != dim:
             raise DimensionMismatch(f"expected coordinate vector of length {dim}")
-        return [field.coerce(x) for x in vec]
+        return coerced_row(field, vec)
 
     def label(self, i):
         if self.labels is not None:
@@ -50,38 +54,25 @@ class FinDimAlgebra:
         return f"a_{i}"
 
     def mul_vec(self, x, y):
-        """Product of two coordinate vectors."""
+        """Product of two sparse algebra elements."""
         field = self.field
-        out = [field.zero] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
+        out = {}
+        for i, xi in x.items():
             row = self.table[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                coeff = field.mul(xi, yj)
-                for t, c in enumerate(row[j]):
-                    if c:
-                        out[t] = field.add(out[t], field.mul(coeff, c))
+            for j, yj in y.items():
+                _vadd(field, out, row[j], field.mul(xi, yj))
         return out
 
     def basis_vec(self, i):
-        v = [self.field.zero] * self.dim
-        v[i] = self.field.one
-        return v
-
-    def _sparse_mat(self, vecs):
-        return Mat(self.field, self.dim, self.dim,
-                   [{t: c for t, c in enumerate(v) if c} for v in vecs])
+        return {i: self.field.one}
 
     def left_regular_mat(self, i):
         """Matrix of x -> a_i * x in the row-vector convention."""
-        return self._sparse_mat([self.table[i][j] for j in range(self.dim)])
+        return Mat(self.field, self.dim, self.dim, list(self.table[i]))
 
     def right_regular_mat(self, j):
         """Matrix of x -> x * a_j in the row-vector convention."""
-        return self._sparse_mat([self.table[i][j] for i in range(self.dim)])
+        return Mat(self.field, self.dim, self.dim, [row[j] for row in self.table])
 
     def __eq__(self, other):
         return self is other or (
@@ -131,36 +122,21 @@ def check_algebra(a):
 def tensor_algebra(a, a2):
     """Tensor product algebra with row-major pair indexing and unit u (x) u'.
 
-    Products of canonical field elements are canonical: nothing is re-coerced.
+    The table row of the basis pair (i, i') is the left regular matrix of
+    a_i (x) a'_i', which is L_i (x) L'_i'.  Products of canonical field
+    elements are canonical: nothing is re-coerced.
     """
     if a.field != a2.field:
         raise FieldMismatch("tensor factors live over different fields")
     field = a.field
-    d1, d2 = a.dim, a2.dim
-    dim = d1 * d2
-
-    def pair_vec(x, y):
-        out = [field.zero] * dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if yj:
-                    out[i * d2 + j] = field.mul(xi, yj)
-        return out
-
-    table = [[None] * dim for _ in range(dim)]
-    for i in range(d1):
-        for i2 in range(d2):
-            row = i * d2 + i2
-            for j in range(d1):
-                tij = a.table[i][j]
-                for j2 in range(d2):
-                    table[row][j * d2 + j2] = pair_vec(tij, a2.table[i2][j2])
+    lefts2 = [a2.left_regular_mat(i2) for i2 in range(a2.dim)]
+    table = [a.left_regular_mat(i).kron(l2).rows for i in range(a.dim) for l2 in lefts2]
+    unit = {i * a2.dim + i2: field.mul(x, y)
+            for i, x in a.unit.items() for i2, y in a2.unit.items()}
     labels = None
     if a.labels is not None and a2.labels is not None:
         labels = [f"{x}(x){y}" for x in a.labels for y in a2.labels]
-    return FinDimAlgebra._trusted(field, dim, table, pair_vec(a.unit, a2.unit), labels)
+    return FinDimAlgebra._trusted(field, a.dim * a2.dim, table, unit, labels)
 
 
 class AlgebraMorphism:
@@ -176,13 +152,6 @@ class AlgebraMorphism:
         self.source = source
         self.target = target
         self.map = map
-
-    def apply_vec(self, x):
-        out = self.map.apply({i: v for i, v in enumerate(x) if v})
-        dense = [self.source.field.zero] * self.target.dim
-        for j, v in out.items():
-            dense[j] = v
-        return dense
 
     def __eq__(self, other):
         return (
@@ -200,17 +169,17 @@ def check_algebra_morphism(f):
     """Unit preservation and multiplicativity on all basis pairs."""
     src, tgt = f.source, f.target
     fmt = src.field.fmt
-    unit_image = f.apply_vec(src.unit)
+    unit_image = f.map.apply(src.unit)
     if unit_image != tgt.unit:
         yield "unit", (
             f"unit maps to {format_combo(unit_image, tgt.label, fmt)} "
             f"!= {format_combo(tgt.unit, tgt.label, fmt)}"
         )
     yield "unit", None
-    images = [f.apply_vec(src.basis_vec(i)) for i in range(src.dim)]
+    images = f.map.rows
     for i in range(src.dim):
         for j in range(src.dim):
-            lhs = f.apply_vec(src.table[i][j])
+            lhs = f.map.apply(src.table[i][j])
             rhs = tgt.mul_vec(images[i], images[j])
             if lhs != rhs:
                 yield "multiplicativity", (
@@ -226,14 +195,14 @@ def identity_morphism(a):
 
 def ground_algebra(field):
     """The base field as a 1-dimensional algebra."""
-    return FinDimAlgebra._trusted(field, 1, [[[field.one]]], [field.one], ["1"])
+    one = {0: field.one}
+    return FinDimAlgebra._trusted(field, 1, [[one]], one, ["1"])
 
 
 def dual_numbers(field):
     """k[x]/(x^2) with basis {1, x}."""
-    z, o = field.zero, field.one
-    table = [[[o, z], [z, o]], [[z, o], [z, z]]]
-    return FinDimAlgebra._trusted(field, 2, table, [o, z], ["1", "x"])
+    one, x = {0: field.one}, {1: field.one}
+    return FinDimAlgebra._trusted(field, 2, [[one, x], [x, {}]], one, ["1", "x"])
 
 
 def check_group_table(table):
@@ -258,16 +227,10 @@ def group_algebra(field, table, labels=None):
     """Group algebra k[G] from a Cayley table with identity at index 0."""
     check_group_table(table)
     n = len(table)
-    z, o = field.zero, field.one
-    alg_table = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            vec = [z] * n
-            vec[table[i][j]] = o
-            alg_table[i][j] = vec
-    unit = [z] * n
-    unit[0] = o
-    if labels is None:
-        labels = [f"g_{i}" for i in range(n)]
-    return FinDimAlgebra(field, n, alg_table, unit, labels)
+    if labels is not None and len(labels) != n:
+        raise DimensionMismatch(f"need {n} labels, got {len(labels)}")
+    one = field.one
+    alg_table = [[{t: one} for t in row] for row in table]
+    labels = [f"g_{i}" for i in range(n)] if labels is None else list(labels)
+    return FinDimAlgebra._trusted(field, n, alg_table, {0: one}, labels)
 

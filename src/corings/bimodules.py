@@ -85,11 +85,11 @@ class Bimodule:
         ident = Mat.identity(field, self.dim)
 
         def law_mats(alg, acts, compose_ij):
-            if _combination(field, self.dim, acts, enumerate(alg.unit)) != ident:
+            if _combination(field, self.dim, acts, alg.unit.items()) != ident:
                 return "unit acts as a non-identity matrix"
             for i in range(alg.dim):
                 for j in range(alg.dim):
-                    combo = _combination(field, self.dim, acts, enumerate(alg.table[i][j]))
+                    combo = _combination(field, self.dim, acts, alg.table[i][j].items())
                     if combo != compose_ij(acts, i, j):
                         return (
                             f"action of {alg.label(i)}*{alg.label(j)} differs from the "
@@ -269,7 +269,8 @@ class PresentedTensor:
 
 
 def _alg_key(a):
-    return (a.field, a.dim, tuple(tuple(map(tuple, row)) for row in a.table), tuple(a.unit))
+    return (a.field, a.dim, tuple(frozenset(v.items()) for row in a.table for v in row),
+            frozenset(a.unit.items()))
 
 
 def _bimodule_key(b):
@@ -300,7 +301,7 @@ def _words(a, gens):
     while queue:
         v = queue.pop()
         rank = len(span.pivrows)
-        span.insert({i: x for i, x in enumerate(v) if x})
+        span.insert(dict(v))
         if len(span.pivrows) > rank:
             queue.extend(a.mul_vec(v, a.basis_vec(g)) for g in gens)
     return span

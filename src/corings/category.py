@@ -165,11 +165,8 @@ def ext_to_unit(c):
 
 def ext_to_trivial(c):
     """The morphism (C:A) -> (A:A): initial action, coaction c -> c (x) 1."""
-    field = c.field
-    rows = []
-    for i in range(c.dim):
-        rows.append({i * c.base.dim + j: v for j, v in enumerate(c.base.unit) if v})
-    coact = Mat(field, c.dim, c.dim * c.base.dim, rows)
+    unit = Mat(c.field, 1, c.base.dim, [c.base.unit])
+    coact = Mat.identity(c.field, c.dim).kron(unit)
     return ExtMorphism(c, trivial_coring(c.base), c.carrier.right_act, coact)
 
 
@@ -435,9 +432,7 @@ def base_ring_extension(m):
 
     def cls_bc(b_vec, c_idx):
         """Class in t_bc of (sum b_vec) (x) c_idx."""
-        return t_bc.quot.project_vec(
-            {i * dim_c + c_idx: v for i, v in b_vec.items() if v}
-        )
+        return t_bc.quot.project_vec({i * dim_c + c_idx: v for i, v in b_vec.items()})
 
     def cls_x(bc_vec, b_vec):
         """Class in the carrier of (element of t_bc) (x) (sum b_vec)."""
@@ -445,8 +440,6 @@ def base_ring_extension(m):
         for u, uv in bc_vec.items():
             _vadd_at(field, amb, b_vec, uv, u * dim_b, 1)
         return t_bcb.quot.project_vec(amb)
-
-    unit_b = {i: v for i, v in enumerate(b_alg.unit) if v}
 
     # Comultiplication: (b (x) c_(1) (x) 1) (x)_X (1 (x) c_(2) (x) b').
     comul_rows = []
@@ -463,13 +456,12 @@ def base_ring_extension(m):
         b_i, c_j = divmod(t_bc.quot.rep_columns[u], dim_c)
         # counit: b * varphi(counit(c)) * b'
         for t, v in eps_phi.rows[c_j].items():
-            prod = b_alg.mul_vec(b_alg.table[b_i][t], b_alg.basis_vec(l))
-            _vadd(field, counit_row, {w: pv for w, pv in enumerate(prod) if pv}, v)
+            _vadd(field, counit_row, b_alg.mul_vec(b_alg.table[b_i][t], b_alg.basis_vec(l)), v)
         # comultiplication and coaction share the expansion of comul(c).
         for pair, w in c.comul_lift.rows[c_j].items():
             c1, c2 = divmod(pair, dim_c)
-            z1 = cls_x(cls_bc({b_i: field.one}, c1), unit_b)
-            z2 = cls_x(cls_bc(unit_b, c2), {l: field.one})
+            z1 = cls_x(cls_bc({b_i: field.one}, c1), b_alg.unit)
+            z2 = cls_x(cls_bc(b_alg.unit, c2), {l: field.one})
             for p1, v1 in z1.items():
                 _vadd_at(field, comul_row, z2, field.mul(w, v1), p1 * x_dim, 1)
             # coaction: (b (x) c1 (x) 1) (x)_k phi(c2) . b', the product

@@ -273,6 +273,11 @@ _HANDLERS = {
 }
 
 
+# `main` holds every string argument to `one_line`, since each can reach a report
+# line; the positional arguments are object names.
+_ARGUMENT_WHAT = {"workspace": "--workspace path", "out": "--out name", "dump": "--dump path"}
+
+
 def _render(report, as_json, stream):
     if as_json:
         import json
@@ -288,8 +293,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     report = {"command": args.command}
     try:
-        if getattr(args, "out", None):
-            one_line(args.out, "--out name")
+        for key, value in vars(args).items():
+            if isinstance(value, str):
+                one_line(value, _ARGUMENT_WHAT.get(key, "object name"))
         ws = load_workspace(args.workspace)
         code = _HANDLERS[args.command](ws, args, report)
     except ValidationFailure as e:

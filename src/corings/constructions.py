@@ -77,10 +77,7 @@ def trivial_coring(a):
     """The algebra A as an A-coring: comul the canonical iso, counit the identity."""
     field = a.field
     carrier = regular_bimodule(a)
-    rows = []
-    for i in range(a.dim):
-        rows.append({i * a.dim + j: v for j, v in enumerate(a.unit) if v})
-    comul_lift = Mat(field, a.dim, a.dim * a.dim, rows)
+    comul_lift = Mat.identity(field, a.dim).kron(Mat(field, 1, a.dim, [a.unit]))
     return Coring(a, carrier, comul_lift, Mat.identity(field, a.dim))
 
 
@@ -139,7 +136,6 @@ def sweedler_coring(inclusion):
     )
     carrier = t.result
     dim_a = a_alg.dim
-    unit_a = {i: v for i, v in enumerate(a_alg.unit) if v}
 
     cls = t.quot.project_vec
     comul_rows = []
@@ -148,13 +144,13 @@ def sweedler_coring(inclusion):
     for idx in t.quot.rep_columns:
         i, j = divmod(idx, dim_a)
         # comul(a (x) a') = (a (x) 1) (x)_A (1 (x) a')
-        z1 = cls({i * dim_a + u: v for u, v in unit_a.items()})
-        z2 = cls({u * dim_a + j: v for u, v in unit_a.items()})
+        z1 = cls({i * dim_a + u: v for u, v in a_alg.unit.items()})
+        z2 = cls({u * dim_a + j: v for u, v in a_alg.unit.items()})
         comul_row = {}
         for p1, v1 in z1.items():
             _vadd_at(field, comul_row, z2, v1, p1 * carrier.dim, 1)
         comul_rows.append(comul_row)
-        counit_rows.append({w: pv for w, pv in enumerate(a_alg.table[i][j]) if pv})
+        counit_rows.append(a_alg.table[i][j])
     return Coring(
         a_alg,
         carrier,

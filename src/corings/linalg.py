@@ -18,8 +18,11 @@ Conventions used throughout the library:
   increasing index order, as representatives, so every basis choice is
   deterministic.
 
-Matrix rows are stored sparsely as {column: nonzero scalar}; every
-constructor and accessor speaks dense row-major entries.  A quotient holds
+Every vector is one sparse row {index: nonzero scalar}: a matrix row and an
+algebra element (a structure constant or the unit) alike.  Dense lists exist
+only at the file edge: `Mat.from_rows` and the coercing `FinDimAlgebra`
+constructor read them through `coerced_row`, and dumps write them
+(`Mat.to_lists`).  A quotient holds
 no matrix unless it has to (`QuotientSpace`): without relations it is its
 dim alone, and with relations of at most two terms it is one class index and
 one scale per ambient coordinate, in two flat lists.  RREF is canonical for
@@ -256,6 +259,16 @@ def _vadd_at(field, dst, src, coeff, base, stride):
                 dst.pop(c, None)
 
 
+def coerced_row(field, entries):
+    """The sparse row of the dense `entries`, each coerced, zeros dropped."""
+    row = {}
+    for j, x in enumerate(entries):
+        v = field.coerce(x)
+        if v:
+            row[j] = v
+    return row
+
+
 def _vscale(field, row, coeff):
     p = field.p
     if p is None:
@@ -292,12 +305,7 @@ class Mat:
         for r in entries:
             if len(r) != ncols:
                 raise DimensionMismatch("ragged rows")
-            row = {}
-            for j, x in enumerate(r):
-                v = field.coerce(x)
-                if v:
-                    row[j] = v
-            rows.append(row)
+            rows.append(coerced_row(field, r))
         return cls(field, nrows, ncols, rows)
 
     @classmethod

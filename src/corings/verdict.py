@@ -58,19 +58,15 @@ def checker(laws):
 
 
 def format_combo(vec, label, fmt):
-    """Render a sparse or dense vector as `c*label + ...` with stable ordering.
+    """Render a sparse vector as `c*label + ...` in ascending index order.
 
-    `vec` is a {index: coefficient} dict or a dense list; `label` maps an index
-    to a basis name and `fmt` formats one scalar.
+    `vec` is a {index: nonzero coefficient} dict, a matrix row or an algebra
+    element; `label` maps an index to a basis name and `fmt` formats one scalar.
     """
-    if isinstance(vec, dict):
-        items = sorted(vec.items())
-    else:
-        items = [(i, v) for i, v in enumerate(vec) if v]
-    if not items:
+    if not vec:
         return "0"
     terms = []
-    for i, v in items:
+    for i, v in sorted(vec.items()):
         s = fmt(v)
         terms.append(label(i) if s == "1" else f"{s}*{label(i)}")
     return " + ".join(terms)

@@ -17,8 +17,8 @@ action lists must be arrays of matrices, group tables non-empty arrays of
 arrays of integers, an algebra's table arrays of arrays of coordinate vectors
 and its unit an array, and `labels`, when present, exactly `dim` strings.  No
 label or object name may hold a line break, since a report prints each on one
-line (`one_line`, which holds `--out` to the same rule).  Every bimodule
-built from file data is validated before a tensor over an algebra is
+line (`one_line`, which holds every command-line argument to the same rule).
+Every bimodule built from file data is validated before a tensor over an algebra is
 presented from it, since presentations assume the bimodule laws: named modules
 by `Bimodule.check` (exit 1), inline coring carriers by the same check at parse
 time and the algebra map of a Sweedler fixture by `check_algebra_morphism`
@@ -515,11 +515,12 @@ def mat_to_json(m):
 
 
 def algebra_to_json(a):
-    field = a.field
+    """The algebra with each sparse element written as a dense coordinate list:
+    table row i is the left regular matrix of a_i, the unit a one-row matrix."""
     out = {
         "dim": a.dim,
-        "table": [[[_scalar_json(field, x) for x in vec] for vec in row] for row in a.table],
-        "unit": [_scalar_json(field, x) for x in a.unit],
+        "table": [mat_to_json(a.left_regular_mat(i)) for i in range(a.dim)],
+        "unit": mat_to_json(Mat(a.field, 1, a.dim, [a.unit]))[0],
     }
     if a.labels is not None:
         out["labels"] = list(a.labels)

@@ -46,8 +46,7 @@ def unit_map(a):
     Restricting one side of a bimodule along it leaves the ground field
     acting there by scalars: a one-sided module seen as a bimodule.
     """
-    return AlgebraMorphism(ground_algebra(a.field), a, Mat(a.field, 1, a.dim, [
-        {i: v for i, v in enumerate(a.unit) if v}]))
+    return AlgebraMorphism(ground_algebra(a.field), a, Mat(a.field, 1, a.dim, [a.unit]))
 
 
 def tensor_algebra_morphism(f, g):
@@ -197,7 +196,7 @@ def left_unit_embed(t):
     nd = t.right_factor.dim
     rows = []
     for j in range(nd):
-        vec = {i * nd + j: c for i, c in enumerate(a.unit) if c}
+        vec = {i * nd + j: c for i, c in a.unit.items()}
         rows.append(t.quot.project_vec(vec))
     return Mat(field, nd, t.dim, rows)
 
@@ -209,7 +208,7 @@ def right_unit_embed(t):
     nd = t.right_factor.dim
     rows = []
     for i in range(t.left_factor.dim):
-        vec = {i * nd + j: c for j, c in enumerate(a.unit) if c}
+        vec = {i * nd + j: c for j, c in a.unit.items()}
         rows.append(t.quot.project_vec(vec))
     return Mat(field, t.left_factor.dim, t.dim, rows)
 
@@ -246,7 +245,7 @@ def base_extension_maps(m):
         collapse_rows.append(row)
     collapse = Mat(field, t_bcb.dim, d.dim, collapse_rows)
 
-    unit_b = {i: v for i, v in enumerate(b_alg.unit) if v}
+    unit_b = b_alg.unit
     embed_rows = []
     for j in range(dim_c):
         bc = t_bc.quot.project_vec({i * dim_c + j: v for i, v in unit_b.items()})

@@ -947,8 +947,13 @@ def reference_verify_monoidal(corings, morphisms, seed, kind):
     return Verdict.passed(passed, vacuous)
 
 
+def _dense(a, vec):
+    """The sparse algebra element `vec` of `a` as a dense coordinate list."""
+    return [vec.get(t, a.field.zero) for t in range(a.dim)]
+
+
 def _reference_tensor_algebra(a, a2):
-    """A (x) A' through the coercing constructor, as `tensor_algebra` built it."""
+    """A (x) A' through the coercing constructor, from dense coordinate lists."""
     if a.field != a2.field:
         raise FieldMismatch("tensor factors live over different fields")
     field = a.field
@@ -957,10 +962,10 @@ def _reference_tensor_algebra(a, a2):
 
     def pair_vec(x, y):
         out = [field.zero] * dim
-        for i, xi in enumerate(x):
+        for i, xi in enumerate(_dense(a, x)):
             if not xi:
                 continue
-            for j, yj in enumerate(y):
+            for j, yj in enumerate(_dense(a2, y)):
                 if yj:
                     out[i * d2 + j] = field.mul(xi, yj)
         return out
@@ -981,9 +986,9 @@ def _reference_tensor_algebra(a, a2):
 
 def _reference_regular_bimodule(a):
     """The regular bimodule with its action matrices built by `Mat.from_rows`."""
-    left = [Mat.from_rows(a.field, [a.table[i][j] for j in range(a.dim)])
+    left = [Mat.from_rows(a.field, [_dense(a, a.table[i][j]) for j in range(a.dim)])
             for i in range(a.dim)]
-    right = [Mat.from_rows(a.field, [a.table[i][j] for i in range(a.dim)])
+    right = [Mat.from_rows(a.field, [_dense(a, a.table[i][j]) for i in range(a.dim)])
              for j in range(a.dim)]
     return Bimodule(a, a, a.dim, left, right, a.labels)
 

@@ -315,6 +315,50 @@ def test_out_name_with_a_line_break_is_a_syntax_error(case, capsys, tmp_path, mo
     assert list(tmp_path.iterdir()) == []
 
 
+BROKEN = "zz\nresult: pass"
+
+# Each command line with one argument that holds a line break, and the start of
+# the `detail:` line it gets.  The path cases name no file that exists.
+LINE_BREAK_ARGUMENTS = {
+    "dims-name": (["dims", BROKEN], "object name"),
+    "check-name": (["check", "m3\r"], "object name"),
+    "tensor-right": (["tensor", "m2", "c2\u2028"], "object name"),
+    "compose-first": (["compose", BROKEN, "id_dual"], "object name"),
+    "base-extend-morphism": (["base-extend", BROKEN], "object name"),
+    "tensor-dump": (["tensor", "m2", "c2", "--dump", "a\nresult: fail"], "--dump path"),
+    "compose-dump": (["compose", "to_trivial_dual", "id_dual", "--dump", "a\nb"],
+                     "--dump path"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LINE_BREAK_ARGUMENTS))
+def test_argument_with_a_line_break_is_a_syntax_error(case, capsys, tmp_path, monkeypatch):
+    """A name or path the report may print is bad input when a line break would
+    split it: refused before load, so the report keeps one `result:` line."""
+    monkeypatch.chdir(tmp_path)
+    argv, what = LINE_BREAK_ARGUMENTS[case]
+    [broken] = [arg for arg in argv if "".join(arg.splitlines()) != arg]
+    code, out, err = run_cli(capsys, WORKSPACES / "cli-f5.json", *argv)
+    assert (code, err) == (2, "")
+    lines = out.splitlines()
+    assert lines[1:3] == ["error: syntax", f"detail: {what} {broken!r} breaks a report line"]
+    assert [line for line in lines if line.startswith("result:")] == ["result: error"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_workspace_path_with_a_line_break_is_a_syntax_error(capsys, tmp_path):
+    """Refused before the file is read: a malformed file there printed its path,
+    line break and all, at the head of the JSON decoder's `detail:`."""
+    path = tmp_path / BROKEN
+    path.write_text("{", encoding="utf-8")
+    code, out, err = run_cli(capsys, path, "dims", "k")
+    assert (code, err) == (2, "")
+    lines = out.splitlines()
+    detail = f"detail: --workspace path {str(path)!r} breaks a report line"
+    assert lines[1:3] == ["error: syntax", detail]
+    assert [line for line in lines if line.startswith("result:")] == ["result: error"]
+
+
 def test_tensor_dumps_only_a_passing_coring(capsys, tmp_path, monkeypatch):
     """Like the other dumping commands, `tensor` writes no file for a failed check."""
     monkeypatch.chdir(tmp_path)

@@ -222,7 +222,7 @@ def closure(a, gens):
     words = [a.unit]
     for _ in range(a.dim):
         words += [a.mul_vec(w, a.basis_vec(g)) for w in words for g in gens]
-        words = from_generators(field, a.dim, words).basis.to_lists()
+        words = from_generators(field, a.dim, words).basis.rows
         words.append(a.unit)
     return from_generators(field, a.dim, words)
 

@@ -4,7 +4,9 @@ The differential tests run the sparse eliminator against a dense Gauss-Jordan
 reference written here in plain `Fraction` arithmetic.  The invariant tests
 walk every matrix a Q workspace load builds, and every tensor coring that
 `verify-monoidal corings` forms from it, so a code path that stops
-normalizing fails here instead of silently slowing the program down.
+normalizing fails here instead of silently slowing the program down.  The
+same walks, and one over F_5, hold every algebra element they reach to the
+sparse row form.
 """
 
 from fractions import Fraction
@@ -28,12 +30,46 @@ from corings.workspace import load_workspace
 from reference import IsoFailure, inverse, kernel, lift_mat, mat_add, project_mat, rref, scaled
 
 Q = Field.rationals()
-CLI_Q = Path(__file__).resolve().parents[1] / "perfbench" / "workspaces" / "cli-q.json"
+WORKSPACES = Path(__file__).resolve().parents[1] / "perfbench" / "workspaces"
+CLI_Q = WORKSPACES / "cli-q.json"
 
 
 def is_canonical(x):
     """An int (never a bool), or a Fraction whose denominator is not 1."""
     return x.__class__ is int or (x.__class__ is Fraction and x.denominator != 1)
+
+
+def assert_sparse_algebra(a):
+    """Each table entry and the unit: a dict, keys ascending, no zero value.
+
+    `FinDimAlgebra.__eq__`, `bimodules._alg_key` and the fingerprint that
+    `perfbench/tracer.py` takes of `repr(a.table)` all rely on this form.
+    """
+    p = a.field.p
+    for vec in [v for row in a.table for v in row] + [a.unit]:
+        assert isinstance(vec, dict) and list(vec) == sorted(vec), vec
+        assert all(0 <= t < a.dim for t in vec), vec
+        if p is None:
+            assert all(v and is_canonical(v) for v in vec.values()), vec
+        else:
+            assert all(v.__class__ is int and 0 < v < p for v in vec.values()), vec
+
+
+def loaded_algebras(ws):
+    """The named algebras of a workspace and those of its coring carriers."""
+    yield from ws.algebras.values()
+    for c in ws.corings.values():
+        yield from (c.base, c.carrier.left_alg, c.carrier.right_alg)
+
+
+def formed_tensor_corings(capsys, workspace):
+    """Every tensor coring that `verify-monoidal corings` forms on `workspace`."""
+    before = set(constructions._TENSOR_CORINGS)
+    argv = ["--workspace", str(workspace), "--seed", "1", "verify-monoidal", "corings"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    return [t for key, (_, _, t) in constructions._TENSOR_CORINGS.items()
+            if key not in before]
 
 
 def dense_rref(rows, ncols):
@@ -181,9 +217,8 @@ def test_loaded_q_workspace_holds_only_canonical_scalars():
     ws = load_workspace(CLI_Q)
     sw = ws.corings["sw"]
     assert check_coring(sw).ok
-    for a in ws.algebras.values():
-        entries = [x for row in a.table for vec in row for x in vec] + list(a.unit)
-        assert all(is_canonical(x) for x in entries)
+    for a in loaded_algebras(ws):
+        assert_sparse_algebra(a)
     seen = {}
     mats = []
     regrouped = {}
@@ -210,23 +245,27 @@ def test_tensor_corings_of_verify_monoidal_hold_only_canonical_scalars(capsys):
     # tensor_coring takes exact field data as is, so its results must be
     # canonical without a coercion pass.  The memo holds every tensor coring
     # the run formed, with whatever presented tensor square it built.
-    before = set(constructions._TENSOR_CORINGS)
-    argv = ["--workspace", str(CLI_Q), "--seed", "1", "verify-monoidal", "corings"]
-    assert cli.main(argv) == 0
-    capsys.readouterr()
-    formed = [t for key, (_, _, t) in constructions._TENSOR_CORINGS.items()
-              if key not in before]
+    formed = formed_tensor_corings(capsys, CLI_Q)
     assert len(formed) > 10 and all(t.field == Q for t in formed)
     seen = {}
     mats = []
     for t in formed:
-        entries = [x for row in t.base.table for vec in row for x in vec] + list(t.base.unit)
-        assert all(is_canonical(x) for x in entries)
+        assert_sparse_algebra(t.base)
         built = [t.__dict__[k] for k in ("tens", "comul") if k in t.__dict__]
         mats += reachable_mats([t.carrier, t.comul_lift, t.counit_mat, *built], seen)
     assert any(m.rows for m in mats)
     for m in mats:
         assert_canonical(m)
+
+
+def test_f5_algebras_reached_are_sparse_rows(capsys):
+    cli_f5 = WORKSPACES / "cli-f5.json"
+    formed = formed_tensor_corings(capsys, cli_f5)
+    assert len(formed) > 10 and all(t.field == Field.prime(5) for t in formed)
+    reached = [*loaded_algebras(load_workspace(cli_f5)), *(t.base for t in formed)]
+    assert any(a.dim > 4 for a in reached)
+    for a in reached:
+        assert_sparse_algebra(a)
 
 
 @pytest.mark.parametrize(("x", "want"), [
