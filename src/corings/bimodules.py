@@ -458,16 +458,16 @@ def descend(t_src, t_tgt, image):
     ambient space of t_tgt.  It must send every source relation into the
     target relations, the kernel of the target's projection, or the map is
     not defined on the quotient (DescentFailure).  That is checked on the
-    rows t_src was presented by (`_relation_rows`): they span the source
-    relations and `image` is linear.  Row s of the returned matrix is the
-    class in t_tgt of the image of the lift of class s of t_src.  A law
-    whose map is known to descend, because an earlier law of its checker
-    implies it, pushes its lift rows through `push` instead and skips this
-    check.
+    RREF basis of the source relations, one row per pivot, streamed from the
+    source quotient (`QuotientSpace.relation_rows`): `image` is linear.  Row
+    s of the returned matrix is the class in t_tgt of the image of the lift
+    of class s of t_src.  A law whose map is known to descend, because an
+    earlier law of its checker implies it, pushes its lift rows through
+    `push` instead and skips this check.
     """
     project = t_tgt.quot.project_vec
-    for r in _relation_rows(t_src.left_factor, t_src.right_factor):
-        if project(image(dict(r))):
+    for r in t_src.quot.relation_rows():
+        if project(image(r)):
             raise DescentFailure(
                 "ambient map does not send source relations into target relations"
             )

@@ -1,5 +1,21 @@
 """Command-line front end.
 
+    corings [-h] --workspace PATH [--json-report] [--seed INT] COMMAND NAME...
+            [--out NAME] [--dump PATH]
+
+The global options come before the command: `--workspace` (required),
+`--json-report`, and `--seed`, an int (default 0).  A command takes the
+positional names of its row in `COMMANDS`, in order; `verify-monoidal`
+takes `ext` or `corings`.  `--out` and `--dump` come after the command, in
+any order with its names, and only `tensor`, `extend-tensor`, `compose` and
+`base-extend` take them.  An option takes its value after `=` or as the next
+argument, which must not read as an option: `-1` and `-` are values, `-x`
+is not.  A unique prefix of a long option stands for it, and the last of a
+repeated option wins.  `--` after the command ends the options: a name that
+starts with `-` goes after it.  `-h` or `--help` prints the usage and the
+commands, from the same tables, to stdout and exits 0.  A command line that
+does not parse prints the usage and the error to stderr and exits 2.
+
 Every command loads a workspace (loading validates every object), runs, and
 emits a structured report: `key: value` lines in a fixed order, or the same
 data as JSON with --json-report.  Each law line reads `pass`, `fail`,
@@ -11,8 +27,9 @@ error.
 
 from __future__ import annotations
 
-import argparse
+import re
 import sys
+from types import SimpleNamespace
 
 from .category import (
     base_ring_extension,
@@ -213,64 +230,192 @@ def _cmd_verify_monoidal(ws, args, report):
     return _finish(ws, args, report, verdict)
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="corings",
-        description="Exact computations with corings, coring extensions, and "
-        "their monoidal categories.",
-    )
-    parser.add_argument("--workspace", required=True, help="workspace JSON file")
-    parser.add_argument(
-        "--json-report", action="store_true", help="emit the report as JSON"
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="seed for randomized property commands"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="run the validator of a named object")
-    p.add_argument("name")
-
-    p = sub.add_parser("dims", help="report the dimensions of a named object")
-    p.add_argument("name")
-
-    p = sub.add_parser("tensor", help="tensor two corings and check the result")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--out", default=None)
-    p.add_argument("--dump", default=None, help="write the result as a workspace file")
-
-    p = sub.add_parser("extend-tensor", help="tensor two right extensions")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--out", default=None)
-    p.add_argument("--dump", default=None)
-
-    p = sub.add_parser("compose", help="compose two morphisms (second, then first)")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("--out", default=None)
-    p.add_argument("--dump", default=None)
-
-    p = sub.add_parser("base-extend", help="base ring extension of a corings morphism")
-    p.add_argument("morphism")
-    p.add_argument("--out", default=None)
-    p.add_argument("--dump", default=None)
-
-    p = sub.add_parser("verify-monoidal", help="monoidal-category laws on the workspace")
-    p.add_argument("category", choices=["ext", "corings"])
-    return parser
-
-
-_HANDLERS = {
-    "check": _cmd_check,
-    "dims": _cmd_dims,
-    "tensor": _cmd_tensor,
-    "extend-tensor": _cmd_extend_tensor,
-    "compose": _cmd_compose,
-    "base-extend": _cmd_base_extend,
-    "verify-monoidal": _cmd_verify_monoidal,
+COMMANDS = {  # command: (handler, positional names, takes --out and --dump, help)
+    "check": (_cmd_check, ("name",), False, "run the validator of a named object"),
+    "dims": (_cmd_dims, ("name",), False, "report the dimensions of a named object"),
+    "tensor": (_cmd_tensor, ("left", "right"), True, "tensor two corings and check the result"),
+    "extend-tensor": (_cmd_extend_tensor, ("left", "right"), True, "tensor two right extensions"),
+    "compose": (_cmd_compose, ("first", "second"), True,
+                "compose two morphisms (second, then first)"),
+    "base-extend": (_cmd_base_extend, ("morphism",), True,
+                    "base ring extension of a corings morphism"),
+    "verify-monoidal": (_cmd_verify_monoidal, ("category",), False,
+                        "monoidal-category laws on the workspace"),
 }
+CHOICES = {"command": COMMANDS, "category": ("ext", "corings")}
+GLOBAL_OPTIONS = {  # option: (attribute, metavar, help); no metavar for a flag
+    "--workspace": ("workspace", "PATH", "workspace JSON file (required)"),
+    "--json-report": ("json_report", None, "emit the report as JSON"),
+    "--seed": ("seed", "INT", "seed for randomized property commands (default 0)"),
+}
+RESULT_OPTIONS = {
+    "--out": ("out", "NAME", 'name of the result in the dump (default "result")'),
+    "--dump": ("dump", "PATH", "write the result as a workspace file"),
+}
+HELP = ("-h", "--help")
+USAGE = "usage: corings [-h] --workspace PATH [--json-report] [--seed INT] COMMAND ..."
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _fail(message):
+    sys.stderr.write(f"{USAGE}\ncorings: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _columns(rows):
+    width = max(len(left) for left, _ in rows) + 2
+    return [f"  {left:<{width}}{right}" for left, right in rows]
+
+
+def _help():
+    """Print the usage, the commands and the options to stdout, and exit 0."""
+    def spelled(name):
+        return "{%s}" % ",".join(CHOICES[name]) if name in CHOICES else name.upper()
+
+    def option_rows(options):
+        return [(f"{o} {metavar}" if metavar else o, text)
+                for o, (_, metavar, text) in options.items()]
+
+    *takers, last = [command for command, row in COMMANDS.items() if row[2]]
+    lines = [
+        USAGE, "",
+        "Exact computations with corings, coring extensions, and their monoidal categories.",
+        "", "commands:",
+        *_columns([(" ".join([command, *map(spelled, names)]), text)
+                   for command, (_, names, _, text) in COMMANDS.items()]),
+        "", "options, before the command:",
+        *_columns([("-h, --help", "show this help and exit"), *option_rows(GLOBAL_OPTIONS)]),
+        "", f"options after {', '.join(takers)} or {last}:",
+        *_columns(option_rows(RESULT_OPTIONS)),
+        "",
+        'An option takes its value as the next argument or after "=", and a unique',
+        'prefix of its name stands for it.  "--" after the command ends the options:',
+        'a name that starts with "-" goes after it.',
+    ]
+    sys.stdout.write("\n".join(lines) + "\n")
+    raise SystemExit(0)
+
+
+def _option(arg, options):
+    """How `arg` reads among `options` and -h/--help: None for a positional,
+    else (option, the value attached to it or None), where the option is None
+    for one that this level does not know.
+
+    A value is attached after "=", or to -h directly; a long option may be
+    shortened to any prefix that no other option shares.  A negative number,
+    a lone "-" and anything with a space are positionals.
+    """
+    if not arg.startswith("-") or arg == "-":
+        return None
+    if arg in options or arg in HELP:
+        return arg, None
+    name, eq, value = arg.partition("=")
+    if eq and (name in options or name in HELP):
+        return name, value
+    if arg[1] == "-":
+        matches = [o for o in ("--help", *options) if o.startswith(name)]
+        if len(matches) > 1:
+            _fail(f"ambiguous option: {arg} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    elif arg[1] == "h":
+        return "-h", arg[2:]
+    if _NEGATIVE_NUMBER.match(arg) or " " in arg:
+        return None
+    return None, None
+
+
+def _read(argv, options, names, args, extras):
+    """Read one level of the command line into `args`: the options `options`
+    and -h/--help, and the positionals `names` in order.
+
+    Every argument before the first "--" is classified first, so that an
+    ambiguous abbreviation fails before anything is read.  Unknown options
+    and positionals past `names` go to `extras`.  At the top level `names` is
+    ("command",): the command ends the level, and the index after it is
+    returned.  A "--" there is read as the command, which no command is.
+    """
+    end = argv.index("--") if "--" in argv else len(argv)
+    kinds = [_option(arg, options) for arg in argv[:end]]
+    names = list(names)
+    filled = None  # the index of the last positional read
+    i = 0
+    while i < len(argv):
+        arg, kind = argv[i], kinds[i] if i < end else None
+        i += 1
+        if i - 1 == end and "command" not in names:
+            # The "--" goes with a positional right before or after it, else it is an extra.
+            if filled != i - 2 and not (names and i < len(argv)):
+                extras.append(arg)
+        elif kind is None:
+            if not names:
+                extras.append(arg)
+                continue
+            name = names.pop(0)
+            if name in CHOICES and arg not in CHOICES[name]:
+                choices = ", ".join(map(repr, CHOICES[name]))
+                _fail(f"argument {name}: invalid choice: {arg!r} (choose from {choices})")
+            args[name] = arg
+            filled = i - 1
+            if name == "command":
+                return i
+        elif kind[0] is None:
+            extras.append(arg)
+        elif kind[0] in HELP:
+            value = kind[1]
+            if value is None or kind[0] == "-h" and value and not value.strip("h"):
+                _help()
+            _fail(f"argument -h/--help: ignored explicit argument {value!r}")
+        else:
+            option, value = kind
+            attr, metavar, _ = options[option]
+            if metavar is None:
+                if value is not None:
+                    _fail(f"argument {option}: ignored explicit argument {value!r}")
+                value = True
+            elif value is None:
+                if i == end or kinds[i] is not None:
+                    _fail(f"argument {option}: expected one argument")
+                value = argv[i]
+                i += 1
+            if metavar == "INT":
+                try:
+                    value = int(value)
+                except ValueError:
+                    _fail(f"argument {option}: invalid int value: {value!r}")
+            args[attr] = value
+    return i
+
+
+def parse_args(argv):
+    """The command line `argv` as a namespace, one attribute each.
+
+    The attributes are `workspace`, `json_report`, `seed`, `command`, the
+    command's positional names and, where it takes them, `out` and `dump`;
+    an option not given reads None (`json_report` False, `seed` 0).
+    -h/--help prints the help to stdout and raises SystemExit(0).  A command
+    line that does not parse prints the usage and the error to stderr and
+    raises SystemExit(2).
+    """
+    argv = list(argv)
+    args = {"workspace": None, "json_report": False, "seed": 0, "command": None}
+    extras = []
+    start = _read(argv, GLOBAL_OPTIONS, ("command",), args, extras)
+    command = args["command"]
+    if command is not None:
+        _, names, takes_result, _ = COMMANDS[command]
+        options = RESULT_OPTIONS if takes_result else {}
+        args.update(dict.fromkeys([*names, *(attr for attr, _, _ in options.values())]))
+        _read(argv[start:], options, names, args, extras)
+        missing = [name for name in names if args[name] is None]
+        if missing:
+            _fail(f"the following arguments are required: {', '.join(missing)}")
+    missing = [what for what in ("--workspace", "command") if args[what.lstrip("-")] is None]
+    if missing:
+        _fail(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _fail(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**args)
 
 
 # `main` holds every string argument to `one_line`, since each can reach a report
@@ -289,15 +434,14 @@ def _render(report, as_json, stream):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     report = {"command": args.command}
     try:
         for key, value in vars(args).items():
             if isinstance(value, str):
                 one_line(value, _ARGUMENT_WHAT.get(key, "object name"))
         ws = load_workspace(args.workspace)
-        code = _HANDLERS[args.command](ws, args, report)
+        code = COMMANDS[args.command][0](ws, args, report)
     except ValidationFailure as e:
         report["error"] = e.kind
         report["object"] = e.object_name

@@ -521,21 +521,39 @@ class QuotientSpace:
 
     @property
     def relations(self):
-        """The relation subspace: the row of pivot c is e_c - lift(project(e_c))."""
+        """The relation subspace, whose RREF basis is `relation_rows`."""
         if self._relations is None:
-            field = self.field
-            one = field.one
-            reps = set(self.rep_columns)
-            pivots = [c for c in range(self.ambient_dim) if c not in reps]
-            rows = []
-            for c in pivots:
-                row = {c: one}
-                for t, v in self.project_vec({c: one}).items():
-                    row[self.rep_columns[t]] = field.neg(v)
-                rows.append(row)
-            basis = Mat(field, len(pivots), self.ambient_dim, rows)
+            rows = list(self.relation_rows())
+            pivots = [next(iter(row)) for row in rows]
+            basis = Mat(self.field, len(rows), self.ambient_dim, rows)
             self._relations = Subspace(self.ambient_dim, basis, pivots)
         return self._relations
+
+    def relation_rows(self):
+        """The row e_c - lift(project(e_c)) of each pivot coordinate c, a
+        coordinate that is no representative, in increasing order of c.
+
+        These rows are the RREF basis of the relations, and each starts at
+        its pivot.  A relation-free quotient yields none.
+        """
+        field = self.field
+        one, neg = field.one, field.neg
+        reps = self.rep_columns
+        if self.classes is not None:
+            scales = self.scales
+            for c, t in enumerate(self.classes):
+                if t < 0:
+                    yield {c: one}
+                elif reps[t] != c:
+                    yield {c: one, reps[t]: neg(scales[c])}
+        elif self.project is not None:
+            is_rep = set(reps)
+            for c, row in enumerate(self.project.rows):
+                if c not in is_rep:
+                    out = {c: one}
+                    for t, v in row.items():
+                        out[reps[t]] = neg(v)
+                    yield out
 
     @property
     def dim(self):

@@ -48,11 +48,17 @@ the route from f's coaction on E (x)_A C replaced; a valid f makes the check
 hold).  On valid morphisms both oracles must give the same coaction lift
 exactly.
 
-`reference_descend` is `descend` as it checked a map before it read the
-generating relation rows of the source presentation: on every row of the
-RREF basis of the source relations.  `descend_both_ways` runs each library
-call through both, and tests/test_descend.py and tests/test_law_rows.py
-require the same outcome, failure message included, on every call.
+`reference_descend` checks a map on every row of the RREF basis of the
+source relations, read off the `Subspace` that `QuotientSpace.relations`
+builds; `descend` streams the same rows from the quotient without building
+it, and checked the generating relation rows of the source presentation
+before that.  `descend_both_ways` runs each library call through both, and
+tests/test_descend.py and tests/test_law_rows.py require the same outcome,
+failure message included, on every call.
+
+`reference_parser` is the `argparse` parser the command line was read with
+before `cli.parse_args` read it from a table; tests/test_parse_args.py
+requires both to accept the same command lines with the same values.
 
 The linear algebra the program no longer runs lives here too, moved out of
 `corings.linalg` (and `IsoFailure` out of `corings.errors`) as functions:
@@ -72,6 +78,7 @@ A (x)_A M -> M and M (x)_A A -> M (`left_unit_collapse`,
 tests/oracles.py, which now imports this module's helpers.
 """
 
+import argparse
 from contextlib import contextmanager
 from unittest import mock
 
@@ -1123,3 +1130,53 @@ def reference_ext_compose_via_cotensor(g, f):
     oracle = rho_mat @ through_d @ collapse
     lift = oracle @ lift_mat(t_ed.quot)
     return ExtMorphism(f.source, g.target, explicit.action_mats, lift)
+
+
+def reference_parser():
+    """The `argparse` parser of the command line, as `cli.build_parser` built it."""
+    parser = argparse.ArgumentParser(
+        prog="corings",
+        description="Exact computations with corings, coring extensions, and "
+        "their monoidal categories.",
+    )
+    parser.add_argument("--workspace", required=True, help="workspace JSON file")
+    parser.add_argument(
+        "--json-report", action="store_true", help="emit the report as JSON"
+    )
+    parser.add_argument(
+        "--seed", type=int, default=0, help="seed for randomized property commands"
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("check", help="run the validator of a named object")
+    p.add_argument("name")
+
+    p = sub.add_parser("dims", help="report the dimensions of a named object")
+    p.add_argument("name")
+
+    p = sub.add_parser("tensor", help="tensor two corings and check the result")
+    p.add_argument("left")
+    p.add_argument("right")
+    p.add_argument("--out", default=None)
+    p.add_argument("--dump", default=None, help="write the result as a workspace file")
+
+    p = sub.add_parser("extend-tensor", help="tensor two right extensions")
+    p.add_argument("left")
+    p.add_argument("right")
+    p.add_argument("--out", default=None)
+    p.add_argument("--dump", default=None)
+
+    p = sub.add_parser("compose", help="compose two morphisms (second, then first)")
+    p.add_argument("first")
+    p.add_argument("second")
+    p.add_argument("--out", default=None)
+    p.add_argument("--dump", default=None)
+
+    p = sub.add_parser("base-extend", help="base ring extension of a corings morphism")
+    p.add_argument("morphism")
+    p.add_argument("--out", default=None)
+    p.add_argument("--dump", default=None)
+
+    p = sub.add_parser("verify-monoidal", help="monoidal-category laws on the workspace")
+    p.add_argument("category", choices=["ext", "corings"])
+    return parser

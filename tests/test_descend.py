@@ -1,12 +1,12 @@
-"""`descend` on the generating rows against the check on a relation basis.
+"""`descend` on the streamed relation basis against the check on the built `Subspace`.
 
 `bimodules.descend` tests that an ambient map sends the source relations into
-the target relations on the rows the source presentation was built from
-(`bimodules._relation_rows`).  `reference_descend` (tests/reference.py) tests
-every row of the RREF basis of the source relations, as `descend` did before.
-The generating rows span the relations and the map is linear, so both must
-raise DescentFailure, with the same message, on exactly the same inputs, and
-return the same matrix otherwise.  `descend_both_ways` runs every library
+the target relations on the RREF basis of the source relations, streamed row
+by row from the source quotient (`QuotientSpace.relation_rows`).
+`reference_descend` (tests/reference.py) tests every row of the basis of the
+`Subspace` that `QuotientSpace.relations` builds.  Both must raise
+DescentFailure, with the same message, on exactly the same inputs, and return
+the same matrix otherwise.  `descend_both_ways` runs every library
 call through both.  Here it watches the three corpora load and every
 composable pair of their ext morphisms compose (each law and oracle that
 reaches `induced_map_on_tensor` or `regrouped_id_tensor`), and random maps

@@ -50,7 +50,7 @@ def run_fresh(argv, cwd):
 def run_in_process(argv, capsysbinary):
     try:
         code = cli.main(argv)
-    except SystemExit as e:  # argparse rejects the arguments
+    except SystemExit as e:  # the command line does not parse
         code = e.code
     out, err = capsysbinary.readouterr()
     return code, out, err

@@ -17,8 +17,9 @@ program's objects (`QuotientSpace.relations`).
 
 A third check keeps the start-up path of every command lean: importing
 `corings.cli` in a fresh interpreter must not load `dataclasses` or the
-introspection modules it pulls in (`inspect`, `ast`, `dis`, `tokenize`), and a
-command over F_p must not load `fractions` or the `decimal` it imports.
+introspection modules it pulls in (`inspect`, `ast`, `dis`, `tokenize`), nor
+`argparse` or the `gettext` and `locale` it pulls in, and a command over F_p
+must load none of those, nor `fractions` or the `decimal` it imports.
 """
 
 import ast
@@ -194,7 +195,7 @@ def test_no_unread_definitions(path):
     assert unread_definitions(path.read_text(), elsewhere) == []
 
 
-HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "argparse", "gettext", "locale")
 
 
 def heavy_modules_after(code, heavy=HEAVY):
@@ -220,6 +221,12 @@ def test_import_guard_sees_dataclasses():
     assert "dataclasses" in heavy_modules_after("import dataclasses\nimport corings.cli")
 
 
+def test_import_guard_sees_argparse():
+    """A parser built with `argparse` loads `locale` as well, through `gettext`."""
+    code = "import argparse\nargparse.ArgumentParser()\nimport corings.cli"
+    assert heavy_modules_after(code) == ["argparse", "gettext", "locale"]
+
+
 Q_ONLY = ("fractions", "decimal")
 # The report goes to a buffer, so that the probe's own line is all of stdout.
 RUN = ("import io, sys\nimport corings.cli\nsys.stdout = io.StringIO()\n"
@@ -229,7 +236,7 @@ RUN = ("import io, sys\nimport corings.cli\nsys.stdout = io.StringIO()\n"
 def test_a_command_over_a_prime_field_loads_no_fractions():
     workspace = ROOT / "perfbench" / "workspaces" / "monoidal-f5.json"
     argv = ["--seed", "3", "verify-monoidal", "ext"]
-    assert heavy_modules_after(RUN.format(str(workspace), argv), Q_ONLY) == []
+    assert heavy_modules_after(RUN.format(str(workspace), argv), HEAVY + Q_ONLY) == []
 
 
 def test_fraction_guard_sees_a_command_over_q():
