@@ -429,51 +429,37 @@ def base_ring_extension(m):
     carrier = t_bcb.result
     dim_b, dim_c = b_alg.dim, c.dim
     x_dim = carrier.dim
+    unit = Mat(field, 1, dim_b, [b_alg.unit])
 
-    def cls_bc(b_vec, c_idx):
-        """Class in t_bc of (sum b_vec) (x) c_idx."""
-        return t_bc.quot.project_vec({i * dim_c + c_idx: v for i, v in b_vec.items()})
-
-    def cls_x(bc_vec, b_vec):
-        """Class in the carrier of (element of t_bc) (x) (sum b_vec)."""
-        amb = {}
-        for u, uv in bc_vec.items():
-            _vadd_at(field, amb, b_vec, uv, u * dim_b, 1)
-        return t_bcb.quot.project_vec(amb)
-
-    # Comultiplication: (b (x) c_(1) (x) 1) (x)_X (1 (x) c_(2) (x) b').
+    # The factor maps b (x) c -> b (x) c (x) 1 and c (x) b' -> 1 (x) c (x) b'
+    # into X, and c (x) b' -> phi(c) b' into D, the product taken in the right
+    # B-module structure of D.  Comultiplication and coaction apply them to
+    # b (x) comul(c) (x) b': (b (x) c_(1) (x) 1) (x)_X (1 (x) c_(2) (x) b')
+    # and (b (x) c_(1) (x) 1) (x)_k phi(c_(2)) b'.
+    left = t_bcb.quot.project_rows(
+        t_bc.quot.project_rows(Mat.identity(field, dim_b * dim_c)).kron(unit))
+    right = t_bcb.quot.project_rows(
+        t_bc.quot.project_rows(unit.kron(Mat.identity(field, dim_c)))
+        .kron(Mat.identity(field, dim_b)))
+    acted = Mat(field, dim_c * dim_b, d.dim,
+                [d.carrier.right_act[l].apply(row) for row in phi.rows for l in range(dim_b)])
     comul_rows = []
     counit_rows = []
     coact_rows = []
     eps_phi = c.counit_mat @ varphi
     for idx in t_bcb.quot.rep_columns:
-        comul_row = {}
-        counit_row = {}
-        coact_row = {}
         # Class s of the carrier lifts to (class u of t_bc) (x) e_l, and class u
-        # to e_(b_i) (x) e_(c_j).
+        # to e_(b_i) (x) e_(c_j); its comultiplication lifts to
+        # e_(b_i) (x) comul(c_j) (x) e_l in (B (x)_k C) (x)_k (C (x)_k B).
         u, l = divmod(idx, dim_b)
         b_i, c_j = divmod(t_bc.quot.rep_columns[u], dim_c)
+        lift = {(b_i * dim_c * dim_c + pair) * dim_b + l: w
+                for pair, w in c.comul_lift.rows[c_j].items()}
+        comul_rows.append(_kron_apply(left, right, lift))
+        coact_rows.append(_kron_apply(left, acted, lift))
         # counit: b * varphi(counit(c)) * b'
-        for t, v in eps_phi.rows[c_j].items():
-            _vadd(field, counit_row, b_alg.mul_vec(b_alg.table[b_i][t], b_alg.basis_vec(l)), v)
-        # comultiplication and coaction share the expansion of comul(c).
-        for pair, w in c.comul_lift.rows[c_j].items():
-            c1, c2 = divmod(pair, dim_c)
-            z1 = cls_x(cls_bc({b_i: field.one}, c1), b_alg.unit)
-            z2 = cls_x(cls_bc(b_alg.unit, c2), {l: field.one})
-            for p1, v1 in z1.items():
-                _vadd_at(field, comul_row, z2, field.mul(w, v1), p1 * x_dim, 1)
-            # coaction: (b (x) c1 (x) 1) (x)_k phi(c2) . b', the product
-            # taken in the right B-module structure of D
-            d_vec = {}
-            for t, pv in phi.rows[c2].items():
-                _vadd(field, d_vec, d.carrier.right_act[l].rows[t], pv)
-            for p1, v1 in z1.items():
-                _vadd_at(field, coact_row, d_vec, field.mul(w, v1), p1 * d.dim, 1)
-        comul_rows.append(comul_row)
-        counit_rows.append(counit_row)
-        coact_rows.append(coact_row)
+        counit_rows.append(b_alg.mul_vec(b_alg.mul_vec({b_i: field.one}, eps_phi.rows[c_j]),
+                                         {l: field.one}))
 
     coring = Coring(
         b_alg,

@@ -38,7 +38,6 @@ from .category import (
     corings_compose,
     ext_compose,
     ext_compose_via_cotensor,
-    ext_morphisms_equal,
     ext_tensor_morphisms,
     verify_corings_monoidal,
     verify_ext_monoidal,
@@ -46,6 +45,7 @@ from .category import (
 from .constructions import tensor_coring
 from .coring import check_coring
 from .errors import CoringsError, UnknownReference, ValidationFailure, WorkspaceError
+from .verdict import first_difference
 from .workspace import LAWS_BY_KIND, Dumper, load_workspace, one_line
 
 
@@ -185,10 +185,16 @@ def _cmd_compose(ws, args, report):
         verdict = check_ext_morphism(composed)
         _law_lines(report, "ext-morphism", verdict)
         if verdict.ok:
+            # The oracle shares the composite's endpoints and action: only a
+            # coaction row can differ, and the first that does is the witness.
             oracle = ext_compose_via_cotensor(g, f, composed)
-            agreed = ext_morphisms_equal(composed, oracle)
-            report["oracle.cotensor-route"] = "equal" if agreed else "mismatch"
-            if not agreed:
+            i = first_difference(composed.coaction,
+                                 composed.coaction_tensor.quot.project_rows(oracle.coact_lift))
+            report["oracle.cotensor-route"] = "equal" if i is None else "mismatch"
+            if i is not None:
+                report["law"] = "cotensor-route"
+                report["witness"] = (f"{composed.source.label(i)}: the bullet coaction differs "
+                                     "from the cotensor route")
                 report["result"] = "fail"
                 return 1
     else:

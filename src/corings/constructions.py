@@ -29,6 +29,7 @@ from functools import cache
 
 from .algebras import check_algebra_morphism, check_group_table, ground_algebra
 from .bimodules import (
+    _kron_apply,
     regrouped_kron,
     regular_bimodule,
     restrict_scalars,
@@ -38,7 +39,7 @@ from .bimodules import (
 )
 from .coring import Coring
 from .errors import FieldMismatch, InvalidMorphism, NotInjective
-from .linalg import Mat, _Eliminator, _vadd_at
+from .linalg import Mat, _Eliminator
 
 
 _TENSOR_CORINGS = {}
@@ -135,25 +136,19 @@ def sweedler_coring(inclusion):
         restrict_scalars(regular, right=inclusion), restrict_scalars(regular, left=inclusion)
     )
     carrier = t.result
-    dim_a = a_alg.dim
-
-    cls = t.quot.project_vec
-    comul_rows = []
-    counit_rows = []
-    # Class s of the carrier lifts to e_i (x) e_j.
-    for idx in t.quot.rep_columns:
-        i, j = divmod(idx, dim_a)
-        # comul(a (x) a') = (a (x) 1) (x)_A (1 (x) a')
-        z1 = cls({i * dim_a + u: v for u, v in a_alg.unit.items()})
-        z2 = cls({u * dim_a + j: v for u, v in a_alg.unit.items()})
-        comul_row = {}
-        for p1, v1 in z1.items():
-            _vadd_at(field, comul_row, z2, v1, p1 * carrier.dim, 1)
-        comul_rows.append(comul_row)
-        counit_rows.append(a_alg.table[i][j])
+    one_a = Mat.identity(field, a_alg.dim)
+    unit = Mat(field, 1, a_alg.dim, [a_alg.unit])
+    # comul(a (x) a') = (a (x) 1) (x)_A (1 (x) a'), the two factor maps
+    # a -> a (x) 1 and a' -> 1 (x) a' applied to the lift of each class, and
+    # counit(a (x) a') = aa'.
+    left = t.quot.project_rows(one_a.kron(unit))
+    right = t.quot.project_rows(unit.kron(one_a))
+    products = [v for row in a_alg.table for v in row]
+    reps = t.quot.rep_columns
     return Coring(
         a_alg,
         carrier,
-        Mat(field, carrier.dim, carrier.dim**2, comul_rows),
-        Mat(field, carrier.dim, dim_a, counit_rows),
+        Mat(field, carrier.dim, carrier.dim**2,
+            [_kron_apply(left, right, {idx: field.one}) for idx in reps]),
+        Mat(field, carrier.dim, a_alg.dim, [products[idx] for idx in reps]),
     )

@@ -12,6 +12,10 @@ interleaved matrix C (x)_k B -> C, split on load and joined on dump here, so
 that both load as `category.ExtMorphism`.  Loading validates every object; the
 first violation aborts with the object name and a witness.
 
+An entry may instead name a standard object, `{"fixture": {"kind": NAME, ...}}`:
+`FIXTURES` holds the builder of each fixture name of each kind of object, and
+`SECTIONS` the parser of each section, in load order.
+
 The shape of every value is checked before it reaches a constructor (exit 2):
 action lists must be arrays of matrices, group tables non-empty arrays of
 arrays of integers, an algebra's table arrays of arrays of coordinate vectors
@@ -113,15 +117,11 @@ class Workspace:
         self.verdicts = {}
 
     def find(self, name):
-        """Resolve a name to (kind, object) across all sections."""
-        if name in self.corings:
-            return "coring", self.corings[name]
-        if name in self.algebras:
-            return "algebra", self.algebras[name]
-        if name in self.modules:
-            return "module", self.modules[name]
-        if name in self.extensions:
-            return "extension", self.extensions[name]
+        """Resolve a name to (kind, object) across all sections, corings first."""
+        for section in ("corings", "algebras", "modules", "extensions"):
+            loaded = getattr(self, section)
+            if name in loaded:
+                return section[:-1], loaded[name]
         if name in self.morphisms:
             kind, obj = self.morphisms[name]
             return f"{kind}-morphism", obj
@@ -224,19 +224,91 @@ def _parse_field(spec):
     raise WorkspaceSyntaxError(f"field: unknown kind {kind!r}")
 
 
+def _ref(ws, section, spec, key, what):
+    """The object of the workspace section (e.g. "corings") named by `spec[key]`."""
+    ref = _require(spec, key, what)
+    if not isinstance(ref, str):
+        raise WorkspaceSyntaxError(f"{what}: {section[:-1]} reference must be a name")
+    loaded = getattr(ws, section)
+    if ref not in loaded:
+        raise UnknownReference(f'no object named "{ref}"')
+    return loaded[ref]
+
+
+def _algebra_map(ws, fx, what):
+    """The algebra map `map` of a fixture, from its algebra `source` to `target`."""
+    src = _ref(ws, "algebras", fx, "source", what)
+    tgt = _ref(ws, "algebras", fx, "target", what)
+    return AlgebraMorphism(
+        src, tgt, _mat(ws.field, _require(fx, "map", what), src.dim, tgt.dim, what)
+    )
+
+
+def _grouplike_morphism(ws, fx, what):
+    src = _ref(ws, "corings", fx, "source", what)
+    tgt = _ref(ws, "corings", fx, "target", what)
+    mapping = _require(fx, "mapping", what)
+    if (
+        not isinstance(mapping, list)
+        or len(mapping) != src.dim
+        or any(i.__class__ is not int or not 0 <= i < tgt.dim for i in mapping)
+    ):
+        raise WorkspaceSyntaxError(
+            f"{what}: mapping must list {src.dim} indices in [0, {tgt.dim})"
+        )
+    return grouplike_corings_morphism(src, tgt, mapping)
+
+
+def _on_coring(build):
+    """The builder of a fixture that is `build` of the coring its `coring` key names."""
+    return lambda ws, fx, what: build(_ref(ws, "corings", fx, "coring", what))
+
+
+# The right extensions a coring has by itself, in both spellings a workspace uses.
+_EXTENSIONS = tuple(map(_on_coring, (ext_identity, ext_to_unit, ext_to_trivial)))
+
+# The fixture builders of each kind of object, by fixture name.  A builder
+# reads its keys from the fixture object: builder(ws, fixture, what).
+FIXTURES = {
+    "algebra": {
+        "ground": lambda ws, fx, what: ground_algebra(ws.field),
+        "dual_numbers": lambda ws, fx, what: dual_numbers(ws.field),
+        "group_algebra": lambda ws, fx, what: group_algebra(ws.field, _group_table(fx, what)),
+    },
+    "coring": {
+        "trivial": lambda ws, fx, what: trivial_coring(_ref(ws, "algebras", fx, "algebra", what)),
+        "unit": lambda ws, fx, what: unit_coring(ws.field),
+        "matrix_coalgebra":
+            lambda ws, fx, what: matrix_coalgebra(_positive_int(fx, "n", what), ws.field),
+        "grouplike": lambda ws, fx, what: grouplike_coalgebra(_group_table(fx, what), ws.field),
+        "sweedler": lambda ws, fx, what: sweedler_coring(_algebra_map(ws, fx, what)),
+    },
+    "extension": dict(zip(("regular", "unit", "trivial"), _EXTENSIONS)),
+    "ext-morphism": dict(zip(("identity", "to-unit", "to-trivial"), _EXTENSIONS)),
+    "corings-morphism": {
+        "identity": _on_coring(corings_identity),
+        "counit": _on_coring(counit_corings_morphism),
+        "trivial": lambda ws, fx, what: trivial_corings_morphism(_algebra_map(ws, fx, what)),
+        "grouplike": _grouplike_morphism,
+    },
+}
+
+
+def _fixture(ws, kind, spec, what):
+    """The object of kind `kind` that the `fixture` of `spec` names and parameterizes."""
+    fx = _object(spec["fixture"], f"{what}: fixture")
+    name = _require(fx, "kind", what)
+    builders = FIXTURES[kind]
+    if not isinstance(name, str) or name not in builders:
+        raise WorkspaceSyntaxError(f"{what}: unknown fixture kind {name!r}")
+    return builders[name](ws, fx, what)
+
+
 def _parse_algebra(ws, name, spec):
     what = f"algebra {name}"
     if "fixture" in spec:
-        fx = _object(spec["fixture"], f"{what}: fixture")
-        kind = _require(fx, "kind", what)
-        if kind == "ground":
-            return ground_algebra(ws.field)
-        if kind == "dual_numbers":
-            return dual_numbers(ws.field)
-        if kind == "group_algebra":
-            with _input_errors(what):
-                return group_algebra(ws.field, _group_table(fx, what))
-        raise WorkspaceSyntaxError(f"{what}: unknown fixture kind {kind!r}")
+        with _input_errors(what):
+            return _fixture(ws, "algebra", spec, what)
     dim = _positive_int(spec, "dim", what)
     table = _require(spec, "table", what)
     unit = _require(spec, "unit", what)
@@ -251,18 +323,10 @@ def _parse_algebra(ws, name, spec):
         return FinDimAlgebra(ws.field, dim, table, unit, labels)
 
 
-def _get_algebra(ws, ref, what):
-    if not isinstance(ref, str):
-        raise WorkspaceSyntaxError(f"{what}: algebra reference must be a name")
-    if ref not in ws.algebras:
-        raise UnknownReference(f'no object named "{ref}"')
-    return ws.algebras[ref]
-
-
 def _parse_module(ws, name, spec):
     what = f"module {name}"
-    left = _get_algebra(ws, _require(spec, "left", what), what)
-    right = _get_algebra(ws, _require(spec, "right", what), what)
+    left = _ref(ws, "algebras", spec, "left", what)
+    right = _ref(ws, "algebras", spec, "right", what)
     dim = _positive_int(spec, "dim", what)
     left_action = _actions(ws, spec, "left_action", dim, what)
     right_action = _actions(ws, spec, "right_action", dim, what)
@@ -270,42 +334,15 @@ def _parse_module(ws, name, spec):
         return Bimodule(left, right, dim, left_action, right_action, _labels(spec, dim, what))
 
 
-def _get_coring(ws, ref, what):
-    if not isinstance(ref, str):
-        raise WorkspaceSyntaxError(f"{what}: coring reference must be a name")
-    if ref not in ws.corings:
-        raise UnknownReference(f'no object named "{ref}"')
-    return ws.corings[ref]
-
-
 def _parse_coring(ws, name, spec):
     what = f"coring {name}"
     if "fixture" in spec:
-        fx = _object(spec["fixture"], f"{what}: fixture")
-        kind = _require(fx, "kind", what)
         with _input_errors(what):
-            if kind == "trivial":
-                return trivial_coring(_get_algebra(ws, _require(fx, "algebra", what), what))
-            if kind == "unit":
-                return unit_coring(ws.field)
-            if kind == "matrix_coalgebra":
-                return matrix_coalgebra(_positive_int(fx, "n", what), ws.field)
-            if kind == "grouplike":
-                return grouplike_coalgebra(_group_table(fx, what), ws.field)
-            if kind == "sweedler":
-                src = _get_algebra(ws, _require(fx, "source", what), what)
-                tgt = _get_algebra(ws, _require(fx, "target", what), what)
-                inc = AlgebraMorphism(
-                    src, tgt, _mat(ws.field, _require(fx, "map", what), src.dim, tgt.dim, what)
-                )
-                return sweedler_coring(inc)
-        raise WorkspaceSyntaxError(f"{what}: unknown fixture kind {kind!r}")
-    base = _get_algebra(ws, _require(spec, "base", what), what)
+            return _fixture(ws, "coring", spec, what)
+    base = _ref(ws, "algebras", spec, "base", what)
     carrier_spec = _require(spec, "carrier", what)
     if isinstance(carrier_spec, str):
-        if carrier_spec not in ws.modules:
-            raise UnknownReference(f'no object named "{carrier_spec}"')
-        carrier = ws.modules[carrier_spec]
+        carrier = _ref(ws, "modules", spec, "carrier", what)
     else:
         carrier = _parse_module(
             ws, f"{name}.carrier", _object(carrier_spec, f"{what}: carrier")
@@ -326,15 +363,9 @@ def _parse_coring(ws, name, spec):
 def _parse_extension(ws, name, spec):
     what = f"extension {name}"
     if "fixture" in spec:
-        fx = _object(spec["fixture"], f"{what}: fixture")
-        kind = _require(fx, "kind", what)
-        c = _get_coring(ws, _require(fx, "coring", what), what)
-        builders = {"regular": ext_identity, "unit": ext_to_unit, "trivial": ext_to_trivial}
-        if not isinstance(kind, str) or kind not in builders:
-            raise WorkspaceSyntaxError(f"{what}: unknown fixture kind {kind!r}")
-        return builders[kind](c)
-    c = _get_coring(ws, _require(spec, "coring", what), what)
-    d = _get_coring(ws, _require(spec, "by", what), what)
+        return _fixture(ws, "extension", spec, what)
+    c = _ref(ws, "corings", spec, "coring", what)
+    d = _ref(ws, "corings", spec, "by", what)
     mats = _actions(ws, spec, "right_action", c.dim, what)
     if len(mats) != d.base.dim:
         raise WorkspaceSyntaxError(
@@ -353,51 +384,15 @@ def _split_action(m, dim_c, dim_b):
 
 
 def _parse_morphism(ws, name, spec):
+    """(kind, morphism), the kind "ext" or "corings"."""
     what = f"morphism {name}"
     kind = _require(spec, "kind", what)
     if kind not in ("ext", "corings"):
         raise WorkspaceSyntaxError(f"{what}: kind must be 'ext' or 'corings'")
     if "fixture" in spec:
-        fx = _object(spec["fixture"], f"{what}: fixture")
-        fkind = _require(fx, "kind", what)
-        if kind == "ext":
-            builders = {
-                "identity": ext_identity,
-                "to-unit": ext_to_unit,
-                "to-trivial": ext_to_trivial,
-            }
-            if not isinstance(fkind, str) or fkind not in builders:
-                raise WorkspaceSyntaxError(f"{what}: unknown fixture kind {fkind!r}")
-            return kind, builders[fkind](_get_coring(ws, _require(fx, "coring", what), what))
-        if fkind == "identity":
-            return kind, corings_identity(_get_coring(ws, _require(fx, "coring", what), what))
-        if fkind == "counit":
-            return kind, counit_corings_morphism(
-                _get_coring(ws, _require(fx, "coring", what), what)
-            )
-        if fkind == "trivial":
-            src = _get_algebra(ws, _require(fx, "source", what), what)
-            tgt = _get_algebra(ws, _require(fx, "target", what), what)
-            f = AlgebraMorphism(
-                src, tgt, _mat(ws.field, _require(fx, "map", what), src.dim, tgt.dim, what)
-            )
-            return kind, trivial_corings_morphism(f)
-        if fkind == "grouplike":
-            src = _get_coring(ws, _require(fx, "source", what), what)
-            tgt = _get_coring(ws, _require(fx, "target", what), what)
-            mapping = _require(fx, "mapping", what)
-            if (
-                not isinstance(mapping, list)
-                or len(mapping) != src.dim
-                or any(i.__class__ is not int or not 0 <= i < tgt.dim for i in mapping)
-            ):
-                raise WorkspaceSyntaxError(
-                    f"{what}: mapping must list {src.dim} indices in [0, {tgt.dim})"
-                )
-            return kind, grouplike_corings_morphism(src, tgt, mapping)
-        raise WorkspaceSyntaxError(f"{what}: unknown fixture kind {fkind!r}")
-    src = _get_coring(ws, _require(spec, "source", what), what)
-    tgt = _get_coring(ws, _require(spec, "target", what), what)
+        return kind, _fixture(ws, f"{kind}-morphism", spec, what)
+    src = _ref(ws, "corings", spec, "source", what)
+    tgt = _ref(ws, "corings", spec, "target", what)
     with _input_errors(what):
         if kind == "ext":
             action = _mat(ws.field, _require(spec, "action", what),
@@ -420,6 +415,17 @@ def _parse_morphism(ws, name, spec):
         )
 
 
+# The sections in load order, each with its parser: an entry may name objects
+# of the sections before its own.
+SECTIONS = {
+    "algebras": _parse_algebra,
+    "modules": _parse_module,
+    "corings": _parse_coring,
+    "extensions": _parse_extension,
+    "morphisms": _parse_morphism,
+}
+
+
 def _validate(ws, kind, name, obj):
     """Check `obj` with the checker of its kind and keep the verdict; a failed
     law aborts the load."""
@@ -430,7 +436,11 @@ def _validate(ws, kind, name, obj):
 
 
 def parse_workspace(text, source="<workspace>"):
-    """Parse and validate a workspace document; load means validate."""
+    """Parse and validate a workspace document; load means validate.
+
+    A section's names and entry objects are checked before any of its entries
+    is parsed, and each entry is validated before the next is parsed.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -442,39 +452,24 @@ def parse_workspace(text, source="<workspace>"):
     if not isinstance(doc, dict):
         raise WorkspaceSyntaxError(f"{source}: top level must be an object")
     for key in doc:
-        if key not in ("field", "algebras", "modules", "corings", "extensions", "morphisms"):
+        if key != "field" and key not in SECTIONS:
             raise WorkspaceSyntaxError(f"{source}: unknown top-level key {key!r}")
     if "field" not in doc:
         raise WorkspaceSyntaxError(f"{source}: missing top-level key 'field'")
     ws = Workspace(_parse_field(doc["field"]))
-
-    def entries(section):
+    for section, parse in SECTIONS.items():
+        what = section[:-1]
         specs = _object(doc.get(section, {}), f"{source}: {section}")
-        return [
-            (one_line(name, f"{section[:-1]} name"), _object(spec, f"{section[:-1]} {name}"))
-            for name, spec in specs.items()
-        ]
-
-    for name, spec in entries("algebras"):
-        a = _parse_algebra(ws, name, spec)
-        _validate(ws, "algebra", name, a)
-        ws.algebras[name] = a
-    for name, spec in entries("modules"):
-        m = _parse_module(ws, name, spec)
-        _validate(ws, "module", name, m)
-        ws.modules[name] = m
-    for name, spec in entries("corings"):
-        c = _parse_coring(ws, name, spec)
-        _validate(ws, "coring", name, c)
-        ws.corings[name] = c
-    for name, spec in entries("extensions"):
-        e = _parse_extension(ws, name, spec)
-        _validate(ws, "extension", name, e)
-        ws.extensions[name] = e
-    for name, spec in entries("morphisms"):
-        kind, m = _parse_morphism(ws, name, spec)
-        _validate(ws, f"{kind}-morphism", name, m)
-        ws.morphisms[name] = (kind, m)
+        entries = [(one_line(name, f"{what} name"), _object(spec, f"{what} {name}"))
+                   for name, spec in specs.items()]
+        loaded = getattr(ws, section)
+        for name, spec in entries:
+            value = parse(ws, name, spec)
+            if section == "morphisms":
+                _validate(ws, f"{value[0]}-morphism", name, value[1])
+            else:
+                _validate(ws, what, name, value)
+            loaded[name] = value
     return ws
 
 
@@ -536,14 +531,7 @@ class Dumper:
 
     def __init__(self, ws):
         self.ws = ws
-        self.doc = {
-            "field": field_to_json(ws.field),
-            "algebras": {},
-            "modules": {},
-            "corings": {},
-            "extensions": {},
-            "morphisms": {},
-        }
+        self.doc = {"field": field_to_json(ws.field), **{section: {} for section in SECTIONS}}
         self._anon = 0
 
     def _fresh(self, prefix):

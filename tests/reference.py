@@ -60,6 +60,14 @@ failure message included, on every call.
 before `cli.parse_args` read it from a table; tests/test_parse_args.py
 requires both to accept the same command lines with the same values.
 
+`reference_sweedler_coring` and `reference_base_ring_extension` build the
+Sweedler coring A (x)_B A and the base ring extension B (x)_A C (x)_A B of a
+corings morphism term by term, projecting each pure tensor of each
+comultiplication term on its own (the constructions that applying the
+Kronecker product of two projected factor maps to each lift replaced).  They
+take valid input unchecked.  Their coring, action matrices and coaction lift
+must equal the library's exactly (tests/test_base_extension_reference.py).
+
 The linear algebra the program no longer runs lives here too, moved out of
 `corings.linalg` (and `IsoFailure` out of `corings.errors`) as functions:
 `rref`, `rank`, `inverse`, `kernel`, `map_kernel`, `transpose`,
@@ -129,7 +137,7 @@ from corings.errors import (
     FieldMismatch,
     ObjectMismatch,
 )
-from corings.linalg import Mat, Subspace, _vadd, _vscale
+from corings.linalg import Mat, Subspace, _vadd, _vadd_at, _vscale
 from corings.verdict import Verdict, first_difference, format_combo
 
 
@@ -1180,3 +1188,108 @@ def reference_parser():
     p = sub.add_parser("verify-monoidal", help="monoidal-category laws on the workspace")
     p.add_argument("category", choices=["ext", "corings"])
     return parser
+
+
+def reference_sweedler_coring(inclusion):
+    """The Sweedler coring A (x)_B A of an injective algebra map B -> A, unchecked."""
+    a_alg = inclusion.target
+    field = a_alg.field
+    regular = regular_bimodule(a_alg)
+    t = tensor_over_alg(
+        restrict_scalars(regular, right=inclusion), restrict_scalars(regular, left=inclusion)
+    )
+    carrier = t.result
+    dim_a = a_alg.dim
+
+    cls = t.quot.project_vec
+    comul_rows = []
+    counit_rows = []
+    # Class s of the carrier lifts to e_i (x) e_j.
+    for idx in t.quot.rep_columns:
+        i, j = divmod(idx, dim_a)
+        # comul(a (x) a') = (a (x) 1) (x)_A (1 (x) a')
+        z1 = cls({i * dim_a + u: v for u, v in a_alg.unit.items()})
+        z2 = cls({u * dim_a + j: v for u, v in a_alg.unit.items()})
+        comul_row = {}
+        for p1, v1 in z1.items():
+            _vadd_at(field, comul_row, z2, v1, p1 * carrier.dim, 1)
+        comul_rows.append(comul_row)
+        counit_rows.append(a_alg.table[i][j])
+    return Coring(
+        a_alg,
+        carrier,
+        Mat(field, carrier.dim, carrier.dim**2, comul_rows),
+        Mat(field, carrier.dim, dim_a, counit_rows),
+    )
+
+
+def reference_base_ring_extension(m):
+    """The base ring extension of a valid corings morphism, as an `ExtMorphism`, unchecked."""
+    c, d = m.source, m.target
+    b_alg = d.base
+    field = c.field
+    phi, varphi = m.phi, m.varphi.map
+
+    b_left = restrict_scalars(regular_bimodule(b_alg), right=m.varphi)
+    b_right = restrict_scalars(regular_bimodule(b_alg), left=m.varphi)
+
+    t_bc = tensor_over_alg(b_left, c.carrier)
+    t_bcb = tensor_over_alg(t_bc.result, b_right)
+    carrier = t_bcb.result
+    dim_b, dim_c = b_alg.dim, c.dim
+    x_dim = carrier.dim
+
+    def cls_bc(b_vec, c_idx):
+        """Class in t_bc of (sum b_vec) (x) c_idx."""
+        return t_bc.quot.project_vec({i * dim_c + c_idx: v for i, v in b_vec.items()})
+
+    def cls_x(bc_vec, b_vec):
+        """Class in the carrier of (element of t_bc) (x) (sum b_vec)."""
+        amb = {}
+        for u, uv in bc_vec.items():
+            _vadd_at(field, amb, b_vec, uv, u * dim_b, 1)
+        return t_bcb.quot.project_vec(amb)
+
+    # Comultiplication: (b (x) c_(1) (x) 1) (x)_X (1 (x) c_(2) (x) b').
+    comul_rows = []
+    counit_rows = []
+    coact_rows = []
+    eps_phi = c.counit_mat @ varphi
+    for idx in t_bcb.quot.rep_columns:
+        comul_row = {}
+        counit_row = {}
+        coact_row = {}
+        # Class s of the carrier lifts to (class u of t_bc) (x) e_l, and class u
+        # to e_(b_i) (x) e_(c_j).
+        u, l = divmod(idx, dim_b)
+        b_i, c_j = divmod(t_bc.quot.rep_columns[u], dim_c)
+        # counit: b * varphi(counit(c)) * b'
+        for t, v in eps_phi.rows[c_j].items():
+            _vadd(field, counit_row, b_alg.mul_vec(b_alg.table[b_i][t], b_alg.basis_vec(l)), v)
+        # comultiplication and coaction share the expansion of comul(c).
+        for pair, w in c.comul_lift.rows[c_j].items():
+            c1, c2 = divmod(pair, dim_c)
+            z1 = cls_x(cls_bc({b_i: field.one}, c1), b_alg.unit)
+            z2 = cls_x(cls_bc(b_alg.unit, c2), {l: field.one})
+            for p1, v1 in z1.items():
+                _vadd_at(field, comul_row, z2, field.mul(w, v1), p1 * x_dim, 1)
+            # coaction: (b (x) c1 (x) 1) (x)_k phi(c2) . b', the product
+            # taken in the right B-module structure of D
+            d_vec = {}
+            for t, pv in phi.rows[c2].items():
+                _vadd(field, d_vec, d.carrier.right_act[l].rows[t], pv)
+            for p1, v1 in z1.items():
+                _vadd_at(field, coact_row, d_vec, field.mul(w, v1), p1 * d.dim, 1)
+        comul_rows.append(comul_row)
+        counit_rows.append(counit_row)
+        coact_rows.append(coact_row)
+
+    coring = Coring(
+        b_alg,
+        carrier,
+        Mat(field, x_dim, x_dim * x_dim, comul_rows),
+        Mat(field, x_dim, b_alg.dim, counit_rows),
+    )
+    return ExtMorphism(
+        coring, d, carrier.right_act, Mat(field, x_dim, x_dim * d.dim, coact_rows)
+    )

@@ -18,6 +18,7 @@ from unittest import mock
 import pytest
 
 from corings import category, cli, workspace
+from corings.linalg import Mat, _vadd
 from corings.verdict import Verdict
 from corings.workspace import load_workspace
 
@@ -368,5 +369,39 @@ def test_tensor_dumps_only_a_passing_coring(capsys, tmp_path, monkeypatch):
     assert (code, err) == (1, "")
     assert "check.coassociativity: fail\n" in out
     assert out.endswith("result: fail\n")
+    assert "dumped" not in out
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_compose_oracle_mismatch_names_a_witness(capsys, tmp_path, monkeypatch):
+    """A composite the cotensor route disagrees with fails with one `law:` and one
+    `witness:` line, naming the first basis element whose coactions differ, and
+    writes no file."""
+    monkeypatch.chdir(tmp_path)
+    path = WORKSPACES / "cli-f5.json"
+
+    def perturbed(g, f, composed):
+        # One more of the first class of the coaction tensor in the lift of e_1.
+        oracle = category.ext_compose_via_cotensor(g, f, composed)
+        field, lift = oracle.source.field, oracle.coact_lift
+        rows = [dict(r) for r in lift.rows]
+        _vadd(field, rows[1], {composed.coaction_tensor.quot.rep_columns[0]: field.one},
+              field.one)
+        return category.ExtMorphism(oracle.source, oracle.target, oracle.action_mats,
+                                    Mat(field, lift.nrows, lift.ncols, rows))
+
+    with mock.patch.object(cli, "ext_compose_via_cotensor", perturbed):
+        code, out, err = run_cli(capsys, path, *GOLDEN_CASES["compose_to_trivial_dual_id_dual"],
+                                 "--dump", "out.json")
+    assert (code, err) == (1, "")
+    label = load_workspace(path).find("id_dual")[1].source.label(1)
+    lines = out.splitlines()
+    assert lines[-4:] == [
+        "oracle.cotensor-route: mismatch",
+        "law: cotensor-route",
+        f"witness: {label}: the bullet coaction differs from the cotensor route",
+        "result: fail",
+    ]
+    assert [line for line in lines if line.startswith(("law:", "witness:"))] == lines[-3:-1]
     assert "dumped" not in out
     assert list(tmp_path.iterdir()) == []

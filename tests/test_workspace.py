@@ -10,6 +10,7 @@ import contextlib
 import copy
 import io
 import json
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -17,7 +18,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corings import cli
-from corings.linalg import Field
+from corings.algebras import AlgebraMorphism, dual_numbers, ground_algebra, group_algebra
+from corings.category import (
+    ExtMorphism,
+    corings_identity,
+    counit_corings_morphism,
+    ext_identity,
+    ext_morphisms_equal,
+    ext_to_trivial,
+    ext_to_unit,
+    grouplike_corings_morphism,
+    trivial_corings_morphism,
+)
+from corings.constructions import (
+    grouplike_coalgebra,
+    matrix_coalgebra,
+    sweedler_coring,
+    trivial_coring,
+    unit_coring,
+)
+from corings.linalg import Field, Mat
+from corings.workspace import FIXTURES, Dumper, parse_workspace
 
 Q = {"kind": "rationals"}
 F5 = {"kind": "prime", "p": 5}
@@ -149,6 +170,22 @@ def f5_doc(section, name, spec):
            "corings": {"u": {"fixture": {"kind": "unit"}}}}
     doc.setdefault(section, {})[name] = spec
     return doc
+
+
+# An unhashable fixture kind is an unknown one for every kind of object, as
+# for the extension of "fixture-kind-unhashable".
+MALFORMED.update({
+    f"{kind}-fixture-kind-unhashable": (
+        f5_doc(section, "x", {**extra, "fixture": {"kind": [fixture], "coring": "u"}}),
+        f"{what} x: unknown fixture kind [{fixture!r}]",
+    )
+    for kind, section, what, extra, fixture in (
+        ("algebra", "algebras", "algebra", {}, "ground"),
+        ("coring", "corings", "coring", {}, "unit"),
+        ("ext-morphism", "morphisms", "morphism", {"kind": "ext"}, "identity"),
+        ("corings-morphism", "morphisms", "morphism", {"kind": "corings"}, "identity"),
+    )
+})
 
 
 def grouplike_doc(table):
@@ -518,3 +555,125 @@ def test_labels_and_names_without_a_line_break_load(capsys, tmp_path):
     code, out, err = run_doc(capsys, tmp_path, doc, "check", "g\th k")
     assert (code, err) == (0, "")
     assert out.endswith("result: pass\n")
+
+
+# Every fixture of `workspace.FIXTURES`, loaded as the entry "x" of a workspace
+# over F_5, and the object its builder should give, from the loaded workspace.
+FIELD = Field.prime(5)
+C2_TABLE = [[0, 1], [1, 0]]
+K4_TABLE = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+FIXTURE_BASE = {
+    "field": F5,
+    "algebras": {
+        "k": {"fixture": {"kind": "ground"}},
+        "d": {"fixture": {"kind": "dual_numbers"}},
+        "c2a": {"fixture": {"kind": "group_algebra", "table": C2_TABLE}},
+        "k4": {"fixture": {"kind": "group_algebra", "table": K4_TABLE}},
+    },
+    "corings": {
+        "td": {"fixture": {"kind": "trivial", "algebra": "d"}},
+        "g2": {"fixture": {"kind": "grouplike", "table": C2_TABLE}},
+    },
+}
+ON_TD = {"coring": "td"}
+EXTENSIONS = {"regular": ext_identity, "unit": ext_to_unit, "trivial": ext_to_trivial}
+EXT_MORPHISMS = {"identity": ext_identity, "to-unit": ext_to_unit, "to-trivial": ext_to_trivial}
+FIXTURE_CASES = {
+    ("algebra", "ground"): ({}, lambda ws: ground_algebra(FIELD)),
+    ("algebra", "dual_numbers"): ({}, lambda ws: dual_numbers(FIELD)),
+    ("algebra", "group_algebra"): ({"table": C2_TABLE}, lambda ws: group_algebra(FIELD, C2_TABLE)),
+    ("coring", "trivial"): ({"algebra": "d"}, lambda ws: trivial_coring(ws.algebras["d"])),
+    ("coring", "unit"): ({}, lambda ws: unit_coring(FIELD)),
+    ("coring", "matrix_coalgebra"): ({"n": 2}, lambda ws: matrix_coalgebra(2, FIELD)),
+    ("coring", "grouplike"): ({"table": K4_TABLE}, lambda ws: grouplike_coalgebra(K4_TABLE, FIELD)),
+    # k[C2] -> k[K4], g_1 -> g_1: a Sweedler coring over a base other than k.
+    ("coring", "sweedler"): (
+        {"source": "c2a", "target": "k4", "map": [[1, 0, 0, 0], [0, 1, 0, 0]]},
+        lambda ws: sweedler_coring(AlgebraMorphism(
+            ws.algebras["c2a"], ws.algebras["k4"],
+            Mat.from_rows(FIELD, [[1, 0, 0, 0], [0, 1, 0, 0]]))),
+    ),
+    **{("extension", name): (ON_TD, lambda ws, f=f: f(ws.corings["td"]))
+       for name, f in EXTENSIONS.items()},
+    **{("ext-morphism", name): (ON_TD, lambda ws, f=f: f(ws.corings["td"]))
+       for name, f in EXT_MORPHISMS.items()},
+    ("corings-morphism", "identity"): (ON_TD, lambda ws: corings_identity(ws.corings["td"])),
+    ("corings-morphism", "counit"): (ON_TD, lambda ws: counit_corings_morphism(ws.corings["td"])),
+    # No corpus holds this one: the collapse of the dual numbers onto k.
+    ("corings-morphism", "trivial"): (
+        {"source": "d", "target": "k", "map": [[1], [0]]},
+        lambda ws: trivial_corings_morphism(AlgebraMorphism(
+            ws.algebras["d"], ws.algebras["k"], Mat.from_rows(FIELD, [[1], [0]]))),
+    ),
+    ("corings-morphism", "grouplike"): (
+        {"source": "g2", "target": "g2", "mapping": [1, 0]},
+        lambda ws: grouplike_corings_morphism(ws.corings["g2"], ws.corings["g2"], [1, 0]),
+    ),
+}
+SECTION_OF = {"algebra": "algebras", "coring": "corings", "extension": "extensions",
+              "ext-morphism": "morphisms", "corings-morphism": "morphisms"}
+
+
+def same_object(a, b):
+    if isinstance(a, ExtMorphism):
+        return ext_morphisms_equal(a, b)
+    return a == b
+
+
+def test_every_fixture_has_a_loader_case():
+    assert set(FIXTURE_CASES) == {(kind, name) for kind, names in FIXTURES.items()
+                                  for name in names}
+
+
+@pytest.mark.parametrize("kind, name", sorted(FIXTURE_CASES))
+def test_fixture_loads_as_its_builder_builds_it(kind, name):
+    keys, expected = FIXTURE_CASES[kind, name]
+    spec = {"fixture": {"kind": name, **keys}}
+    if kind.endswith("-morphism"):
+        spec["kind"] = kind.split("-")[0]
+    doc = copy.deepcopy(FIXTURE_BASE)
+    doc.setdefault(SECTION_OF[kind], {})["x"] = spec
+    ws = parse_workspace(json.dumps(doc))
+    found_kind, obj = ws.find("x")
+    assert found_kind == kind
+    assert same_object(obj, expected(ws))
+    assert ws.verdicts[kind, "x"].ok
+
+
+def test_explicit_ext_morphism_splits_its_interleaved_action():
+    """An `ext` morphism spells its action as one C (x)_k B -> C matrix; over the
+    two-dimensional dual numbers, loading splits it back into the two matrices."""
+    ws = parse_workspace(json.dumps(FIXTURE_BASE))
+    m = ext_to_trivial(ws.corings["td"])
+    assert m.target.base.dim == 2
+    dumper = Dumper(ws)
+    dumper.morphism("ext", m, "x")
+    doc = copy.deepcopy(FIXTURE_BASE)
+    doc["morphisms"] = {"x": dumper.doc["morphisms"]["x"]}
+    assert "fixture" not in doc["morphisms"]["x"]
+    loaded = parse_workspace(json.dumps(doc)).morphisms["x"]
+    assert loaded[0] == "ext"
+    assert loaded[1].action_mats == m.action_mats
+    assert loaded[1].coact_lift == m.coact_lift
+
+
+# Where README.md describes the fixtures of each kind: from the first marker
+# to the next occurrence of the second.
+README_FIXTURES = {
+    "algebra": ("- **algebras**", "- **modules**"),
+    "coring": ("- **corings**", "- **extensions**"),
+    "extension": ("- **extensions**", "- **morphisms**"),
+    "ext-morphism": ("An `ext` morphism", "A `corings` morphism"),
+    "corings-morphism": ("A `corings` morphism", "\n\n"),
+}
+
+
+def test_readme_names_every_fixture_of_each_kind():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert set(README_FIXTURES) == set(FIXTURES)
+    missing = []
+    for kind, (start, end) in README_FIXTURES.items():
+        at = readme.index(start)
+        block = readme[at:readme.index(end, at)]
+        missing += [(kind, name) for name in FIXTURES[kind] if f"`{name}`" not in block]
+    assert missing == []
