@@ -23,10 +23,39 @@ every build.  Maps into such a tensor are supplied as lifts into the ambient
 actions of a presentation (`PresentedTensor.result`) are induced on first
 read, since most presentations are only projected into.
 
+A tensor with a factor over k is presented from a smaller pair.  A bimodule
+may record a factor pair (`Bimodule.factors`): (X, Y) with X an (A, k)- and Y
+a (k, C)-bimodule, the bimodule being X (x)_k Y in row-major pair indexing.
+Two kinds of bimodule carry one: the result of a presentation whose middle
+algebra is one-dimensional, M (x)_k N with factors (M, N) (the Sweedler
+carrier A (x)_k A over k), and every result of the route below, with the
+factors it was built from.  An extension whose right action is its coring's
+own has that carrier, record included, as its bimodule
+(`category.ExtMorphism.bimodule`).  If N = X (x)_k Y, so that B acts on N
+through X only, then M (x)_B N = (M (x)_B X) (x)_k Y; if M = U (x)_k V, B
+acting through V only, then M (x)_B N = U (x)_k (V (x)_B N).  `_present_tensor`
+presents the smaller pair through the memoized `tensor_over_alg` and widens
+its quotient by an identity (`QuotientSpace.widened`), and the result is
+again factored, so the square and the triple of the Sweedler coring and the
+base extension B (x)_A C (x)_A B of its counit, with that coring's own checks,
+stream relation rows only for A (x)_A A and its like (ambient dim 16 over
+k[K4], against 1,024 for the Sweedler triple over the whole ambient space).
+The answer is the one the rows of the whole ambient space give, byte for
+byte: those relations are R (x) Y (or U (x) R) for the relations R of the
+smaller pair, and the canonical RREF of that span is the RREF of R tensored
+with basis vectors, so the representatives, classes, scales and projection
+are R's widened.  The outer actions are a (x) id_Y and id_X (x) c, read off
+`Mat.kron`.  Every record is one-sided, so B acts through one factor of
+it; the carrier C (x)_k C' of a tensor coring, A (x) A' acting on both
+factors, could record the same pair once the route tests which factors B
+acts through.
+
 tensor_over_alg memoizes its presentations for the life of the process, keyed
 on the structure of the two factors (what Bimodule.__eq__ compares; labels are
 not part of the key).  Equal factors therefore share one PresentedTensor,
-whose factors carry the labels of the call that built it.  A PresentedTensor
+whose factors carry the labels of the call that built it.  Nor is a factor
+record part of the key: a call on equal bimodules that record no factors
+reuses a presentation built by the route, and the reverse.  A PresentedTensor
 and every matrix and bimodule it holds are immutable: no caller may change
 them.
 """
@@ -49,9 +78,20 @@ BIMODULE_LAWS = ("left-module", "right-module", "commuting-actions")
 
 
 class Bimodule:
-    __slots__ = ("left_alg", "right_alg", "dim", "left_act", "right_act", "labels", "_key")
+    """An (A, C)-bimodule: one dim x dim action matrix per basis element of A and of C.
 
-    def __init__(self, left_alg, right_alg, dim, left_act, right_act, labels=None):
+    `factors` is None or a pair (X, Y) with X an (A, k)- and Y a
+    (k, C)-bimodule: then this bimodule is X (x)_k Y, row-major, A acting on
+    X and C on Y (`_factored`).  It records how the bimodule was built, so
+    that `_present_tensor` can present a tensor over B from its factors; it
+    is no part of equality or of the memo key.
+    """
+
+    __slots__ = ("left_alg", "right_alg", "dim", "left_act", "right_act", "labels", "factors",
+                 "_key")
+
+    def __init__(self, left_alg, right_alg, dim, left_act, right_act, labels=None,
+                 factors=None):
         if left_alg.field != right_alg.field:
             raise FieldMismatch("acting algebras live over different fields")
         if len(left_act) != left_alg.dim or len(right_act) != right_alg.dim:
@@ -67,6 +107,7 @@ class Bimodule:
         self.left_act = list(left_act)
         self.right_act = list(right_act)
         self.labels = list(labels) if labels is not None else None
+        self.factors = factors
         self._key = None
 
     @property
@@ -232,21 +273,30 @@ def tensor_over_k(m, n):
 
 
 class PresentedTensor:
-    """M (x)_B N as a quotient `quot` of M (x)_k N (`linalg.QuotientSpace`)."""
+    """M (x)_B N as a quotient `quot` of M (x)_k N (`linalg.QuotientSpace`).
 
-    def __init__(self, left_factor, right_factor, over, quot):
+    `factors` is None or the pair (X, Y) with M (x)_B N = X (x)_k Y, an
+    (A, k)- and a (k, C)-bimodule, which `result` records.
+    """
+
+    def __init__(self, left_factor, right_factor, over, quot, factors=None):
         self.left_factor = left_factor
         self.right_factor = right_factor
         self.over = over
         self.quot = quot
+        self.factors = factors
 
     @cached_property
     def result(self):
         """M (x)_B N as an (A, C)-bimodule, its outer actions induced on first read.
 
-        Commuting actions on the factors make a (x) id and id (x) c preserve
-        the relations, so the lift rows are pushed with no descent check.
+        With `factors` (X, Y) they are a (x) id_Y and id_X (x) c, read off
+        `Mat.kron`, and the result records its factors.  Otherwise commuting
+        actions on the factors make a (x) id and id (x) c preserve the
+        relations, so the lift rows are pushed with no descent check.
         """
+        if self.factors is not None:
+            return _factored(*self.factors)
         m, n = self.left_factor, self.right_factor
         rows = _lift_rows(self)
         left = [push(self, lambda v, a=a: _kron_apply(a, n.dim, v), rows) for a in m.left_act]
@@ -352,14 +402,38 @@ def _present_tensor(m, n):
 
     The factors must be bimodules: the module laws make the relations of the
     algebra generators of B span all relations, which is not re-checked here.
-    The relation rows are streamed into `quotient_by_rows`.
+    When N = X (x)_k Y with B acting through X, or M = U (x)_k V with B
+    acting through V, the tensor is presented from the memoized presentation
+    of M (x)_B X or V (x)_B N (see the module docstring).  Otherwise the
+    relation rows are streamed into `quotient_by_rows`.
     """
     if m.field != n.field:
         raise FieldMismatch("tensor factors over different fields")
     if m.right_alg != n.left_alg:
         raise AlgebraMismatch("middle algebras differ")
-    quot = quotient_by_rows(m.field, m.dim * n.dim, _relation_rows(m, n))
-    return PresentedTensor(m, n, m.right_alg, quot)
+    over = m.right_alg
+    if over.dim > 1 and n.factors is not None:
+        x, y = n.factors
+        inner = tensor_over_alg(m, x)
+        quot, factors = inner.quot.widened(1, y.dim), (inner.result, y)
+    elif over.dim > 1 and m.factors is not None:
+        u, v = m.factors
+        inner = tensor_over_alg(v, n)
+        quot, factors = inner.quot.widened(u.dim, 1), (u, inner.result)
+    else:
+        quot = quotient_by_rows(m.field, m.dim * n.dim, _relation_rows(m, n))
+        # Over a one-dimensional B there is no relation: M (x)_B N is M (x)_k N.
+        factors = (m, n) if over.dim == 1 else None
+    return PresentedTensor(m, n, over, quot, factors)
+
+
+def _factored(x, y):
+    """X (x)_k Y for an (A, k)-bimodule X and a (k, C)-bimodule Y, recording its factors."""
+    field = x.field
+    id_x, id_y = Mat.identity(field, x.dim), Mat.identity(field, y.dim)
+    return Bimodule(x.left_alg, y.right_alg, x.dim * y.dim,
+                    [a.kron(id_y) for a in x.left_act], [id_x.kron(c) for c in y.right_act],
+                    factors=(x, y))
 
 
 def _relation_rows(m, n):

@@ -104,6 +104,11 @@ class ExtMorphism:
 
     @cached_property
     def bimodule(self):
+        """C with the new right action: C's own carrier, with its factors,
+        when the action is the carrier's own over the same base."""
+        carrier = self.source.carrier
+        if self.target.base is self.source.base and self.action_mats == carrier.right_act:
+            return carrier
         return Bimodule(
             self.source.base,
             self.target.base,

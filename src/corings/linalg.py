@@ -52,10 +52,12 @@ Fraction = _Unloaded
 
 
 def _load_fractions():
-    """Bind `Fraction`.  Only Q makes Fractions, so `fractions`, with the
-    `decimal` it imports (about 0.4 MB resident and 2 ms a process), is loaded
-    by the first Q field, or by `coerce` handed a Fraction made elsewhere: a
-    program over F_p never loads it."""
+    """Bind `Fraction`.  Only a non-integral Q value is a Fraction, so
+    `fractions`, with the `decimal` it imports (about 0.4 MB resident and
+    2-3 ms a process), is loaded by the first one: `inv` of an integer other
+    than 1 and -1 over Q, or `coerce` of a string "a/b" with b not 1 or of a
+    Fraction made elsewhere.  A program over F_p, or over Q on integral data
+    only, never loads it."""
     global Fraction
     from fractions import Fraction
 
@@ -112,8 +114,6 @@ class Field:
                 raise ValueError(f"modulus {p} exceeds 2^31")
             if not _is_prime(p):
                 raise ValueError(f"modulus {p} is not prime")
-        else:
-            _load_fractions()
         self.p = p
         self.zero = 0
         self.one = 1
@@ -144,6 +144,10 @@ class Field:
 
     def inv(self, a):
         if self.p is None:
+            if a == 1 or a == -1:
+                return a
+            if Fraction is _Unloaded:
+                _load_fractions()
             return _norm(Fraction(1, a))
         a %= self.p
         if a == 0:
@@ -181,6 +185,8 @@ class Field:
                 raise ValueError(f"zero denominator{where}: {x!r}")
             if den != 1 and self.p is not None:
                 return self.mul(num % self.p, self.inv(den))
+            if den != 1 and Fraction is _Unloaded:
+                _load_fractions()
             x = num if den == 1 else Fraction(num, den)
         if self.p is None:
             return _norm(x)
@@ -502,8 +508,9 @@ class QuotientSpace:
       scales[x] times class classes[x], or to zero where classes[x] is -1.
     * any wider relation: `project` is a matrix with a row per coordinate.
 
-    Nothing is changed in place after construction.  `relations` is derived
-    from the projection on first read, unless it was given.
+    `widened` tensors a quotient with identities on both sides and keeps its
+    form.  Nothing is changed in place after construction.  `relations` is
+    derived from the projection on first read, unless it was given.
     """
 
     __slots__ = ("field", "ambient_dim", "rep_columns", "classes", "scales", "project",
@@ -592,6 +599,34 @@ class QuotientSpace:
             else:
                 out.pop(c, None)
         return out
+
+    def widened(self, before, after):
+        """k^before (x) self (x) k^after, in the same form as self.
+
+        The quotient of k^before (x) k^ambient_dim (x) k^after, row-major, by
+        k^before (x) R (x) k^after, R the relations of self.  The canonical
+        RREF of that span is each RREF row of R tensored with basis vectors
+        on both sides, so the representatives, classes, projection and live
+        scales are those `quotient_by_rows` gives on any spanning rows:
+        coordinate (u, x, y) projects as x does, into class (u, classes[x],
+        y).  A dead coordinate keeps the scale of x, which nothing reads.  A
+        zero-dimensional ambient space has no relation row, so it is free.
+        """
+        field, amb = self.field, self.ambient_dim
+        ambient = before * amb * after
+        if not ambient or self.classes is None and self.project is None:
+            return QuotientSpace(field, ambient, range(ambient))
+        reps = [(u * amb + r) * after + y
+                for u in range(before) for r in self.rep_columns for y in range(after)]
+        if self.project is not None:
+            project = Mat.identity(field, before).kron(self.project).kron(
+                Mat.identity(field, after))
+            return QuotientSpace(field, ambient, reps, project=project)
+        dim = self.dim
+        classes = [-1 if t < 0 else (u * dim + t) * after + y
+                   for u in range(before) for t in self.classes for y in range(after)]
+        scales = [s for _ in range(before) for s in self.scales for _ in range(after)]
+        return QuotientSpace(field, ambient, reps, classes, scales)
 
     def project_rows(self, m):
         """m @ project: each row of `m`, an ambient vector, sent to its class.

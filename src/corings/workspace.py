@@ -247,6 +247,8 @@ def _algebra_map(ws, fx, what):
 def _grouplike_morphism(ws, fx, what):
     src = _ref(ws, "corings", fx, "source", what)
     tgt = _ref(ws, "corings", fx, "target", what)
+    if src.base != tgt.base:
+        raise WorkspaceSyntaxError(f"{what}: source and target must be corings over one base")
     mapping = _require(fx, "mapping", what)
     if (
         not isinstance(mapping, list)

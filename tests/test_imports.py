@@ -19,7 +19,8 @@ A third check keeps the start-up path of every command lean: importing
 `corings.cli` in a fresh interpreter must not load `dataclasses` or the
 introspection modules it pulls in (`inspect`, `ast`, `dis`, `tokenize`), nor
 `argparse` or the `gettext` and `locale` it pulls in, and a command over F_p
-must load none of those, nor `fractions` or the `decimal` it imports.
+must load none of those, nor `fractions` or the `decimal` it imports.  A
+command over Q loads `fractions` only once a value is not an integer.
 """
 
 import ast
@@ -239,9 +240,26 @@ def test_a_command_over_a_prime_field_loads_no_fractions():
     assert heavy_modules_after(RUN.format(str(workspace), argv), HEAVY + Q_ONLY) == []
 
 
-def test_fraction_guard_sees_a_command_over_q():
+def test_an_integral_command_over_q_loads_no_fractions():
     workspace = ROOT / "perfbench" / "workspaces" / "cli-q.json"
-    assert heavy_modules_after(RUN.format(str(workspace), ["check", "m3"]), Q_ONLY) == list(Q_ONLY)
+    for argv in (["check", "m3"], ["base-extend", "counit_sw"]):
+        assert heavy_modules_after(RUN.format(str(workspace), argv), Q_ONLY) == []
+
+
+def test_fraction_guard_sees_a_command_over_q(tmp_path):
+    """The 1-dim algebra with basis e = 2 * 1: its unit is 1/2 e."""
+    workspace = tmp_path / "half.json"
+    workspace.write_text('{"field": {"kind": "rationals"}, "algebras": {"a": '
+                         '{"dim": 1, "table": [[["2"]]], "unit": ["1/2"]}}}')
+    assert heavy_modules_after(RUN.format(str(workspace), ["dims", "a"]), Q_ONLY) == list(Q_ONLY)
+
+
+def test_q_loads_fractions_at_its_first_non_integral_value():
+    code = ("import sys\nfrom corings.linalg import Field\nQ = Field.rationals()\n"
+            "assert (Q.inv(1), Q.inv(-1), Q.coerce('-4'), Q.coerce('6/1')) == (1, -1, -4, 6)\n"
+            "assert 'fractions' not in sys.modules\n"
+            "assert Q.fmt(Q.inv(2)) == '1/2'")
+    assert heavy_modules_after(code, Q_ONLY) == list(Q_ONLY)
 
 
 def test_a_prime_field_reads_a_fraction_made_before_fractions_was_needed():

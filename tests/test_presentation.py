@@ -12,6 +12,12 @@ so each relation row has one or two terms and `quotient_by_rows` collapses
 it as an orbit.  While the three workspaces load, and while `tensor sw m2`
 runs, no relation row of a presentation reaches an `_Eliminator`.
 
+A tensor with a factor over k is presented from the smaller pair
+(`bimodules._present_tensor`, compared with the row route in
+`test_factored_route.py`).  While cli-q and cli-f5 load, and while
+`base-extend counit_sw` runs, no relation row is streamed over an ambient
+space of dim above 16.
+
 The right linearity of an extension's comultiplication reads the new right
 action on C (x)_A C off `tensor_over_alg(C, M)`, M the carrier with that
 action: the relations of that presentation depend on the left action of M
@@ -196,7 +202,71 @@ def test_no_command_builds_a_projection_matrix(corpus, argv, capsys, tmp_path, m
         # The Sweedler coring presents over k[K4], with relations.
         assert forms["monomial"] > 0
     if argv == ["dims", "k"]:
-        assert forms == {"free": 10, "monomial": 4}
+        # The Sweedler square and triple are widened from A (x)_A A (ambient
+        # 16), not built by `quotient_by_rows`.
+        assert forms == {"free": 10, "monomial": 3}
+
+
+def base_extend(corpus):
+    def run():
+        code = cli.main(["--workspace", str(WORKSPACES / f"{corpus}.json"),
+                         "base-extend", "counit_sw"])
+        assert code == 0
+
+    return run
+
+
+FACTORED_RUNS = {
+    "load-cli-q": load("cli-q.json"),
+    "load-cli-f5": load("cli-f5.json"),
+    "base-extend-counit_sw-q": base_extend("cli-q"),
+    "base-extend-counit_sw-f5": base_extend("cli-f5"),
+}
+
+
+def relation_ambients(run):
+    """The ambient dim of each `quotient_by_rows` call of `run()` given a relation row,
+    from empty caches."""
+    ambients = []
+    build = bimodules.quotient_by_rows
+
+    def recording(field, ambient_dim, rows):
+        rows = list(rows)
+        if rows:
+            ambients.append(ambient_dim)
+        return build(field, ambient_dim, rows)
+
+    with mock.patch.object(bimodules, "_TENSORS", {}), \
+            mock.patch.object(constructions, "_TENSOR_CORINGS", {}), \
+            mock.patch.object(bimodules, "quotient_by_rows", recording):
+        run()
+    return ambients
+
+
+@pytest.mark.parametrize("run", sorted(FACTORED_RUNS))
+def test_tensors_with_a_factor_over_k_stream_no_large_relation_space(run, capsys):
+    """The Sweedler coring's carrier A (x)_k A, its square and triple, and the
+    base extension B (x)_A C (x)_A B of its counit, with that coring's own
+    checks, are presented from A (x)_A A and its like: no relation row is
+    streamed over an ambient space of dim above 16 (1,024 for the triple)."""
+    ambients = relation_ambients(FACTORED_RUNS[run])
+    capsys.readouterr()
+    assert ambients
+    assert max(ambients) <= 16
+
+
+def test_factor_guard_sees_the_row_route():
+    """With no factors recorded, loading streams the Sweedler triple's rows."""
+    factored = bimodules._factored
+
+    def unfactored(x, y):
+        b = factored(x, y)
+        b.factors = None
+        return b
+
+    with mock.patch.object(bimodules, "_factored", unfactored):
+        ambients = relation_ambients(load("cli-f5.json"))
+    assert max(ambients) == 1024
 
 
 @pytest.mark.parametrize("field", FIELDS.values(), ids=FIELDS)

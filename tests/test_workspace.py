@@ -17,6 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import KLEIN_4
+
 from corings import cli
 from corings.algebras import AlgebraMorphism, dual_numbers, ground_algebra, group_algebra
 from corings.category import (
@@ -100,6 +102,30 @@ MALFORMED = {
             },
         },
         "morphism g: mapping must list 2 indices in [0, 2)",
+    ),
+    # The fixture takes the identity of the source base as its algebra map,
+    # which exited 2 with `error: invalid-input` and named no object.
+    "grouplike-morphism-across-bases": (
+        {
+            "field": Q,
+            "algebras": {"k": {"fixture": {"kind": "ground"}},
+                         "k4": {"fixture": {"kind": "group_algebra", "table": KLEIN_4}}},
+            "corings": {
+                "g2": C2,
+                "sw": {"fixture": {"kind": "sweedler", "source": "k", "target": "k4",
+                                   "map": [[1, 0, 0, 0]]}},
+            },
+            "morphisms": {
+                "c4": {
+                    "kind": "corings",
+                    "fixture": {
+                        "kind": "grouplike", "source": "g2", "target": "sw",
+                        "mapping": [1, 0],
+                    },
+                }
+            },
+        },
+        "morphism c4: source and target must be corings over one base",
     ),
 }
 
