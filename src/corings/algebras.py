@@ -16,6 +16,7 @@ from .linalg import Mat, _vadd, coerced_row
 from .verdict import checker, format_combo
 
 ALGEBRA_LAWS = ("unit", "associativity")
+ALGEBRA_MORPHISM_LAWS = ("unit", "multiplicativity")
 
 
 class FinDimAlgebra:
@@ -89,7 +90,7 @@ class FinDimAlgebra:
         return f"FinDimAlgebra(dim {self.dim} over {self.field!r})"
 
 
-@checker
+@checker(ALGEBRA_LAWS)
 def check_algebra(a):
     """Unit law and associativity on all basis triples; first witness wins."""
     fmt = a.field.fmt
@@ -164,7 +165,7 @@ class AlgebraMorphism:
     __hash__ = None
 
 
-@checker
+@checker(ALGEBRA_MORPHISM_LAWS)
 def check_algebra_morphism(f):
     """Unit preservation and multiplicativity on all basis pairs."""
     src, tgt = f.source, f.target

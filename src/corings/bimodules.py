@@ -75,6 +75,7 @@ from .linalg import Mat, _Eliminator, _vadd, _vadd_at, quotient_by_rows
 from .verdict import checker, first_noncommuting
 
 BIMODULE_LAWS = ("left-module", "right-module", "commuting-actions")
+BIMODULE_MORPHISM_LAWS = ("left-linear", "right-linear")
 
 
 class Bimodule:
@@ -119,7 +120,7 @@ class Bimodule:
             return self.labels[i]
         return f"e_{i}"
 
-    @checker
+    @checker(BIMODULE_LAWS)
     def check(self):
         """Module laws on both sides and commutation of the two actions."""
         field = self.field
@@ -224,7 +225,7 @@ class BimoduleMorphism:
         self.target = target
         self.map = map
 
-    @checker
+    @checker(BIMODULE_MORPHISM_LAWS)
     def check(self):
         """Equivariance for both actions on all algebra basis elements."""
         src, tgt, f = self.source, self.target, self.map
@@ -428,12 +429,17 @@ def _present_tensor(m, n):
 
 
 def _factored(x, y):
-    """X (x)_k Y for an (A, k)-bimodule X and a (k, C)-bimodule Y, recording its factors."""
-    field = x.field
-    id_x, id_y = Mat.identity(field, x.dim), Mat.identity(field, y.dim)
-    return Bimodule(x.left_alg, y.right_alg, x.dim * y.dim,
-                    [a.kron(id_y) for a in x.left_act], [id_x.kron(c) for c in y.right_act],
-                    factors=(x, y))
+    """X (x)_k Y for an (A, k)-bimodule X and a (k, C)-bimodule Y, recording its factors.
+
+    Its actions a (x) id_Y and id_X (x) c remap the indices of a's and c's rows.
+    """
+    field, yd = x.field, y.dim
+    n = x.dim * yd
+    left = [Mat(field, n, n, [{u * yd + j: v for u, v in r.items()}
+                              for r in a.rows for j in range(yd)]) for a in x.left_act]
+    right = [Mat(field, n, n, [{i * yd + w: v for w, v in r.items()}
+                               for i in range(x.dim) for r in c.rows]) for c in y.right_act]
+    return Bimodule(x.left_alg, y.right_alg, n, left, right, factors=(x, y))
 
 
 def _relation_rows(m, n):

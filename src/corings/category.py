@@ -54,7 +54,7 @@ from .errors import (
     ObjectMismatch,
 )
 from .linalg import Mat, _vadd, _vadd_at
-from .verdict import checker, first_difference, first_noncommuting, run_laws
+from .verdict import VACUOUS, checker, first_difference, first_noncommuting
 
 EXT_MORPHISM_LAWS = ("bimodule", "delta-right-linear", "coaction", "colinearity")
 CORINGS_MORPHISM_LAWS = (
@@ -130,7 +130,7 @@ class ExtMorphism:
         return f"ExtMorphism({self.source!r} -> {self.target!r})"
 
 
-@checker
+@checker(EXT_MORPHISM_LAWS)
 def check_ext_morphism(m):
     """The four laws of a right extension in order, stopping at the first failure."""
     c, bimodule = m.source, m.bimodule
@@ -313,7 +313,7 @@ class CoringsMorphism:
         return f"CoringsMorphism({self.source!r} -> {self.target!r})"
 
 
-@checker
+@checker(CORINGS_MORPHISM_LAWS)
 def check_corings_morphism(m):
     """Algebra map, bilinearity, counit square, and the comultiplication square."""
     v = check_algebra_morphism(m.varphi)
@@ -494,6 +494,7 @@ def _sampled(items, cap, seed):
     return [items[i] for i in picked]
 
 
+@checker(MONOIDAL_LAWS)
 def _verify_monoidal(corings, morphisms, seed, kind):
     """Shared four-phase monoidal verifier; `kind` picks the category.
 
@@ -504,22 +505,11 @@ def _verify_monoidal(corings, morphisms, seed, kind):
     side is C, and the two groupings of a sampled triple are one coring.
     Interchange is checked on at most MAX_SQUARES[kind] sampled squares of
     composable pairs, each composite composed and checked once, and the
-    associator on at most MAX_TRIPLES sampled triples.  An empty family
-    passes every law vacuously.
+    associator on at most MAX_TRIPLES sampled triples.  Each law that held
+    on no instance yields `VACUOUS`, so an empty family passes every law
+    vacuously.
     """
-    vacuous = []
-    return run_laws(_monoidal_laws(corings, morphisms, seed, kind, vacuous), vacuous)
-
-
-def _monoidal_laws(corings, morphisms, seed, kind, vacuous):
-    """The laws of `_verify_monoidal`; each that held on no instance joins `vacuous`."""
     is_ext = kind == "ext"
-
-    def held(law, instances):
-        if not instances:
-            vacuous.append(law)
-        return law, None
-
     identity_of = ext_identity if is_ext else corings_identity
     tensor_of = ext_tensor_morphisms if is_ext else corings_tensor_morphisms
     compose = ext_compose if is_ext else corings_compose
@@ -540,7 +530,7 @@ def _monoidal_laws(corings, morphisms, seed, kind, vacuous):
                     f"tensor of the identities of corings {i} and {j} is not the "
                     f"identity of their tensor"
                 )
-    yield held("identity-preservation", corings)
+    yield "identity-preservation", None if corings else VACUOUS
 
     pairs = _composable_pairs(morphisms)
     squares = _sampled(
@@ -565,7 +555,7 @@ def _monoidal_laws(corings, morphisms, seed, kind, vacuous):
             yield "interchange", (
                 f"interchange fails on morphism pairs ({gi},{fi}) and ({gj},{fj})"
             )
-    yield held("interchange", squares)
+    yield "interchange", None if squares else VACUOUS
 
     for i, c in enumerate(corings):
         unit = unit_coring(c.field)
@@ -573,7 +563,7 @@ def _monoidal_laws(corings, morphisms, seed, kind, vacuous):
             yield "unit-isomorphisms", (
                 f"tensoring coring {i} with the unit does not collapse to it"
             )
-    yield held("unit-isomorphisms", corings)
+    yield "unit-isomorphisms", None if corings else VACUOUS
 
     triples = [
         (i, j, l)
@@ -588,7 +578,7 @@ def _monoidal_laws(corings, morphisms, seed, kind, vacuous):
         right = tensor_coring(corings[i], tensor_coring(corings[j], corings[l]))
         if left != right:
             yield "associator", f"the two groupings of ({i},{j},{l}) are different corings"
-    yield held("associator", triples)
+    yield "associator", None if triples else VACUOUS
 
 
 def verify_ext_monoidal(corings, morphisms, seed=0):

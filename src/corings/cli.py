@@ -27,6 +27,8 @@ error.
 
 from __future__ import annotations
 
+import gc
+import os
 import re
 import sys
 from types import SimpleNamespace
@@ -46,12 +48,11 @@ from .constructions import tensor_coring
 from .coring import check_coring
 from .errors import CoringsError, UnknownReference, ValidationFailure, WorkspaceError
 from .verdict import first_difference
-from .workspace import LAWS_BY_KIND, Dumper, load_workspace, one_line
+from .workspace import Dumper, load_workspace, one_line
 
 
-def _law_lines(report, kind, verdict, prefix="check"):
-    laws = LAWS_BY_KIND[kind]
-    for law in laws:
+def _law_lines(report, verdict, prefix="check"):
+    for law in verdict.laws_declared:
         if law in verdict.laws_vacuous:
             status = "vacuous"
         elif law in verdict.laws_passed:
@@ -72,7 +73,7 @@ def _cmd_check(ws, args, report):
     report["object"] = args.name
     report["kind"] = kind
     verdict = ws.verdicts[kind, args.name]
-    _law_lines(report, kind, verdict)
+    _law_lines(report, verdict)
     return _finish(ws, args, report, verdict)
 
 
@@ -144,7 +145,7 @@ def _cmd_tensor(ws, args, report):
     report["carrier-dim"] = str(t.dim)
     report["base-dim"] = str(t.base.dim)
     verdict = check_coring(t)
-    _law_lines(report, "coring", verdict)
+    _law_lines(report, verdict)
     return _finish(ws, args, report, verdict, lambda dumper: dumper.coring(t, out_name))
 
 
@@ -159,7 +160,7 @@ def _cmd_extend_tensor(ws, args, report):
     report["coring-dim"] = str(t.source.dim)
     report["by-dim"] = str(t.target.dim)
     verdict = check_ext_morphism(t)
-    _law_lines(report, "extension", verdict)
+    _law_lines(report, verdict)
     return _finish(ws, args, report, verdict, lambda dumper: dumper.extension(t, out_name))
 
 
@@ -183,7 +184,7 @@ def _cmd_compose(ws, args, report):
     if kind_g == "ext":
         composed = ext_compose(g, f)
         verdict = check_ext_morphism(composed)
-        _law_lines(report, "ext-morphism", verdict)
+        _law_lines(report, verdict)
         if verdict.ok:
             # The oracle shares the composite's endpoints and action: only a
             # coaction row can differ, and the first that does is the witness.
@@ -200,7 +201,7 @@ def _cmd_compose(ws, args, report):
     else:
         composed = corings_compose(g, f)
         verdict = check_corings_morphism(composed)
-        _law_lines(report, "corings-morphism", verdict)
+        _law_lines(report, verdict)
     return _finish(ws, args, report, verdict,
                    lambda dumper: dumper.morphism(kind_g, composed, out_name))
 
@@ -214,11 +215,11 @@ def _cmd_base_extend(ws, args, report):
     report["coring-dim"] = str(ext.source.dim)
     report["base-dim"] = str(ext.source.base.dim)
     verdict = check_coring(ext.source)
-    _law_lines(report, "coring", verdict, prefix="coring")
+    _law_lines(report, verdict, prefix="coring")
     if not verdict.ok:
         return _finish(ws, args, report, verdict)
     verdict = check_ext_morphism(ext)
-    _law_lines(report, "ext-morphism", verdict)
+    _law_lines(report, verdict)
     return _finish(ws, args, report, verdict,
                    lambda dumper: dumper.morphism("ext", ext, out_name))
 
@@ -232,7 +233,7 @@ def _cmd_verify_monoidal(ws, args, report):
     report["seed"] = str(args.seed)
     verify = verify_ext_monoidal if args.category == "ext" else verify_corings_monoidal
     verdict = verify(corings, morphisms, seed=args.seed)
-    _law_lines(report, "monoidal", verdict)
+    _law_lines(report, verdict)
     return _finish(ws, args, report, verdict)
 
 
@@ -474,5 +475,30 @@ def main(argv=None):
     return code
 
 
+def run():
+    """The entry point of `python -m corings[.cli]` and the `corings` script."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of the output went away, as `| head -1` does: the report is
+        # lost, an I/O error (exit 2).  Point stdout at the null device so that
+        # the interpreter's own flush at exit does not fail on the pipe again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    # Once the report is written, the interpreter's exit is pure cost, and most
+    # of it is the final garbage collections walking and freeing every object
+    # the collector tracks, the modules loaded at start-up included.  Freezing
+    # moves every object out of their reach.  Exit stays normal otherwise:
+    # atexit handlers, the flush of the standard streams and the exit code.
+    # - Not `os._exit`: it skips all three, and a caller that runs this module
+    #   and catches SystemExit, such as a tracer that writes its spans
+    #   afterwards, would never get control back.
+    # - Not a freeze before `main`: everything the call builds would still be
+    #   left to the exit collections.
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -5,11 +5,11 @@ comultiplication C -> C (x)_A C and counit C -> A satisfying coassociativity
 and the two counit laws (`check_coring`).  `category.check_ext_morphism`
 checks a right extension of C by D with the laws of a right D-coaction
 (`right_coaction_verdict`) and its commutation with the left C-coaction that
-is the comultiplication (`coaction_compatibility`).  Each checker yields its
-laws in order, and `verdict.checker` makes it return their `Verdict`.  The
-comultiplication is the right coaction of C on itself, so both
-coassociativity laws take one route.  Comultiplications and coactions are
-supplied as lifts into the ambient (x)_k space and projected through the
+is the comultiplication (`coaction_compatibility`).  Each checker yields the
+laws of its declared tuple in order, and `verdict.checker` makes it return
+their `Verdict`.  The comultiplication is the right coaction of C on itself,
+so both coassociativity laws take one route.  Comultiplications and coactions
+are supplied as lifts into the ambient (x)_k space and projected through the
 presented quotients, so input data never depends on internal pivot choices.
 
 Triple tensors are presented left-associated only: a route that applies a
@@ -49,6 +49,8 @@ from .linalg import Mat, _vadd
 from .verdict import checker, first_difference, first_noncommuting, format_combo
 
 CORING_LAWS = ("bilinearity", "coassociativity", "right-counit", "left-counit")
+COACTION_LAWS = ("coaction-linearity", "coaction-coassociativity", "coaction-counit")
+COLINEARITY_LAWS = ("colinearity",)
 
 
 class Coring:
@@ -152,7 +154,7 @@ def _coassociativity_row(t_md, rho, lift, d):
     return first_difference(lhs, rhs)
 
 
-@checker
+@checker(CORING_LAWS)
 def check_coring(c):
     """Bilinearity, coassociativity, and both counit laws, with a witness.
 
@@ -181,7 +183,7 @@ def check_coring(c):
     yield "left-counit", _counit_leg("(counit (x) C) o comul", got, c.label)
 
 
-@checker
+@checker(COACTION_LAWS)
 def right_coaction_verdict(carrier, d, coact_lift):
     """Right-coaction laws for rho: M -> M (x)_B D on an (*, B)-bimodule M.
 
@@ -211,7 +213,7 @@ def right_coaction_verdict(carrier, d, coact_lift):
     yield "coaction-counit", _counit_leg("(M (x) counit) o coaction", got, carrier.label)
 
 
-@checker
+@checker(COLINEARITY_LAWS)
 def coaction_compatibility(c, d, carrier, left_lift, right_lift):
     """Commutation of a left C-coaction with a right D-coaction on one carrier.
 

@@ -1,11 +1,12 @@
 """Structured pass/fail results for axiom checkers.
 
-A checker yields `(law, witness)` for each named law in order, with a witness
-of None when the law held.  `run_laws` alone records the laws that passed and
-stops at the first witness, so a failing verdict carries exactly one; the
-`checker` decorator makes the generator return that `Verdict`.  A law that
-held on zero instances is listed in `laws_vacuous` as well as `laws_passed`,
-so a report can tell "checked and held" from "nothing to check".
+A checker declares its law tuple once, in `@checker(laws)`, and yields
+`(law, witness)` for each law in order: None when it held, `VACUOUS` when it
+held on zero instances (listed in `laws_vacuous` as well as `laws_passed`).
+`run_laws` alone records the laws that passed and stops at the first other
+witness, so a failing verdict carries exactly one.  Each verdict carries the
+tuple as `laws_declared`, so a report reads every law's status off the
+verdict, even through a wrapper around the checker that copies no attributes.
 """
 
 from __future__ import annotations
@@ -13,9 +14,11 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import wraps
 
+VACUOUS = object()  # the witness of a law that held on zero instances
 
-class Verdict(namedtuple("Verdict", "ok law witness laws_passed laws_vacuous",
-                         defaults=(None, None, (), ()))):
+
+class Verdict(namedtuple("Verdict", "ok law witness laws_passed laws_vacuous laws_declared",
+                         defaults=(None, None, (), (), ()))):
     """Immutable and hashable; a namedtuple keeps `dataclasses` off the import path."""
 
     __slots__ = ()
@@ -24,37 +27,43 @@ class Verdict(namedtuple("Verdict", "ok law witness laws_passed laws_vacuous",
         return self.ok
 
     @classmethod
-    def passed(cls, laws=(), vacuous=()):
-        return cls(True, None, None, tuple(laws), tuple(vacuous))
+    def passed(cls, laws=(), vacuous=(), declared=()):
+        return cls(True, None, None, tuple(laws), tuple(vacuous), tuple(declared))
 
     @classmethod
-    def failed(cls, law, witness, laws_passed=(), laws_vacuous=()):
-        return cls(False, law, witness, tuple(laws_passed), tuple(laws_vacuous))
+    def failed(cls, law, witness, laws_passed=(), laws_vacuous=(), declared=()):
+        return cls(False, law, witness, tuple(laws_passed), tuple(laws_vacuous),
+                   tuple(declared))
 
 
-def run_laws(outcomes, vacuous=()):
-    """The verdict of `(law, witness)` pairs in law order; a None witness held.
+def run_laws(outcomes, laws=()):
+    """The verdict of `(law, witness)` pairs over the declared tuple `laws`.
 
-    The first other witness fails the check, and `outcomes` is never resumed,
-    so a law with several parts yields each part that fails, then None once.
-    `vacuous` is read only at the end: the checker may still be filling it.
+    A witness of None or `VACUOUS` held.  The first other witness fails the
+    check, and `outcomes` is never resumed, so a law with several parts yields
+    each part that fails, then None once.
     """
-    passed = []
+    passed, vacuous = [], []
     for law, witness in outcomes:
-        if witness is not None:
-            return Verdict.failed(law, witness, passed, vacuous)
+        if witness is VACUOUS:
+            vacuous.append(law)
+        elif witness is not None:
+            return Verdict.failed(law, witness, passed, vacuous, laws)
         passed.append(law)
-    return Verdict.passed(passed, vacuous)
+    return Verdict.passed(passed, vacuous, laws)
 
 
 def checker(laws):
-    """Make a generator of `(law, witness)` pairs return its `Verdict`."""
+    """Make a generator of `(law, witness)` pairs over `laws` return its `Verdict`."""
 
-    @wraps(laws)
-    def check(*args):
-        return run_laws(laws(*args))
+    def decorate(outcomes):
+        @wraps(outcomes)
+        def check(*args):
+            return run_laws(outcomes(*args), laws)
 
-    return check
+        return check
+
+    return decorate
 
 
 def format_combo(vec, label, fmt):

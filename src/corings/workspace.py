@@ -39,7 +39,6 @@ import sys
 from contextlib import contextmanager
 
 from .algebras import (
-    ALGEBRA_LAWS,
     AlgebraMorphism,
     FinDimAlgebra,
     check_algebra,
@@ -47,11 +46,8 @@ from .algebras import (
     ground_algebra,
     group_algebra,
 )
-from .bimodules import BIMODULE_LAWS, Bimodule
+from .bimodules import Bimodule
 from .category import (
-    CORINGS_MORPHISM_LAWS,
-    EXT_MORPHISM_LAWS,
-    MONOIDAL_LAWS,
     CoringsMorphism,
     ExtMorphism,
     check_corings_morphism,
@@ -71,7 +67,7 @@ from .constructions import (
     trivial_coring,
     unit_coring,
 )
-from .coring import CORING_LAWS, Coring, check_coring
+from .coring import Coring, check_coring
 from .errors import (
     CoringsError,
     UnknownReference,
@@ -90,16 +86,6 @@ CHECKERS = {
     "extension": check_ext_morphism,
     "ext-morphism": check_ext_morphism,
     "corings-morphism": check_corings_morphism,
-}
-
-LAWS_BY_KIND = {
-    "algebra": ALGEBRA_LAWS,
-    "module": BIMODULE_LAWS,
-    "coring": CORING_LAWS,
-    "extension": EXT_MORPHISM_LAWS,
-    "ext-morphism": EXT_MORPHISM_LAWS,
-    "corings-morphism": CORINGS_MORPHISM_LAWS,
-    "monoidal": MONOIDAL_LAWS,
 }
 
 

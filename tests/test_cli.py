@@ -19,6 +19,7 @@ import pytest
 
 from corings import category, cli, workspace
 from corings.linalg import Mat, _vadd
+from corings.coring import CORING_LAWS
 from corings.verdict import Verdict
 from corings.workspace import load_workspace
 
@@ -363,7 +364,8 @@ def test_workspace_path_with_a_line_break_is_a_syntax_error(capsys, tmp_path):
 def test_tensor_dumps_only_a_passing_coring(capsys, tmp_path, monkeypatch):
     """Like the other dumping commands, `tensor` writes no file for a failed check."""
     monkeypatch.chdir(tmp_path)
-    failed = Verdict.failed("coassociativity", "g: differ", ("bilinearity",))
+    failed = Verdict.failed("coassociativity", "g: differ", ("bilinearity",),
+                            declared=CORING_LAWS)
     with mock.patch.object(cli, "check_coring", return_value=failed):
         code, out, err = run_cli(capsys, CLI_Q, *GOLDEN_CASES["tensor_m2_c2"])
     assert (code, err) == (1, "")

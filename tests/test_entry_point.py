@@ -1,13 +1,16 @@
-"""`python -m corings` in a fresh process against `cli.main` called in-process.
+"""The entry point in a fresh process against `cli.main` called in-process.
 
-The entry point runs `cli.main`, freezes the garbage collector and exits with
-its code.  On the benchmark workspaces both routes must write the same report
-bytes and give the same exit code for each exit class: a pass (0), a failed
-mathematical check (1), bad input (2) and an argument error (2, usage on
-stderr).  A `--dump` file written by the fresh process must be complete: the
-same bytes as the in-process one, and valid JSON.  A reader that closes the
-pipe before the output ends makes an I/O error (exit 2) with nothing on
-stderr.  Only the entry point freezes: an in-process call leaves the
+The entry point, `cli.run`, runs `cli.main`, freezes the garbage collector and
+exits with its code.  A fresh process reaches it by three routes (`ROUTES`):
+`python -m corings`, `python -m corings.cli`, and the call of `run` that the
+installed `corings` script makes.  On the benchmark workspaces every route
+must write the same report bytes as the in-process call and give the same
+exit code for each exit class: a pass (0), a failed mathematical check (1),
+bad input (2) and an argument error (2, usage on stderr).  A `--dump` file
+written by the fresh process must be complete: the same bytes as the
+in-process one, and valid JSON.  A reader that closes the pipe before the
+output ends makes an I/O error (exit 2) with nothing on stderr, by every
+route.  Only the entry point freezes: an in-process call leaves the
 collector's frozen set as it was.
 """
 
@@ -41,8 +44,16 @@ def fresh_env():
     return env
 
 
-def run_fresh(argv, cwd):
-    proc = subprocess.run([sys.executable, "-m", "corings", *argv], cwd=cwd, env=fresh_env(),
+# Each route to `cli.run` as the command that starts the program.
+ROUTES = {
+    "package": [sys.executable, "-m", "corings"],
+    "module": [sys.executable, "-m", "corings.cli"],
+    "script": [sys.executable, "-c", "from corings.cli import run; run()"],
+}
+
+
+def run_fresh(argv, cwd, route="package"):
+    proc = subprocess.run([*ROUTES[route], *argv], cwd=cwd, env=fresh_env(),
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=60)
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -56,14 +67,15 @@ def run_in_process(argv, capsysbinary):
     return code, out, err
 
 
+@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_fresh_process_matches_in_process(case, capsysbinary, tmp_path):
+def test_fresh_process_matches_in_process(case, route, capsysbinary, tmp_path):
     want_code, argv = CASES[case]
     frozen = gc.get_freeze_count()
     code, out, err = run_in_process(argv, capsysbinary)
     assert gc.get_freeze_count() == frozen
     assert code == want_code
-    fresh = run_fresh(argv, tmp_path)
+    fresh = run_fresh(argv, tmp_path, route)
     assert fresh[:2] == (code, out)
     if case == "argument-error":
         assert out == b""
@@ -82,14 +94,15 @@ def test_fresh_process_writes_a_complete_dump(capsysbinary, tmp_path):
     assert "m2c2" in json.loads(fresh.read_text(encoding="utf-8"))["corings"]
 
 
+@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
-def test_a_closed_pipe_is_an_io_error_without_a_traceback(unbuffered, tmp_path):
+def test_a_closed_pipe_is_an_io_error_without_a_traceback(unbuffered, route, tmp_path):
     """The dump of M_2 (x) M_3, about 750 KB, outlasts any pipe buffer, so the
     reader below closes the pipe while the program still writes."""
     env = dict(fresh_env(), PYTHONUNBUFFERED=unbuffered)
     argv = ["--workspace", str(WORKSPACES / "cli-q.json"), "tensor", "m2", "m3",
             "--dump", "/dev/stdout"]
-    with subprocess.Popen([sys.executable, "-m", "corings", *argv], cwd=tmp_path, env=env,
+    with subprocess.Popen([*ROUTES[route], *argv], cwd=tmp_path, env=env,
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         assert proc.stdout.readline() == b"{\n"
         proc.stdout.close()

@@ -173,6 +173,26 @@ def test_the_route_matches_the_row_route(case):
     assert_same(present(m, n), row_route(m, n))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_factored_actions_are_the_kronecker_products(data):
+    """`_factored` reads a (x) id_Y and id_X (x) c off the rows of a and c by
+    index remap; `Mat.kron` computes them.  The rows must match entry for
+    entry, in the same key order."""
+    field = FIELDS[data.draw(st.sampled_from(sorted(FIELDS)))]
+    left_name, right_name = (data.draw(st.sampled_from(sorted(algebras(field))))
+                             for _ in range(2))
+    x = left(field, algebras(field)[left_name][0], data.draw(modules(field, left_name)))
+    y = right(field, algebras(field)[right_name][0], data.draw(modules(field, right_name)))
+    got = _factored(x, y)
+    id_x, id_y = Mat.identity(field, x.dim), Mat.identity(field, y.dim)
+    for got_acts, want_acts in ((got.left_act, [a.kron(id_y) for a in x.left_act]),
+                                (got.right_act, [id_x.kron(c) for c in y.right_act])):
+        assert got_acts == want_acts
+        assert [list(r.items()) for m in got_acts for r in m.rows] == [
+            list(r.items()) for m in want_acts for r in m.rows]
+
+
 @pytest.mark.parametrize("field", FIELDS.values(), ids=FIELDS)
 @pytest.mark.parametrize(("alg_name", "m_kind", "x_kind", "twist", "form"), [
     ("split", 0, 0, "none", "free"),  # both on one character: no relation

@@ -1,9 +1,10 @@
 """`Verdict`: truthiness, immutability, hashing and repr of a checker result;
-`run_laws` and `checker`, which turn a generator of laws into one."""
+`run_laws` and `checker`, which turn a generator of laws into one that
+carries the checker's declared law tuple."""
 
 import pytest
 
-from corings.verdict import Verdict, checker, run_laws
+from corings.verdict import VACUOUS, Verdict, checker, run_laws
 
 
 def test_truth_is_the_outcome_not_the_tuple_length():
@@ -13,12 +14,15 @@ def test_truth_is_the_outcome_not_the_tuple_length():
 
 
 def test_fields_defaults_and_repr():
-    v = Verdict.failed("coassociativity", "e_11: differ", ["bilinearity"], ["x"])
-    assert (v.ok, v.law, v.witness, v.laws_passed, v.laws_vacuous) == (
-        False, "coassociativity", "e_11: differ", ("bilinearity",), ("x",))
+    v = Verdict.failed("coassociativity", "e_11: differ", ["bilinearity"], ["x"],
+                       ["bilinearity", "coassociativity"])
+    assert (v.ok, v.law, v.witness, v.laws_passed, v.laws_vacuous, v.laws_declared) == (
+        False, "coassociativity", "e_11: differ", ("bilinearity",), ("x",),
+        ("bilinearity", "coassociativity"))
     assert Verdict(True) == Verdict.passed()
-    assert repr(Verdict.passed(["unit"])) == (
-        "Verdict(ok=True, law=None, witness=None, laws_passed=('unit',), laws_vacuous=())"
+    assert repr(Verdict.passed(["unit"], declared=["unit"])) == (
+        "Verdict(ok=True, law=None, witness=None, laws_passed=('unit',), laws_vacuous=(), "
+        "laws_declared=('unit',))"
     )
 
 
@@ -46,7 +50,9 @@ def test_runner_stops_at_the_first_witness_and_never_resumes():
 
 
 def test_a_law_with_several_parts_fails_at_its_first_failing_part():
-    @checker
+    laws = ("bilinearity", "coassociativity")
+
+    @checker(laws)
     def bilinearity(comul_ok, counit_ok):
         if not comul_ok:
             yield "bilinearity", "comultiplication: w"
@@ -55,33 +61,30 @@ def test_a_law_with_several_parts_fails_at_its_first_failing_part():
         yield "bilinearity", None
         yield "coassociativity", None
 
-    assert bilinearity(True, True) == Verdict.passed(("bilinearity", "coassociativity"))
-    assert bilinearity(False, False) == Verdict.failed("bilinearity", "comultiplication: w")
-    assert bilinearity(True, False) == Verdict.failed("bilinearity", "counit: w")
+    assert bilinearity(True, True) == Verdict.passed(laws, declared=laws)
+    assert bilinearity(False, False) == Verdict.failed(
+        "bilinearity", "comultiplication: w", declared=laws)
+    assert bilinearity(True, False) == Verdict.failed("bilinearity", "counit: w", declared=laws)
 
 
-def test_vacuous_laws_pass_through_and_are_read_at_the_end():
-    vacuous = []
+def test_vacuous_laws_pass_in_band():
+    laws = ("identity-preservation", "interchange", "associator")
 
-    def laws(fail):
-        vacuous.append("identity-preservation")
-        yield "identity-preservation", None
+    def outcomes(fail):
+        yield "identity-preservation", VACUOUS
         yield "interchange", "pairs (0,1) and (1,0)" if fail else None
-        vacuous.append("associator")
-        yield "associator", None
+        yield "associator", VACUOUS
 
-    assert run_laws(laws(False), vacuous) == Verdict.passed(
-        ("identity-preservation", "interchange", "associator"),
-        ("identity-preservation", "associator"))
-    vacuous.clear()
-    assert run_laws(laws(True), vacuous) == Verdict.failed(
+    assert run_laws(outcomes(False), laws) == Verdict.passed(
+        laws, ("identity-preservation", "associator"), laws)
+    assert run_laws(outcomes(True), laws) == Verdict.failed(
         "interchange", "pairs (0,1) and (1,0)", ("identity-preservation",),
-        ("identity-preservation",))
+        ("identity-preservation",), laws)
 
 
 def test_an_empty_generator_passes():
     assert run_laws(iter(())) == Verdict.passed()
-    assert checker(lambda: iter(()))() == Verdict(True)
+    assert checker(())(lambda: iter(()))() == Verdict(True)
 
 
 def test_checker_keeps_the_name_and_signature():
@@ -89,7 +92,7 @@ def test_checker_keeps_the_name_and_signature():
         """Doc."""
         yield "law", None
 
-    wrapped = checker(check_thing)
+    wrapped = checker(("law",))(check_thing)
     assert (wrapped.__name__, wrapped.__doc__, wrapped.__wrapped__) == (
         "check_thing", "Doc.", check_thing)
-    assert wrapped(1, 2) == Verdict.passed(("law",))
+    assert wrapped(1, 2) == Verdict.passed(("law",), declared=("law",))
