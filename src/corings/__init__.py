@@ -10,8 +10,9 @@ verifies the defining axioms as exact matrix identities.
 
 Of the linear algebra, the package exports the scalar fields, matrices and the
 quotient presentations the program builds (`quotient_by_rows`); the only
-elimination it runs is that routine's and `linalg._Eliminator`'s.  Kernels,
-inverses and the eliminating quotient, which only the tests use, live in
+elimination it runs is that routine's and `linalg._Eliminator`'s.  A quotient
+records its relations once, in its projection.  Kernels, inverses, relation
+subspaces and the eliminating quotient, which only the tests use, live in
 `tests/reference.py`.
 """
 
@@ -67,7 +68,7 @@ from .constructions import (
     unit_coring,
 )
 from .coring import Coring, check_coring
-from .linalg import Field, Mat, QuotientSpace, Subspace, quotient_by_rows
+from .linalg import Field, Mat, QuotientSpace, quotient_by_rows
 from .verdict import Verdict
 from .workspace import Workspace, load_workspace, parse_workspace
 

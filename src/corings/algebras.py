@@ -9,8 +9,6 @@ coercing constructor reads dense coordinate lists.  Row-major pair indexing
 library.
 """
 
-from __future__ import annotations
-
 from .errors import DimensionMismatch, FieldMismatch
 from .linalg import Mat, _vadd, coerced_row
 from .verdict import checker, format_combo

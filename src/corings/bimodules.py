@@ -44,11 +44,11 @@ The answer is the one the rows of the whole ambient space give, byte for
 byte: those relations are R (x) Y (or U (x) R) for the relations R of the
 smaller pair, and the canonical RREF of that span is the RREF of R tensored
 with basis vectors, so the representatives, classes, scales and projection
-are R's widened.  The outer actions are a (x) id_Y and id_X (x) c, read off
-`Mat.kron`.  Every record is one-sided, so B acts through one factor of
-it; the carrier C (x)_k C' of a tensor coring, A (x) A' acting on both
-factors, could record the same pair once the route tests which factors B
-acts through.
+are R's widened.  The outer actions are a (x) id_Y and id_X (x) c, each row
+of a or c copied with its indices remapped (`_factored`).  Every record is
+one-sided, so B acts through one factor of it; the carrier C (x)_k C' of a
+tensor coring, A (x) A' acting on both factors, could record the same pair
+once the route tests which factors B acts through.
 
 tensor_over_alg memoizes its presentations for the life of the process, keyed
 on the structure of the two factors (what Bimodule.__eq__ compares; labels are
@@ -59,8 +59,6 @@ reuses a presentation built by the route, and the reverse.  A PresentedTensor
 and every matrix and bimodule it holds are immutable: no caller may change
 them.
 """
-
-from __future__ import annotations
 
 from functools import cached_property
 
@@ -291,10 +289,11 @@ class PresentedTensor:
     def result(self):
         """M (x)_B N as an (A, C)-bimodule, its outer actions induced on first read.
 
-        With `factors` (X, Y) they are a (x) id_Y and id_X (x) c, read off
-        `Mat.kron`, and the result records its factors.  Otherwise commuting
-        actions on the factors make a (x) id and id (x) c preserve the
-        relations, so the lift rows are pushed with no descent check.
+        With `factors` (X, Y) they are a (x) id_Y and id_X (x) c, whose rows
+        are those of a and c with remapped indices (`_factored`), and the
+        result records its factors.  Otherwise commuting actions on the
+        factors make a (x) id and id (x) c preserve the relations, so the
+        lift rows are pushed with no descent check.
         """
         if self.factors is not None:
             return _factored(*self.factors)

@@ -24,8 +24,6 @@ machine-check identity preservation, the interchange law on composites, and
 the strictness itself as equalities of corings.
 """
 
-from __future__ import annotations
-
 import operator
 import random
 from functools import cached_property

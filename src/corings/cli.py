@@ -25,8 +25,6 @@ e.g. when no re-association triple fits the verifier's size cap).  Exit codes:
 error.
 """
 
-from __future__ import annotations
-
 import gc
 import os
 import re

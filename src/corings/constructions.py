@@ -23,8 +23,6 @@ the command that built them.  Right extensions, their four laws
 Fixture generators for the standard small examples live here too.
 """
 
-from __future__ import annotations
-
 from functools import cache
 
 from .algebras import check_algebra_morphism, check_group_table, ground_algebra

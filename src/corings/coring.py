@@ -31,8 +31,6 @@ earlier law implies, so it goes through `regrouped_id_tensor` and fails with
 its DescentFailure.
 """
 
-from __future__ import annotations
-
 from functools import cached_property
 
 from .bimodules import (

@@ -22,21 +22,21 @@ Every vector is one sparse row {index: nonzero scalar}: a matrix row and an
 algebra element (a structure constant or the unit) alike.  Dense lists exist
 only at the file edge: `Mat.from_rows` and the coercing `FinDimAlgebra`
 constructor read them through `coerced_row`, and dumps write them
-(`Mat.to_lists`).  A quotient holds
-no matrix unless it has to (`QuotientSpace`): without relations it is its
-dim alone, and with relations of at most two terms it is one class index and
-one scale per ambient coordinate, in two flat lists.  RREF is canonical for
-a given row space, which is what makes reports byte-stable across runs.  The
-kernels, inverses and eliminating quotient that only the tests use are in
-`tests/reference.py`.
+(`Mat.to_lists`).  A quotient holds no matrix unless it has to
+(`QuotientSpace`): without relations it is its dim alone, and with relations
+of at most two terms it is one class index and one scale per ambient
+coordinate, in two flat lists.  That form is the one record of its
+relations, whose RREF basis `QuotientSpace.relation_rows` streams.  RREF is
+canonical for a given row space, which is what makes reports byte-stable
+across runs.  The kernels, inverses, relation subspaces and eliminating
+quotient that only the tests use are in `tests/reference.py`.
 """
-
-from __future__ import annotations
 
 import re
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import isqrt
+from types import SimpleNamespace
 
 from .errors import DimensionMismatch, FieldMismatch
 
@@ -461,38 +461,6 @@ class _Eliminator:
         return sorted(self.pivrows)
 
 
-# Kept, with `QuotientSpace.relations`, only because perfbench/tracer.py reads `relations.dim`.
-class Subspace:
-    """A subspace of k^ambient_dim held as its canonical RREF basis, as data."""
-
-    __slots__ = ("ambient_dim", "basis", "pivots")
-
-    def __init__(self, ambient_dim, basis, pivots):
-        self.ambient_dim = ambient_dim
-        self.basis = basis
-        self.pivots = pivots
-
-    @property
-    def field(self):
-        return self.basis.field
-
-    @property
-    def dim(self):
-        return self.basis.nrows
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"Subspace(dim {self.dim} of k^{self.ambient_dim})"
-
-
 class QuotientSpace:
     """k^ambient_dim modulo a relation subspace, in one of three forms.
 
@@ -508,33 +476,27 @@ class QuotientSpace:
       scales[x] times class classes[x], or to zero where classes[x] is -1.
     * any wider relation: `project` is a matrix with a row per coordinate.
 
-    `widened` tensors a quotient with identities on both sides and keeps its
-    form.  Nothing is changed in place after construction.  `relations` is
-    derived from the projection on first read, unless it was given.
+    The relations are held only in these forms: `relation_rows` streams
+    their RREF basis.  `widened` tensors a quotient with identities on both
+    sides and keeps its form.  Nothing is changed in place after
+    construction.
     """
 
-    __slots__ = ("field", "ambient_dim", "rep_columns", "classes", "scales", "project",
-                 "_relations")
+    __slots__ = ("field", "ambient_dim", "rep_columns", "classes", "scales", "project")
 
-    def __init__(self, field, ambient_dim, rep_columns, classes=None, scales=None,
-                 project=None, relations=None):
+    def __init__(self, field, ambient_dim, rep_columns, classes=None, scales=None, project=None):
         self.field = field
         self.ambient_dim = ambient_dim
         self.rep_columns = rep_columns
         self.classes = classes
         self.scales = scales
         self.project = project
-        self._relations = relations
 
     @property
     def relations(self):
-        """The relation subspace, whose RREF basis is `relation_rows`."""
-        if self._relations is None:
-            rows = list(self.relation_rows())
-            pivots = [next(iter(row)) for row in rows]
-            basis = Mat(self.field, len(rows), self.ambient_dim, rows)
-            self._relations = Subspace(self.ambient_dim, basis, pivots)
-        return self._relations
+        """The relation rank as `.dim`: one relation row per coordinate that
+        is no representative.  Its only reader is perfbench/tracer.py."""
+        return SimpleNamespace(dim=self.ambient_dim - self.dim)
 
     def relation_rows(self):
         """The row e_c - lift(project(e_c)) of each pivot coordinate c, a
@@ -646,7 +608,7 @@ def quotient_by_rows(field, ambient_dim, rows):
     sequence of (column, value) pairs with distinct columns and nonzero
     values, such as `tuple(d.items())` for a sparse row `d`; the caller need
     not build a dict per row.  The result has the `rep_columns`, projection
-    and `relations` that eliminating every row into an RREF gives, without
+    and relation rows that eliminating every row into an RREF gives, without
     eliminating every row, in the cheapest form of `QuotientSpace`: no rows
     give the relation-free form, rows of at most two terms the monomial one.
     Rows of `project` with equal entries may be one shared dict, so the

@@ -9,8 +9,6 @@ tuple as `laws_declared`, so a report reads every law's status off the
 verdict, even through a wrapper around the checker that copies no attributes.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from functools import wraps
 

@@ -32,8 +32,6 @@ and the algebra map of a corings morphism by their checkers, whose first law
 is exactly that.
 """
 
-from __future__ import annotations
-
 import json
 import sys
 from contextlib import contextmanager
@@ -427,10 +425,20 @@ def parse_workspace(text, source="<workspace>"):
     """Parse and validate a workspace document; load means validate.
 
     A section's names and entry objects are checked before any of its entries
-    is parsed, and each entry is validated before the next is parsed.
+    is parsed, and each entry is validated before the next is parsed.  A key
+    given twice in one object is a syntax error, where `json` would keep the
+    last value and drop the first unseen.
     """
+    def one_value_per_key(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [key for key, _ in pairs]
+            twice = next(key for i, key in enumerate(keys) if key in keys[:i])
+            raise WorkspaceSyntaxError(f"{source}: key {twice!r} given twice")
+        return obj
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=one_value_per_key)
     except json.JSONDecodeError as e:
         raise WorkspaceSyntaxError(f"{source}:{e.lineno}: {e.msg}")
     except RecursionError:

@@ -35,6 +35,7 @@ from reference import (
     kernel,
     lift_mat,
     mat_add,
+    relation_space,
     scaled,
     zero_mat,
 )
@@ -101,15 +102,16 @@ def interchange_iso(t1, t2, target=None):
 
     # Well-definedness: relations of either factor, tensored with any ambient
     # basis vector of the other, must die in the target quotient.
-    for r in t1.quot.relations.basis.rows:
+    target_relations = relation_space(target.quot)
+    for r in relation_space(t1.quot).basis.rows:
         for idx2 in range(d_n * d_c2):
             vec = {shuffle(idx1, idx2): v for idx1, v in r.items()}
-            if not contains(target.quot.relations, vec):
+            if not contains(target_relations, vec):
                 raise DescentFailure("regrouping map is not well defined (left factor)")
-    for r in t2.quot.relations.basis.rows:
+    for r in relation_space(t2.quot).basis.rows:
         for idx1 in range(d_m * d_c):
             vec = {shuffle(idx1, idx2): v for idx2, v in r.items()}
-            if not contains(target.quot.relations, vec):
+            if not contains(target_relations, vec):
                 raise DescentFailure("regrouping map is not well defined (right factor)")
 
     source = tensor_over_k(t1.result, t2.result)

@@ -49,10 +49,10 @@ hold).  On valid morphisms both oracles must give the same coaction lift
 exactly.
 
 `reference_descend` checks a map on every row of the RREF basis of the
-source relations, read off the `Subspace` that `QuotientSpace.relations`
-builds; `descend` streams the same rows from the quotient without building
-it, and checked the generating relation rows of the source presentation
-before that.  `descend_both_ways` runs each library call through both, and
+source relations, read off the `Subspace` that `relation_space` builds whole
+from the quotient; `descend` streams the same rows from the quotient without
+building it, and checked the generating relation rows of the source
+presentation before that.  `descend_both_ways` runs each library call through both, and
 tests/test_descend.py and tests/test_law_rows.py require the same outcome,
 failure message included, on every call.
 
@@ -72,12 +72,15 @@ The linear algebra the program no longer runs lives here too, moved out of
 `corings.linalg` (and `IsoFailure` out of `corings.errors`) as functions:
 `rref`, `rank`, `inverse`, `kernel`, `map_kernel`, `transpose`,
 `is_identity`, `zero_mat`, `mat_add`, `mat_sub`, `scaled`, `echelon_mat`
-(the former `_Eliminator.to_mat`), and on subspaces `from_generators`,
-`zero_subspace`, `reduce` and `contains`.  Each looks `_Eliminator` up
-through `corings.linalg` on every call, so tests/test_eliminator.py can swap
-in `ReferenceEliminator` and compare `rref`, `kernel`, `from_generators` and
+(the former `_Eliminator.to_mat`), and on subspaces the class `Subspace` (a
+canonical RREF basis held as data) with `from_generators`, `zero_subspace`,
+`reduce` and `contains`.  Each looks `_Eliminator` up through
+`corings.linalg` on every call, so tests/test_eliminator.py can swap in
+`ReferenceEliminator` and compare `rref`, `kernel`, `from_generators` and
 `inverse` on both.  `quotient`, which eliminates every relation row, is the
-reference tests/test_quotient_by_rows.py compares `quotient_by_rows` with;
+reference tests/test_quotient_by_rows.py compares `quotient_by_rows` with.
+A `QuotientSpace` records its relations only in its projection:
+`relation_space` reads them off `relation_rows` as a `Subspace`.
 tests/test_linalg.py and tests/test_rationals.py test these helpers against
 their laws and a dense Fraction RREF.  `pure_class` was a method of
 `PresentedTensor` and `describe` one of `Verdict`.  The unit collapses
@@ -137,7 +140,7 @@ from corings.errors import (
     FieldMismatch,
     ObjectMismatch,
 )
-from corings.linalg import Mat, Subspace, _vadd, _vadd_at, _vscale
+from corings.linalg import Mat, _vadd, _vadd_at, _vscale
 from corings.verdict import Verdict, first_difference, format_combo
 
 
@@ -228,6 +231,44 @@ def inverse(m):
     return Mat(m.field, n, n, rows)
 
 
+class Subspace:
+    """A subspace of k^ambient_dim held as its canonical RREF basis, as data."""
+
+    __slots__ = ("ambient_dim", "basis", "pivots")
+
+    def __init__(self, ambient_dim, basis, pivots):
+        self.ambient_dim = ambient_dim
+        self.basis = basis
+        self.pivots = pivots
+
+    @property
+    def field(self):
+        return self.basis.field
+
+    @property
+    def dim(self):
+        return self.basis.nrows
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Subspace)
+            and self.ambient_dim == other.ambient_dim
+            and self.basis == other.basis
+        )
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"Subspace(dim {self.dim} of k^{self.ambient_dim})"
+
+
+def relation_space(quot):
+    """The relations of a `QuotientSpace` as a Subspace, read off `relation_rows`."""
+    rows = list(quot.relation_rows())
+    basis = Mat(quot.field, len(rows), quot.ambient_dim, rows)
+    return Subspace(quot.ambient_dim, basis, [min(row) for row in rows])
+
+
 def from_generators(field, ambient_dim, gens):
     """The span of `gens`, sparse rows or dense lists of scalars, as a Subspace."""
     elim = linalg._Eliminator(field, ambient_dim)
@@ -308,8 +349,7 @@ def quotient(ambient_dim, relations):
         red = reduce(relations, {j: one})
         proj_rows.append({rep_index[c]: v for c, v in red.items()})
     project = Mat(field, ambient_dim, len(rep_columns), proj_rows)
-    return linalg.QuotientSpace(field, ambient_dim, rep_columns, project=project,
-                                relations=relations)
+    return linalg.QuotientSpace(field, ambient_dim, rep_columns, project=project)
 
 
 def project_mat(quot):
@@ -346,7 +386,7 @@ def describe(verdict):
 def reference_descend(t_src, t_tgt, image):
     """`descend` checking the rows of the RREF basis of the source relations."""
     project = t_tgt.quot.project_vec
-    for r in t_src.quot.relations.basis.rows:
+    for r in relation_space(t_src.quot).basis.rows:
         if project(image(r)):
             raise DescentFailure(
                 "ambient map does not send source relations into target relations"
@@ -553,6 +593,7 @@ def reference_delta_right_linearity(c, bimodule):
     field = c.field
     b_alg = bimodule.right_alg
     nd = c.dim
+    relations = relation_space(c.tens.quot)
     induced = []
     for j in range(b_alg.dim):
         rows_b = bimodule.right_act[j].rows
@@ -564,7 +605,6 @@ def reference_delta_right_linearity(c, bimodule):
                 _vadd(field, out, {i * nd + w: v for w, v in rows_b[t].items()}, val)
             return out
 
-        relations = c.tens.quot.relations
         for r in relations.basis.rows:
             if not contains(relations, img(r)):
                 return Verdict.failed(

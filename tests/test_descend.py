@@ -4,7 +4,7 @@
 the target relations on the RREF basis of the source relations, streamed row
 by row from the source quotient (`QuotientSpace.relation_rows`).
 `reference_descend` (tests/reference.py) tests every row of the basis of the
-`Subspace` that `QuotientSpace.relations` builds.  Both must raise
+`Subspace` that `reference.relation_space` builds whole.  Both must raise
 DescentFailure, with the same message, on exactly the same inputs, and return
 the same matrix otherwise.  `descend_both_ways` runs every library
 call through both.  Here it watches the three corpora load and every

@@ -65,6 +65,7 @@ from reference import (
     reference_coaction_compatibility,
     reference_right_coaction_verdict,
     reference_right_extension_verdict,
+    relation_space,
     right_unit_collapse,
     scaled,
     zero_mat,
@@ -175,7 +176,7 @@ def corrupt_coring(rng, c):
         elif step == 4:
             lift = lift @ ident.kron(twist(rng, c.field, c.dim))
         else:
-            lift = shift_by_relation(rng, lift, c.tens.quot.relations)
+            lift = shift_by_relation(rng, lift, relation_space(c.tens.quot))
     return Coring(c.base, c.carrier, lift, counit)
 
 
@@ -201,7 +202,7 @@ def corrupt_ext(rng, m):
             ident = Mat.identity(field, c_dim)
             lift = mat_add(ident, n) @ lift @ mat_sub(ident, n).kron(Mat.identity(field, d_dim))
         elif step == 4:
-            lift = shift_by_relation(rng, lift, m.coaction_tensor.quot.relations)
+            lift = shift_by_relation(rng, lift, relation_space(m.coaction_tensor.quot))
         elif step == 5:
             j = rng.randrange(len(actions))
             actions[j] = poke(rng, actions[j])
@@ -327,15 +328,15 @@ def test_relations_added_to_lift_rows_change_no_verdict():
     shifted = 0
     for corpus, (name, kind, obj) in ((c, o) for c in CORPORA for o in corpus_objects(c)):
         rng = random.Random(f"{corpus}/{name}/relations")
-        if kind == "coring" and obj.tens.quot.relations.dim:
+        if kind == "coring" and relation_space(obj.tens.quot).dim:
             lift = obj.comul_lift
             for _ in range(3):
-                lift = shift_by_relation(rng, lift, obj.tens.quot.relations)
+                lift = shift_by_relation(rng, lift, relation_space(obj.tens.quot))
             obj = Coring(obj.base, obj.carrier, lift, obj.counit_mat)
-        elif kind == "ext" and obj.coaction_tensor.quot.relations.dim:
+        elif kind == "ext" and relation_space(obj.coaction_tensor.quot).dim:
             lift = obj.coact_lift
             for _ in range(3):
-                lift = shift_by_relation(rng, lift, obj.coaction_tensor.quot.relations)
+                lift = shift_by_relation(rng, lift, relation_space(obj.coaction_tensor.quot))
             obj = ExtMorphism(obj.source, obj.target, obj.action_mats, lift)
         else:
             continue

@@ -25,6 +25,11 @@ only, which is C's.  On every extension of the corpus it must present what
 the tensor square does, and the checker must give the verdict that
 `reference_right_extension_verdict`, on the hand-induced action of
 `reference_delta_right_linearity`, gives.
+
+`QuotientSpace.relations` has one reader, perfbench/tracer.py.  On every
+presentation the corpus commands build its `.dim` must be the number of
+relation rows, and with it raising, each command must give the same exit
+code and report.
 """
 
 import tracemalloc
@@ -64,6 +69,7 @@ from reference import (
     quotient_form,
     reference_present_tensor,
     reference_right_extension_verdict,
+    relation_space,
 )
 
 WORKSPACES = Path(__file__).resolve().parents[1] / "perfbench" / "workspaces"
@@ -114,8 +120,8 @@ def test_every_presentation_matches_the_reference(run, capsys):
     for m, n in pairs:
         got = bimodules._present_tensor(m, n)
         want = reference_present_tensor(m, n)  # raises GuardFired if the guard fires
-        assert got.quot.relations.basis == want.quot.relations.basis
-        assert got.quot.relations.pivots == want.quot.relations.pivots
+        assert relation_space(got.quot).basis == relation_space(want.quot).basis
+        assert relation_space(got.quot).pivots == relation_space(want.quot).pivots
         assert project_mat(got.quot) == project_mat(want.quot)
         assert lift_mat(got.quot) == lift_mat(want.quot)
         assert got.result.left_act == want.result.left_act
@@ -174,10 +180,18 @@ CORPUS_COMMANDS = [
     *[("monoidal-f5", ["--seed", "1", "verify-monoidal", category])
       for category in ("ext", "corings")],
 ]
+CORPUS_IDS = [f"{c}-{'-'.join(a)}" for c, a in CORPUS_COMMANDS]
 
 
-@pytest.mark.parametrize(("corpus", "argv"), CORPUS_COMMANDS,
-                         ids=[f"{c}-{'-'.join(a)}" for c, a in CORPUS_COMMANDS])
+def run_corpus_command(corpus, argv, capsys):
+    """The exit code and the captured output of one corpus command, from empty caches."""
+    with mock.patch.object(bimodules, "_TENSORS", {}), \
+            mock.patch.object(constructions, "_TENSOR_CORINGS", {}):
+        code = cli.main(["--workspace", str(WORKSPACES / f"{corpus}.json"), *argv])
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize(("corpus", "argv"), CORPUS_COMMANDS, ids=CORPUS_IDS)
 def test_no_command_builds_a_projection_matrix(corpus, argv, capsys, tmp_path, monkeypatch):
     """Every presentation a corpus command builds is relation-free or monomial:
     none holds a `project` matrix, a dict per ambient coordinate."""
@@ -190,11 +204,8 @@ def test_no_command_builds_a_projection_matrix(corpus, argv, capsys, tmp_path, m
         forms[quotient_form(quot)] += 1
         return quot
 
-    with mock.patch.object(bimodules, "_TENSORS", {}), \
-            mock.patch.object(constructions, "_TENSOR_CORINGS", {}), \
-            mock.patch.object(bimodules, "quotient_by_rows", recording):
-        code = cli.main(["--workspace", str(WORKSPACES / f"{corpus}.json"), *argv])
-    capsys.readouterr()
+    with mock.patch.object(bimodules, "quotient_by_rows", recording):
+        code, _ = run_corpus_command(corpus, argv, capsys)
     assert code == 0
     assert forms["residual"] == 0
     assert forms["free"] > 0
@@ -205,6 +216,47 @@ def test_no_command_builds_a_projection_matrix(corpus, argv, capsys, tmp_path, m
         # The Sweedler square and triple are widened from A (x)_A A (ambient
         # 16), not built by `quotient_by_rows`.
         assert forms == {"free": 10, "monomial": 3}
+
+
+@pytest.mark.parametrize(("corpus", "argv"), CORPUS_COMMANDS, ids=CORPUS_IDS)
+def test_relation_rank_counts_the_relation_rows(corpus, argv, capsys, tmp_path, monkeypatch):
+    """`QuotientSpace.relations.dim`, the relation rank perfbench/tracer.py
+    records, is the number of relation rows of every presentation a corpus
+    command builds: one per coordinate that is no representative."""
+    monkeypatch.chdir(tmp_path)
+    quots = []
+    build = bimodules._present_tensor
+
+    def recording(m, n):
+        t = build(m, n)
+        quots.append(t.quot)
+        return t
+
+    with mock.patch.object(bimodules, "_present_tensor", recording):
+        code, _ = run_corpus_command(corpus, argv, capsys)
+    assert code == 0
+    assert quots
+    if corpus != "monoidal-f5":
+        # The Sweedler coring presents over k[K4], with relations.
+        assert any(q.dim < q.ambient_dim for q in quots)
+    for q in quots:
+        assert q.relations.dim == len(list(q.relation_rows())) == q.ambient_dim - q.dim
+
+
+@pytest.mark.parametrize(("corpus", "argv"), CORPUS_COMMANDS, ids=CORPUS_IDS)
+def test_no_command_reads_the_relation_rank(corpus, argv, capsys, tmp_path, monkeypatch):
+    """With `QuotientSpace.relations` raising, every corpus command gives the
+    same exit code and report: only perfbench/tracer.py reads it."""
+    monkeypatch.chdir(tmp_path)
+    want = run_corpus_command(corpus, argv, capsys)
+
+    def unread(quot):
+        raise AssertionError("QuotientSpace.relations was read")
+
+    with mock.patch.object(linalg.QuotientSpace, "relations", property(unread)):
+        got = run_corpus_command(corpus, argv, capsys)
+    assert want[0] == 0
+    assert got == want
 
 
 def base_extend(corpus):
@@ -354,8 +406,8 @@ def test_new_action_presents_the_tensor_square():
     assert len(extensions) == 18
     for e in extensions:
         t = tensor_over_alg(e.source.carrier, e.bimodule)
-        assert t.quot.relations.basis == e.source.tens.quot.relations.basis
-        assert t.quot.relations.pivots == e.source.tens.quot.relations.pivots
+        assert relation_space(t.quot).basis == relation_space(e.source.tens.quot).basis
+        assert relation_space(t.quot).pivots == relation_space(e.source.tens.quot).pivots
         assert project_mat(t.quot) == project_mat(e.source.tens.quot)
 
 
@@ -464,8 +516,8 @@ def assert_matches_the_reference(m, n):
     assert m.check().ok and n.check().ok
     got = bimodules._present_tensor(m, n)
     want = reference_present_tensor(m, n)
-    assert got.quot.relations.basis == want.quot.relations.basis
-    assert got.quot.relations.pivots == want.quot.relations.pivots
+    assert relation_space(got.quot).basis == relation_space(want.quot).basis
+    assert relation_space(got.quot).pivots == relation_space(want.quot).pivots
     assert project_mat(got.quot) == project_mat(want.quot)
     assert lift_mat(got.quot) == lift_mat(want.quot)
     assert got.result.left_act == want.result.left_act

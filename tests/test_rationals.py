@@ -25,9 +25,19 @@ from corings.bimodules import (
     tensor_over_alg,
 )
 from corings.coring import check_coring
-from corings.linalg import Field, Mat, Subspace
+from corings.linalg import Field, Mat
 from corings.workspace import load_workspace
-from reference import IsoFailure, inverse, kernel, lift_mat, mat_add, project_mat, rref, scaled
+from reference import (
+    IsoFailure,
+    inverse,
+    kernel,
+    lift_mat,
+    mat_add,
+    project_mat,
+    relation_space,
+    rref,
+    scaled,
+)
 
 Q = Field.rationals()
 WORKSPACES = Path(__file__).resolve().parents[1] / "perfbench" / "workspaces"
@@ -199,15 +209,13 @@ def reachable_mats(obj, seen):
         yield obj
     elif isinstance(obj, PresentedTensor):
         q = obj.quot
-        for part in (project_mat(q), lift_mat(q), q.relations.basis, obj.result):
+        for part in (project_mat(q), lift_mat(q), relation_space(q).basis, obj.result):
             yield from reachable_mats(part, seen)
     elif isinstance(obj, Bimodule):
         for part in (*obj.left_act, *obj.right_act):
             yield from reachable_mats(part, seen)
     elif isinstance(obj, BimoduleMorphism):
         yield from reachable_mats(obj.map, seen)
-    elif isinstance(obj, Subspace):
-        yield from reachable_mats(obj.basis, seen)
     elif isinstance(obj, (tuple, list)):
         for part in obj:
             yield from reachable_mats(part, seen)

@@ -425,6 +425,50 @@ def test_unreadable_file_is_a_syntax_error(case, capsys, tmp_path):
     assert detail in out
 
 
+# A key given twice in one object, which `json.loads` alone reads as its last
+# value: the F_5 field loaded over Q, the second `algebras` dropped `k`, and
+# coring m loaded as matrix 3.  A dict cannot hold a key twice, so each case
+# is a raw document text, with the name of an object its last values define.
+GROUND = '{"k": {"fixture": {"kind": "ground"}}}'
+DUPLICATED = {
+    "top-level-key": (
+        '{"field": {"kind": "prime", "p": 5}, "field": {"kind": "rationals"}, '
+        f'"algebras": {GROUND}}}',
+        "k", "key 'field' given twice",
+    ),
+    "section": (
+        f'{{"field": {{"kind": "rationals"}}, "algebras": {GROUND}, '
+        '"algebras": {"d": {"fixture": {"kind": "dual_numbers"}}}}',
+        "d", "key 'algebras' given twice",
+    ),
+    "object-name": (
+        f'{{"field": {{"kind": "rationals"}}, "algebras": {GROUND}, "corings": {{'
+        '"m": {"fixture": {"kind": "matrix_coalgebra", "n": 2}}, '
+        '"m": {"fixture": {"kind": "matrix_coalgebra", "n": 3}}}}',
+        "m", "key 'm' given twice",
+    ),
+    "fixture-key": (
+        f'{{"field": {{"kind": "rationals"}}, "algebras": {GROUND}, "corings": {{'
+        '"m": {"fixture": {"kind": "matrix_coalgebra", "n": 2, "n": 3}}}}',
+        "m", "key 'n' given twice",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DUPLICATED))
+def test_duplicated_key_is_a_syntax_error(case, capsys, tmp_path):
+    text, name, detail = DUPLICATED[case]
+    ws = tmp_path / "ws.json"
+    ws.write_text(text)
+    code = cli.main(["--workspace", str(ws), "dims", name])
+    out, err = capsys.readouterr()
+    assert (code, err) == (2, "")
+    lines = out.splitlines()
+    assert "error: syntax" in lines
+    assert lines[-1] == "result: error"
+    assert f"detail: {ws}: {detail}" in lines
+
+
 # A small F_5 workspace with every section and both spellings (fixture and
 # inline) of each kind of object; every object loads and checks.
 I2 = [[1, 0], [0, 1]]
