@@ -44,11 +44,11 @@ The answer is the one the rows of the whole ambient space give, byte for
 byte: those relations are R (x) Y (or U (x) R) for the relations R of the
 smaller pair, and the canonical RREF of that span is the RREF of R tensored
 with basis vectors, so the representatives, classes, scales and projection
-are R's widened.  The outer actions are a (x) id_Y and id_X (x) c, each row
-of a or c copied with its indices remapped (`_factored`).  Every record is
-one-sided, so B acts through one factor of it; the carrier C (x)_k C' of a
-tensor coring, A (x) A' acting on both factors, could record the same pair
-once the route tests which factors B acts through.
+are R's widened.  The outer actions are the Kronecker products a (x) id_Y
+and id_X (x) c (`_factored`).  Every record is one-sided, so B acts through
+one factor of it; the carrier C (x)_k C' of a tensor coring, A (x) A' acting
+on both factors, could record the same pair once the route tests which
+factors B acts through.
 
 tensor_over_alg memoizes its presentations for the life of the process, keyed
 on the structure of the two factors (what Bimodule.__eq__ compares; labels are
@@ -69,7 +69,7 @@ from .errors import (
     DimensionMismatch,
     FieldMismatch,
 )
-from .linalg import Mat, _Eliminator, _vadd, _vadd_at, quotient_by_rows
+from .linalg import Mat, _Eliminator, _vadd, quotient_by_rows
 from .verdict import checker, first_noncommuting
 
 BIMODULE_LAWS = ("left-module", "right-module", "commuting-actions")
@@ -289,11 +289,11 @@ class PresentedTensor:
     def result(self):
         """M (x)_B N as an (A, C)-bimodule, its outer actions induced on first read.
 
-        With `factors` (X, Y) they are a (x) id_Y and id_X (x) c, whose rows
-        are those of a and c with remapped indices (`_factored`), and the
-        result records its factors.  Otherwise commuting actions on the
-        factors make a (x) id and id (x) c preserve the relations, so the
-        lift rows are pushed with no descent check.
+        With `factors` (X, Y) they are the Kronecker products a (x) id_Y and
+        id_X (x) c (`_factored`), and the result records its factors.
+        Otherwise commuting actions on the factors make a (x) id and
+        id (x) c preserve the relations, so the lift rows are pushed with no
+        descent check.
         """
         if self.factors is not None:
             return _factored(*self.factors)
@@ -430,15 +430,12 @@ def _present_tensor(m, n):
 def _factored(x, y):
     """X (x)_k Y for an (A, k)-bimodule X and a (k, C)-bimodule Y, recording its factors.
 
-    Its actions a (x) id_Y and id_X (x) c remap the indices of a's and c's rows.
+    Its actions are the Kronecker products a (x) id_Y and id_X (x) c.
     """
-    field, yd = x.field, y.dim
-    n = x.dim * yd
-    left = [Mat(field, n, n, [{u * yd + j: v for u, v in r.items()}
-                              for r in a.rows for j in range(yd)]) for a in x.left_act]
-    right = [Mat(field, n, n, [{i * yd + w: v for w, v in r.items()}
-                               for i in range(x.dim) for r in c.rows]) for c in y.right_act]
-    return Bimodule(x.left_alg, y.right_alg, n, left, right, factors=(x, y))
+    id_x, id_y = Mat.identity(x.field, x.dim), Mat.identity(x.field, y.dim)
+    left = [a.kron(id_y) for a in x.left_act]
+    right = [id_x.kron(c) for c in y.right_act]
+    return Bimodule(x.left_alg, y.right_alg, x.dim * y.dim, left, right, factors=(x, y))
 
 
 def _relation_rows(m, n):
@@ -490,19 +487,20 @@ def _kron_apply(f, g, vec):
     """Image of a sparse ambient vector under f (x) g without materializing it.
 
     Either factor may be an int n instead of a matrix: the identity of k^n.
-    Each term is added into the result where it lands (`_vadd_at`).
+    Each term is added into the result where it lands: `_vadd` with a base
+    and a stride.
     """
     out = {}
     if f.__class__ is int:
         field, nr, nc = g.field, g.nrows, g.ncols
         for idx, val in vec.items():
             i, j = divmod(idx, nr)
-            _vadd_at(field, out, g.rows[j], val, i * nc, 1)
+            _vadd(field, out, g.rows[j], val, i * nc)
     elif g.__class__ is int:
         field = f.field
         for idx, val in vec.items():
             i, j = divmod(idx, g)
-            _vadd_at(field, out, f.rows[i], val, j, g)
+            _vadd(field, out, f.rows[i], val, j, g)
     else:
         field, nr, nc = f.field, g.nrows, g.ncols
         mul = field.mul
@@ -510,7 +508,7 @@ def _kron_apply(f, g, vec):
             i, j = divmod(idx, nr)
             gj = g.rows[j]
             for u, fv in f.rows[i].items():
-                _vadd_at(field, out, gj, mul(val, fv), u * nc, 1)
+                _vadd(field, out, gj, mul(val, fv), u * nc)
     return out
 
 

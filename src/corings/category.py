@@ -51,7 +51,7 @@ from .errors import (
     InvalidMorphism,
     ObjectMismatch,
 )
-from .linalg import Mat, _vadd, _vadd_at
+from .linalg import Mat, _vadd
 from .verdict import VACUOUS, checker, first_difference, first_noncommuting
 
 EXT_MORPHISM_LAWS = ("bimodule", "delta-right-linear", "coaction", "colinearity")
@@ -201,7 +201,7 @@ def ext_compose(g, f):
                 c0, d = divmod(idx2, d_dim)
                 coeff = field.mul(val, val2)
                 for t, at in eps.rows[c0].items():
-                    _vadd_at(field, out, act_f[t].rows[e0], field.mul(coeff, at), d, d_dim)
+                    _vadd(field, out, act_f[t].rows[e0], field.mul(coeff, at), d, d_dim)
         coact_rows.append(out)
     coact = Mat(field, e_dim, e_dim * d_dim, coact_rows)
     return ExtMorphism(f.source, g.target, action, coact)

@@ -216,33 +216,13 @@ class Field:
         return "Q" if self.p is None else f"F_{self.p}"
 
 
-def _vadd(field, dst, src, coeff):
-    """dst += coeff * src for sparse rows, dropping entries that become zero."""
-    if not coeff:
-        return
-    p = field.p
-    if p is None:
-        for j, v in src.items():
-            w = dst.get(j, 0) + coeff * v
-            if w:
-                dst[j] = _norm(w)
-            else:
-                dst.pop(j, None)
-    else:
-        for j, v in src.items():
-            w = (dst.get(j, 0) + coeff * v) % p
-            if w:
-                dst[j] = w
-            else:
-                dst.pop(j, None)
-
-
-def _vadd_at(field, dst, src, coeff, base, stride):
+def _vadd(field, dst, src, coeff, base=0, stride=1):
     """dst[base + stride * j] += coeff * src[j] for sparse rows, dropping zeros.
 
-    The columns of a Kronecker factor: with stride 1 and base u * n they are
-    those of row u of A (x) B, B of width n; with stride n and base j those
-    of a row of A (x) id_n.
+    With the defaults it is dst += coeff * src.  Otherwise the columns are
+    those of a Kronecker factor: with stride 1 and base u * n they are those
+    of row u of A (x) B, B of width n; with stride n and base j those of a
+    row of A (x) id_n.
     """
     if not coeff:
         return
@@ -276,14 +256,9 @@ def coerced_row(field, entries):
 
 
 def _vscale(field, row, coeff):
-    p = field.p
-    if p is None:
-        return {j: _norm(coeff * v) for j, v in row.items()}
+    """coeff * row, a new sparse row."""
     out = {}
-    for j, v in row.items():
-        w = (coeff * v) % p
-        if w:
-            out[j] = w
+    _vadd(field, out, row, coeff)
     return out
 
 
@@ -356,14 +331,7 @@ class Mat:
             raise DimensionMismatch(
                 f"cannot compose {self.nrows}x{self.ncols} with {other.nrows}x{other.ncols}"
             )
-        field = self.field
-        rows = []
-        for a in self.rows:
-            out = {}
-            for k, v in a.items():
-                _vadd(field, out, other.rows[k], v)
-            rows.append(out)
-        return Mat(field, self.nrows, other.ncols, rows)
+        return Mat(self.field, self.nrows, other.ncols, [other.apply(a) for a in self.rows])
 
     def apply(self, vec):
         """Row vector image vec @ self, sparse in and out."""
@@ -543,7 +511,7 @@ class QuotientSpace:
             rows = self.project.rows
             for x, v in vec.items():
                 i, j = divmod(x, width)
-                _vadd_at(self.field, out, rows[i], v, j, width)
+                _vadd(self.field, out, rows[i], v, j, width)
             return out
         p = self.field.p
         scales = self.scales

@@ -35,6 +35,7 @@ is exactly that.
 import json
 import sys
 from contextlib import contextmanager
+from itertools import chain
 
 from .algebras import (
     AlgebraMorphism,
@@ -137,6 +138,34 @@ def _mat(field, data, nrows=None, ncols=None, what="matrix"):
     if ncols is not None and m.ncols != ncols:
         raise WorkspaceSyntaxError(f"{what}: expected {ncols} columns, got {m.ncols}")
     return m
+
+
+class _Entry(dict):
+    """A JSON object of the document, recording the keys read from it."""
+
+    __slots__ = ("read",)
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return dict.__getitem__(self, key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return dict.get(self, key, default)
+
+
+def _known_keys(spec, what):
+    """Reject a key of `spec`, or of an object under a key read from it, that
+    its parser never read: a misspelt or stray key is bad input."""
+    for key, value in spec.items():
+        if key not in spec.read:
+            raise WorkspaceSyntaxError(f"{what}: unknown key {key!r}")
+        if isinstance(value, _Entry):
+            _known_keys(value, f"{what}: {key}")
 
 
 def _object(value, what):
@@ -427,10 +456,11 @@ def parse_workspace(text, source="<workspace>"):
     A section's names and entry objects are checked before any of its entries
     is parsed, and each entry is validated before the next is parsed.  A key
     given twice in one object is a syntax error, where `json` would keep the
-    last value and drop the first unseen.
+    last value and drop the first unseen, and so is a key, at any depth of an
+    entry or of `field`, that its parser does not read (`_known_keys`).
     """
     def one_value_per_key(pairs):
-        obj = dict(pairs)
+        obj = _Entry(pairs)
         if len(obj) < len(pairs):
             keys = [key for key, _ in pairs]
             twice = next(key for i, key in enumerate(keys) if key in keys[:i])
@@ -453,6 +483,7 @@ def parse_workspace(text, source="<workspace>"):
     if "field" not in doc:
         raise WorkspaceSyntaxError(f"{source}: missing top-level key 'field'")
     ws = Workspace(_parse_field(doc["field"]))
+    _known_keys(doc["field"], "field")
     for section, parse in SECTIONS.items():
         what = section[:-1]
         specs = _object(doc.get(section, {}), f"{source}: {section}")
@@ -461,6 +492,7 @@ def parse_workspace(text, source="<workspace>"):
         loaded = getattr(ws, section)
         for name, spec in entries:
             value = parse(ws, name, spec)
+            _known_keys(spec, f"{what} {name}")
             if section == "morphisms":
                 _validate(ws, f"{value[0]}-morphism", name, value[1])
             else:
@@ -521,30 +553,40 @@ def algebra_to_json(a):
 class Dumper:
     """Collects a self-contained workspace fragment for constructed objects.
 
-    Objects structurally equal to a workspace entry are written back under
-    their existing name; anything else gets a deterministic generated name.
+    An algebra or coring equal to a workspace entry is written under that
+    entry's name, one equal to an object the dump already generated a name
+    for under that name, and anything else under the next generated
+    `<prefix>_<n>` that neither the workspace nor the dump uses.
     """
 
     def __init__(self, ws):
         self.ws = ws
         self.doc = {"field": field_to_json(ws.field), **{section: {} for section in SECTIONS}}
         self._anon = 0
+        self._made = {"algebras": {}, "corings": {}}
 
     def _fresh(self, prefix):
-        self._anon += 1
-        return f"{prefix}_{self._anon}"
+        while True:
+            self._anon += 1
+            name = f"{prefix}_{self._anon}"
+            if not any(name in getattr(self.ws, s) or name in self.doc[s] for s in SECTIONS):
+                return name
+
+    def _named(self, section, obj, to_json):
+        """The name of `obj` in `section`, its entry written under it."""
+        entries, made = self.doc[section], self._made[section]
+        for name, known in chain(getattr(self.ws, section).items(), made.items()):
+            if known == obj:
+                break
+        else:
+            name = self._fresh(section[:-1])
+            made[name] = obj
+        if name not in entries:
+            entries[name] = to_json(obj)
+        return name
 
     def algebra(self, a):
-        for name, known in self.ws.algebras.items():
-            if known == a:
-                self.doc["algebras"].setdefault(name, algebra_to_json(a))
-                return name
-        for name, entry in self.doc["algebras"].items():
-            if name not in self.ws.algebras and entry == algebra_to_json(a):
-                return name
-        name = self._fresh("algebra")
-        self.doc["algebras"][name] = algebra_to_json(a)
-        return name
+        return self._named("algebras", a, algebra_to_json)
 
     def module_json(self, m):
         out = {
@@ -568,11 +610,7 @@ class Dumper:
 
     def coring(self, c, name=None):
         if name is None:
-            for known_name, known in self.ws.corings.items():
-                if known == c:
-                    self.doc["corings"].setdefault(known_name, self.coring_json(c))
-                    return known_name
-            name = self._fresh("coring")
+            return self._named("corings", c, self.coring_json)
         self.doc["corings"][name] = self.coring_json(c)
         return name
 

@@ -68,6 +68,13 @@ Kronecker product of two projected factor maps to each lift replaced).  They
 take valid input unchecked.  Their coring, action matrices and coaction lift
 must equal the library's exactly (tests/test_base_extension_reference.py).
 
+`_vadd`, `_vadd_at` and `_vscale` are the sparse-row accumulate loops that
+one `corings.linalg._vadd`, taking a base and a stride, replaced; `matmul` is
+`Mat @` before it became the rows of `Mat.apply`, and `factored_actions` the
+index remap `bimodules._factored` read its actions with before it took them
+from `Mat.kron` with identities.  The helpers below run on these copies, and
+tests/test_vadd.py compares the library with them.
+
 The linear algebra the program no longer runs lives here too, moved out of
 `corings.linalg` (and `IsoFailure` out of `corings.errors`) as functions:
 `rref`, `rank`, `inverse`, `kernel`, `map_kernel`, `transpose`,
@@ -140,12 +147,91 @@ from corings.errors import (
     FieldMismatch,
     ObjectMismatch,
 )
-from corings.linalg import Mat, _vadd, _vadd_at, _vscale
+from corings.linalg import Mat, _norm
 from corings.verdict import Verdict, first_difference, format_combo
 
 
 class IsoFailure(CoringsError):
     """A map that must be invertible turned out not to be."""
+
+
+def _vadd(field, dst, src, coeff):
+    """dst += coeff * src for sparse rows, dropping entries that become zero."""
+    if not coeff:
+        return
+    p = field.p
+    if p is None:
+        for j, v in src.items():
+            w = dst.get(j, 0) + coeff * v
+            if w:
+                dst[j] = _norm(w)
+            else:
+                dst.pop(j, None)
+    else:
+        for j, v in src.items():
+            w = (dst.get(j, 0) + coeff * v) % p
+            if w:
+                dst[j] = w
+            else:
+                dst.pop(j, None)
+
+
+def _vadd_at(field, dst, src, coeff, base, stride):
+    """dst[base + stride * j] += coeff * src[j] for sparse rows, dropping zeros."""
+    if not coeff:
+        return
+    p = field.p
+    if p is None:
+        for j, v in src.items():
+            c = base + stride * j
+            w = dst.get(c, 0) + coeff * v
+            if w:
+                dst[c] = _norm(w)
+            else:
+                dst.pop(c, None)
+    else:
+        for j, v in src.items():
+            c = base + stride * j
+            w = (dst.get(c, 0) + coeff * v) % p
+            if w:
+                dst[c] = w
+            else:
+                dst.pop(c, None)
+
+
+def _vscale(field, row, coeff):
+    p = field.p
+    if p is None:
+        return {j: _norm(coeff * v) for j, v in row.items()}
+    out = {}
+    for j, v in row.items():
+        w = (coeff * v) % p
+        if w:
+            out[j] = w
+    return out
+
+
+def matmul(a, b):
+    """a @ b, each row of the product accumulated term by term."""
+    rows = []
+    for r in a.rows:
+        out = {}
+        for k, v in r.items():
+            _vadd(a.field, out, b.rows[k], v)
+        rows.append(out)
+    return Mat(a.field, a.nrows, b.ncols, rows)
+
+
+def factored_actions(x, y):
+    """The actions a (x) id_Y and id_X (x) c of X (x)_k Y, each row of a or c
+    copied with its indices remapped."""
+    field, yd = x.field, y.dim
+    n = x.dim * yd
+    left = [Mat(field, n, n, [{u * yd + j: v for u, v in r.items()}
+                              for r in a.rows for j in range(yd)]) for a in x.left_act]
+    right = [Mat(field, n, n, [{i * yd + w: v for w, v in r.items()}
+                               for i in range(x.dim) for r in c.rows]) for c in y.right_act]
+    return left, right
 
 
 def zero_mat(field, nrows, ncols):

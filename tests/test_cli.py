@@ -407,3 +407,51 @@ def test_compose_oracle_mismatch_names_a_witness(capsys, tmp_path, monkeypatch):
     assert [line for line in lines if line.startswith(("law:", "witness:"))] == lines[-3:-1]
     assert "dumped" not in out
     assert list(tmp_path.iterdir()) == []
+
+
+# An F_5 workspace whose unit coring is named as the dump names a coring it
+# generates.  `extend-tensor u_m2 u_c2` has the unit coring as its target.
+NAMED_LIKE_A_DUMP = {
+    "field": {"kind": "prime", "p": 5},
+    "algebras": {"k": {"fixture": {"kind": "ground"}}},
+    "corings": {
+        "coring_1": {"fixture": {"kind": "unit"}},
+        "m2": {"fixture": {"kind": "matrix_coalgebra", "n": 2}},
+        "c2": {"fixture": {"kind": "grouplike", "table": [[0, 1], [1, 0]]}},
+    },
+    "extensions": {
+        "u_m2": {"fixture": {"kind": "unit", "coring": "m2"}},
+        "u_c2": {"fixture": {"kind": "unit", "coring": "c2"}},
+    },
+}
+
+
+def test_a_generated_name_skips_the_workspace_names(capsys, tmp_path):
+    """The 8-dim source took the generated name `coring_1` and the unit target
+    the workspace's, so `by` named the source and the dump failed to load
+    (exit 2, expected 64 columns, got 8) after reporting `dumped`."""
+    path, dump = tmp_path / "ws.json", tmp_path / "out.json"
+    path.write_text(json.dumps(NAMED_LIKE_A_DUMP))
+    code, out, err = run_cli(capsys, path, "extend-tensor", "u_m2", "u_c2", "--dump", str(dump))
+    assert (code, err) == (0, "")
+    entry = json.loads(dump.read_text())["extensions"]["result"]
+    assert (entry["coring"], entry["by"]) == ("coring_2", "coring_1")
+    code, out, err = run_cli(capsys, dump, "dims", "result")
+    assert (code, err) == (0, "")
+    assert "coring-dim: 8\n" in out and "by-dim: 1\n" in out
+
+
+def test_a_coring_equal_to_a_generated_one_reuses_its_name(capsys, tmp_path):
+    """The source and the target of `regular_dual (x) regular_dual` are one
+    coring, written once; it was written twice, as `coring_1` and `coring_3`."""
+    dump = tmp_path / "out.json"
+    code, _, err = run_cli(capsys, WORKSPACES / "cli-f5.json", "extend-tensor",
+                           "regular_dual", "regular_dual", "--dump", str(dump))
+    assert (code, err) == (0, "")
+    doc = json.loads(dump.read_text())
+    entry = doc["extensions"]["result"]
+    assert list(doc["corings"]) == ["coring_1"]
+    assert (entry["coring"], entry["by"]) == ("coring_1", "coring_1")
+    code, out, err = run_cli(capsys, dump, "check", "result")
+    assert (code, err) == (0, "")
+    assert out.endswith("result: pass\n")

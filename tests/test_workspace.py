@@ -213,6 +213,41 @@ MALFORMED.update({
     )
 })
 
+ONE_DIM_CARRIER = {"left": "k", "right": "k", "dim": 1,
+                   "left_action": [[["1"]]], "right_action": [[["1"]]]}
+ONE_DIM_CORING = {"base": "k", "carrier": ONE_DIM_CARRIER, "comul_lift": [["1"]],
+                  "counit": [["1"]]}
+
+# A key that the entry's parser does not read, at any depth, was ignored: each
+# of these loaded and `check` exited 0.
+MALFORMED.update({
+    f"unknown-key-{name}": (doc, detail) for name, doc, detail in (
+        ("in-field", {**f5_doc("algebras", "k", {"fixture": {"kind": "ground"}}),
+                      "field": {**F5, "q": 7}}, "field: unknown key 'q'"),
+        ("p-over-q", {**f5_doc("algebras", "k", {"fixture": {"kind": "ground"}}),
+                      "field": {**Q, "p": 5}}, "field: unknown key 'p'"),
+        ("in-fixture", f5_doc("algebras", "x", {"fixture": {"kind": "ground", "size": 3}}),
+         "algebra x: fixture: unknown key 'size'"),
+        ("beside-fixture", f5_doc("corings", "x", {"fixture": {"kind": "unit"}, "base": "zzz"}),
+         "coring x: unknown key 'base'"),
+        ("in-extension-fixture",
+         f5_doc("extensions", "x", {"fixture": {"kind": "regular", "coring": "u", "by": "u"}}),
+         "extension x: fixture: unknown key 'by'"),
+        ("beside-morphism-fixture",
+         f5_doc("morphisms", "x", {"kind": "ext", "fixture": {"kind": "identity", "coring": "u"},
+                                   "phi": "junk"}),
+         "morphism x: unknown key 'phi'"),
+        ("in-coring", f5_doc("corings", "x", {**ONE_DIM_CORING, "comul": [["1"]]}),
+         "coring x: unknown key 'comul'"),
+        ("in-carrier",
+         f5_doc("corings", "x", {**ONE_DIM_CORING,
+                                 "carrier": {**ONE_DIM_CARRIER, "label": ["e"]}}),
+         "coring x: carrier: unknown key 'label'"),
+        ("in-module", f5_doc("modules", "x", {**ONE_DIM_CARRIER, "labels": ["e"], "lables": 1}),
+         "module x: unknown key 'lables'"),
+    )
+})
+
 
 def grouplike_doc(table):
     return f5_doc("corings", "c", {"fixture": {"kind": "grouplike", "table": table}})
@@ -725,6 +760,33 @@ def test_explicit_ext_morphism_splits_its_interleaved_action():
     assert loaded[0] == "ext"
     assert loaded[1].action_mats == m.action_mats
     assert loaded[1].coact_lift == m.coact_lift
+
+
+def test_dumper_names_each_object_once():
+    """An object equal to a workspace entry takes that entry's name, one equal
+    to a generated entry the generated name, and a new one the next
+    `<prefix>_<n>` used neither by the workspace nor by the dump."""
+    field = Field.prime(5)
+    ws = parse_workspace(json.dumps({
+        "field": F5,
+        "algebras": {"k": {"fixture": {"kind": "ground"}},
+                     "algebra_2": {"fixture": {"kind": "dual_numbers"}}},
+        "corings": {"m2": {"fixture": {"kind": "matrix_coalgebra", "n": 2}}},
+    }))
+    dumper = Dumper(ws)
+    assert dumper.coring(matrix_coalgebra(2, field)) == "m2"
+    assert dumper.algebra(ground_algebra(field)) == "k"
+    assert dumper.coring(ws.corings["m2"], "coring_1") == "coring_1"
+    # coring_1 is in the dump and algebra_2 in the workspace.
+    assert dumper.coring(matrix_coalgebra(3, field)) == "coring_2"
+    assert dumper.algebra(group_algebra(field, KLEIN_4)) == "algebra_3"
+    assert dumper.coring(matrix_coalgebra(3, field)) == "coring_2"
+    assert dumper.algebra(group_algebra(field, KLEIN_4)) == "algebra_3"
+    assert list(dumper.doc["corings"]) == ["m2", "coring_1", "coring_2"]
+    assert list(dumper.doc["algebras"]) == ["k", "algebra_3"]
+    reloaded = parse_workspace(dumper.text())
+    assert reloaded.corings["coring_2"] == matrix_coalgebra(3, field)
+    assert reloaded.algebras["algebra_3"] == group_algebra(field, KLEIN_4)
 
 
 # Where README.md describes the fixtures of each kind: from the first marker
