@@ -38,6 +38,10 @@ from .bimodules import (
     tensor_over_k,
 )
 from .category import (
+    CATEGORIES,
+    CORINGS,
+    EXT,
+    Category,
     CoringsMorphism,
     ExtMorphism,
     base_ring_extension,
@@ -56,8 +60,7 @@ from .category import (
     ext_to_unit,
     grouplike_corings_morphism,
     trivial_corings_morphism,
-    verify_corings_monoidal,
-    verify_ext_monoidal,
+    verify_monoidal,
 )
 from .constructions import (
     grouplike_coalgebra,

@@ -19,13 +19,16 @@ compatible bilinear map of carriers.  Both categories carry the tensor-coring
 bifunctor, and it is strict: C tensored with the unit coring on either side is
 C, and the two groupings of a triple tensor are one coring, so the unitors and
 the associator are identity morphisms (Mac Lane, CWM VII.1), and the pentagon
-and triangle reduce to identity preservation.  The verifiers here
-machine-check identity preservation, the interchange law on composites, and
-the strictness itself as equalities of corings.
+and triangle reduce to identity preservation.  Each category is one
+`Category` record, `EXT` or `CORINGS`, keyed by name in `CATEGORIES`; the
+`verify-monoidal` command takes such a key.  `verify_monoidal` reads the
+record and machine-checks identity preservation, the interchange law on
+composites, and the strictness itself as equalities of corings.
 """
 
 import operator
 import random
+from collections import namedtuple
 from functools import cached_property
 
 from .algebras import (
@@ -492,38 +495,43 @@ def _sampled(items, cap, seed):
     return [items[i] for i in picked]
 
 
+def _same_ext_data(a, b):
+    """Exact equality of actions and coaction lifts, never compared in the quotient."""
+    return a.action_mats == b.action_mats and a.coact_lift == b.coact_lift
+
+
+# One of the two monoidal categories on the tensor-coring bifunctor: how to
+# form identities, tensors and composites of its morphisms, the morphism
+# checker, the equality of morphisms `interchange` compares with, and the
+# exact equality of data `identity-preservation` compares with.
+Category = namedtuple("Category", "name identity tensor compose check equal identical")
+EXT = Category("ext", ext_identity, ext_tensor_morphisms, ext_compose, check_ext_morphism,
+               ext_morphisms_equal, _same_ext_data)
+CORINGS = Category("corings", corings_identity, corings_tensor_morphisms, corings_compose,
+                   check_corings_morphism, operator.eq, operator.eq)
+CATEGORIES = {"ext": EXT, "corings": CORINGS}
+
+
 @checker(MONOIDAL_LAWS)
-def _verify_monoidal(corings, morphisms, seed, kind):
-    """Shared four-phase monoidal verifier; `kind` picks the category.
+def verify_monoidal(category, corings, morphisms, seed=0):
+    """The four monoidal-category laws of `category`, a `Category`, on a family.
 
     Every coring in the family must pass `check_coring` (workspace load
     guarantees it); the morphisms need not be valid.  The tensor is strict,
     so the unitors and the associator are identities, and the last two phases
     check that as equalities of corings: C tensored with the unit on either
     side is C, and the two groupings of a sampled triple are one coring.
-    Interchange is checked on at most MAX_SQUARES[kind] sampled squares of
-    composable pairs, each composite composed and checked once, and the
-    associator on at most MAX_TRIPLES sampled triples.  Each law that held
-    on no instance yields `VACUOUS`, so an empty family passes every law
+    Interchange is checked on at most MAX_SQUARES[category.name] sampled
+    squares of composable pairs, each composite composed and checked once,
+    and the associator on at most MAX_TRIPLES sampled triples.  Each law that
+    held on no instance yields `VACUOUS`, so an empty family passes every law
     vacuously.
     """
-    is_ext = kind == "ext"
-    identity_of = ext_identity if is_ext else corings_identity
-    tensor_of = ext_tensor_morphisms if is_ext else corings_tensor_morphisms
-    compose = ext_compose if is_ext else corings_compose
-    check = check_ext_morphism if is_ext else check_corings_morphism
-    morphs_equal = ext_morphisms_equal if is_ext else operator.eq
-
+    identity_of, tensor_of, compose = category.identity, category.tensor, category.compose
     for i in range(len(corings)):
         for j in range(len(corings)):
             lhs = tensor_of(identity_of(corings[i]), identity_of(corings[j]))
-            rhs = identity_of(lhs.source)
-            same = (
-                lhs.action_mats == rhs.action_mats and lhs.coact_lift == rhs.coact_lift
-                if is_ext
-                else lhs == rhs
-            )
-            if not same:
+            if not category.identical(lhs, identity_of(lhs.source)):
                 yield "identity-preservation", (
                     f"tensor of the identities of corings {i} and {j} is not the "
                     f"identity of their tensor"
@@ -532,14 +540,14 @@ def _verify_monoidal(corings, morphisms, seed, kind):
 
     pairs = _composable_pairs(morphisms)
     squares = _sampled(
-        [(p, q) for p in pairs for q in pairs], MAX_SQUARES[kind], seed
+        [(p, q) for p in pairs for q in pairs], MAX_SQUARES[category.name], seed
     )
     composites = {}
     for (gi, fi), (gj, fj) in squares:
         for a, b in ((gi, fi), (gj, fj)):
             if (a, b) not in composites:
                 composites[a, b] = compose(morphisms[a], morphisms[b])
-                v = check(composites[a, b])
+                v = category.check(composites[a, b])
                 if not v.ok:
                     yield "interchange", (
                         f"composite of morphisms {a} after {b} is not a valid morphism "
@@ -549,7 +557,7 @@ def _verify_monoidal(corings, morphisms, seed, kind):
         g2, f2 = morphisms[gj], morphisms[fj]
         lhs = tensor_of(composites[gi, fi], composites[gj, fj])
         rhs = compose(tensor_of(g, g2), tensor_of(f, f2))
-        if not morphs_equal(lhs, rhs):
+        if not category.equal(lhs, rhs):
             yield "interchange", (
                 f"interchange fails on morphism pairs ({gi},{fi}) and ({gj},{fj})"
             )
@@ -578,12 +586,3 @@ def _verify_monoidal(corings, morphisms, seed, kind):
             yield "associator", f"the two groupings of ({i},{j},{l}) are different corings"
     yield "associator", None if triples else VACUOUS
 
-
-def verify_ext_monoidal(corings, morphisms, seed=0):
-    """Monoidal-category laws of the extension category; every coring must be valid."""
-    return _verify_monoidal(corings, morphisms, seed, "ext")
-
-
-def verify_corings_monoidal(corings, morphisms, seed=0):
-    """Monoidal-category laws of the plain corings category; every coring must be valid."""
-    return _verify_monoidal(corings, morphisms, seed, "corings")

@@ -6,15 +6,18 @@
 The global options come before the command: `--workspace` (required),
 `--json-report`, and `--seed`, an int (default 0).  A command takes the
 positional names of its row in `COMMANDS`, in order; `verify-monoidal`
-takes `ext` or `corings`.  `--out` and `--dump` come after the command, in
-any order with its names, and only `tensor`, `extend-tensor`, `compose` and
-`base-extend` take them.  An option takes its value after `=` or as the next
-argument, which must not read as an option: `-1` and `-` are values, `-x`
-is not.  A unique prefix of a long option stands for it, and the last of a
-repeated option wins.  `--` after the command ends the options: a name that
-starts with `-` goes after it.  `-h` or `--help` prints the usage and the
-commands, from the same tables, to stdout and exits 0.  A command line that
-does not parse prints the usage and the error to stderr and exits 2.
+takes a key of `category.CATEGORIES`, `ext` or `corings`, and checks the
+laws of that category's record.  `--out` and `--dump` come after the
+command, in any order with its names, and only `tensor`, `extend-tensor`,
+`compose` and `base-extend` take them; the dump refuses an `--out` name that
+it also writes in another section (exit 2).  An option takes its value after
+`=` or as the next argument, which must not read as an option: `-1` and `-`
+are values, `-x` is not.  A unique prefix of a long option stands for it,
+and the last of a repeated option wins.  `--` after the command ends the
+options: a name that starts with `-` goes after it.  `-h` or `--help` prints
+the usage and the commands, from the same tables, to stdout and exits 0.  A
+command line that does not parse prints the usage and the error to stderr
+and exits 2.
 
 Every command loads a workspace (loading validates every object), runs, and
 emits a structured report: `key: value` lines in a fixed order, or the same
@@ -32,15 +35,12 @@ import sys
 from types import SimpleNamespace
 
 from .category import (
+    CATEGORIES,
     base_ring_extension,
-    check_corings_morphism,
     check_ext_morphism,
-    corings_compose,
-    ext_compose,
     ext_compose_via_cotensor,
     ext_tensor_morphisms,
-    verify_corings_monoidal,
-    verify_ext_monoidal,
+    verify_monoidal,
 )
 from .constructions import tensor_coring
 from .coring import check_coring
@@ -179,27 +179,23 @@ def _cmd_compose(ws, args, report):
     report["second"] = args.second
     out_name = args.out or "result"
     report["out"] = out_name
-    if kind_g == "ext":
-        composed = ext_compose(g, f)
-        verdict = check_ext_morphism(composed)
-        _law_lines(report, verdict)
-        if verdict.ok:
-            # The oracle shares the composite's endpoints and action: only a
-            # coaction row can differ, and the first that does is the witness.
-            oracle = ext_compose_via_cotensor(g, f, composed)
-            i = first_difference(composed.coaction,
-                                 composed.coaction_tensor.quot.project_rows(oracle.coact_lift))
-            report["oracle.cotensor-route"] = "equal" if i is None else "mismatch"
-            if i is not None:
-                report["law"] = "cotensor-route"
-                report["witness"] = (f"{composed.source.label(i)}: the bullet coaction differs "
-                                     "from the cotensor route")
-                report["result"] = "fail"
-                return 1
-    else:
-        composed = corings_compose(g, f)
-        verdict = check_corings_morphism(composed)
-        _law_lines(report, verdict)
+    category = CATEGORIES[kind_g]
+    composed = category.compose(g, f)
+    verdict = category.check(composed)
+    _law_lines(report, verdict)
+    if kind_g == "ext" and verdict.ok:
+        # The oracle shares the composite's endpoints and action: only a
+        # coaction row can differ, and the first that does is the witness.
+        oracle = ext_compose_via_cotensor(g, f, composed)
+        i = first_difference(composed.coaction,
+                             composed.coaction_tensor.quot.project_rows(oracle.coact_lift))
+        report["oracle.cotensor-route"] = "equal" if i is None else "mismatch"
+        if i is not None:
+            report["law"] = "cotensor-route"
+            report["witness"] = (f"{composed.source.label(i)}: the bullet coaction differs "
+                                 "from the cotensor route")
+            report["result"] = "fail"
+            return 1
     return _finish(ws, args, report, verdict,
                    lambda dumper: dumper.morphism(kind_g, composed, out_name))
 
@@ -229,8 +225,7 @@ def _cmd_verify_monoidal(ws, args, report):
     report["corings"] = str(len(corings))
     report["morphisms"] = str(len(morphisms))
     report["seed"] = str(args.seed)
-    verify = verify_ext_monoidal if args.category == "ext" else verify_corings_monoidal
-    verdict = verify(corings, morphisms, seed=args.seed)
+    verdict = verify_monoidal(CATEGORIES[args.category], corings, morphisms, args.seed)
     _law_lines(report, verdict)
     return _finish(ws, args, report, verdict)
 
@@ -247,7 +242,7 @@ COMMANDS = {  # command: (handler, positional names, takes --out and --dump, hel
     "verify-monoidal": (_cmd_verify_monoidal, ("category",), False,
                         "monoidal-category laws on the workspace"),
 }
-CHOICES = {"command": COMMANDS, "category": ("ext", "corings")}
+CHOICES = {"command": COMMANDS, "category": CATEGORIES}
 GLOBAL_OPTIONS = {  # option: (attribute, metavar, help); no metavar for a flag
     "--workspace": ("workspace", "PATH", "workspace JSON file (required)"),
     "--json-report": ("json_report", None, "emit the report as JSON"),

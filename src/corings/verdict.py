@@ -56,8 +56,8 @@ def checker(laws):
 
     def decorate(outcomes):
         @wraps(outcomes)
-        def check(*args):
-            return run_laws(outcomes(*args), laws)
+        def check(*args, **kwargs):
+            return run_laws(outcomes(*args, **kwargs), laws)
 
         return check
 

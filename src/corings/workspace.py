@@ -608,25 +608,30 @@ class Dumper:
             "counit": mat_to_json(c.counit_mat),
         }
 
+    def _put(self, section, name, entry):
+        """Write `entry` under `name`.  A name the dump also writes in another
+        section would hide one of the two entries from `Workspace.find`, so
+        it is refused (exit 2)."""
+        other = next((s for s in SECTIONS if s != section and name in self.doc[s]), None)
+        if other is not None:
+            raise WorkspaceError(f'cannot dump "{name}": the dump\'s {other} also use that name')
+        self.doc[section][name] = entry
+        return name
+
     def coring(self, c, name=None):
         if name is None:
             return self._named("corings", c, self.coring_json)
-        self.doc["corings"][name] = self.coring_json(c)
-        return name
+        return self._put("corings", name, self.coring_json(c))
 
-    def extension(self, e, name=None):
-        entry = {
+    def extension(self, e, name):
+        return self._put("extensions", name, {
             "coring": self.coring(e.source),
             "by": self.coring(e.target),
             "right_action": [mat_to_json(x) for x in e.action_mats],
             "coaction_lift": mat_to_json(e.coact_lift),
-        }
-        if name is None:
-            name = self._fresh("extension")
-        self.doc["extensions"][name] = entry
-        return name
+        })
 
-    def morphism(self, kind, m, name=None):
+    def morphism(self, kind, m, name):
         if kind == "ext":
             # Join the per-basis matrices into the file's interleaved C (x)_k B -> C.
             mats = [mat_to_json(x) for x in m.action_mats]
@@ -645,10 +650,7 @@ class Dumper:
                 "phi": mat_to_json(m.phi),
                 "alg_map": mat_to_json(m.varphi.map),
             }
-        if name is None:
-            name = self._fresh("morphism")
-        self.doc["morphisms"][name] = entry
-        return name
+        return self._put("morphisms", name, entry)
 
     def text(self):
         doc = {k: v for k, v in self.doc.items() if k == "field" or v}

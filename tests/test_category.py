@@ -13,6 +13,8 @@ from corings.algebras import (
     ground_algebra,
 )
 from corings.category import (
+    CORINGS,
+    EXT,
     CoringsMorphism,
     ExtMorphism,
     base_ring_extension,
@@ -31,8 +33,7 @@ from corings.category import (
     ext_to_unit,
     grouplike_corings_morphism,
     trivial_corings_morphism,
-    verify_corings_monoidal,
-    verify_ext_monoidal,
+    verify_monoidal,
 )
 from corings.constructions import (
     grouplike_coalgebra,
@@ -265,17 +266,17 @@ class TestCoringsMorphisms:
 
 class TestMonoidalVerifiers:
     def test_ext_passes(self, f5_family, f5_ext_morphisms):
-        v = verify_ext_monoidal([c for _, c in f5_family],
-                                [m for _, m in f5_ext_morphisms], seed=0)
+        v = verify_monoidal(EXT, [c for _, c in f5_family],
+                            [m for _, m in f5_ext_morphisms], seed=0)
         assert v.ok, describe(v)
 
     def test_ext_single_unit_family(self):
-        v = verify_ext_monoidal([unit_coring(F5)], [ext_identity(unit_coring(F5))])
+        v = verify_monoidal(EXT, [unit_coring(F5)], [ext_identity(unit_coring(F5))])
         assert v.ok
         assert v.laws_vacuous == ()
 
     def test_ext_no_morphisms_interchange_vacuous(self, f5_family):
-        v = verify_ext_monoidal([c for _, c in f5_family], [])
+        v = verify_monoidal(EXT, [c for _, c in f5_family], [])
         assert v.ok
         assert v.laws_vacuous == ("interchange",)
         assert "interchange" in v.laws_passed
@@ -288,7 +289,7 @@ class TestMonoidalVerifiers:
                           Mat(F5, 4, 4, [{} for _ in range(4)]))
         idx = [name for name, _ in f5_ext_morphisms].index("to_unit_matrix2")
         morphs[idx] = bad
-        v = verify_ext_monoidal([c for _, c in f5_family], morphs, seed=0)
+        v = verify_monoidal(EXT, [c for _, c in f5_family], morphs, seed=0)
         assert not v.ok and v.law == "interchange"
         assert v.witness is not None
 
@@ -296,7 +297,7 @@ class TestMonoidalVerifiers:
         morphs = corings_morphism_family(F5, f5_family)
         corings = [c for _, c in f5_family]
         corings.append(grouplike_coalgebra(KLEIN_4, F5))
-        v = verify_corings_monoidal(corings, [m for _, m in morphs], seed=0)
+        v = verify_monoidal(CORINGS, corings, [m for _, m in morphs], seed=0)
         assert v.ok, describe(v)
 
     def test_corings_detects_corruption(self, f5_family):
@@ -304,7 +305,7 @@ class TestMonoidalVerifiers:
         gl = dict(f5_family)["grouplike_c2"]
         phi = Mat.from_rows(F5, [[1, 1], [0, 1]])
         morphs.append(CoringsMorphism(gl, gl, phi, corings_identity(gl).varphi))
-        v = verify_corings_monoidal([c for _, c in f5_family], morphs, seed=0)
+        v = verify_monoidal(CORINGS, [c for _, c in f5_family], morphs, seed=0)
         assert not v.ok and v.law == "interchange"
 
 

@@ -252,7 +252,8 @@ def test_dump_of_a_scalar_past_the_digit_limit_is_an_error(capsys, tmp_path):
 def test_compose_builds_the_bullet_composite_once(family, capsys, tmp_path, monkeypatch):
     """The cotensor oracle checks the composite the command built; it builds none."""
     monkeypatch.chdir(tmp_path)
-    with mock.patch.object(cli, "ext_compose", wraps=category.ext_compose) as from_cli, \
+    from_cli = mock.Mock(wraps=category.ext_compose)
+    with mock.patch.dict(cli.CATEGORIES, ext=category.EXT._replace(compose=from_cli)), \
             mock.patch.object(category, "ext_compose", wraps=category.ext_compose) as inside:
         code, out, _ = run_cli(capsys, WORKSPACES / f"{family}.json",
                                *GOLDEN_CASES["compose_to_trivial_dual_id_dual"])
@@ -439,6 +440,39 @@ def test_a_generated_name_skips_the_workspace_names(capsys, tmp_path):
     code, out, err = run_cli(capsys, dump, "dims", "result")
     assert (code, err) == (0, "")
     assert "coring-dim: 8\n" in out and "by-dim: 1\n" in out
+
+
+# Each --out name that the dump also writes in another section, where
+# `Workspace.find` on the dump would hide one of the two entries: the
+# workspace (None for NAMED_LIKE_A_DUMP), the command and the `detail:` line.
+OUT_CLASHES = {
+    # The generated name of the 8-dim source coring is `coring_2`.
+    "extension-and-coring": (None, ["extend-tensor", "u_m2", "u_c2", "--out", "coring_2"],
+                             'cannot dump "coring_2": the dump\'s corings also use that name'),
+    # The base k (x) k is the workspace's algebra `k`: `dims k` on the dump
+    # reported the coring.
+    "coring-and-algebra": (WORKSPACES / "cli-f5.json", ["tensor", "m2", "c2", "--out", "k"],
+                           'cannot dump "k": the dump\'s algebras also use that name'),
+}
+
+
+@pytest.mark.parametrize("case", OUT_CLASHES)
+def test_an_out_name_written_in_another_section_is_refused(case, capsys, tmp_path):
+    """Exit 2 before the dump is opened; the same command without the clash dumps."""
+    path, argv, detail = OUT_CLASHES[case]
+    if path is None:
+        path = tmp_path / "ws.json"
+        path.write_text(json.dumps(NAMED_LIKE_A_DUMP))
+    dump = tmp_path / "out.json"
+    code, out, err = run_cli(capsys, path, *argv, "--dump", str(dump))
+    assert (code, err) == (2, "")
+    lines = out.splitlines()
+    assert lines[-2:] == ["error: error", f"detail: {detail}"]
+    assert [line for line in lines if line.startswith("result:")] == ["result: error"]
+    assert not dump.exists()
+    code, out, err = run_cli(capsys, path, *argv[:-1], "fresh", "--dump", str(dump))
+    assert (code, err) == (0, "")
+    assert out.endswith(f"dumped: {dump}\n")
 
 
 def test_a_coring_equal_to_a_generated_one_reuses_its_name(capsys, tmp_path):

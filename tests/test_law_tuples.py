@@ -19,7 +19,7 @@ import pytest
 
 from corings.algebras import check_algebra_morphism
 from corings.bimodules import Bimodule, BimoduleMorphism, regular_bimodule
-from corings.category import MONOIDAL_LAWS, verify_corings_monoidal, verify_ext_monoidal
+from corings.category import CATEGORIES, MONOIDAL_LAWS, verify_monoidal
 from corings.coring import coaction_compatibility, right_coaction_verdict
 from corings.workspace import CHECKERS, load_workspace
 
@@ -78,12 +78,11 @@ def test_the_corpora_reach_every_checker():
     assert {checker for corpus in CORPORA for checker, _, _ in verdicts(corpus)} == EVERY_CHECKER
 
 
-@pytest.mark.parametrize("verify", [verify_ext_monoidal, verify_corings_monoidal])
-def test_the_monoidal_verifiers_pass_every_declared_law_on_instances(verify):
+@pytest.mark.parametrize("category", CATEGORIES)
+def test_the_monoidal_verifiers_pass_every_declared_law_on_instances(category):
     ws = load_workspace(WORKSPACES / "monoidal-f5.json")
-    category = "ext" if verify is verify_ext_monoidal else "corings"
     morphisms = [m for kind, m in ws.morphisms.values() if kind == category]
-    v = verify(list(ws.corings.values()), morphisms, seed=0)
+    v = verify_monoidal(CATEGORIES[category], list(ws.corings.values()), morphisms, 0)
     assert v.ok
     assert v.laws_passed == v.laws_declared == MONOIDAL_LAWS
     assert v.laws_vacuous == ()

@@ -1,6 +1,6 @@
 """The strict monoidal structure checked as equalities of corings.
 
-`_verify_monoidal` checks the unitors and the associator by comparing corings
+`verify_monoidal` checks the unitors and the associator by comparing corings
 (C tensored with the unit is C; both groupings of a triple are one coring) and
 checks each sampled composite once.  The verifier it replaced, which checked
 each unitor and associator half as a morphism and each composite once per
@@ -22,18 +22,20 @@ import pytest
 from corings import category
 from corings.bimodules import regrouped_kron
 from corings.category import (
+    CATEGORIES,
+    CORINGS,
+    EXT,
     MAX_SQUARES,
     MAX_TRIPLES,
     CoringsMorphism,
+    ExtMorphism,
     _composable_pairs,
     _sampled,
-    _verify_monoidal,
     check_ext_morphism,
     ext_compose,
     ext_identity,
     ext_morphisms_equal,
-    verify_corings_monoidal,
-    verify_ext_monoidal,
+    verify_monoidal,
 )
 from corings.constructions import tensor_coring
 from corings.coring import Coring
@@ -71,7 +73,7 @@ def outcome(run, *args):
 def test_verdicts_match_the_reference_on_the_corpora(corpus, kind):
     corings, morphisms = family(corpus, kind)
     for seed in SEEDS:
-        got = outcome(_verify_monoidal, corings, morphisms, seed, kind)
+        got = outcome(verify_monoidal, CATEGORIES[kind], corings, morphisms, seed)
         assert got == outcome(reference_verify_monoidal, corings, morphisms, seed, kind)
         assert got[0] is True
 
@@ -94,7 +96,7 @@ def test_verdicts_match_the_reference_on_corrupted_morphisms(corpus, kind):
     for seed in SEEDS:
         for _ in range(CORRUPTIONS[corpus]):
             bad = corrupted_family(rng, kind, morphisms)
-            got = outcome(_verify_monoidal, corings, bad, seed, kind)
+            got = outcome(verify_monoidal, CATEGORIES[kind], corings, bad, seed)
             assert got == outcome(reference_verify_monoidal, corings, bad, seed, kind)
             laws.add(got[1])
     # Some corruptions fail interchange, and some are never sampled.
@@ -102,20 +104,18 @@ def test_verdicts_match_the_reference_on_corrupted_morphisms(corpus, kind):
 
 
 def test_each_composite_is_checked_once():
-    checks = {"ext": mock.Mock(wraps=category.check_ext_morphism),
-              "corings": mock.Mock(wraps=category.check_corings_morphism)}
-    with mock.patch.object(category, "check_ext_morphism", checks["ext"]), \
-            mock.patch.object(category, "check_corings_morphism", checks["corings"]):
-        for kind in KINDS:
-            corings, morphisms = family("monoidal-f5", kind)
-            pairs = _composable_pairs(morphisms)
-            squares = _sampled([(p, q) for p in pairs for q in pairs], MAX_SQUARES[kind], 1)
-            assert _verify_monoidal(corings, morphisms, 1, kind).ok
-            assert checks[kind].call_count == len({p for square in squares for p in square})
-            # Outside interchange no morphism is checked.
-            checks[kind].reset_mock()
-            assert _verify_monoidal(corings, [], 1, kind).ok
-            assert checks[kind].call_count == 0
+    for kind in KINDS:
+        check = mock.Mock(wraps=CATEGORIES[kind].check)
+        counted = CATEGORIES[kind]._replace(check=check)
+        corings, morphisms = family("monoidal-f5", kind)
+        pairs = _composable_pairs(morphisms)
+        squares = _sampled([(p, q) for p in pairs for q in pairs], MAX_SQUARES[kind], 1)
+        assert verify_monoidal(counted, corings, morphisms, 1).ok
+        assert check.call_count == len({p for square in squares for p in square})
+        # Outside interchange no morphism is checked.
+        check.reset_mock()
+        assert verify_monoidal(counted, corings, [], 1).ok
+        assert check.call_count == 0
 
 
 def random_lift(rng, field, nrows, ncols):
@@ -175,6 +175,52 @@ def test_every_admitted_triple_reassociates_to_the_same_coring(corpus):
         assert tensor_coring(tensor_coring(x, y), z) == tensor_coring(x, tensor_coring(y, z))
 
 
+# Tensors of identities that are not the identity trip exactly
+# identity-preservation, the first law.
+
+IDENTITY_PRESERVATION_WITNESS = (
+    "tensor of the identities of corings 0 and 0 is not the identity of their tensor")
+
+
+def test_a_doubled_tensor_of_identities_trips_identity_preservation():
+    corings, _ = family("monoidal-f5", "corings")
+
+    def doubled(m, m2):
+        t = CORINGS.tensor(m, m2)
+        return CoringsMorphism(t.source, t.target, scaled(t.phi, F5.coerce(2)), t.varphi)
+
+    v = verify_monoidal(CORINGS._replace(tensor=doubled), corings, [], 1)
+    assert (v.ok, v.law, v.witness) == (False, "identity-preservation",
+                                        IDENTITY_PRESERVATION_WITNESS)
+    assert v.laws_passed == ()
+
+
+def test_a_relation_added_to_the_coaction_lift_trips_identity_preservation():
+    """The lift with a relation of its coaction tensor added is the identity in
+    the quotient, so `ext_morphisms_equal` holds; identity preservation
+    compares the data exactly and must still fail.  The base of
+    dual_regular (x) dual_regular has dim 4, so the coaction tensor has
+    relations."""
+    dual = load_workspace(WORKSPACES / "cli-f5.json").corings["dual_regular"]
+    perturbed = []
+
+    def with_relation(m, m2):
+        t = EXT.tensor(m, m2)
+        lift = t.coact_lift.copy()
+        _vadd(F5, lift.rows[0], next(t.coaction_tensor.quot.relation_rows()), F5.one)
+        perturbed.append(ExtMorphism(t.source, t.target, t.action_mats, lift))
+        return perturbed[-1]
+
+    v = verify_monoidal(EXT._replace(tensor=with_relation), [dual], [], 1)
+    assert (v.ok, v.law, v.witness) == (False, "identity-preservation",
+                                        IDENTITY_PRESERVATION_WITNESS)
+    assert v.laws_passed == ()
+    [m] = perturbed
+    assert m.source.base.dim == 4
+    assert m.coact_lift != ext_identity(m.source).coact_lift
+    assert ext_morphisms_equal(m, ext_identity(m.source))
+
+
 # Corruptions that trip exactly one of the two strictness laws.  The family
 # has no morphisms, so interchange is vacuous.
 
@@ -203,27 +249,25 @@ def is_unit(c):
     return c.dim == 1 and c.base.dim == 1
 
 
-@pytest.mark.parametrize("verify", [verify_ext_monoidal, verify_corings_monoidal],
-                         ids=KINDS)
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("unit_side", [0, 1], ids=["unit-left", "unit-right"])
-def test_unit_corruption_trips_only_unit_isomorphisms(verify, unit_side):
+def test_unit_corruption_trips_only_unit_isomorphisms(kind, unit_side):
     corings, _ = family("monoidal-f5", "ext")
     build = perturbed_tensor_coring(lambda c, c2, made: is_unit((c, c2)[unit_side]))
     with mock.patch.object(category, "tensor_coring", build):
-        v = verify(corings, [], seed=1)
+        v = verify_monoidal(CATEGORIES[kind], corings, [], 1)
     assert (v.ok, v.law) == (False, "unit-isomorphisms")
     assert v.witness == "tensoring coring 0 with the unit does not collapse to it"
     assert v.laws_passed == ("identity-preservation", "interchange")
     assert v.laws_vacuous == ("interchange",)
 
 
-@pytest.mark.parametrize("verify", [verify_ext_monoidal, verify_corings_monoidal],
-                         ids=KINDS)
-def test_left_nested_corruption_trips_only_the_associator(verify):
+@pytest.mark.parametrize("kind", KINDS)
+def test_left_nested_corruption_trips_only_the_associator(kind):
     corings, _ = family("monoidal-f5", "ext")
     build = perturbed_tensor_coring(lambda c, c2, made: any(c is t for t in made))
     with mock.patch.object(category, "tensor_coring", build):
-        v = verify(corings, [], seed=1)
+        v = verify_monoidal(CATEGORIES[kind], corings, [], 1)
     assert (v.ok, v.law) == (False, "associator")
     assert v.witness.startswith("the two groupings of (")
     assert v.laws_passed == ("identity-preservation", "interchange", "unit-isomorphisms")
@@ -233,16 +277,14 @@ def test_left_nested_corruption_trips_only_the_associator(verify):
 def test_a_tensor_that_is_not_functorial_trips_the_interchange_square():
     """Doubling every tensor of morphisms but identities breaks only the square."""
     corings, morphisms = family("monoidal-f5", "corings")
-    real = category.corings_tensor_morphisms
 
     def doubled(m, m2):
-        t = real(m, m2)
+        t = CORINGS.tensor(m, m2)
         if is_identity(m.phi) and is_identity(m2.phi):
             return t
         return CoringsMorphism(t.source, t.target, scaled(t.phi, F5.coerce(2)), t.varphi)
 
-    with mock.patch.object(category, "corings_tensor_morphisms", doubled):
-        v = verify_corings_monoidal(corings, morphisms, seed=1)
+    v = verify_monoidal(CORINGS._replace(tensor=doubled), corings, morphisms, 1)
     assert (v.ok, v.law) == (False, "interchange")
     assert v.witness.startswith("interchange fails on morphism pairs")
     assert v.laws_passed == ("identity-preservation",)
