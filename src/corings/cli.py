@@ -23,9 +23,10 @@ Every command loads a workspace (loading validates every object), runs, and
 emits a structured report: `key: value` lines in a fixed order, or the same
 data as JSON with --json-report.  Each law line reads `pass`, `fail`,
 `skipped` (not reached after a failure) or `vacuous` (held on zero instances,
-e.g. when no re-association triple fits the verifier's size cap).  Exit codes:
-0 all checks pass, 1 a mathematical check failed (witness printed), 2 input
-error.
+e.g. when no re-association triple fits the verifier's size cap).  A verdict
+ends a command in `_finish`: exit 0 all checks pass, 1 a mathematical check
+failed (witness printed).  An error ends it in `main`, with the report and
+exit code the `CoringsError` carries (`errors`), or 2 for an I/O error.
 """
 
 import gc
@@ -44,8 +45,8 @@ from .category import (
 )
 from .constructions import tensor_coring
 from .coring import check_coring
-from .errors import CoringsError, UnknownReference, ValidationFailure, WorkspaceError
-from .verdict import first_difference
+from .errors import CoringsError, UnknownReference
+from .verdict import Verdict, first_difference
 from .workspace import Dumper, load_workspace, one_line
 
 
@@ -191,11 +192,10 @@ def _cmd_compose(ws, args, report):
                              composed.coaction_tensor.quot.project_rows(oracle.coact_lift))
         report["oracle.cotensor-route"] = "equal" if i is None else "mismatch"
         if i is not None:
-            report["law"] = "cotensor-route"
-            report["witness"] = (f"{composed.source.label(i)}: the bullet coaction differs "
-                                 "from the cotensor route")
-            report["result"] = "fail"
-            return 1
+            # No checker declares this law, so `_law_lines` adds only `law:` and `witness:`.
+            verdict = Verdict.failed("cotensor-route", f"{composed.source.label(i)}: the bullet "
+                                     "coaction differs from the cotensor route")
+            _law_lines(report, verdict)
     return _finish(ws, args, report, verdict,
                    lambda dumper: dumper.morphism(kind_g, composed, out_name))
 
@@ -442,27 +442,11 @@ def main(argv=None):
                 one_line(value, _ARGUMENT_WHAT.get(key, "object name"))
         ws = load_workspace(args.workspace)
         code = COMMANDS[args.command][0](ws, args, report)
-    except ValidationFailure as e:
-        report["error"] = e.kind
-        report["object"] = e.object_name
-        report["law"] = e.law
-        report["witness"] = e.witness
-        report["result"] = "fail"
-        code = e.exit_code
-    except WorkspaceError as e:
-        report["error"] = e.kind
-        report["detail"] = str(e)
-        report["result"] = "error"
-        code = e.exit_code
     except CoringsError as e:
-        report["error"] = "invalid-input"
-        report["detail"] = str(e)
-        report["result"] = "error"
-        code = 2
+        report.update(error=e.kind, **e.fields(), result=e.result)
+        code = e.exit_code
     except OSError as e:
-        report["error"] = "io"
-        report["detail"] = str(e)
-        report["result"] = "error"
+        report.update(error="io", detail=str(e), result="error")
         code = 2
     _render(report, args.json_report, sys.stdout)
     return code

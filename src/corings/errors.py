@@ -1,8 +1,21 @@
-"""Exception hierarchy shared by the whole library."""
+"""Exception hierarchy shared by the whole library.
+
+Each error carries the report that ends a command it stops, which `cli.main`
+writes: `error: <kind>`, the lines of `fields()`, `result:` and `exit_code`.
+"""
 
 
 class CoringsError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package: by default bad
+    input (exit 2), reported with its message as `detail`."""
+
+    kind = "invalid-input"
+    result = "error"
+    exit_code = 2
+
+    def fields(self):
+        """The report lines that follow `error:`."""
+        return {"detail": str(self)}
 
 
 class FieldMismatch(CoringsError):
@@ -37,10 +50,7 @@ class InvalidMorphism(CoringsError):
 
 
 class WorkspaceError(CoringsError):
-    """Base class for workspace-file problems; `exit_code` drives the CLI."""
-
-    exit_code = 2
-    kind = "error"
+    """Base class for workspace-file problems, raised bare where a dump is refused."""
 
 
 class WorkspaceSyntaxError(WorkspaceError):
@@ -52,13 +62,12 @@ class UnknownReference(WorkspaceError):
 
 
 class ValidationFailure(WorkspaceError):
-    """A loaded object failed its mathematical validator."""
+    """A loaded object failed its mathematical validator: raised with the
+    object's name, the law and the witness."""
 
-    exit_code = 1
     kind = "validation"
+    result = "fail"
+    exit_code = 1
 
-    def __init__(self, object_name, law, witness):
-        super().__init__(f"{object_name}: {law}: {witness}")
-        self.object_name = object_name
-        self.law = law
-        self.witness = witness
+    def fields(self):
+        return dict(zip(("object", "law", "witness"), self.args))

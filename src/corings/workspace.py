@@ -89,8 +89,9 @@ CHECKERS = {
 
 
 class Workspace:
-    """The loaded objects by section, and `verdicts`: the passing verdict that
-    load reached on each, keyed by (kind, name) with the kinds of `find`."""
+    """The loaded objects by section; `named`, (kind, object) by name, with
+    the kinds of `CHECKERS`; and `verdicts`: the passing verdict that load
+    reached on each object, keyed by (kind, name)."""
 
     def __init__(self, field):
         self.field = field
@@ -99,18 +100,14 @@ class Workspace:
         self.corings = {}
         self.extensions = {}
         self.morphisms = {}
+        self.named = {}
         self.verdicts = {}
 
     def find(self, name):
-        """Resolve a name to (kind, object) across all sections, corings first."""
-        for section in ("corings", "algebras", "modules", "extensions"):
-            loaded = getattr(self, section)
-            if name in loaded:
-                return section[:-1], loaded[name]
-        if name in self.morphisms:
-            kind, obj = self.morphisms[name]
-            return f"{kind}-morphism", obj
-        raise UnknownReference(f'no object named "{name}"')
+        """Resolve a name, which names one object of one section, to (kind, object)."""
+        if name not in self.named:
+            raise UnknownReference(f'no object named "{name}"')
+        return self.named[name]
 
 
 @contextmanager
@@ -442,11 +439,12 @@ SECTIONS = {
 
 
 def _validate(ws, kind, name, obj):
-    """Check `obj` with the checker of its kind and keep the verdict; a failed
-    law aborts the load."""
+    """Check `obj` with the checker of its kind and keep it and the verdict;
+    a failed law aborts the load."""
     verdict = CHECKERS[kind](obj)
     if not verdict.ok:
         raise ValidationFailure(name, verdict.law, verdict.witness)
+    ws.named[name] = kind, obj
     ws.verdicts[kind, name] = verdict
 
 
@@ -454,7 +452,9 @@ def parse_workspace(text, source="<workspace>"):
     """Parse and validate a workspace document; load means validate.
 
     A section's names and entry objects are checked before any of its entries
-    is parsed, and each entry is validated before the next is parsed.  A key
+    is parsed, and each entry is validated before the next is parsed.  A name
+    that an earlier section already holds is a syntax error, so that
+    `Workspace.find` resolves every name to one object.  A key
     given twice in one object is a syntax error, where `json` would keep the
     last value and drop the first unseen, and so is a key, at any depth of an
     entry or of `field`, that its parser does not read (`_known_keys`).
@@ -489,6 +489,11 @@ def parse_workspace(text, source="<workspace>"):
         specs = _object(doc.get(section, {}), f"{source}: {section}")
         entries = [(one_line(name, f"{what} name"), _object(spec, f"{what} {name}"))
                    for name, spec in specs.items()]
+        for name, _ in entries:
+            held = next((s for s in SECTIONS if name in getattr(ws, s)), None)
+            if held is not None:
+                raise WorkspaceSyntaxError(
+                    f'{source}: {section}: "{name}" already names an entry of {held}')
         loaded = getattr(ws, section)
         for name, spec in entries:
             value = parse(ws, name, spec)

@@ -242,6 +242,7 @@ def test_dump_of_a_scalar_past_the_digit_limit_is_an_error(capsys, tmp_path):
     dump = tmp_path / "out.json"
     code, out, err = run_cli(capsys, path, "tensor", "c", "c", "--dump", str(dump))
     assert (code, err) == (2, "")
+    assert "error: invalid-input\n" in out
     assert ("detail: cannot dump the scalar <integer of 6001 digits>: "
             "a workspace loads no integer past 4300 digits\n") in out
     assert "dumped" not in out
@@ -467,7 +468,7 @@ def test_an_out_name_written_in_another_section_is_refused(case, capsys, tmp_pat
     code, out, err = run_cli(capsys, path, *argv, "--dump", str(dump))
     assert (code, err) == (2, "")
     lines = out.splitlines()
-    assert lines[-2:] == ["error: error", f"detail: {detail}"]
+    assert lines[-2:] == ["error: invalid-input", f"detail: {detail}"]
     assert [line for line in lines if line.startswith("result:")] == ["result: error"]
     assert not dump.exists()
     code, out, err = run_cli(capsys, path, *argv[:-1], "fresh", "--dump", str(dump))

@@ -127,6 +127,16 @@ MALFORMED = {
         },
         "morphism c4: source and target must be corings over one base",
     ),
+    # `dims k` and `check k` reported the coring, and no command could name
+    # the algebra: `Workspace.find` resolved corings first.
+    "one-name-in-two-sections": (
+        {
+            "field": Q,
+            "algebras": {"k": {"fixture": {"kind": "ground"}}},
+            "corings": {"k": {"fixture": {"kind": "trivial", "algebra": "k"}}},
+        },
+        'corings: "k" already names an entry of algebras',
+    ),
 }
 
 
