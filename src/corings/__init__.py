@@ -29,7 +29,6 @@ from .algebras import (
 )
 from .bimodules import (
     Bimodule,
-    BimoduleMorphism,
     PresentedTensor,
     induced_map_on_tensor,
     regular_bimodule,

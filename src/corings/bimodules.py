@@ -7,7 +7,7 @@ then i) while the right law reads R[b_i b_j] = R_i @ R_j.
 
 M (x)_B N is realized as an explicit quotient of M (x)_k N by the span of
 (m_i . b_t) (x) n_j  -  m_i (x) (b_t . n_j) over all basis pairs (i, j) and
-every b_t in a set of algebra generators of B (`_algebra_generators`).  For
+every b_t in a set of algebra generators of B (`algebras.generators`).  For
 bimodules these span all relations: the relation of a product follows from
 those of its factors, and the unit's relations vanish.  Each relation row goes
 to `linalg.quotient_by_rows` as a sequence of (column, value) pairs with
@@ -62,18 +62,17 @@ them.
 
 from functools import cached_property
 
-from .algebras import ground_algebra, tensor_algebra
+from .algebras import _alg_key, generators, ground_algebra, tensor_algebra
 from .errors import (
     AlgebraMismatch,
     DescentFailure,
     DimensionMismatch,
     FieldMismatch,
 )
-from .linalg import Mat, _Eliminator, _vadd, quotient_by_rows
-from .verdict import checker, first_noncommuting
+from .linalg import Mat, _vadd, quotient_by_rows
+from .verdict import checker
 
 BIMODULE_LAWS = ("left-module", "right-module", "commuting-actions")
-BIMODULE_MORPHISM_LAWS = ("left-linear", "right-linear")
 
 
 class Bimodule:
@@ -120,14 +119,19 @@ class Bimodule:
 
     @checker(BIMODULE_LAWS)
     def check(self):
-        """Module laws on both sides and commutation of the two actions."""
+        """Module laws on both sides and commutation of the two actions.
+
+        Each law is checked on the generators of the acting algebras
+        (`algebras.generators`): the first index of a module law, after its
+        unit law, and both indices of `commuting-actions`.
+        """
         field = self.field
         ident = Mat.identity(field, self.dim)
 
         def law_mats(alg, acts, compose_ij):
             if _combination(field, self.dim, acts, alg.unit.items()) != ident:
                 return "unit acts as a non-identity matrix"
-            for i in range(alg.dim):
+            for i in generators(alg):
                 for j in range(alg.dim):
                     combo = _combination(field, self.dim, acts, alg.table[i][j].items())
                     if combo != compose_ij(acts, i, j):
@@ -141,8 +145,10 @@ class Bimodule:
             self.left_alg, self.left_act, lambda acts, i, j: acts[j] @ acts[i])
         yield "right-module", law_mats(
             self.right_alg, self.right_act, lambda acts, i, j: acts[i] @ acts[j])
-        for i, L in enumerate(self.left_act):
-            for j, R in enumerate(self.right_act):
+        for i in generators(self.left_alg):
+            L = self.left_act[i]
+            for j in generators(self.right_alg):
+                R = self.right_act[j]
                 if L @ R != R @ L:
                     yield "commuting-actions", (
                         f"left action of {self.left_alg.label(i)} does not commute with "
@@ -211,48 +217,6 @@ def scalar_bimodule(field, dim, labels=None):
     return Bimodule(k, k, dim, [ident], [ident], labels)
 
 
-class BimoduleMorphism:
-    def __init__(self, source, target, map):
-        if source.field != target.field or map.field != source.field:
-            raise FieldMismatch("morphism data over mixed fields")
-        if map.nrows != source.dim or map.ncols != target.dim:
-            raise DimensionMismatch(
-                f"map must be {source.dim}x{target.dim}, got {map.nrows}x{map.ncols}"
-            )
-        self.source = source
-        self.target = target
-        self.map = map
-
-    @checker(BIMODULE_MORPHISM_LAWS)
-    def check(self):
-        """Equivariance for both actions on all algebra basis elements."""
-        src, tgt, f = self.source, self.target, self.map
-        if src.left_alg != tgt.left_alg or src.right_alg != tgt.right_alg:
-            yield "left-linear", "source and target algebras differ"
-        i = first_noncommuting(src.left_act, f, tgt.left_act)
-        if i is not None:
-            yield "left-linear", (
-                f"map does not commute with the left action of {src.left_alg.label(i)}"
-            )
-        yield "left-linear", None
-        j = first_noncommuting(src.right_act, f, tgt.right_act)
-        if j is not None:
-            yield "right-linear", (
-                f"map does not commute with the right action of {src.right_alg.label(j)}"
-            )
-        yield "right-linear", None
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BimoduleMorphism)
-            and self.source == other.source
-            and self.target == other.target
-            and self.map == other.map
-        )
-
-    __hash__ = None
-
-
 def tensor_over_k(m, n):
     """M (x)_k N with the pairwise bi-action (a(x)a')(m(x)n)(b(x)b') = amb (x) a'nb'.
 
@@ -318,11 +282,6 @@ class PresentedTensor:
         )
 
 
-def _alg_key(a):
-    return (a.field, a.dim, tuple(frozenset(v.items()) for row in a.table for v in row),
-            frozenset(a.unit.items()))
-
-
 def _bimodule_key(b):
     """What Bimodule.__eq__ compares, as a hashable value (labels left out).
 
@@ -341,44 +300,6 @@ def _bimodule_key(b):
 
 
 _TENSORS = {}
-_GENERATORS = {}
-
-
-def _words(a, gens):
-    """Eliminator spanning every product of the basis elements `gens` (1 included)."""
-    span = _Eliminator(a.field, a.dim)
-    queue = [a.unit]
-    while queue:
-        v = queue.pop()
-        rank = len(span.pivrows)
-        span.insert(dict(v))
-        if len(span.pivrows) > rank:
-            queue.extend(a.mul_vec(v, a.basis_vec(g)) for g in gens)
-    return span
-
-
-def _algebra_generators(a):
-    """Basis indices generating the algebra `a` as a unital algebra.
-
-    Greedy: index t joins when a_t lies outside the subalgebra generated by
-    the earlier choices.  Cached on the structure of `a` for the life of the
-    process.
-    """
-    key = _alg_key(a)
-    gens = _GENERATORS.get(key)
-    if gens is None:
-        gens = []
-        span = _words(a, gens)
-        for t in range(a.dim):
-            rank = len(span.pivrows)
-            if rank == a.dim:
-                break
-            span.insert({t: a.field.one})
-            if len(span.pivrows) > rank:
-                gens.append(t)
-                span = _words(a, gens)
-        _GENERATORS[key] = gens
-    return gens
 
 
 def tensor_over_alg(m, n):
@@ -453,7 +374,7 @@ def _relation_rows(m, n):
     field = m.field
     sub, neg = field.sub, field.neg
     nd = n.dim
-    for t in _algebra_generators(m.right_alg):
+    for t in generators(m.right_alg):
         left_rows = n.left_act[t].rows
         # Row j holds the terms of -(b_t . n_j) as (w, value) pairs.
         minus_left = [[(w, neg(v)) for w, v in r.items()] for r in left_rows]

@@ -34,6 +34,7 @@ from functools import cached_property
 from .algebras import (
     AlgebraMorphism,
     check_algebra_morphism,
+    generators,
     identity_morphism,
 )
 from .bimodules import (
@@ -141,7 +142,7 @@ def check_ext_morphism(m):
     # C's left action, so it is in the coordinates of `c.comul`; it descends
     # because the two actions on M commute (`bimodule`).
     act = tensor_over_alg(c.carrier, bimodule).result.right_act
-    j = first_noncommuting(bimodule.right_act, c.comul, act)
+    j = first_noncommuting(bimodule.right_act, c.comul, act, generators(bimodule.right_alg))
     if j is not None:
         yield "delta-right-linear", (
             f"comultiplication does not commute with the right action of "
@@ -323,17 +324,15 @@ def check_corings_morphism(m):
     yield "algebra-morphism", None
 
     # The target carrier as a bimodule over the source base, along varphi;
-    # the left, then the right action of each basis element in turn.
+    # the left, then the right action of each generator in turn.
     src = m.source.carrier
     tgt = restrict_scalars(m.target.carrier, left=m.varphi, right=m.varphi)
-    k = first_noncommuting([a for p in zip(src.left_act, src.right_act) for a in p], m.phi,
-                           [a for p in zip(tgt.left_act, tgt.right_act) for a in p])
-    if k is not None:
-        i, side = divmod(k, 2)
-        yield "bilinearity", (
-            f"carrier map is not {('left', 'right')[side]}-linear over "
-            f"{m.source.base.label(i)}"
-        )
+    for i in generators(m.source.base):
+        for side, acts, acts2 in (("left", src.left_act, tgt.left_act),
+                                  ("right", src.right_act, tgt.right_act)):
+            if acts[i] @ m.phi != m.phi @ acts2[i]:
+                yield "bilinearity", (
+                    f"carrier map is not {side}-linear over {m.source.base.label(i)}")
     yield "bilinearity", None
 
     if m.source.counit_mat @ m.varphi.map != m.phi @ m.target.counit_mat:

@@ -99,7 +99,7 @@ def _cmd_dims(ws, args, report):
     else:
         report["source-dim"] = str(obj.source.dim)
         report["target-dim"] = str(obj.target.dim)
-    return 0
+    return _finish(ws, args, report, Verdict.passed())
 
 
 def _finish(ws, args, report, verdict, add=None):

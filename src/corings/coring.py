@@ -16,25 +16,28 @@ Triple tensors are presented left-associated only: a route that applies a
 map on the right leg is regrouped into that presentation as it is computed
 (`regrouped_image`).  Every axiom check is an exact matrix equality.
 
-Each law is evaluated on the rows of the lift it is about, not on a whole
-induced map.  A two-route law pushes the rows of the comultiplication or
-coaction lift through the ambient map of each route and projects once into
-the triple tensor (`push`).  A counit law applies the counit to one leg of
-each row and lets the value act on the other leg, so no unit tensor
-A (x)_A C or M (x)_B B is presented.  The results do not depend on the lift,
-because a law checked earlier makes each map descend; each site names it.
-That needs the checkers' preconditions: every carrier is a bimodule
-(validated where it enters), and the D of `right_coaction_verdict` is a
-coring.  One law keeps a descent check.  The right-hand route C (x) rho of
-colinearity is defined on C (x)_A M only when rho is left A-linear, which no
-earlier law implies, so it goes through `regrouped_id_tensor` and fails with
-its DescentFailure.
+A linearity law (`bilinearity`, `coaction-linearity`) compares whole action
+matrices: the map after the action of each generator of the acting algebra
+(`algebras.generators`) against the induced action of the presented tensor
+after the map.  Every other law is evaluated on the rows of the lift it is
+about, not on a whole induced map.  A two-route law pushes the rows of the
+comultiplication or coaction lift through the ambient map of each route and
+projects once into the triple tensor (`push`).  A counit law applies the
+counit to one leg of each row and lets the value act on the other leg, so no
+unit tensor A (x)_A C or M (x)_B B is presented.  The results do not depend
+on the lift, because a law checked earlier makes each map descend; each site
+names it.  That needs the checkers' preconditions: every carrier is a
+bimodule (validated where it enters), and the D of `right_coaction_verdict`
+is a coring.  One law keeps a descent check.  The right-hand route C (x) rho
+of colinearity is defined on C (x)_A M only when rho is left A-linear, which
+no earlier law implies, so it goes through `regrouped_id_tensor` and fails
+with its DescentFailure.
 """
 
 from functools import cached_property
 
+from .algebras import generators
 from .bimodules import (
-    BimoduleMorphism,
     _kron_apply,
     push,
     regrouped_id_tensor,
@@ -156,14 +159,19 @@ def _coassociativity_row(t_md, rho, lift, d):
 def check_coring(c):
     """Bilinearity, coassociativity, and both counit laws, with a witness.
 
-    `bilinearity` checks the counit matrix against the regular actions of A.
+    `bilinearity` checks the comultiplication against the induced actions on
+    C (x)_A C and the counit against the regular actions of A, on the left,
+    then on the right, on the generators of A.
     """
-    v = BimoduleMorphism(c.carrier, c.tens.result, c.comul).check()
-    if not v.ok:
-        yield "bilinearity", f"comultiplication: {v.witness}"
-    v = BimoduleMorphism(c.carrier, regular_bimodule(c.base), c.counit_mat).check()
-    if not v.ok:
-        yield "bilinearity", f"counit: {v.witness}"
+    left, right = c.carrier.left_alg, c.carrier.right_alg
+    for what, f, tgt in (("comultiplication", c.comul, c.tens.result),
+                         ("counit", c.counit_mat, regular_bimodule(c.base))):
+        for side, alg, acts, acts2 in (("left", left, c.carrier.left_act, tgt.left_act),
+                                       ("right", right, c.carrier.right_act, tgt.right_act)):
+            i = first_noncommuting(acts, f, acts2, generators(alg))
+            if i is not None:
+                yield "bilinearity", (
+                    f"{what}: map does not commute with the {side} action of {alg.label(i)}")
     yield "bilinearity", None
 
     # The comultiplication is the right coaction of C on itself; it is right
@@ -192,7 +200,8 @@ def right_coaction_verdict(carrier, d, coact_lift):
     t_md = tensor_over_alg(carrier, d.carrier)
     rho = t_md.quot.project_rows(coact_lift)
 
-    j = first_noncommuting(carrier.right_act, rho, t_md.result.right_act)
+    j = first_noncommuting(carrier.right_act, rho, t_md.result.right_act,
+                           generators(carrier.right_alg))
     if j is not None:
         yield "coaction-linearity", (
             f"coaction does not commute with the right action of "

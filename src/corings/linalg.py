@@ -357,9 +357,7 @@ class Mat:
                             out[base + j2] = _norm(v1 * v2)
                     else:
                         for j2, v2 in b.items():
-                            w = (v1 * v2) % p
-                            if w:
-                                out[base + j2] = w
+                            out[base + j2] = (v1 * v2) % p
                 rows.append(out)
         return Mat(field, self.nrows * nr, self.ncols * nc, rows)
 

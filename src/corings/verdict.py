@@ -84,6 +84,6 @@ def first_difference(lhs, rhs):
     return next((i for i, (a, b) in enumerate(zip(lhs.rows, rhs.rows)) if a != b), None)
 
 
-def first_noncommuting(acts, f, acts2):
-    """Index of the first i with acts[i] @ f != f @ acts2[i], or None."""
-    return next((i for i, (a, b) in enumerate(zip(acts, acts2)) if a @ f != f @ b), None)
+def first_noncommuting(acts, f, acts2, indices):
+    """The first i of `indices` with acts[i] @ f != f @ acts2[i], or None."""
+    return next((i for i in indices if acts[i] @ f != f @ acts2[i]), None)

@@ -13,7 +13,6 @@ module maps for functoriality checks.
 
 from corings.algebras import AlgebraMorphism, ground_algebra, tensor_algebra
 from corings.bimodules import (
-    BimoduleMorphism,
     induced_map_on_tensor,
     regular_bimodule,
     restrict_scalars,
@@ -29,6 +28,7 @@ from corings.errors import (
 from corings.linalg import Mat, _vadd
 from corings.verdict import Verdict
 from reference import (
+    BimoduleMorphism,
     IsoFailure,
     contains,
     inverse,

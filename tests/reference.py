@@ -13,6 +13,16 @@ runs the four extension laws on that routine, rebuilding the bimodule from the
 raw action matrices (the checker that `check_ext_morphism` running the laws on
 its `ExtMorphism` replaced); on every extension it must give the same verdict.
 
+`BimoduleMorphism` checks a map of bimodules against the action of every
+basis element of both acting algebras, and `reference_bimodule_check` and
+`reference_check_algebra_morphism` are `Bimodule.check` and
+`check_algebra_morphism` with every index over the whole basis (the forms
+that checking each action law on the algebra's generators,
+`algebras.generators`, replaced).  The coring, extension, coaction and
+corings-morphism references below quantify their linearity laws over the
+whole basis too.  tests/test_generators.py requires the same verdict, law
+and witness from both on single-entry corruptions.
+
 `reference_check_coring`, `reference_right_coaction_verdict`,
 `reference_coaction_compatibility` and `reference_check_corings_morphism` are
 the law checkers that induced whole maps on presented tensors: each two-route
@@ -102,15 +112,16 @@ from unittest import mock
 
 from corings import bimodules, linalg
 from corings.algebras import (
+    ALGEBRA_MORPHISM_LAWS,
     AlgebraMorphism,
     FinDimAlgebra,
-    check_algebra_morphism,
     identity_morphism,
 )
 from corings.bimodules import (
+    BIMODULE_LAWS,
     Bimodule,
-    BimoduleMorphism,
     PresentedTensor,
+    _combination,
     _kron_apply,
     induced_map_on_tensor,
     push,
@@ -148,7 +159,7 @@ from corings.errors import (
     ObjectMismatch,
 )
 from corings.linalg import Mat, _norm
-from corings.verdict import Verdict, first_difference, format_combo
+from corings.verdict import Verdict, checker, first_difference, format_combo
 
 
 class IsoFailure(CoringsError):
@@ -674,6 +685,113 @@ def reference_present_tensor(m, n):
     return t
 
 
+BIMODULE_MORPHISM_LAWS = ("left-linear", "right-linear")
+
+
+def first_noncommuting(acts, f, acts2):
+    """Index of the first i with acts[i] @ f != f @ acts2[i], or None."""
+    return next((i for i, (a, b) in enumerate(zip(acts, acts2)) if a @ f != f @ b), None)
+
+
+class BimoduleMorphism:
+    def __init__(self, source, target, map):
+        if source.field != target.field or map.field != source.field:
+            raise FieldMismatch("morphism data over mixed fields")
+        if map.nrows != source.dim or map.ncols != target.dim:
+            raise DimensionMismatch(
+                f"map must be {source.dim}x{target.dim}, got {map.nrows}x{map.ncols}"
+            )
+        self.source = source
+        self.target = target
+        self.map = map
+
+    @checker(BIMODULE_MORPHISM_LAWS)
+    def check(self):
+        """Equivariance for both actions on all algebra basis elements."""
+        src, tgt, f = self.source, self.target, self.map
+        if src.left_alg != tgt.left_alg or src.right_alg != tgt.right_alg:
+            yield "left-linear", "source and target algebras differ"
+        i = first_noncommuting(src.left_act, f, tgt.left_act)
+        if i is not None:
+            yield "left-linear", (
+                f"map does not commute with the left action of {src.left_alg.label(i)}"
+            )
+        yield "left-linear", None
+        j = first_noncommuting(src.right_act, f, tgt.right_act)
+        if j is not None:
+            yield "right-linear", (
+                f"map does not commute with the right action of {src.right_alg.label(j)}"
+            )
+        yield "right-linear", None
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, BimoduleMorphism)
+            and self.source == other.source
+            and self.target == other.target
+            and self.map == other.map
+        )
+
+    __hash__ = None
+
+
+@checker(BIMODULE_LAWS)
+def reference_bimodule_check(m):
+    """Module laws on both sides and commutation of the two actions, on every
+    pair of basis elements."""
+    field = m.field
+    ident = Mat.identity(field, m.dim)
+
+    def law_mats(alg, acts, compose_ij):
+        if _combination(field, m.dim, acts, alg.unit.items()) != ident:
+            return "unit acts as a non-identity matrix"
+        for i in range(alg.dim):
+            for j in range(alg.dim):
+                combo = _combination(field, m.dim, acts, alg.table[i][j].items())
+                if combo != compose_ij(acts, i, j):
+                    return (
+                        f"action of {alg.label(i)}*{alg.label(j)} differs from the "
+                        f"composite of the actions of {alg.label(i)} and {alg.label(j)}"
+                    )
+        return None
+
+    yield "left-module", law_mats(m.left_alg, m.left_act, lambda acts, i, j: acts[j] @ acts[i])
+    yield "right-module", law_mats(m.right_alg, m.right_act, lambda acts, i, j: acts[i] @ acts[j])
+    for i, L in enumerate(m.left_act):
+        for j, R in enumerate(m.right_act):
+            if L @ R != R @ L:
+                yield "commuting-actions", (
+                    f"left action of {m.left_alg.label(i)} does not commute with "
+                    f"right action of {m.right_alg.label(j)}"
+                )
+    yield "commuting-actions", None
+
+
+@checker(ALGEBRA_MORPHISM_LAWS)
+def reference_check_algebra_morphism(f):
+    """Unit preservation and multiplicativity on all basis pairs."""
+    src, tgt = f.source, f.target
+    fmt = src.field.fmt
+    unit_image = f.map.apply(src.unit)
+    if unit_image != tgt.unit:
+        yield "unit", (
+            f"unit maps to {format_combo(unit_image, tgt.label, fmt)} "
+            f"!= {format_combo(tgt.unit, tgt.label, fmt)}"
+        )
+    yield "unit", None
+    images = f.map.rows
+    for i in range(src.dim):
+        for j in range(src.dim):
+            lhs = f.map.apply(src.table[i][j])
+            rhs = tgt.mul_vec(images[i], images[j])
+            if lhs != rhs:
+                yield "multiplicativity", (
+                    f"({src.label(i)},{src.label(j)}): f(x*y) = {format_combo(lhs, tgt.label, fmt)}, "
+                    f"f(x)*f(y) = {format_combo(rhs, tgt.label, fmt)}"
+                )
+    yield "multiplicativity", None
+
+
 def reference_delta_right_linearity(c, bimodule):
     """Right linearity of the comultiplication for the new right action."""
     field = c.field
@@ -724,7 +842,7 @@ def reference_right_extension_verdict(c, d, right_action_mats, coact_lift):
         )
     except (DimensionMismatch, FieldMismatch) as e:
         return Verdict.failed("bimodule", str(e), passed)
-    v = bimodule.check()
+    v = reference_bimodule_check(bimodule)
     if not v.ok:
         return Verdict.failed("bimodule", v.witness, passed)
     passed.append("bimodule")
@@ -876,7 +994,7 @@ def reference_coaction_compatibility(c, d, carrier, left_lift, right_lift):
 def reference_check_corings_morphism(m):
     """Algebra map, bilinearity, counit square, and the comultiplication square."""
     passed = []
-    v = check_algebra_morphism(m.varphi)
+    v = reference_check_algebra_morphism(m.varphi)
     if not v.ok:
         return Verdict.failed("algebra-morphism", f"{v.law}: {v.witness}", passed)
     passed.append("algebra-morphism")

@@ -8,6 +8,8 @@ report and the `--dump` file of the benchmark's Q command list.  Those under
 tensor presentation on each call, before presentations were memoized.  The
 `--dump` files of `extend-tensor` and `compose` on both workspaces were recorded
 while an ext morphism still stored its right action as one interleaved matrix.
+The two `dims_k` reports were re-recorded when `dims` gained its
+`result: pass` line.
 """
 
 import json

@@ -47,11 +47,12 @@ from corings import bimodules, cli, constructions, linalg
 from corings.algebras import (
     FinDimAlgebra,
     dual_numbers,
+    generators,
     ground_algebra,
     group_algebra,
     tensor_algebra,
 )
-from corings.bimodules import Bimodule, _algebra_generators, tensor_over_alg
+from corings.bimodules import Bimodule, tensor_over_alg
 from corings.category import EXT_MORPHISM_LAWS, ExtMorphism, check_ext_morphism
 from corings.constructions import (
     grouplike_coalgebra,
@@ -365,18 +366,18 @@ def algebras(field):
 @pytest.mark.parametrize("name", sorted(algebras(Field.rationals())))
 def test_algebra_generators(field, name):
     a, count = algebras(field)[name]
-    gens = _algebra_generators(a)
+    gens = generators(a)
     assert len(gens) == count
     assert closure(a, gens).dim == a.dim
     if name == "dual":
         assert gens == [1]
-    assert _algebra_generators(algebras(field)[name][0]) is gens
+    assert generators(algebras(field)[name][0]) is gens
 
 
 def test_generators_are_needed():
     """Dropping any chosen generator of k[K4] leaves a proper subalgebra."""
     a = group_algebra(Field.prime(5), KLEIN_4)
-    gens = _algebra_generators(a)
+    gens = generators(a)
     for g in gens:
         assert closure(a, [h for h in gens if h != g]).dim < a.dim
 
@@ -547,7 +548,7 @@ def test_every_kind_of_relation_row_matches_the_reference(field):
         acts_n.append(acts_n[-1] @ xn)
     m = Bimodule(k, b, 6, [Mat.identity(field, 6)], acts_m)
     n = Bimodule(b, k, 3, acts_n, [Mat.identity(field, 3)])
-    assert _algebra_generators(b) == [1]
+    assert generators(b) == [1]
     lengths = sorted({len(r) for r in bimodules._relation_rows(m, n)})
     assert lengths == [1, 2, 3]
     # 18 basis pairs, two of them zero rows: the fixed point 1 on both sides,

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from corings import cli, constructions
 from corings.bimodules import (
     Bimodule,
-    BimoduleMorphism,
     PresentedTensor,
     regrouped_id_tensor,
     tensor_over_alg,
@@ -28,6 +27,7 @@ from corings.coring import check_coring
 from corings.linalg import Field, Mat
 from corings.workspace import load_workspace
 from reference import (
+    BimoduleMorphism,
     IsoFailure,
     inverse,
     kernel,
@@ -52,7 +52,7 @@ def is_canonical(x):
 def assert_sparse_algebra(a):
     """Each table entry and the unit: a dict, keys ascending, no zero value.
 
-    `FinDimAlgebra.__eq__`, `bimodules._alg_key` and the fingerprint that
+    `FinDimAlgebra.__eq__`, `algebras._alg_key` and the fingerprint that
     `perfbench/tracer.py` takes of `repr(a.table)` all rely on this form.
     """
     p = a.field.p
