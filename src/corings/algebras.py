@@ -18,7 +18,7 @@ ALGEBRA_MORPHISM_LAWS = ("unit", "multiplicativity")
 
 
 class FinDimAlgebra:
-    __slots__ = ("field", "dim", "table", "unit", "labels")
+    __slots__ = ("field", "dim", "table", "unit", "labels", "_hash")
 
     def __init__(self, field, dim, table, unit, labels=None):
         if len(table) != dim or any(len(r) != dim for r in table):
@@ -33,12 +33,14 @@ class FinDimAlgebra:
         ]
         self.unit = self._coerce_vec(field, dim, unit)
         self.labels = list(labels) if labels is not None else None
+        self._hash = None
 
     @classmethod
     def _trusted(cls, field, dim, table, unit, labels):
         """An algebra from canonical sparse data built inside the library, taken as is."""
         a = cls.__new__(cls)
         a.field, a.dim, a.table, a.unit, a.labels = field, dim, table, unit, labels
+        a._hash = None
         return a
 
     @staticmethod
@@ -82,7 +84,12 @@ class FinDimAlgebra:
             and self.unit == other.unit
         )
 
-    __hash__ = None
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.field, self.dim,
+                               tuple(frozenset(v.items()) for row in self.table for v in row),
+                               frozenset(self.unit.items())))
+        return self._hash
 
     def __repr__(self):
         return f"FinDimAlgebra(dim {self.dim} over {self.field!r})"
@@ -166,12 +173,6 @@ class AlgebraMorphism:
 _GENERATORS = {}
 
 
-def _alg_key(a):
-    """What FinDimAlgebra.__eq__ compares, as a hashable value (labels left out)."""
-    return (a.field, a.dim, tuple(frozenset(v.items()) for row in a.table for v in row),
-            frozenset(a.unit.items()))
-
-
 def _words(a, gens):
     """Eliminator spanning every product of the basis elements `gens` (1 included)."""
     span = _Eliminator(a.field, a.dim)
@@ -197,11 +198,11 @@ def generators(a):
     once the unit law holds, commuting actions, a map between two module
     actions, and multiplicativity once the unit is preserved.  Over a
     one-dimensional algebra there is no generator: the unit law decides each
-    of these laws, which reads `pass`, not vacuous.  Cached on the structure
-    of `a` for the life of the process.
+    of these laws, which reads `pass`, not vacuous.  Cached for the life of
+    the process on `a` itself, so an equal algebra shares its list: the hash
+    and equality of an algebra leave out its labels.
     """
-    key = _alg_key(a)
-    gens = _GENERATORS.get(key)
+    gens = _GENERATORS.get(a)
     if gens is None:
         gens = []
         span = _words(a, gens)
@@ -213,7 +214,7 @@ def generators(a):
             if len(span.pivrows) > rank:
                 gens.append(t)
                 span = _words(a, gens)
-        _GENERATORS[key] = gens
+        _GENERATORS[a] = gens
     return gens
 
 

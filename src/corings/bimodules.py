@@ -51,18 +51,17 @@ on both factors, could record the same pair once the route tests which
 factors B acts through.
 
 tensor_over_alg memoizes its presentations for the life of the process, keyed
-on the structure of the two factors (what Bimodule.__eq__ compares; labels are
-not part of the key).  Equal factors therefore share one PresentedTensor,
-whose factors carry the labels of the call that built it.  Nor is a factor
-record part of the key: a call on equal bimodules that record no factors
-reuses a presentation built by the route, and the reverse.  A PresentedTensor
-and every matrix and bimodule it holds are immutable: no caller may change
-them.
+on the two factors themselves.  The hash and equality of a bimodule leave out
+its labels and its factor record, so equal factors share one PresentedTensor,
+whose factors carry the labels of the call that built it, and a call on equal
+bimodules that record no factors reuses a presentation built by the route,
+and the reverse.  A PresentedTensor and every matrix and bimodule it holds
+are immutable: no caller may change them.
 """
 
 from functools import cached_property
 
-from .algebras import _alg_key, generators, ground_algebra, tensor_algebra
+from .algebras import generators, ground_algebra, tensor_algebra
 from .errors import (
     AlgebraMismatch,
     DescentFailure,
@@ -82,11 +81,11 @@ class Bimodule:
     (k, C)-bimodule: then this bimodule is X (x)_k Y, row-major, A acting on
     X and C on Y (`_factored`).  It records how the bimodule was built, so
     that `_present_tensor` can present a tensor over B from its factors; it
-    is no part of equality or of the memo key.
+    is no part of equality or of the hash.
     """
 
     __slots__ = ("left_alg", "right_alg", "dim", "left_act", "right_act", "labels", "factors",
-                 "_key")
+                 "_hash")
 
     def __init__(self, left_alg, right_alg, dim, left_act, right_act, labels=None,
                  factors=None):
@@ -106,7 +105,7 @@ class Bimodule:
         self.right_act = list(right_act)
         self.labels = list(labels) if labels is not None else None
         self.factors = factors
-        self._key = None
+        self._hash = None
 
     @property
     def field(self):
@@ -157,7 +156,7 @@ class Bimodule:
         yield "commuting-actions", None
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Bimodule)
             and self.left_alg == other.left_alg
             and self.right_alg == other.right_alg
@@ -166,7 +165,14 @@ class Bimodule:
             and self.right_act == other.right_act
         )
 
-    __hash__ = None
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((
+                self.left_alg, self.right_alg, self.dim,
+                tuple(frozenset(r.items()) for mat in self.left_act for r in mat.rows),
+                tuple(frozenset(r.items()) for mat in self.right_act for r in mat.rows),
+            ))
+        return self._hash
 
     def __repr__(self):
         return f"Bimodule(dim {self.dim} over {self.field!r})"
@@ -282,23 +288,6 @@ class PresentedTensor:
         )
 
 
-def _bimodule_key(b):
-    """What Bimodule.__eq__ compares, as a hashable value (labels left out).
-
-    Built on the first call for `b` and kept on it, since no bimodule is
-    changed in place.
-    """
-    if b._key is None:
-        b._key = (
-            _alg_key(b.left_alg),
-            _alg_key(b.right_alg),
-            b.dim,
-            tuple(frozenset(r.items()) for mat in b.left_act for r in mat.rows),
-            tuple(frozenset(r.items()) for mat in b.right_act for r in mat.rows),
-        )
-    return b._key
-
-
 _TENSORS = {}
 
 
@@ -307,14 +296,13 @@ def tensor_over_alg(m, n):
 
     Both factors must satisfy the bimodule laws (`Bimodule.check`); inputs
     are validated where they enter the program, not here.  Memoized for the
-    life of the process on the structure of (m, n): a call whose factors
-    equal an earlier call's returns the same PresentedTensor.  A call that
-    raises stores nothing.
+    life of the process on the pair (m, n) itself: a call whose factors equal
+    an earlier call's, labels and factor records aside, returns the same
+    PresentedTensor.  A call that raises stores nothing.
     """
-    key = (_bimodule_key(m), _bimodule_key(n))
-    t = _TENSORS.get(key)
+    t = _TENSORS.get((m, n))
     if t is None:
-        t = _TENSORS[key] = _present_tensor(m, n)
+        t = _TENSORS[m, n] = _present_tensor(m, n)
     return t
 
 

@@ -39,6 +39,7 @@ from .algebras import (
 )
 from .bimodules import (
     Bimodule,
+    _combination,
     _kron_apply,
     induced_map_on_tensor,
     push,
@@ -82,7 +83,8 @@ class ExtMorphism:
     basis element of B; `coact_lift` lifts the coaction into the ambient
     C (x)_k D with row-major pair indexing.  The tensor over B inside the
     coaction target always uses the action supplied here.  Construction checks
-    shapes and fields only; `check_ext_morphism` runs the four laws.
+    shapes and fields only; `check_ext_morphism` runs the four laws.  `==`
+    compares the lift exactly, `ext_morphisms_equal` its class in C (x)_B D.
 
     A workspace's `extensions` load as these morphisms, their action given per
     basis element as here.  An `ext` entry of its `morphisms` spells the action
@@ -127,6 +129,17 @@ class ExtMorphism:
     @cached_property
     def coaction(self):
         return self.coaction_tensor.quot.project_rows(self.coact_lift)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, ExtMorphism)
+            and self.source == other.source
+            and self.target == other.target
+            and self.action_mats == other.action_mats
+            and self.coact_lift == other.coact_lift
+        )
+
+    __hash__ = None
 
     def __repr__(self):
         return f"ExtMorphism({self.source!r} -> {self.target!r})"
@@ -323,14 +336,14 @@ def check_corings_morphism(m):
         yield "algebra-morphism", f"{v.law}: {v.witness}"
     yield "algebra-morphism", None
 
-    # The target carrier as a bimodule over the source base, along varphi;
-    # the left, then the right action of each generator in turn.
-    src = m.source.carrier
-    tgt = restrict_scalars(m.target.carrier, left=m.varphi, right=m.varphi)
+    # A generator of the source base acts on the target carrier through its
+    # image under varphi; the left, then the right action of each in turn.
+    src, tgt = m.source.carrier, m.target.carrier
     for i in generators(m.source.base):
+        image = m.varphi.map.rows[i].items()
         for side, acts, acts2 in (("left", src.left_act, tgt.left_act),
                                   ("right", src.right_act, tgt.right_act)):
-            if acts[i] @ m.phi != m.phi @ acts2[i]:
+            if acts[i] @ m.phi != m.phi @ _combination(m.phi.field, tgt.dim, acts2, image):
                 yield "bilinearity", (
                     f"carrier map is not {side}-linear over {m.source.base.label(i)}")
     yield "bilinearity", None
@@ -494,20 +507,14 @@ def _sampled(items, cap, seed):
     return [items[i] for i in picked]
 
 
-def _same_ext_data(a, b):
-    """Exact equality of actions and coaction lifts, never compared in the quotient."""
-    return a.action_mats == b.action_mats and a.coact_lift == b.coact_lift
-
-
 # One of the two monoidal categories on the tensor-coring bifunctor: how to
 # form identities, tensors and composites of its morphisms, the morphism
-# checker, the equality of morphisms `interchange` compares with, and the
-# exact equality of data `identity-preservation` compares with.
-Category = namedtuple("Category", "name identity tensor compose check equal identical")
+# checker, and the equality of morphisms `interchange` compares with.
+Category = namedtuple("Category", "name identity tensor compose check equal")
 EXT = Category("ext", ext_identity, ext_tensor_morphisms, ext_compose, check_ext_morphism,
-               ext_morphisms_equal, _same_ext_data)
+               ext_morphisms_equal)
 CORINGS = Category("corings", corings_identity, corings_tensor_morphisms, corings_compose,
-                   check_corings_morphism, operator.eq, operator.eq)
+                   check_corings_morphism, operator.eq)
 CATEGORIES = {"ext": EXT, "corings": CORINGS}
 
 
@@ -530,7 +537,7 @@ def verify_monoidal(category, corings, morphisms, seed=0):
     for i in range(len(corings)):
         for j in range(len(corings)):
             lhs = tensor_of(identity_of(corings[i]), identity_of(corings[j]))
-            if not category.identical(lhs, identity_of(lhs.source)):
+            if lhs != identity_of(lhs.source):
                 yield "identity-preservation", (
                     f"tensor of the identities of corings {i} and {j} is not the "
                     f"identity of their tensor"

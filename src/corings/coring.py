@@ -42,7 +42,6 @@ from .bimodules import (
     push,
     regrouped_id_tensor,
     regrouped_image,
-    regular_bimodule,
     tensor_over_alg,
 )
 from .errors import DescentFailure, DimensionMismatch, FieldMismatch
@@ -164,10 +163,14 @@ def check_coring(c):
     then on the right, on the generators of A.
     """
     left, right = c.carrier.left_alg, c.carrier.right_alg
-    for what, f, tgt in (("comultiplication", c.comul, c.tens.result),
-                         ("counit", c.counit_mat, regular_bimodule(c.base))):
-        for side, alg, acts, acts2 in (("left", left, c.carrier.left_act, tgt.left_act),
-                                       ("right", right, c.carrier.right_act, tgt.right_act)):
+    tens = c.tens.result
+    regular = ({i: c.base.left_regular_mat(i) for i in generators(left)},
+               {i: c.base.right_regular_mat(i) for i in generators(right)})
+    for what, f, (tgt_left, tgt_right) in (
+            ("comultiplication", c.comul, (tens.left_act, tens.right_act)),
+            ("counit", c.counit_mat, regular)):
+        for side, alg, acts, acts2 in (("left", left, c.carrier.left_act, tgt_left),
+                                       ("right", right, c.carrier.right_act, tgt_right)):
             i = first_noncommuting(acts, f, acts2, generators(alg))
             if i is not None:
                 yield "bilinearity", (

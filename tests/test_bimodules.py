@@ -159,9 +159,14 @@ def twisted_dual_regular():
 
 
 def cache_cases():
-    """(m, n) pairs over Q and F_5, each built from fresh objects."""
+    """(m, n) pairs over Q and F_5, each built from fresh objects.
+
+    The last pairs a bimodule that records its factors, as the route builds
+    it, with an equal copy that records none.
+    """
     k4 = group_algebra(F5, [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
     dual = regular_bimodule(dual_numbers(Q))
+    routed = bimodules._factored(scalar_bimodule(F5, 2), scalar_bimodule(F5, 3))
     return [
         (dual, dual),
         (twisted_dual_regular(), dual),
@@ -169,6 +174,8 @@ def cache_cases():
         (scalar_bimodule(F5, 2), scalar_bimodule(F5, 3)),
         (tensor_over_k(dual, dual), regular_bimodule(tensor_algebra(
             dual_numbers(Q), dual_numbers(Q)))),
+        (routed, Bimodule(routed.left_alg, routed.right_alg, routed.dim, routed.left_act,
+                          routed.right_act)),
     ]
 
 
@@ -185,12 +192,14 @@ class TestTensorCache:
     def test_equal_inputs_share_one_presentation(self):
         for (m, n), (m2, n2) in zip(cache_cases(), cache_cases()):
             assert m is not m2 and m == m2 and n == n2
+            assert hash(m) == hash(m2) and hash(n) == hash(n2)
             assert tensor_over_alg(m, n) is tensor_over_alg(m2, n2)
         assert len(bimodules._TENSORS) == len(cache_cases())
 
     def test_labels_are_not_part_of_the_key(self, dual_regular):
         relabelled = Bimodule(dual_regular.left_alg, dual_regular.right_alg, 2,
                               dual_regular.left_act, dual_regular.right_act, ["p", "q"])
+        assert hash(relabelled) == hash(dual_regular)
         assert tensor_over_alg(relabelled, dual_regular) is tensor_over_alg(
             dual_regular, dual_regular)
 

@@ -32,6 +32,7 @@ from corings.category import (
     _composable_pairs,
     _sampled,
     check_ext_morphism,
+    corings_identity,
     ext_compose,
     ext_identity,
     ext_morphisms_equal,
@@ -219,6 +220,24 @@ def test_a_relation_added_to_the_coaction_lift_trips_identity_preservation():
     assert m.source.base.dim == 4
     assert m.coact_lift != ext_identity(m.source).coact_lift
     assert ext_morphisms_equal(m, ext_identity(m.source))
+
+
+def test_ext_morphism_equality_is_exact_on_the_data():
+    """Two builds of one identity are equal.  With a relation of its coaction
+    tensor added to the coaction lift it is another morphism, though
+    `ext_morphisms_equal`, which compares coactions in the quotient, holds.
+    Neither kind of morphism is hashable."""
+    dual = load_workspace(WORKSPACES / "cli-f5.json").corings["dual_regular"]
+    c = tensor_coring(dual, dual)
+    ident = ext_identity(c)
+    assert ident is not ext_identity(c) and ident == ext_identity(c)
+    lift = ident.coact_lift.copy()
+    _vadd(F5, lift.rows[0], next(ident.coaction_tensor.quot.relation_rows()), F5.one)
+    perturbed = ExtMorphism(c, c, ident.action_mats, lift)
+    assert perturbed != ident and ext_morphisms_equal(perturbed, ident)
+    for m in (ident, corings_identity(c)):
+        with pytest.raises(TypeError):
+            hash(m)
 
 
 # Corruptions that trip exactly one of the two strictness laws.  The family

@@ -52,7 +52,7 @@ def is_canonical(x):
 def assert_sparse_algebra(a):
     """Each table entry and the unit: a dict, keys ascending, no zero value.
 
-    `FinDimAlgebra.__eq__`, `algebras._alg_key` and the fingerprint that
+    `FinDimAlgebra.__eq__` and `__hash__`, and the fingerprint that
     `perfbench/tracer.py` takes of `repr(a.table)` all rely on this form.
     """
     p = a.field.p
