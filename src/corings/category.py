@@ -193,9 +193,11 @@ def ext_to_trivial(c):
 def ext_compose(g, f):
     """Bullet composition of f: (E:C0) -> (C:A) and g: (C:A) -> (D:B).
 
-    Computed by expanding the coaction lifts into pure basis tensors:
-    the new action sends e (x) b to e_(0) eps_C(e_(1) b) and the new coaction
-    sends e to e_(0) eps_C(e_(1)^[0]) (x)_B e_(1)^[1].
+    Computed on the coaction lifts.  The new action sends e (x) b to
+    e_(0) eps_C(e_(1) b).  The new coaction sends e to
+    e_(0) eps_C(e_(1)^[0]) (x)_B e_(1)^[1]: row e of f's lift goes through
+    id_E (x) g's lift, then through e0 (x) c0 (x) d -> e0 eps_C(c0) (x) d, as
+    two Kronecker applies.
     """
     if f.target != g.source:
         raise ObjectMismatch("inner endpoints do not match")
@@ -208,19 +210,10 @@ def ext_compose(g, f):
     # The action of b contracts f's coaction with c -> eps_C(c b).
     action = [_counit_contraction(f.coact_lift, c_dim, a @ eps, act_f, False)
               for a in g.action_mats]
-
-    coact_rows = []
-    for e in range(e_dim):
-        out = {}
-        for idx, val in f.coact_lift.rows[e].items():
-            e0, c = divmod(idx, c_dim)
-            for idx2, val2 in g.coact_lift.rows[c].items():
-                c0, d = divmod(idx2, d_dim)
-                coeff = field.mul(val, val2)
-                for t, at in eps.rows[c0].items():
-                    _vadd(field, out, act_f[t].rows[e0], field.mul(coeff, at), d, d_dim)
-        coact_rows.append(out)
-    coact = Mat(field, e_dim, e_dim * d_dim, coact_rows)
+    contract = _counit_contraction(Mat.identity(field, e_dim * c_dim), c_dim, eps, act_f, False)
+    coact = Mat(field, e_dim, e_dim * d_dim, [
+        _kron_apply(contract, d_dim, _kron_apply(e_dim, g.coact_lift, row))
+        for row in f.coact_lift.rows])
     return ExtMorphism(f.source, g.target, action, coact)
 
 

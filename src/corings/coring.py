@@ -118,7 +118,9 @@ def _counit_contraction(lift, width, counit, acts, left):
     counit takes the X leg and acts on the Y leg by its left action `acts`
     (a (x) m -> a.m); otherwise it takes the Y leg and acts on the X leg by
     its right action (m (x) a -> m.a).  Row i is the image of lift row i in
-    the module acted on, whose dim is the number of rows.
+    the module acted on, whose dim is that of the action matrices.  A lift
+    with one row per basis element of that module gives a square matrix; the
+    identity of X (x)_k Y gives the contraction itself, a map X (x) Y -> X or Y.
     """
     field = lift.field
     rows = []
@@ -130,7 +132,7 @@ def _counit_contraction(lift, width, counit, acts, left):
             for t, e in counit.rows[leg].items():
                 _vadd(field, out, acts[t].rows[m], field.mul(val, e))
         rows.append(out)
-    return Mat(field, lift.nrows, lift.nrows, rows)
+    return Mat(field, lift.nrows, acts[0].nrows, rows)
 
 
 def _counit_leg(what, got, label):

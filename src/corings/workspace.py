@@ -387,14 +387,6 @@ def _parse_extension(ws, name, spec):
     return ExtMorphism(c, d, mats, lift)
 
 
-def _split_action(m, dim_c, dim_b):
-    """The interleaved action C (x)_k B -> C of a file entry, one matrix per basis element."""
-    return [
-        Mat(m.field, dim_c, dim_c, [m.rows[i * dim_b + j] for i in range(dim_c)])
-        for j in range(dim_b)
-    ]
-
-
 def _parse_morphism(ws, name, spec):
     """(kind, morphism), the kind "ext" or "corings"."""
     what = f"morphism {name}"
@@ -407,11 +399,11 @@ def _parse_morphism(ws, name, spec):
     tgt = _ref(ws, "corings", spec, "target", what)
     with _input_errors(what):
         if kind == "ext":
-            action = _mat(ws.field, _require(spec, "action", what),
-                          src.dim * tgt.base.dim, src.dim, what)
+            dim_b = tgt.base.dim
+            action = _mat(ws.field, _require(spec, "action", what), src.dim * dim_b, src.dim, what)
             return kind, ExtMorphism(
                 src, tgt,
-                _split_action(action, src.dim, tgt.base.dim),
+                [Mat(ws.field, src.dim, src.dim, action.rows[j::dim_b]) for j in range(dim_b)],
                 _mat(ws.field, _require(spec, "coaction_lift", what),
                      src.dim, src.dim * tgt.dim, what),
             )

@@ -1,23 +1,17 @@
 import pytest
 
-from corings import (
-    Field,
+from corings.algebras import AlgebraMorphism, dual_numbers, ground_algebra
+from corings.category import (
     corings_identity,
     counit_corings_morphism,
-    dual_numbers,
     ext_identity,
     ext_to_trivial,
     ext_to_unit,
-    ground_algebra,
-    grouplike_coalgebra,
     grouplike_corings_morphism,
-    matrix_coalgebra,
-    trivial_coring,
     trivial_corings_morphism,
-    unit_coring,
 )
-from corings.algebras import AlgebraMorphism
-from corings.linalg import Mat
+from corings.constructions import grouplike_coalgebra, matrix_coalgebra, trivial_coring, unit_coring
+from corings.linalg import Field, Mat
 
 FIELD_IDS = ["Q", "F5"]
 

@@ -56,7 +56,11 @@ that built E box_C C that way and checked, on every call, that f's coaction
 maps E onto it bijectively before taking its route (the oracle that starts
 the route from f's coaction on E (x)_A C replaced; a valid f makes the check
 hold).  On valid morphisms both oracles must give the same coaction lift
-exactly.
+exactly.  `reference_ext_compose` is the bullet composite with its coaction
+summed term by term over both lifts (the loop that the contraction
+e0 (x) c0 -> e0 eps_C(c0) applied after id_E (x) g's coaction, as two
+Kronecker applies, replaced); tests/test_category.py requires the same
+composite exactly.
 
 `reference_descend` checks a map on every row of the RREF basis of the
 source relations, read off the `Subspace` that `relation_space` builds whole
@@ -149,7 +153,12 @@ from corings.category import (
     ext_tensor_morphisms,
 )
 from corings.constructions import tensor_coring, unit_coring
-from corings.coring import Coring, coaction_compatibility, right_coaction_verdict
+from corings.coring import (
+    Coring,
+    _counit_contraction,
+    coaction_compatibility,
+    right_coaction_verdict,
+)
 from corings.errors import (
     AlgebraMismatch,
     CoringsError,
@@ -1382,6 +1391,36 @@ def reference_ext_compose_via_cotensor(g, f):
     oracle = rho_mat @ through_d @ collapse
     lift = oracle @ lift_mat(t_ed.quot)
     return ExtMorphism(f.source, g.target, explicit.action_mats, lift)
+
+
+def reference_ext_compose(g, f):
+    """Bullet composition of f: (E:C0) -> (C:A) and g: (C:A) -> (D:B), with
+    the coaction summed term by term over e0 (x) c of f's lift and c0 (x) d
+    of g's: each term adds eps_C(c0) acting on e0, tensored with d."""
+    if f.target != g.source:
+        raise ObjectMismatch("inner endpoints do not match")
+    field = f.source.field
+    e_dim = f.source.dim
+    c_dim = g.source.dim
+    d_dim = g.target.dim
+    eps = g.source.counit_mat
+    act_f = f.action_mats
+    action = [_counit_contraction(f.coact_lift, c_dim, a @ eps, act_f, False)
+              for a in g.action_mats]
+
+    coact_rows = []
+    for e in range(e_dim):
+        out = {}
+        for idx, val in f.coact_lift.rows[e].items():
+            e0, c = divmod(idx, c_dim)
+            for idx2, val2 in g.coact_lift.rows[c].items():
+                c0, d = divmod(idx2, d_dim)
+                coeff = field.mul(val, val2)
+                for t, at in eps.rows[c0].items():
+                    _vadd_at(field, out, act_f[t].rows[e0], field.mul(coeff, at), d, d_dim)
+        coact_rows.append(out)
+    coact = Mat(field, e_dim, e_dim * d_dim, coact_rows)
+    return ExtMorphism(f.source, g.target, action, coact)
 
 
 def reference_parser():

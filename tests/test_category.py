@@ -1,11 +1,16 @@
+from itertools import product
+from pathlib import Path
+
 import pytest
 
 from conftest import (
     CYCLIC_2,
+    FIELD_IDS,
     KLEIN_4,
     coring_family,
     corings_morphism_family,
     ext_morphism_family,
+    make_field,
 )
 from corings.algebras import (
     AlgebraMorphism,
@@ -42,18 +47,22 @@ from corings.constructions import (
     trivial_coring,
     unit_coring,
 )
+from corings.coring import _counit_contraction
 from corings.errors import InvalidMorphism, ObjectMismatch
 from corings.linalg import Field, Mat
+from corings.workspace import load_workspace
 from oracles import base_extension_maps
 from reference import (
     describe,
     inverse,
     is_identity,
     project_mat,
+    reference_ext_compose,
     reference_ext_compose_via_cotensor,
     scaled,
 )
 
+WORKSPACES = Path(__file__).resolve().parents[1] / "perfbench" / "workspaces"
 Q = Field.rationals()
 F5 = Field.prime(5)
 
@@ -124,6 +133,39 @@ class TestBulletComposition:
         corings = dict(f5_family)
         with pytest.raises(ObjectMismatch):
             ext_compose(ext_to_unit(corings["matrix2"]), ext_to_unit(corings["grouplike_c2"]))
+
+
+def assert_composites_match_the_reference(morphisms):
+    """On every pair (g, f) of `morphisms` with f's target g's source, at least
+    one, `ext_compose` equals `reference_ext_compose` exactly."""
+    pairs = [(g, f) for g, f in product(morphisms, morphisms) if f.target == g.source]
+    assert pairs
+    for g, f in pairs:
+        assert ext_compose(g, f) == reference_ext_compose(g, f)
+
+
+class TestBulletCoactionAgainstTheReference:
+    """`ext_compose` applies id_E (x) g's coaction and then the counit
+    contraction to each row of f's lift; `reference_ext_compose` sums the
+    terms of both lifts one by one."""
+
+    @pytest.mark.parametrize("corpus", ["cli-q", "cli-f5", "monoidal-f5"])
+    def test_every_corpus_pair(self, corpus):
+        ws = load_workspace(WORKSPACES / f"{corpus}.json")
+        assert_composites_match_the_reference(
+            [*ws.extensions.values(), *(m for kind, m in ws.morphisms.values() if kind == "ext")])
+
+    @pytest.mark.parametrize("field_id", FIELD_IDS)
+    def test_every_family_pair(self, field_id):
+        family = coring_family(make_field(field_id))
+        assert_composites_match_the_reference([m for _, m in ext_morphism_family(family)])
+
+    def test_the_contraction_lands_in_the_module(self):
+        """The contraction of C (x)_k C, dim 16, maps onto the 4-dim C."""
+        mc = matrix_coalgebra(2, F5)
+        contract = _counit_contraction(Mat.identity(F5, 16), 4, mc.counit_mat,
+                                       mc.carrier.right_act, False)
+        assert (contract.nrows, contract.ncols) == (16, 4)
 
 
 def oracle_chains(c):

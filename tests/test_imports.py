@@ -1,19 +1,18 @@
 """No module imports a name it never uses, or imports a sibling twice.
 
 A stdlib `ast` scan stands in for a linter: every name bound by an import in
-`src/corings/*.py` or `tests/*.py` must be read somewhere in the same file.
-`__init__.py` is exempt, since its imports are the package's re-exports, and
-so are `from __future__` imports.  In `src/corings/`, no function imports a
+`src/corings/*.py` or `tests/*.py` must be read somewhere in the same file,
+bar `from __future__` imports.  In `src/corings/`, no function imports a
 sibling module (`from .X import ...` inside a function): such an import only
 hides an import cycle, and a cycle is fixed by where the code lives.
 
 A second scan finds dead definitions: every module-level function, class and
-constant of `src/corings/*.py` (again bar `__init__.py`), and every method and
-property of its classes bar the dunders, must be read, as a name or an
-attribute, somewhere in `src/corings/` or `perfbench/` outside its own
-definition.  Reads in `tests/` do not count: code only the tests run belongs
-in `tests/reference.py`.  `perfbench/` counts because its tracer reads the
-program's objects (`QuotientSpace.relations`).
+constant of `src/corings/*.py`, and every method and property of its classes
+bar the dunders, must be read, as a name or an attribute, somewhere in
+`src/corings/` or `perfbench/` outside its own definition.  Reads in `tests/`
+do not count: code only the tests run belongs in `tests/reference.py`.
+`perfbench/` counts because its tracer reads the program's objects
+(`QuotientSpace.relations`).
 
 A third check keeps the start-up path of every command lean: importing
 `corings.cli` in a fresh interpreter must not load `dataclasses` or the
@@ -21,6 +20,12 @@ introspection modules it pulls in (`inspect`, `ast`, `dis`, `tokenize`), nor
 `argparse` or the `gettext` and `locale` it pulls in, and a command over F_p
 must load none of those, nor `fractions` or the `decimal` it imports.  A
 command over Q loads `fractions` only once a value is not an integer.
+
+A fourth check keeps the layering visible: the package's API is its modules,
+so `corings` binds no public name but its loaded submodules, and importing
+`corings.<m>` in a fresh interpreter loads exactly the modules `<m>` needs,
+those before it in `LAYERS`, the import order (`errors` and `verdict` need
+none, `linalg` only `errors`).
 """
 
 import ast
@@ -34,7 +39,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SRC = sorted(p for p in ROOT.glob("src/corings/*.py") if p.name != "__init__.py")
+SRC = sorted(ROOT.glob("src/corings/*.py"))
 FILES = sorted([*SRC, *ROOT.glob("tests/*.py")])
 READERS = sorted([*ROOT.glob("src/corings/*.py"), *ROOT.glob("perfbench/*.py")])
 
@@ -199,19 +204,24 @@ def test_no_unread_definitions(path):
 HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "argparse", "gettext", "locale")
 
 
-def heavy_modules_after(code, heavy=HEAVY):
-    """The modules of `heavy` loaded once `code` has run in a fresh interpreter.
+def fresh_stdout(probe):
+    """What `probe` prints when run in a fresh interpreter.
 
-    The interpreter runs without `site` (-S), so nothing but `code` and the
+    The interpreter runs without `site` (-S), so nothing but `probe` and the
     interpreter's own start-up can load a module.
     """
-    probe = f"{code}\nimport sys\nprint(*[m for m in {heavy!r} if m in sys.modules])"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run(
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True,
         check=True,
     )
-    return out.stdout.split()
+    return out.stdout
+
+
+def heavy_modules_after(code, heavy=HEAVY):
+    """The modules of `heavy` loaded once `code` has run in a fresh interpreter."""
+    probe = f"{code}\nimport sys\nprint(*[m for m in {heavy!r} if m in sys.modules])"
+    return fresh_stdout(probe).split()
 
 
 def test_cli_import_loads_no_introspection_modules():
@@ -267,3 +277,38 @@ def test_a_prime_field_reads_a_fraction_made_before_fractions_was_needed():
             "assert Field.prime(5).coerce(Fraction(1, 2)) == 3\n"
             "assert Field.prime(5).coerce('1/2') == 3")
     assert heavy_modules_after(code, Q_ONLY) == list(Q_ONLY)
+
+
+# The modules in import order: each loads every module before it, bar those of
+# `FLOOR`, which need less.
+LAYERS = ("errors", "verdict", "linalg", "algebras", "bimodules", "coring",
+          "constructions", "category", "workspace", "cli")
+FLOOR = {"errors": (), "verdict": (), "linalg": ("errors",)}
+
+
+def layers_after(code):
+    """(the `corings` modules loaded, sorted, and the public names of `corings`
+    other than those modules) once `code` has run in a fresh interpreter."""
+    loaded, public, _ = fresh_stdout(
+        f"{code}\nimport sys\n"
+        "loaded = sorted(n[8:] for n in sys.modules if n.startswith('corings.'))\n"
+        "print(*loaded)\n"
+        "print(*[n for n in vars(sys.modules['corings'])"
+        " if not n.startswith('_') and n not in loaded])"
+    ).split("\n")
+    return loaded.split(), public.split()
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_a_module_loads_only_the_modules_below_it(module):
+    needed = FLOOR.get(module, LAYERS[:LAYERS.index(module)])
+    assert layers_after(f"import corings.{module}") == (sorted([*needed, module]), [])
+
+
+def test_layer_probe_sees_a_name_bound_on_the_package():
+    code = "import corings.linalg\ncorings.Mat = corings.linalg.Mat"
+    assert layers_after(code) == (["errors", "linalg"], ["Mat"])
+
+
+def test_layers_cover_the_package():
+    assert sorted(LAYERS) == sorted(p.stem for p in SRC if not p.stem.startswith("_"))
