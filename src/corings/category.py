@@ -56,7 +56,7 @@ from .errors import (
     InvalidMorphism,
     ObjectMismatch,
 )
-from .linalg import Mat, _vadd
+from .linalg import Mat
 from .verdict import VACUOUS, checker, first_difference, first_noncommuting
 
 EXT_MORPHISM_LAWS = ("bimodule", "delta-right-linear", "coaction", "colinearity")
@@ -195,14 +195,12 @@ def ext_compose(g, f):
 
     Computed on the coaction lifts.  The new action sends e (x) b to
     e_(0) eps_C(e_(1) b).  The new coaction sends e to
-    e_(0) eps_C(e_(1)^[0]) (x)_B e_(1)^[1]: row e of f's lift goes through
-    id_E (x) g's lift, then through e0 (x) c0 (x) d -> e0 eps_C(c0) (x) d, as
-    two Kronecker applies.
+    e_(0) eps_C(e_(1)^[0]) (x)_B e_(1)^[1].  Each is a counit contraction
+    of f's lift, the coaction's by eps_rho = (eps_C (x) D) o rho_g, which is
+    valued in A (x) D, so the D leg stays.
     """
     if f.target != g.source:
         raise ObjectMismatch("inner endpoints do not match")
-    field = f.source.field
-    e_dim = f.source.dim
     c_dim = g.source.dim
     d_dim = g.target.dim
     eps = g.source.counit_mat
@@ -210,10 +208,9 @@ def ext_compose(g, f):
     # The action of b contracts f's coaction with c -> eps_C(c b).
     action = [_counit_contraction(f.coact_lift, c_dim, a @ eps, act_f, False)
               for a in g.action_mats]
-    contract = _counit_contraction(Mat.identity(field, e_dim * c_dim), c_dim, eps, act_f, False)
-    coact = Mat(field, e_dim, e_dim * d_dim, [
-        _kron_apply(contract, d_dim, _kron_apply(e_dim, g.coact_lift, row))
-        for row in f.coact_lift.rows])
+    eps_rho = Mat(eps.field, c_dim, eps.ncols * d_dim,
+                  [_kron_apply(eps, d_dim, row) for row in g.coact_lift.rows])
+    coact = _counit_contraction(f.coact_lift, c_dim, eps_rho, act_f, False)
     return ExtMorphism(f.source, g.target, action, coact)
 
 
@@ -222,8 +219,11 @@ def ext_compose_via_cotensor(g, f, composed):
 
     `composed` is `ext_compose(g, f)`, the composite under check.  Reads E
     as E box_C C along f's coaction rho_f: E -> E (x)_A C, pushes through
-    E box_C (C (x)_B D) along g's coaction, and collapses with the counit
-    into the presentation of E (x)_B D that `composed` carries.  That rho_f
+    E box_C (C (x)_B D) along g's coaction, and collapses with the counit:
+    one `_counit_contraction` by eps_C (x) D of the lifts of the classes of
+    E (x)_A (C (x)_B D), projected into the presentation of E (x)_B D that
+    `composed` carries.  `ext_compose` contracts f's lift with the same
+    helper.  That rho_f
     maps E onto E box_C C bijectively is not checked here, since it holds
     for every right C-comodule: rho_f lands in the cotensor by
     coassociativity, and E (x) counit splits it by the counit law and the
@@ -235,29 +235,22 @@ def ext_compose_via_cotensor(g, f, composed):
     if f.target != g.source:
         raise ObjectMismatch("inner endpoints do not match")
     field = f.source.field
-    d_dim = g.target.dim
-
     t_cd = g.coaction_tensor
     t_r = tensor_over_alg(f.bimodule, t_cd.result)
     through_d = induced_map_on_tensor(
         Mat.identity(field, f.source.dim), g.coaction, f.coaction_tensor, t_r
     )
 
-    t_ed = composed.coaction_tensor
-    eps = g.source.counit_mat
-    act_f = f.action_mats
-    collapse_rows = []
     # Class s of t_r lifts to e_i (x) (class u of t_cd), which lifts to
-    # e_i (x) e_c (x) e_d.
-    for idx in t_r.quot.rep_columns:
-        i, u = divmod(idx, t_cd.dim)
-        c, d = divmod(t_cd.quot.rep_columns[u], d_dim)
-        moved = {}
-        for t, at in eps.rows[c].items():
-            _vadd(field, moved, act_f[t].rows[i], at)
-        collapse_rows.append(
-            t_ed.quot.project_vec({w * d_dim + d: wv for w, wv in moved.items()}))
-    collapse = Mat(field, t_r.dim, t_ed.dim, collapse_rows)
+    # e_i (x) e_c (x) e_d; the collapse contracts it with eps_C (x) D.
+    width = t_cd.quot.ambient_dim
+    lifts = Mat(field, t_r.dim, f.source.dim * width, [
+        {i * width + t_cd.quot.rep_columns[u]: field.one}
+        for i, u in (divmod(idx, t_cd.dim) for idx in t_r.quot.rep_columns)])
+    counit = g.source.counit_mat.kron(Mat.identity(field, g.target.dim))
+    t_ed = composed.coaction_tensor
+    collapse = t_ed.quot.project_rows(
+        _counit_contraction(lifts, width, counit, f.action_mats, False))
 
     oracle = f.coaction @ through_d @ collapse
     reps = t_ed.quot.rep_columns

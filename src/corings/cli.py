@@ -220,7 +220,9 @@ def _cmd_base_extend(ws, args, report):
 
 def _cmd_verify_monoidal(ws, args, report):
     corings = list(ws.corings.values())
-    morphisms = [m for kind, m in ws.morphisms.values() if kind == args.category]
+    # The extensions are morphisms of the extension category too.
+    morphisms = [*(ws.extensions.values() if args.category == "ext" else ()),
+                 *(m for kind, m in ws.morphisms.values() if kind == args.category)]
     report["category"] = args.category
     report["corings"] = str(len(corings))
     report["morphisms"] = str(len(morphisms))

@@ -118,21 +118,25 @@ def _counit_contraction(lift, width, counit, acts, left):
     counit takes the X leg and acts on the Y leg by its left action `acts`
     (a (x) m -> a.m); otherwise it takes the Y leg and acts on the X leg by
     its right action (m (x) a -> m.a).  Row i is the image of lift row i in
-    the module acted on, whose dim is that of the action matrices.  A lift
-    with one row per basis element of that module gives a square matrix; the
-    identity of X (x)_k Y gives the contraction itself, a map X (x) Y -> X or Y.
+    the module M acted on, whose dim is that of the action matrices.  A lift
+    with one row per basis element of M gives a square matrix.  The counit
+    may take values in A (x) k^s, s = counit.ncols // len(acts): its value
+    sum a_t (x) e_j acts by its A leg and keeps e_j, so the image lands in
+    M (x) k^s.  A counit into A has s = 1.
     """
     field = lift.field
+    s = counit.ncols // len(acts)
     rows = []
     for row in lift.rows:
         out = {}
         for idx, val in row.items():
             x, y = divmod(idx, width)
             leg, m = (x, y) if left else (y, x)
-            for t, e in counit.rows[leg].items():
-                _vadd(field, out, acts[t].rows[m], field.mul(val, e))
+            for col, e in counit.rows[leg].items():
+                t, j = divmod(col, s)
+                _vadd(field, out, acts[t].rows[m], field.mul(val, e), j, s)
         rows.append(out)
-    return Mat(field, lift.nrows, acts[0].nrows, rows)
+    return Mat(field, lift.nrows, acts[0].nrows * s, rows)
 
 
 def _counit_leg(what, got, label):

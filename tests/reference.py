@@ -57,9 +57,9 @@ maps E onto it bijectively before taking its route (the oracle that starts
 the route from f's coaction on E (x)_A C replaced; a valid f makes the check
 hold).  On valid morphisms both oracles must give the same coaction lift
 exactly.  `reference_ext_compose` is the bullet composite with its coaction
-summed term by term over both lifts (the loop that the contraction
-e0 (x) c0 -> e0 eps_C(c0) applied after id_E (x) g's coaction, as two
-Kronecker applies, replaced); tests/test_category.py requires the same
+summed term by term over both lifts (the loop that `ext_compose` replaced,
+first by two Kronecker applies, now by one `_counit_contraction` of f's lift
+by (eps_C (x) D) o rho_g); tests/test_category.py requires the same
 composite exactly.
 
 `reference_descend` checks a map on every row of the RREF basis of the

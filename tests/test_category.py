@@ -17,6 +17,7 @@ from corings.algebras import (
     dual_numbers,
     ground_algebra,
 )
+from corings.bimodules import _kron_apply
 from corings.category import (
     CORINGS,
     EXT,
@@ -137,17 +138,61 @@ class TestBulletComposition:
 
 def assert_composites_match_the_reference(morphisms):
     """On every pair (g, f) of `morphisms` with f's target g's source, at least
-    one, `ext_compose` equals `reference_ext_compose` exactly."""
+    one, and on (g (x) g2, f (x) f2) for every two such pairs, the composite
+    the right-hand side of interchange forms, `ext_compose` equals
+    `reference_ext_compose` exactly."""
     pairs = [(g, f) for g, f in product(morphisms, morphisms) if f.target == g.source]
     assert pairs
-    for g, f in pairs:
+    tensors = [(ext_tensor_morphisms(g, g2), ext_tensor_morphisms(f, f2))
+               for (g, f), (g2, f2) in product(pairs, pairs)]
+    for g, f in [*pairs, *tensors]:
         assert ext_compose(g, f) == reference_ext_compose(g, f)
 
 
+def term_by_term_contraction(lift, width, counit, acts, left):
+    """`_counit_contraction` as a dense sum over every lift entry, counit
+    column (t, j) and coordinate w of the module: val * e * acts[t][m][w]
+    lands at w * s + j."""
+    field = lift.field
+    s = counit.ncols // len(acts)
+    n = acts[0].nrows
+    rows = []
+    for row in lift.rows:
+        out = [field.zero] * (n * s)
+        for idx, val in row.items():
+            x, y = divmod(idx, width)
+            leg, m = (x, y) if left else (y, x)
+            for t, j, w in product(range(len(acts)), range(s), range(n)):
+                term = field.mul(field.mul(val, counit.rows[leg].get(t * s + j, field.zero)),
+                                 acts[t].rows[m].get(w, field.zero))
+                out[w * s + j] = field.add(out[w * s + j], term)
+        rows.append(out)
+    return Mat.from_rows(field, rows, n * s)
+
+
+@pytest.mark.parametrize("field_id", FIELD_IDS)
+@pytest.mark.parametrize("s", [1, 3])
+def test_a_counit_valued_in_a_tensor_matches_the_term_by_term_sum(field_id, s):
+    """A counit X -> A (x) k^s, here dense and without structure, contracts
+    each lift into M (x) k^s on both legs."""
+    field = make_field(field_id)
+    for _, m in ext_morphism_family(coring_family(field)):
+        c = m.source
+        for lift, width, acts, left in ((m.coact_lift, m.target.dim, m.action_mats, False),
+                                        (c.comul_lift, c.dim, c.carrier.left_act, True)):
+            legs = lift.ncols // width if left else width
+            counit = Mat.from_rows(field, [[(3 * i + 5 * k + 1) % 7 - 3
+                                            for k in range(len(acts) * s)]
+                                           for i in range(legs)])
+            got = _counit_contraction(lift, width, counit, acts, left)
+            assert got == term_by_term_contraction(lift, width, counit, acts, left)
+            assert (got.nrows, got.ncols) == (lift.nrows, acts[0].nrows * s)
+
+
 class TestBulletCoactionAgainstTheReference:
-    """`ext_compose` applies id_E (x) g's coaction and then the counit
-    contraction to each row of f's lift; `reference_ext_compose` sums the
-    terms of both lifts one by one."""
+    """`ext_compose` contracts each row of f's lift with the counit
+    (eps_C (x) D) o rho_g, valued in A (x) D; `reference_ext_compose` sums
+    the terms of both lifts one by one."""
 
     @pytest.mark.parametrize("corpus", ["cli-q", "cli-f5", "monoidal-f5"])
     def test_every_corpus_pair(self, corpus):
@@ -161,11 +206,17 @@ class TestBulletCoactionAgainstTheReference:
         assert_composites_match_the_reference([m for _, m in ext_morphism_family(family)])
 
     def test_the_contraction_lands_in_the_module(self):
-        """The contraction of C (x)_k C, dim 16, maps onto the 4-dim C."""
+        """For the identity of the 4-dim C over k, the counit of the bullet
+        coaction is (eps (x) C) o comul, the identity of k (x) C, so the
+        contraction of the comultiplication lift lands in C (x) C, dim 16, as
+        that lift itself."""
         mc = matrix_coalgebra(2, F5)
-        contract = _counit_contraction(Mat.identity(F5, 16), 4, mc.counit_mat,
-                                       mc.carrier.right_act, False)
-        assert (contract.nrows, contract.ncols) == (16, 4)
+        eps_rho = Mat(F5, 4, 4, [_kron_apply(mc.counit_mat, 4, row)
+                                 for row in mc.comul_lift.rows])
+        assert eps_rho == Mat.identity(F5, 4)
+        got = _counit_contraction(mc.comul_lift, 4, eps_rho, mc.carrier.right_act, False)
+        assert (got.nrows, got.ncols) == (4, 16)
+        assert got == mc.comul_lift
 
 
 def oracle_chains(c):

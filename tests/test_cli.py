@@ -142,6 +142,21 @@ def test_verify_monoidal_reports_vacuous_associator(capsys, tmp_path):
     assert lines[-1] == "result: pass"
 
 
+@pytest.mark.parametrize("seed", ["0", "1", "2", "3"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_verify_monoidal_ext_takes_the_extensions_as_morphisms(family, seed, capsys):
+    """The two extensions of each cli workspace are morphisms of the
+    extension category, next to its four ext morphisms."""
+    code, out, err = run_cli(capsys, WORKSPACES / f"{family}.json",
+                             "--seed", seed, "verify-monoidal", "ext")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert "morphisms: 6" in lines
+    assert [line for line in lines if line.startswith("check.")] == [
+        f"check.{law}: pass" for law in category.MONOIDAL_LAWS]
+    assert lines[-1] == "result: pass"
+
+
 @pytest.mark.parametrize("category", ["ext", "corings"])
 def test_verify_monoidal_on_an_empty_family_is_vacuous(category, capsys, tmp_path):
     # Every law holds on zero instances: no failed math check, so exit 0.
