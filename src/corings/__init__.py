@@ -12,7 +12,7 @@ modules listed before it, so importing one loads only those it needs
 - `linalg`: scalar fields, sparse matrices and quotient presentations.
 - `algebras`: finite-dimensional algebras by structure constants.
 - `bimodules`: bimodules, tensor products over an algebra as quotients.
-- `coring`: corings, their laws and the laws of a right coaction.
+- `coring`: corings, their laws, and the lift-row helpers the coaction laws share.
 - `constructions`: the tensor coring and the standard small corings.
 - `category`: the extension and corings categories and their monoidal laws.
 - `workspace`: JSON workspaces: parse, validate on load, dump.

@@ -7,12 +7,12 @@ C -> C (x)_B D; that is, D is a right extension of C (Brzezinski), and
 workspace load as these morphisms.  The action is held as one C -> C matrix
 per basis element of B, the form `Bimodule` and `tensor_over_alg` read.
 `check_ext_morphism` yields the four laws of a right extension of the
-`ExtMorphism` itself; the coaction checkers it calls live in `coring`.
-Composition is by the bullet formulas, computed from the explicit lifts, with
-an independent oracle that routes through the cotensor product E box_C C,
-read off f's coaction, which is an isomorphism onto it for every valid f.  A
-corings morphism gives rise to the base ring extension B (x)_A C (x)_A B with
-its right extension by the target (`base_ring_extension`), an `ExtMorphism`.
+`ExtMorphism` itself.  Composition is by the bullet formulas, computed from
+the explicit lifts, with an independent oracle that routes through the
+cotensor product E box_C C, read off f's coaction, which is an isomorphism
+onto it for every valid f.  A corings morphism gives rise to the base ring
+extension B (x)_A C (x)_A B with its right extension by the target
+(`base_ring_extension`), an `ExtMorphism`.
 
 In the plain corings category a morphism is an algebra map together with a
 compatible bilinear map of carriers.  Both categories carry the tensor-coring
@@ -43,14 +43,16 @@ from .bimodules import (
     _kron_apply,
     induced_map_on_tensor,
     push,
+    regrouped_id_tensor,
     regrouped_kron,
     regular_bimodule,
     restrict_scalars,
     tensor_over_alg,
 )
 from .constructions import tensor_coring, trivial_coring, unit_coring
-from .coring import Coring, _counit_contraction, coaction_compatibility, right_coaction_verdict
+from .coring import Coring, _coassociativity_row, _counit_contraction, _counit_leg
 from .errors import (
+    DescentFailure,
     DimensionMismatch,
     FieldMismatch,
     InvalidMorphism,
@@ -147,15 +149,30 @@ class ExtMorphism:
 
 @checker(EXT_MORPHISM_LAWS)
 def check_ext_morphism(m):
-    """The four laws of a right extension in order, stopping at the first failure."""
-    c, bimodule = m.source, m.bimodule
+    """The four laws of a right extension of C by D in order, stopping at the first failure.
+
+    M is C with the new right B-action (`bimodule`), rho: M -> M (x)_B D the
+    coaction.  `coaction` has three parts, each failure's witness prefixed
+    with its name: linearity, coassociativity and the counit law of rho as a
+    right D-coaction.  D is a coring (loaded and checked, or a tensor, unit
+    or trivial coring), so its comultiplication and counit are bilinear, as
+    the last two parts need.  `colinearity` is the commutation of rho with
+    the left C-coaction, the comultiplication lambda of C:
+    (lambda (x) D) o rho = (C (x) rho) o lambda in the left-associated
+    presentation of C (x) M (x) D.  Its right-hand route C (x) rho is defined
+    on C (x)_A M only when rho is left A-linear, which no earlier law
+    implies, so it goes through `regrouped_id_tensor` and fails with its
+    DescentFailure.
+    """
+    c, d, bimodule = m.source, m.target, m.bimodule
     yield "bimodule", bimodule.check().witness
 
     # The action on C (x)_A C is read off C (x)_A M, whose relations use only
     # C's left action, so it is in the coordinates of `c.comul`; it descends
     # because the two actions on M commute (`bimodule`).
-    act = tensor_over_alg(c.carrier, bimodule).result.right_act
-    j = first_noncommuting(bimodule.right_act, c.comul, act, generators(bimodule.right_alg))
+    t_cm = tensor_over_alg(c.carrier, bimodule)
+    j = first_noncommuting(bimodule.right_act, c.comul, t_cm.result.right_act,
+                           generators(bimodule.right_alg))
     if j is not None:
         yield "delta-right-linear", (
             f"comultiplication does not commute with the right action of "
@@ -163,12 +180,36 @@ def check_ext_morphism(m):
         )
     yield "delta-right-linear", None
 
-    v = right_coaction_verdict(bimodule, m.target, m.coact_lift)
-    if not v.ok:
-        yield "coaction", f"{v.law}: {v.witness}"
+    t_md, rho = m.coaction_tensor, m.coaction
+    j = first_noncommuting(bimodule.right_act, rho, t_md.result.right_act,
+                           generators(bimodule.right_alg))
+    if j is not None:
+        yield "coaction", (f"coaction-linearity: coaction does not commute with the right "
+                           f"action of {bimodule.right_alg.label(j)}")
+    i = _coassociativity_row(t_md, rho, m.coact_lift, d)
+    if i is not None:
+        yield "coaction", (f"coaction-coassociativity: {c.label(i)}: the coaction is not "
+                           f"coassociative")
+    # D's counit is left B-linear and M a bimodule, so the contraction sends
+    # the relations of M (x)_B D to zero.
+    got = _counit_contraction(m.coact_lift, d.dim, d.counit_mat, bimodule.right_act, False)
+    w = _counit_leg("(M (x) counit) o coaction", got, c.label)
+    if w is not None:
+        yield "coaction", f"coaction-counit: {w}"
     yield "coaction", None
-    yield "colinearity", coaction_compatibility(
-        c, m.target, bimodule, c.comul_lift, m.coact_lift).witness
+
+    # lambda is `c.comul`, read in C (x)_A M as above.  lambda (x) D descends
+    # from M (x)_B D because lambda is right B-linear (`delta-right-linear`).
+    t_l = tensor_over_alg(t_cm.result, d.carrier)
+    lhs = push(t_l, lambda vec: _kron_apply(c.comul, d.dim, vec), m.coact_lift.rows)
+    try:
+        rhs = c.comul @ regrouped_id_tensor(t_cm, m.coact_lift, t_cm, t_l)
+    except DescentFailure as e:
+        yield "colinearity", str(e)
+    i = first_difference(lhs, rhs)
+    if i is not None:
+        yield "colinearity", f"{c.label(i)}: the two coactions do not commute"
+    yield "colinearity", None
 
 
 def ext_identity(c):

@@ -149,8 +149,9 @@ def _cmd_tensor(ws, args, report):
 
 
 def _cmd_extend_tensor(ws, args, report):
-    e = _want(ws, args.left, "extension")[1]
-    e2 = _want(ws, args.right, "extension")[1]
+    # An ext morphism is a right extension too.
+    e = _want(ws, args.left, "extension", ("extension", "ext-morphism"))[1]
+    e2 = _want(ws, args.right, "extension", ("extension", "ext-morphism"))[1]
     out_name = args.out or "result"
     report["left"] = args.left
     report["right"] = args.right
@@ -163,9 +164,13 @@ def _cmd_extend_tensor(ws, args, report):
     return _finish(ws, args, report, verdict, lambda dumper: dumper.extension(t, out_name))
 
 
+# The category of each kind of morphism: an extension is an ext morphism too.
+_CATEGORY_OF = {"extension": "ext", "ext-morphism": "ext", "corings-morphism": "corings"}
+
+
 def _want_morphism(ws, name):
-    kind, obj = _want(ws, name, "morphism", ("ext-morphism", "corings-morphism"))
-    return kind.split("-")[0], obj
+    kind, obj = _want(ws, name, "morphism", _CATEGORY_OF)
+    return _CATEGORY_OF[kind], obj
 
 
 def _cmd_compose(ws, args, report):

@@ -1,56 +1,42 @@
-"""Corings and the coaction laws of a right extension.
+"""Corings over finite-dimensional algebras.
 
 A coring over an algebra A is an (A,A)-bimodule C with an A-bilinear
 comultiplication C -> C (x)_A C and counit C -> A satisfying coassociativity
-and the two counit laws (`check_coring`).  `category.check_ext_morphism`
-checks a right extension of C by D with the laws of a right D-coaction
-(`right_coaction_verdict`) and its commutation with the left C-coaction that
-is the comultiplication (`coaction_compatibility`).  Each checker yields the
-laws of its declared tuple in order, and `verdict.checker` makes it return
-their `Verdict`.  The comultiplication is the right coaction of C on itself,
-so both coassociativity laws take one route.  Comultiplications and coactions
-are supplied as lifts into the ambient (x)_k space and projected through the
-presented quotients, so input data never depends on internal pivot choices.
+and the two counit laws (`check_coring`).  The checker yields the laws of its
+declared tuple in order, and `verdict.checker` makes it return their
+`Verdict`.  Comultiplications are supplied as lifts into the ambient (x)_k
+space and projected through the presented quotients, so input data never
+depends on internal pivot choices.
 
 Triple tensors are presented left-associated only: a route that applies a
 map on the right leg is regrouped into that presentation as it is computed
 (`regrouped_image`).  Every axiom check is an exact matrix equality.
 
-A linearity law (`bilinearity`, `coaction-linearity`) compares whole action
-matrices: the map after the action of each generator of the acting algebra
-(`algebras.generators`) against the induced action of the presented tensor
-after the map.  Every other law is evaluated on the rows of the lift it is
-about, not on a whole induced map.  A two-route law pushes the rows of the
-comultiplication or coaction lift through the ambient map of each route and
-projects once into the triple tensor (`push`).  A counit law applies the
-counit to one leg of each row and lets the value act on the other leg, so no
-unit tensor A (x)_A C or M (x)_B B is presented.  The results do not depend
-on the lift, because a law checked earlier makes each map descend; each site
-names it.  That needs the checkers' preconditions: every carrier is a
-bimodule (validated where it enters), and the D of `right_coaction_verdict`
-is a coring.  One law keeps a descent check.  The right-hand route C (x) rho
-of colinearity is defined on C (x)_A M only when rho is left A-linear, which
-no earlier law implies, so it goes through `regrouped_id_tensor` and fails
-with its DescentFailure.
+`bilinearity` compares whole action matrices: the map after the action of
+each generator of A (`algebras.generators`) against the induced action of the
+presented tensor after the map.  Every other law is evaluated on the rows of
+the lift it is about, not on a whole induced map.  A two-route law pushes the
+lift rows through the ambient map of each route and projects once into the
+triple tensor (`push`, `_coassociativity_row`).  A counit law applies the
+counit to one leg of each row and lets the value act on the other leg
+(`_counit_contraction`), so no unit tensor A (x)_A C or C (x)_A A is
+presented.  The results do not depend on the lift, because `bilinearity`
+makes each map descend; that needs every carrier to be a bimodule, which is
+validated where it enters.  `category.check_ext_morphism` checks the right
+D-coaction of a right extension with the same three row helpers: the
+comultiplication is the right coaction of C on itself, so both
+coassociativity laws take one route.
 """
 
 from functools import cached_property
 
 from .algebras import generators
-from .bimodules import (
-    _kron_apply,
-    push,
-    regrouped_id_tensor,
-    regrouped_image,
-    tensor_over_alg,
-)
-from .errors import DescentFailure, DimensionMismatch, FieldMismatch
+from .bimodules import _kron_apply, push, regrouped_image, tensor_over_alg
+from .errors import DimensionMismatch, FieldMismatch
 from .linalg import Mat, _vadd
 from .verdict import checker, first_difference, first_noncommuting, format_combo
 
 CORING_LAWS = ("bilinearity", "coassociativity", "right-counit", "left-counit")
-COACTION_LAWS = ("coaction-linearity", "coaction-coassociativity", "coaction-counit")
-COLINEARITY_LAWS = ("colinearity",)
 
 
 class Coring:
@@ -196,58 +182,3 @@ def check_coring(c):
     yield "right-counit", _counit_leg("(C (x) counit) o comul", got, c.label)
     got = _counit_contraction(c.comul_lift, c.dim, c.counit_mat, c.carrier.left_act, True)
     yield "left-counit", _counit_leg("(counit (x) C) o comul", got, c.label)
-
-
-@checker(COACTION_LAWS)
-def right_coaction_verdict(carrier, d, coact_lift):
-    """Right-coaction laws for rho: M -> M (x)_B D on an (*, B)-bimodule M.
-
-    D must be a coring: its comultiplication and counit are then bilinear,
-    which the coassociativity and counit laws rely on.  Every D that reaches
-    here is a loaded and checked coring, or a tensor, unit or trivial coring.
-    """
-    t_md = tensor_over_alg(carrier, d.carrier)
-    rho = t_md.quot.project_rows(coact_lift)
-
-    j = first_noncommuting(carrier.right_act, rho, t_md.result.right_act,
-                           generators(carrier.right_alg))
-    if j is not None:
-        yield "coaction-linearity", (
-            f"coaction does not commute with the right action of "
-            f"{carrier.right_alg.label(j)}"
-        )
-    yield "coaction-linearity", None
-
-    i = _coassociativity_row(t_md, rho, coact_lift, d)
-    if i is not None:
-        yield "coaction-coassociativity", f"{carrier.label(i)}: the coaction is not coassociative"
-    yield "coaction-coassociativity", None
-
-    # D's counit is left B-linear and M a bimodule, so the contraction sends
-    # the relations of M (x)_B D to zero.
-    got = _counit_contraction(coact_lift, d.dim, d.counit_mat, carrier.right_act, False)
-    yield "coaction-counit", _counit_leg("(M (x) counit) o coaction", got, carrier.label)
-
-
-@checker(COLINEARITY_LAWS)
-def coaction_compatibility(c, d, carrier, left_lift, right_lift):
-    """Commutation of a left C-coaction with a right D-coaction on one carrier.
-
-    Checks (lambda (x) D) o rho = (C (x) rho) o lambda in the left-associated
-    presentation of C (x) M (x) D; for lambda the regular comultiplication this
-    is exactly left colinearity of rho.  lambda must be right B-linear (the
-    `delta-right-linear` law of the extension checker).
-    """
-    t_cm = tensor_over_alg(c.carrier, carrier)
-    lam = t_cm.quot.project_rows(left_lift)
-    t_l = tensor_over_alg(t_cm.result, d.carrier)
-    # lambda (x) D descends from M (x)_B D because lambda is right B-linear.
-    lhs = push(t_l, lambda vec: _kron_apply(lam, d.dim, vec), right_lift.rows)
-    try:
-        rhs = lam @ regrouped_id_tensor(t_cm, right_lift, t_cm, t_l)
-    except DescentFailure as e:
-        yield "colinearity", str(e)
-    i = first_difference(lhs, rhs)
-    if i is not None:
-        yield "colinearity", f"{carrier.label(i)}: the two coactions do not commute"
-    yield "colinearity", None

@@ -9,9 +9,11 @@ library exactly.  `reference_delta_right_linearity` checks that the
 comultiplication commutes with a new right action by inducing that action on
 C (x)_A C by hand, descent check included (the routine that reading the action
 off `tensor_over_alg(C, M)` replaced).  `reference_right_extension_verdict`
-runs the four extension laws on that routine, rebuilding the bimodule from the
-raw action matrices (the checker that `check_ext_morphism` running the laws on
-its `ExtMorphism` replaced); on every extension it must give the same verdict.
+runs the four extension laws on that routine and on the two coaction
+references below, rebuilding the bimodule from the raw action matrices (the
+checker that `check_ext_morphism` running the laws on its `ExtMorphism`
+replaced); on every extension it must give the same verdict, and it calls no
+law checker of the library.
 
 `BimoduleMorphism` checks a map of bimodules against the action of every
 basis element of both acting algebras, and `reference_bimodule_check` and
@@ -32,7 +34,9 @@ law presents the unit tensor A (x)_A C, C (x)_A A or M (x)_B B, induces the
 counit on it and collapses it with a verified inverse (the checkers that
 evaluating each law on the rows of its lift replaced).  On inputs that meet
 the library checkers' preconditions both must give the same verdict, law,
-witness and passed laws.
+witness and passed laws.  The two coaction references are the `coaction` and
+`colinearity` laws of `check_ext_morphism`, which checks them itself, so they
+are compared through `reference_right_extension_verdict`.
 
 `middle_swap` is the permutation matrix that tensor lifts were regrouped with
 (`regrouped_kron` writes each product entry to its regrouped column instead).
@@ -153,12 +157,7 @@ from corings.category import (
     ext_tensor_morphisms,
 )
 from corings.constructions import tensor_coring, unit_coring
-from corings.coring import (
-    Coring,
-    _counit_contraction,
-    coaction_compatibility,
-    right_coaction_verdict,
-)
+from corings.coring import Coring, _counit_contraction
 from corings.errors import (
     AlgebraMismatch,
     CoringsError,
@@ -861,12 +860,12 @@ def reference_right_extension_verdict(c, d, right_action_mats, coact_lift):
         return Verdict.failed(v.law, v.witness, passed)
     passed.append("delta-right-linear")
 
-    v = right_coaction_verdict(bimodule, d, coact_lift)
+    v = reference_right_coaction_verdict(bimodule, d, coact_lift)
     if not v.ok:
         return Verdict.failed("coaction", f"{v.law}: {v.witness}", passed)
     passed.append("coaction")
 
-    v = coaction_compatibility(c, d, bimodule, c.comul_lift, coact_lift)
+    v = reference_coaction_compatibility(c, d, bimodule, c.comul_lift, coact_lift)
     if not v.ok:
         return Verdict.failed("colinearity", v.witness, passed)
     passed.append("colinearity")

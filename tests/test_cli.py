@@ -116,6 +116,25 @@ def test_dump_reloads_and_checks(case, family, capsys, tmp_path):
     assert out.splitlines()[-1] == "result: pass"
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("argv", [["compose", "to_trivial_dual", "regular_dual"],
+                                  ["extend-tensor", "id_m2", "to_unit_m2"]],
+                         ids=["compose-extension", "extend-tensor-ext-morphism"])
+def test_an_extension_and_an_ext_morphism_are_one_kind(argv, family, capsys, tmp_path):
+    """`compose` takes an extension as a morphism, and `extend-tensor` an ext
+    morphism as an extension; the composite agrees with the cotensor oracle,
+    and each dump reloads and passes."""
+    dump = tmp_path / "out.json"
+    code, out, err = run_cli(capsys, WORKSPACES / f"{family}.json", *argv, "--dump", str(dump))
+    assert (code, err) == (0, "")
+    assert out.endswith(f"result: pass\ndumped: {dump}\n")
+    if argv[0] == "compose":
+        assert "oracle.cotensor-route: equal\n" in out
+    code, out, err = run_cli(capsys, dump, "check", "result")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "result: pass"
+
+
 def test_golden_json_report(capsys):
     code, out, err = run_cli(capsys, CLI_Q, "--json-report", "check", "m3")
     assert (code, err) == (0, "")
@@ -182,13 +201,14 @@ KIND_OBJECTS = {
     "corings-morphism": ("cid_m2", "a corings morphism"),
 }
 # Each command that takes named objects: its argv around one name, and the
-# kinds it accepts, as the message spells them.
+# kinds it accepts, as the message spells them.  An extension and an ext
+# morphism are one kind of object, a right extension.
 WANTS = {
     "tensor": (lambda x: ["tensor", x, "m2"], {"coring"}, "a coring"),
-    "extend-tensor": (lambda x: ["extend-tensor", x, "regular_dual"], {"extension"},
-                      "an extension"),
-    "compose": (lambda x: ["compose", x, "id_m2"], {"ext-morphism", "corings-morphism"},
-                "a morphism"),
+    "extend-tensor": (lambda x: ["extend-tensor", x, "regular_dual"],
+                      {"extension", "ext-morphism"}, "an extension"),
+    "compose": (lambda x: ["compose", x, "id_m2"],
+                {"extension", "ext-morphism", "corings-morphism"}, "a morphism"),
     "base-extend": (lambda x: ["base-extend", x], {"corings-morphism"},
                     "a corings morphism"),
 }

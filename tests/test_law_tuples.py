@@ -20,7 +20,6 @@ import pytest
 from corings.algebras import check_algebra_morphism
 from corings.bimodules import Bimodule, regular_bimodule
 from corings.category import CATEGORIES, MONOIDAL_LAWS, verify_monoidal
-from corings.coring import coaction_compatibility, right_coaction_verdict
 from corings.workspace import CHECKERS, load_workspace
 from reference import BimoduleMorphism
 
@@ -31,8 +30,7 @@ CORPORA = ("cli-q", "cli-f5", "monoidal-f5")
 # bilinearity with before it checked the algebra's generators.
 EVERY_CHECKER = {
     "check_algebra", "check_algebra_morphism", "Bimodule.check", "BimoduleMorphism.check",
-    "check_coring", "right_coaction_verdict", "coaction_compatibility",
-    "check_ext_morphism", "check_corings_morphism",
+    "check_coring", "check_ext_morphism", "check_corings_morphism",
 }
 
 
@@ -53,9 +51,6 @@ def nested(kind, obj):
             BimoduleMorphism(obj.carrier, regular_bimodule(obj.base), obj.counit_mat),)
     elif kind in ("extension", "ext-morphism"):
         yield Bimodule.check, (obj.bimodule,)
-        yield right_coaction_verdict, (obj.bimodule, obj.target, obj.coact_lift)
-        yield coaction_compatibility, (obj.source, obj.target, obj.bimodule,
-                                       obj.source.comul_lift, obj.coact_lift)
     elif kind == "corings-morphism":
         yield check_algebra_morphism, (obj.varphi,)
 
