@@ -9,7 +9,7 @@ coercing constructor reads dense coordinate lists.  Row-major pair indexing
 library.
 """
 
-from .errors import DimensionMismatch, FieldMismatch
+from .errors import CoringsError
 from .linalg import Mat, _Eliminator, _vadd, coerced_row
 from .verdict import checker, format_combo
 
@@ -22,9 +22,9 @@ class FinDimAlgebra:
 
     def __init__(self, field, dim, table, unit, labels=None):
         if len(table) != dim or any(len(r) != dim for r in table):
-            raise DimensionMismatch("structure-constant table must be dim x dim")
+            raise CoringsError("structure-constant table must be dim x dim")
         if labels is not None and len(labels) != dim:
-            raise DimensionMismatch(f"need {dim} labels, got {len(labels)}")
+            raise CoringsError(f"need {dim} labels, got {len(labels)}")
         self.field = field
         self.dim = dim
         self.table = [
@@ -46,7 +46,7 @@ class FinDimAlgebra:
     @staticmethod
     def _coerce_vec(field, dim, vec):
         if len(vec) != dim:
-            raise DimensionMismatch(f"expected coordinate vector of length {dim}")
+            raise CoringsError(f"expected coordinate vector of length {dim}")
         return coerced_row(field, vec)
 
     def label(self, i):
@@ -133,7 +133,7 @@ def tensor_algebra(a, a2):
     elements are canonical: nothing is re-coerced.
     """
     if a.field != a2.field:
-        raise FieldMismatch("tensor factors live over different fields")
+        raise CoringsError("tensor factors live over different fields")
     field = a.field
     lefts2 = [a2.left_regular_mat(i2) for i2 in range(a2.dim)]
     table = [a.left_regular_mat(i).kron(l2).rows for i in range(a.dim) for l2 in lefts2]
@@ -150,9 +150,9 @@ class AlgebraMorphism:
 
     def __init__(self, source, target, map):
         if source.field != target.field or map.field != source.field:
-            raise FieldMismatch("algebra morphism data over mixed fields")
+            raise CoringsError("algebra morphism data over mixed fields")
         if map.nrows != source.dim or map.ncols != target.dim:
-            raise DimensionMismatch(
+            raise CoringsError(
                 f"map must be {source.dim}x{target.dim}, got {map.nrows}x{map.ncols}"
             )
         self.source = source
@@ -283,7 +283,7 @@ def group_algebra(field, table, labels=None):
     check_group_table(table)
     n = len(table)
     if labels is not None and len(labels) != n:
-        raise DimensionMismatch(f"need {n} labels, got {len(labels)}")
+        raise CoringsError(f"need {n} labels, got {len(labels)}")
     one = field.one
     alg_table = [[{t: one} for t in row] for row in table]
     labels = [f"g_{i}" for i in range(n)] if labels is None else list(labels)

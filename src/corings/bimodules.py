@@ -62,12 +62,7 @@ are immutable: no caller may change them.
 from functools import cached_property
 
 from .algebras import generators, ground_algebra, tensor_algebra
-from .errors import (
-    AlgebraMismatch,
-    DescentFailure,
-    DimensionMismatch,
-    FieldMismatch,
-)
+from .errors import CoringsError, DescentFailure
 from .linalg import Mat, _vadd, quotient_by_rows
 from .verdict import checker
 
@@ -90,14 +85,14 @@ class Bimodule:
     def __init__(self, left_alg, right_alg, dim, left_act, right_act, labels=None,
                  factors=None):
         if left_alg.field != right_alg.field:
-            raise FieldMismatch("acting algebras live over different fields")
+            raise CoringsError("acting algebras live over different fields")
         if len(left_act) != left_alg.dim or len(right_act) != right_alg.dim:
-            raise DimensionMismatch("need one action matrix per algebra basis element")
+            raise CoringsError("need one action matrix per algebra basis element")
         for m in list(left_act) + list(right_act):
             if m.nrows != dim or m.ncols != dim or m.field != left_alg.field:
-                raise DimensionMismatch("action matrices must be dim x dim over the field")
+                raise CoringsError("action matrices must be dim x dim over the field")
         if labels is not None and len(labels) != dim:
-            raise DimensionMismatch(f"need {dim} labels, got {len(labels)}")
+            raise CoringsError(f"need {dim} labels, got {len(labels)}")
         self.left_alg = left_alg
         self.right_alg = right_alg
         self.dim = dim
@@ -229,7 +224,7 @@ def tensor_over_k(m, n):
     Factors with one algebra on both sides (coring carriers) give one tensor algebra.
     """
     if m.field != n.field:
-        raise FieldMismatch("tensor factors over different fields")
+        raise CoringsError("tensor factors over different fields")
     left = [lm.kron(ln) for lm in m.left_act for ln in n.left_act]
     right = [rm.kron(rn) for rm in m.right_act for rn in n.right_act]
     labels = None
@@ -317,9 +312,9 @@ def _present_tensor(m, n):
     relation rows are streamed into `quotient_by_rows`.
     """
     if m.field != n.field:
-        raise FieldMismatch("tensor factors over different fields")
+        raise CoringsError("tensor factors over different fields")
     if m.right_alg != n.left_alg:
-        raise AlgebraMismatch("middle algebras differ")
+        raise CoringsError("middle algebras differ")
     over = m.right_alg
     if over.dim > 1 and n.factors is not None:
         x, y = n.factors
@@ -469,11 +464,11 @@ def induced_map_on_tensor(f, g, t_src, t_tgt):
     (f (x) g) applied to the lift of class s of t_src.
     """
     if t_src.over != t_tgt.over:
-        raise AlgebraMismatch("presented tensors have different middle algebras")
+        raise CoringsError("presented tensors have different middle algebras")
     if f.nrows != t_src.left_factor.dim or f.ncols != t_tgt.left_factor.dim:
-        raise DimensionMismatch("left map incompatible with the tensor factors")
+        raise CoringsError("left map incompatible with the tensor factors")
     if g.nrows != t_src.right_factor.dim or g.ncols != t_tgt.right_factor.dim:
-        raise DimensionMismatch("right map incompatible with the tensor factors")
+        raise CoringsError("right map incompatible with the tensor factors")
     return descend(t_src, t_tgt, lambda vec: _kron_apply(f, g, vec))
 
 

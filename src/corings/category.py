@@ -51,13 +51,7 @@ from .bimodules import (
 )
 from .constructions import tensor_coring, trivial_coring, unit_coring
 from .coring import Coring, _coassociativity_row, _counit_contraction, _counit_leg
-from .errors import (
-    DescentFailure,
-    DimensionMismatch,
-    FieldMismatch,
-    InvalidMorphism,
-    ObjectMismatch,
-)
+from .errors import CoringsError, DescentFailure
 from .linalg import Mat
 from .verdict import VACUOUS, checker, first_difference, first_noncommuting
 
@@ -98,11 +92,11 @@ class ExtMorphism:
         if len(action_mats) != target.base.dim or any(
             m.nrows != dim_c or m.ncols != dim_c for m in action_mats
         ):
-            raise DimensionMismatch("need one C -> C action matrix per basis element of B")
+            raise CoringsError("need one C -> C action matrix per basis element of B")
         if coact_lift.nrows != dim_c or coact_lift.ncols != dim_c * dim_d:
-            raise DimensionMismatch("coaction lift must map C into ambient C (x) D")
+            raise CoringsError("coaction lift must map C into ambient C (x) D")
         if any(m.field != source.field for m in (target, *action_mats, coact_lift)):
-            raise FieldMismatch("morphism data over mixed fields")
+            raise CoringsError("morphism data over mixed fields")
         self.source = source
         self.target = target
         self.action_mats = list(action_mats)
@@ -241,7 +235,7 @@ def ext_compose(g, f):
     valued in A (x) D, so the D leg stays.
     """
     if f.target != g.source:
-        raise ObjectMismatch("inner endpoints do not match")
+        raise CoringsError("inner endpoints do not match")
     c_dim = g.source.dim
     d_dim = g.target.dim
     eps = g.source.counit_mat
@@ -274,7 +268,7 @@ def ext_compose_via_cotensor(g, f, composed):
     formula, so the result takes the action of `composed`.
     """
     if f.target != g.source:
-        raise ObjectMismatch("inner endpoints do not match")
+        raise CoringsError("inner endpoints do not match")
     field = f.source.field
     t_cd = g.coaction_tensor
     t_r = tensor_over_alg(f.bimodule, t_cd.result)
@@ -308,7 +302,7 @@ def ext_tensor_morphisms(m, m2):
     after coaction (x) coaction'.
     """
     if m.source.field != m2.source.field:
-        raise FieldMismatch("tensor of morphisms over different fields")
+        raise CoringsError("tensor of morphisms over different fields")
     source = tensor_coring(m.source, m2.source)
     target = tensor_coring(m.target, m2.target)
     action = [r.kron(r2) for r in m.action_mats for r2 in m2.action_mats]
@@ -330,11 +324,11 @@ class CoringsMorphism:
 
     def __init__(self, source, target, phi, varphi):
         if varphi.source != source.base or varphi.target != target.base:
-            raise DimensionMismatch("algebra map endpoints must be the coring bases")
+            raise CoringsError("algebra map endpoints must be the coring bases")
         if phi.nrows != source.dim or phi.ncols != target.dim:
-            raise DimensionMismatch("carrier map has the wrong shape")
+            raise CoringsError("carrier map has the wrong shape")
         if phi.field != source.field:
-            raise FieldMismatch("morphism data over mixed fields")
+            raise CoringsError("morphism data over mixed fields")
         self.source = source
         self.target = target
         self.phi = phi
@@ -428,7 +422,7 @@ def grouplike_corings_morphism(source, target, mapping):
 def corings_compose(g, f):
     """Componentwise composition of corings morphisms."""
     if f.target != g.source:
-        raise ObjectMismatch("inner endpoints do not match")
+        raise CoringsError("inner endpoints do not match")
     return CoringsMorphism(
         f.source,
         g.target,
@@ -440,7 +434,7 @@ def corings_compose(g, f):
 def corings_tensor_morphisms(m, m2):
     """(phi (x) phi', varphi (x) varphi') between the tensor corings."""
     if m.source.field != m2.source.field:
-        raise FieldMismatch("tensor of morphisms over different fields")
+        raise CoringsError("tensor of morphisms over different fields")
     source = tensor_coring(m.source, m2.source)
     target = tensor_coring(m.target, m2.target)
     varphi = AlgebraMorphism(source.base, target.base, m.varphi.map.kron(m2.varphi.map))
@@ -455,11 +449,11 @@ def base_ring_extension(m):
     b (x) c (x) b' -> (b (x) c_(1) (x) 1) (x)_B phi(c_(2)) b', and returns
     the extension as the `ExtMorphism` (X:B) -> (D:B), whose action
     is right multiplication.  The morphism is checked first
-    (InvalidMorphism); the extension is not.
+    (CoringsError); the extension is not.
     """
     v = check_corings_morphism(m)
     if not v.ok:
-        raise InvalidMorphism(f"{v.law}: {v.witness}")
+        raise CoringsError(f"{v.law}: {v.witness}")
     c, d = m.source, m.target
     b_alg = d.base
     field = c.field

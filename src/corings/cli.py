@@ -107,10 +107,13 @@ def _finish(ws, args, report, verdict, add=None):
 
     Only a passing result is dumped: `add(dumper)` fills the workspace
     fragment written to --dump, if given.  An empty path is given too: opening
-    it fails, an I/O error (exit 2).
+    it fails, an I/O error (exit 2).  The workspace file itself is refused
+    (exit 2): the fragment would replace it.
     """
     report["result"] = "pass" if verdict.ok else "fail"
     if verdict.ok and add is not None and args.dump is not None:
+        if os.path.exists(args.dump) and os.path.samefile(args.dump, args.workspace):
+            raise CoringsError(f'cannot dump to "{args.dump}": it is the workspace file')
         dumper = Dumper(ws)
         add(dumper)
         with open(args.dump, "w", encoding="utf-8") as fh:

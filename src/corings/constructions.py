@@ -36,7 +36,7 @@ from .bimodules import (
     tensor_over_k,
 )
 from .coring import Coring
-from .errors import FieldMismatch, InvalidMorphism, NotInjective
+from .errors import CoringsError
 from .linalg import Mat, _Eliminator
 
 
@@ -58,7 +58,7 @@ def tensor_coring(c, c2):
     if hit is not None:
         return hit[2]
     if c.field != c2.field:
-        raise FieldMismatch("tensor corings over different fields")
+        raise CoringsError("tensor corings over different fields")
     carrier = tensor_over_k(c.carrier, c2.carrier)
     comul_lift = regrouped_kron(c.comul_lift, c2.comul_lift, c.dim, c2.dim)
     t = Coring(carrier.left_alg, carrier, comul_lift, c.counit_mat.kron(c2.counit_mat))
@@ -122,10 +122,10 @@ def sweedler_coring(inclusion):
     for r in inclusion.map.rows:
         span.insert(dict(r))
     if len(span.pivrows) != inclusion.map.nrows:
-        raise NotInjective("the algebra map has a nonzero kernel")
+        raise CoringsError("the algebra map has a nonzero kernel")
     v = check_algebra_morphism(inclusion)
     if not v.ok:
-        raise InvalidMorphism(f"the algebra map fails {v.law}: {v.witness}")
+        raise CoringsError(f"the algebra map fails {v.law}: {v.witness}")
     a_alg = inclusion.target
     field = a_alg.field
     # A as an (A,B)-bimodule and as a (B,A)-bimodule, B acting through the inclusion.

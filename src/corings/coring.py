@@ -32,7 +32,7 @@ from functools import cached_property
 
 from .algebras import generators
 from .bimodules import _kron_apply, push, regrouped_image, tensor_over_alg
-from .errors import DimensionMismatch, FieldMismatch
+from .errors import CoringsError
 from .linalg import Mat, _vadd
 from .verdict import checker, first_difference, first_noncommuting, format_combo
 
@@ -47,15 +47,15 @@ class Coring:
 
     def __init__(self, base, carrier, comul_lift, counit_mat):
         if carrier.left_alg != base or carrier.right_alg != base:
-            raise DimensionMismatch("carrier must be a bimodule over the base algebra")
+            raise CoringsError("carrier must be a bimodule over the base algebra")
         if comul_lift.nrows != carrier.dim or comul_lift.ncols != carrier.dim**2:
-            raise DimensionMismatch(
+            raise CoringsError(
                 "comultiplication lift must map the carrier into its ambient tensor square"
             )
         if counit_mat.nrows != carrier.dim or counit_mat.ncols != base.dim:
-            raise DimensionMismatch("counit must map the carrier to the base algebra")
+            raise CoringsError("counit must map the carrier to the base algebra")
         if comul_lift.field != base.field or counit_mat.field != base.field:
-            raise FieldMismatch("coring data over mixed fields")
+            raise CoringsError("coring data over mixed fields")
         self.base = base
         self.carrier = carrier
         self.comul_lift = comul_lift

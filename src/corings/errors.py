@@ -2,6 +2,9 @@
 
 Each error carries the report that ends a command it stops, which `cli.main`
 writes: `error: <kind>`, the lines of `fields()`, `result:` and `exit_code`.
+Bad input raises `CoringsError` with a message that says what is wrong.  A
+subclass exists only where a handler catches it by name or where it carries
+a report of its own.
 """
 
 
@@ -18,39 +21,16 @@ class CoringsError(Exception):
         return {"detail": str(self)}
 
 
-class FieldMismatch(CoringsError):
-    """Two operands live over different scalar fields."""
-
-
-class DimensionMismatch(CoringsError):
-    """Matrix or module dimensions are incompatible."""
-
-
-class AlgebraMismatch(CoringsError):
-    """A tensor-over-an-algebra was requested across different middle algebras."""
-
-
 class DescentFailure(CoringsError):
     """An ambient map does not send source relations into target relations.
 
-    Signals a non-bilinear input pair to an induced tensor map.
+    Signals a non-bilinear input pair to an induced tensor map; the
+    extension checker reports it as a `colinearity` witness.
     """
 
 
-class ObjectMismatch(CoringsError):
-    """Composition was requested for morphisms that do not share an endpoint."""
-
-
-class NotInjective(CoringsError):
-    """An algebra inclusion required to be injective has a kernel."""
-
-
-class InvalidMorphism(CoringsError):
-    """A morphism failed its validity check where a valid one was required."""
-
-
 class WorkspaceError(CoringsError):
-    """Base class for workspace-file problems, raised bare where a dump is refused."""
+    """Base class for workspace-file problems, which loading passes on unchanged."""
 
 
 class WorkspaceSyntaxError(WorkspaceError):

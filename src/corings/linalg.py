@@ -38,7 +38,7 @@ from itertools import chain
 from math import isqrt
 from types import SimpleNamespace
 
-from .errors import DimensionMismatch, FieldMismatch
+from .errors import CoringsError
 
 
 _SCALAR = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
@@ -269,7 +269,7 @@ class Mat:
 
     def __init__(self, field, nrows, ncols, rows):
         if len(rows) != nrows:
-            raise DimensionMismatch(f"expected {nrows} rows, got {len(rows)}")
+            raise CoringsError(f"expected {nrows} rows, got {len(rows)}")
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
@@ -280,12 +280,12 @@ class Mat:
         nrows = len(entries)
         if ncols is None:
             if nrows == 0:
-                raise DimensionMismatch("cannot infer column count from no rows")
+                raise CoringsError("cannot infer column count from no rows")
             ncols = len(entries[0])
         rows = []
         for r in entries:
             if len(r) != ncols:
-                raise DimensionMismatch("ragged rows")
+                raise CoringsError("ragged rows")
             rows.append(coerced_row(field, r))
         return cls(field, nrows, ncols, rows)
 
@@ -323,12 +323,12 @@ class Mat:
         if not isinstance(other, Mat):
             raise TypeError("expected a Mat")
         if self.field != other.field:
-            raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
+            raise CoringsError(f"{self.field!r} vs {other.field!r}")
 
     def __matmul__(self, other):
         self._check_compatible(other)
         if self.ncols != other.nrows:
-            raise DimensionMismatch(
+            raise CoringsError(
                 f"cannot compose {self.nrows}x{self.ncols} with {other.nrows}x{other.ncols}"
             )
         return Mat(self.field, self.nrows, other.ncols, [other.apply(a) for a in self.rows])

@@ -523,7 +523,7 @@ def _scalar_json(field, x):
     try:
         return str(x)
     except ValueError:
-        raise WorkspaceError(
+        raise CoringsError(
             f"cannot dump the scalar {field.fmt(x)}: a workspace loads no integer "
             f"past {sys.get_int_max_str_digits()} digits"
         ) from None
@@ -611,7 +611,7 @@ class Dumper:
         it is refused (exit 2)."""
         other = next((s for s in SECTIONS if s != section and name in self.doc[s]), None)
         if other is not None:
-            raise WorkspaceError(f'cannot dump "{name}": the dump\'s {other} also use that name')
+            raise CoringsError(f'cannot dump "{name}": the dump\'s {other} also use that name')
         self.doc[section][name] = entry
         return name
 

@@ -19,12 +19,7 @@ from corings.bimodules import (
     tensor_over_alg,
     tensor_over_k,
 )
-from corings.errors import (
-    AlgebraMismatch,
-    DescentFailure,
-    DimensionMismatch,
-    FieldMismatch,
-)
+from corings.errors import CoringsError, DescentFailure
 from corings.linalg import Mat, _vadd
 from corings.verdict import Verdict
 from reference import (
@@ -81,10 +76,10 @@ def interchange_iso(t1, t2, target=None):
     inverse matrix as `.inverse_map`.
     """
     if t1.field != t2.field:
-        raise FieldMismatch("factors over different fields")
+        raise CoringsError("factors over different fields")
     for t in (t1, t2):
         if t.right_factor.left_alg != t.over or t.right_factor.right_alg != t.over:
-            raise AlgebraMismatch(
+            raise CoringsError(
                 "right factor must be a bimodule over the middle algebra on both sides"
             )
     field = t1.field
@@ -93,7 +88,7 @@ def interchange_iso(t1, t2, target=None):
     if target is None:
         target = interchange_target(t1, t2)
     if target.quot.ambient_dim != d_m * d_c * d_n * d_c2:
-        raise DimensionMismatch("target presentation has the wrong ambient dimension")
+        raise CoringsError("target presentation has the wrong ambient dimension")
 
     def shuffle(idx1, idx2):
         i, c = divmod(idx1, d_c)
@@ -271,7 +266,7 @@ def module_hom_space(m, n, side="right"):
     alg = m.right_alg if side == "right" else m.left_alg
     alg_n = n.right_alg if side == "right" else n.left_alg
     if alg != alg_n:
-        raise AlgebraMismatch("modules are not over the same algebra")
+        raise CoringsError("modules are not over the same algebra")
     field = m.field
     unknowns = m.dim * n.dim
     rows = []

@@ -17,7 +17,7 @@ from corings.algebras import (
     identity_morphism,
     tensor_algebra,
 )
-from corings.errors import DimensionMismatch, FieldMismatch
+from corings.errors import CoringsError
 from corings.linalg import Field, Mat
 from corings.workspace import load_workspace
 from oracles import tensor_algebra_morphism
@@ -49,7 +49,7 @@ class TestCheckAlgebra:
         # With one label for two basis elements, the failing unit law of this
         # table would name index 1 by a label that is not there.
         table = [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(CoringsError, match="^need 2 labels, got 1$"):
             FinDimAlgebra(Q, 2, table, [0, 1], labels=["e"])
 
     def test_non_associative_table(self):
@@ -86,7 +86,7 @@ class TestTensorAlgebra:
         assert tensor_algebra(c2, c2) == group_algebra(F2, KLEIN_4)
 
     def test_field_mismatch(self):
-        with pytest.raises(FieldMismatch):
+        with pytest.raises(CoringsError, match="^tensor factors live over different fields$"):
             tensor_algebra(ground_algebra(Q), ground_algebra(F5))
 
     @pytest.mark.parametrize("make", [ground_algebra, dual_numbers])
@@ -213,5 +213,5 @@ class TestAgainstDenseReference:
             a = group_algebra(field, table)
             assert a == coerced and a.labels == coerced.labels
             assert check_algebra(a).ok
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(CoringsError, match="^need 2 labels, got 1$"):
             group_algebra(field, CYCLIC_2, ["g"])

@@ -23,7 +23,7 @@ from corings.bimodules import (
     tensor_over_k,
 )
 from corings.constructions import sweedler_coring, trivial_coring
-from corings.errors import AlgebraMismatch, DescentFailure, DimensionMismatch, FieldMismatch
+from corings.errors import CoringsError, DescentFailure
 from corings.linalg import Field, Mat
 from oracles import (
     InterchangeFixtures,
@@ -75,7 +75,7 @@ class TestBimodule:
 
     @pytest.mark.parametrize("labels", [["u"], ["u", "v", "w"]])
     def test_labels_must_fit_the_dimension(self, labels):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(CoringsError, match=f"^need 2 labels, got {len(labels)}$"):
             scalar_bimodule(F5, 2, labels=labels)
         assert scalar_bimodule(F5, 2, labels=["u", "v"]).label(1) == "v"
 
@@ -127,7 +127,7 @@ class TestTensorOverAlg:
         assert is_identity(project_mat(t.quot))
 
     def test_middle_mismatch(self, dual_regular):
-        with pytest.raises(AlgebraMismatch):
+        with pytest.raises(CoringsError, match="^middle algebras differ$"):
             tensor_over_alg(dual_regular, scalar_bimodule(Q, 2))
 
     def test_unit_isomorphisms(self, dual_regular):
@@ -223,17 +223,18 @@ class TestTensorCache:
         assert relation_space(twisted.quot).basis == relation_space(fresh.quot).basis
         assert tensor_over_alg(twisted_dual_regular(), dual_regular) is twisted
 
-    @pytest.mark.parametrize("error", [AlgebraMismatch, FieldMismatch],
-                             ids=lambda e: e.__name__)
+    @pytest.mark.parametrize("error", ["middle algebras differ",
+                                       "tensor factors over different fields"],
+                             ids=["algebra", "field"])
     def test_failing_call_raises_every_time_and_stores_nothing(self, error, dual_regular):
-        if error is AlgebraMismatch:
+        if error == "middle algebras differ":
             m, n = dual_regular, scalar_bimodule(Q, 2)
         else:
             m, n = scalar_bimodule(Q, 2), scalar_bimodule(F5, 2)
         tensor_over_alg(dual_regular, dual_regular)
         before = dict(bimodules._TENSORS)
         for _ in range(3):
-            with pytest.raises(error):
+            with pytest.raises(CoringsError, match=f"^{error}$"):
                 tensor_over_alg(m, n)
             assert bimodules._TENSORS == before
 

@@ -513,6 +513,27 @@ def test_an_out_name_written_in_another_section_is_refused(case, capsys, tmp_pat
     assert out.endswith(f"dumped: {dump}\n")
 
 
+@pytest.mark.parametrize("spelling", ["same-path", "symlink"])
+def test_a_dump_onto_the_workspace_is_refused(spelling, capsys, tmp_path):
+    """Exit 2 before the dump is opened, under the workspace's own path or
+    another, and the workspace is left as it was: the dump replaced it, and
+    `check sw` on it then found no object named "sw"."""
+    text = (WORKSPACES / "cli-f5.json").read_bytes()
+    path = tmp_path / "ws.json"
+    path.write_bytes(text)
+    dump = path
+    if spelling == "symlink":
+        dump = tmp_path / "link.json"
+        dump.symlink_to(path)
+    code, out, err = run_cli(capsys, path, "tensor", "m2", "c2", "--dump", str(dump))
+    assert (code, err) == (2, "")
+    lines = out.splitlines()
+    assert lines[-2:] == ["error: invalid-input",
+                          f'detail: cannot dump to "{dump}": it is the workspace file']
+    assert [line for line in lines if line.startswith("result:")] == ["result: error"]
+    assert path.read_bytes() == text
+
+
 def test_a_coring_equal_to_a_generated_one_reuses_its_name(capsys, tmp_path):
     """The source and the target of `regular_dual (x) regular_dual` are one
     coring, written once; it was written twice, as `coring_1` and `coring_3`."""

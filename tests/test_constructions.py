@@ -29,7 +29,7 @@ from corings.constructions import (
     unit_coring,
 )
 from corings.coring import check_coring
-from corings.errors import FieldMismatch, InvalidMorphism, NotInjective
+from corings.errors import CoringsError
 from corings.linalg import Field, Mat
 from oracles import base_extension_maps, interchange_iso
 from reference import inverse, is_identity, project_mat
@@ -93,7 +93,7 @@ class TestTensorCoring:
         assert paired @ iso.map == t.comul
 
     def test_field_mismatch(self):
-        with pytest.raises(FieldMismatch):
+        with pytest.raises(CoringsError, match="^tensor corings over different fields$"):
             tensor_coring(unit_coring(Q), unit_coring(F5))
 
 
@@ -130,14 +130,14 @@ class TestFixtures:
     def test_sweedler_rejects_non_injective(self, field, target, rows):
         d = dual_numbers(field)
         b = ground_algebra(field) if target == "k" else d
-        with pytest.raises(NotInjective, match="^the algebra map has a nonzero kernel$"):
+        with pytest.raises(CoringsError, match="^the algebra map has a nonzero kernel$"):
             sweedler_coring(AlgebraMorphism(d, b, Mat.from_rows(field, rows)))
 
     @pytest.mark.parametrize("field", [Q, F5], ids=["Q", "F5"])
     def test_sweedler_checks_an_injective_map_for_the_algebra_laws(self, field):
         d = dual_numbers(field)
         swap = AlgebraMorphism(d, d, Mat.from_rows(field, [[0, 1], [1, 0]]))
-        with pytest.raises(InvalidMorphism, match="^the algebra map fails "):
+        with pytest.raises(CoringsError, match="^the algebra map fails "):
             sweedler_coring(swap)
         assert sweedler_coring(dual_inclusion(field)).dim == 4
 

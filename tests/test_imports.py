@@ -26,6 +26,10 @@ so `corings` binds no public name but its loaded submodules, and importing
 `corings.<m>` in a fresh interpreter loads exactly the modules `<m>` needs,
 those before it in `LAYERS`, the import order (`errors` and `verdict` need
 none, `linalg` only `errors`).
+
+A fifth scan keeps the error classes few: bad input raises `CoringsError`
+with a message, so every other class of `corings.errors` must be named by an
+`except` in `src/corings/` or set a `kind` of its own, which its report reads.
 """
 
 import ast
@@ -312,3 +316,46 @@ def test_layer_probe_sees_a_name_bound_on_the_package():
 
 def test_layers_cover_the_package():
     assert sorted(LAYERS) == sorted(p.stem for p in SRC if not p.stem.startswith("_"))
+
+
+ERRORS = ROOT / "src" / "corings" / "errors.py"
+
+
+def caught_names(*sources):
+    """The names of the classes that the `except` clauses of `sources` catch."""
+    names = set()
+    for node in (n for source in sources for n in ast.walk(ast.parse(source))):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            names.update(t.id if isinstance(t, ast.Name) else t.attr for t in types)
+    return names
+
+
+def idle_error_classes(source, caught):
+    """The classes of `source` other than `CoringsError` that no name of
+    `caught` names and that set no `kind`: each reports as its base does."""
+    def sets_kind(cls):
+        return any(isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "kind" for t in node.targets)
+            for node in cls.body)
+
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, ast.ClassDef) and node.name != "CoringsError"
+            and node.name not in caught and not sets_kind(node)]
+
+
+def test_scan_sees_an_error_class_no_handler_tells_apart():
+    handlers = "try:\n    f()\nexcept (ValueError, errors.Caught):\n    pass\n"
+    assert caught_names(handlers) == {"ValueError", "Caught"}
+    source = ("class CoringsError(Exception):\n    pass\n"
+              "class Caught(CoringsError):\n    pass\n"
+              "class Own(CoringsError):\n    kind = 'own'\n")
+    assert idle_error_classes(source, caught_names(handlers)) == []
+    added = ERRORS.read_text() + "\n\nclass FooMismatch(CoringsError):\n    pass\n"
+    caught = caught_names(*(p.read_text() for p in SRC))
+    assert idle_error_classes(added, caught) == ["FooMismatch"]
+
+
+def test_every_error_class_is_caught_or_has_its_own_kind():
+    caught = caught_names(*(p.read_text() for p in SRC))
+    assert idle_error_classes(ERRORS.read_text(), caught) == []

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corings.errors import DimensionMismatch
+from corings.errors import CoringsError
 from corings.linalg import Field, Mat
 from reference import (
     IsoFailure,
@@ -149,7 +149,7 @@ class TestQuotient:
         assert quotient(2, rel).dim == 0
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(CoringsError, match=r"^relations live in k\^2, not k\^3$"):
             quotient(3, zero_subspace(Q, 2))
 
     @given(
