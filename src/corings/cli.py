@@ -108,16 +108,19 @@ def _finish(ws, args, report, verdict, add=None):
     Only a passing result is dumped: `add(dumper)` fills the workspace
     fragment written to --dump, if given.  An empty path is given too: opening
     it fails, an I/O error (exit 2).  The workspace file itself is refused
-    (exit 2): the fragment would replace it.
+    (exit 2): the fragment would replace it.  `result:` is set only once the
+    dump is written, so a refused or failed dump ends its report with it too.
     """
-    report["result"] = "pass" if verdict.ok else "fail"
-    if verdict.ok and add is not None and args.dump is not None:
+    dump = verdict.ok and add is not None and args.dump is not None
+    if dump:
         if os.path.exists(args.dump) and os.path.samefile(args.dump, args.workspace):
             raise CoringsError(f'cannot dump to "{args.dump}": it is the workspace file')
         dumper = Dumper(ws)
         add(dumper)
         with open(args.dump, "w", encoding="utf-8") as fh:
             fh.write(dumper.text())
+    report["result"] = "pass" if verdict.ok else "fail"
+    if dump:
         report["dumped"] = args.dump
     return 0 if verdict.ok else 1
 

@@ -279,9 +279,11 @@ def test_dump_of_a_scalar_past_the_digit_limit_is_an_error(capsys, tmp_path):
     dump = tmp_path / "out.json"
     code, out, err = run_cli(capsys, path, "tensor", "c", "c", "--dump", str(dump))
     assert (code, err) == (2, "")
-    assert "error: invalid-input\n" in out
-    assert ("detail: cannot dump the scalar <integer of 6001 digits>: "
-            "a workspace loads no integer past 4300 digits\n") in out
+    assert out.endswith("error: invalid-input\n"
+                        "detail: cannot dump the scalar <integer of 6001 digits>: "
+                        "a workspace loads no integer past 4300 digits\n"
+                        "result: error\n")
+    assert out.count("result:") == 1
     assert "dumped" not in out
     assert not dump.exists()
 
@@ -306,7 +308,9 @@ def test_empty_dump_path_is_an_io_error(case, capsys, tmp_path, monkeypatch):
     code, out, err = run_cli(capsys, WORKSPACES / "cli-f5.json", *GOLDEN_CASES[case],
                              "--dump", "")
     assert (code, err) == (2, "")
-    assert "result: error\nerror: io\n" in out
+    lines = out.splitlines()
+    assert lines[-3] == "error: io" and lines[-1] == "result: error"
+    assert [line for line in lines if line.startswith("result:")] == ["result: error"]
     assert "dumped" not in out
     assert list(tmp_path.iterdir()) == []
 
@@ -505,7 +509,7 @@ def test_an_out_name_written_in_another_section_is_refused(case, capsys, tmp_pat
     code, out, err = run_cli(capsys, path, *argv, "--dump", str(dump))
     assert (code, err) == (2, "")
     lines = out.splitlines()
-    assert lines[-2:] == ["error: invalid-input", f"detail: {detail}"]
+    assert lines[-3:] == ["error: invalid-input", f"detail: {detail}", "result: error"]
     assert [line for line in lines if line.startswith("result:")] == ["result: error"]
     assert not dump.exists()
     code, out, err = run_cli(capsys, path, *argv[:-1], "fresh", "--dump", str(dump))
@@ -528,9 +532,15 @@ def test_a_dump_onto_the_workspace_is_refused(spelling, capsys, tmp_path):
     code, out, err = run_cli(capsys, path, "tensor", "m2", "c2", "--dump", str(dump))
     assert (code, err) == (2, "")
     lines = out.splitlines()
-    assert lines[-2:] == ["error: invalid-input",
-                          f'detail: cannot dump to "{dump}": it is the workspace file']
+    assert lines[-3:] == ["error: invalid-input",
+                          f'detail: cannot dump to "{dump}": it is the workspace file',
+                          "result: error"]
     assert [line for line in lines if line.startswith("result:")] == ["result: error"]
+    assert path.read_bytes() == text
+    code, out, err = run_cli(capsys, path, "--json-report", "tensor", "m2", "c2",
+                             "--dump", str(dump))
+    assert (code, err) == (2, "")
+    assert list(json.loads(out))[-3:] == ["error", "detail", "result"]
     assert path.read_bytes() == text
 
 
